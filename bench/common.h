@@ -51,8 +51,7 @@ double scale();
 /// speedup numbers can be judged against the machine they ran on.
 int hardware_cpus();
 
-/// Worker threads for batched case execution AND the ceiling for the engine
-/// worker pool in the parallel-engine benches: COSCHED_BENCH_THREADS
+/// Worker threads for batched case execution: COSCHED_BENCH_THREADS
 /// (default: hardware concurrency, at least 1).
 int threads();
 

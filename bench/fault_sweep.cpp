@@ -195,5 +195,6 @@ int main() {
               << " incomplete runs\n";
     return 1;
   }
+  std::cout << "Invariant gate: PASS (0 violations, 0 incomplete)\n";
   return 0;
 }

@@ -52,7 +52,6 @@ Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
                  std::shared_ptr<const AllocationModel> alloc)
     : engine_(engine),
       name_(std::move(name)),
-      source_(engine.register_source(name_)),
       cfg_(cosched),
       sched_cfg_(sched_config),
       sched_(capacity, std::move(policy), sched_config, std::move(alloc)) {
@@ -127,9 +126,6 @@ void Cluster::do_submit(const JobSpec& spec) {
 }
 
 void Cluster::load_trace(const Trace& trace) {
-  // Entry point from outside any handler: tag the submit events (and
-  // everything they transitively schedule) with this domain's lane.
-  SourceScope scope(engine_, source_);
   for (const JobSpec& spec : trace.jobs()) {
     if (spec.is_paired()) register_expected(spec);
     engine_.schedule_at(spec.submit, EventPriority::kJobSubmit, [this, spec] {
@@ -143,13 +139,11 @@ void Cluster::load_trace(const Trace& trace) {
 }
 
 void Cluster::submit_now(const JobSpec& spec) {
-  SourceScope scope(engine_, source_);
   do_submit(spec);
   journal_commit();
 }
 
 void Cluster::kill_job(JobId id) {
-  SourceScope scope(engine_, source_);
   const RuntimeJob* j = sched_.find(id);
   if (j == nullptr || j->state == JobState::kFinished) return;
   sched_.kill(id, engine_.now());
@@ -175,9 +169,6 @@ void Cluster::kill_job(JobId id) {
 
 void Cluster::request_iteration() {
   if (iteration_pending_) return;
-  // Callable from peer handlers, retry listeners, and chaos events: always
-  // tag the iteration with this domain so it lands on this domain's lane.
-  SourceScope scope(engine_, source_);
   iteration_pending_ = true;
   if (journaling()) {
     // Committed immediately: this can be the only record of an entry point
@@ -880,7 +871,7 @@ void Cluster::log_event(JobEventKind kind, const RuntimeJob& job) {
   e.job = job.spec.id;
   e.group = job.spec.group;
   e.nodes = job.spec.nodes;
-  event_log_->record(source_, std::move(e));
+  event_log_->record(std::move(e));
 }
 
 void Cluster::arm_yield_retry_event(Time at, JobId id) {
@@ -1877,9 +1868,6 @@ Cluster::RecoveryStats Cluster::recover_from_journal(Journal& journal) {
 }
 
 void Cluster::rearm_after_restore() {
-  // Runs outside handler context (restore/recovery): re-armed timers must
-  // land back on this domain's lane.
-  SourceScope scope(engine_, source_);
   const Time now = engine_.now();
 
   // Completions for every running job, armed at the job's absolute end time

@@ -1,9 +1,11 @@
 #include "core/config_io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -22,54 +24,56 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-[[noreturn]] void fail(std::size_t lineno, const std::string& what) {
-  throw ParseError("config line " + std::to_string(lineno) + ": " + what);
+/// `where` names the input position ("config line 7", "synth spec days").
+[[noreturn]] void fail(const std::string& where, const std::string& what) {
+  throw ParseError(where + ": " + what);
 }
 
-double to_double(const std::string& v, std::size_t lineno) {
+double to_double(const std::string& v, const std::string& where) {
   char* end = nullptr;
   const double out = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') fail(lineno, "expected number: " + v);
+  if (end == v.c_str() || *end != '\0') fail(where, "expected number: " + v);
   return out;
 }
 
-std::int64_t to_int(const std::string& v, std::size_t lineno) {
+std::int64_t to_int(const std::string& v, const std::string& where) {
   char* end = nullptr;
+  errno = 0;
   const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    fail(lineno, "expected integer: " + v);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE)
+    fail(where, "expected integer: " + v);
   return out;
 }
 
-bool to_bool(const std::string& v, std::size_t lineno) {
+bool to_bool(const std::string& v, const std::string& where) {
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  fail(lineno, "expected boolean: " + v);
+  fail(where, "expected boolean: " + v);
 }
 
 void apply_key(DomainConfig& d, const std::string& key,
-               const std::string& value, std::size_t lineno) {
+               const std::string& value, const std::string& where) {
   DomainSpec& s = d.spec;
   if (key == "capacity") {
-    s.capacity = to_int(value, lineno);
+    s.capacity = to_int(value, where);
   } else if (key == "policy") {
     make_policy(value);  // validate eagerly so errors carry a line number
     s.policy = value;
   } else if (key == "scheme") {
     s.cosched.scheme = parse_scheme(value);
   } else if (key == "enabled") {
-    s.cosched.enabled = to_bool(value, lineno);
+    s.cosched.enabled = to_bool(value, where);
   } else if (key == "hold-release-min") {
-    s.cosched.hold_release_period = to_int(value, lineno) * kMinute;
+    s.cosched.hold_release_period = to_int(value, where) * kMinute;
   } else if (key == "max-hold-fraction") {
-    s.cosched.max_hold_fraction = to_double(value, lineno);
+    s.cosched.max_hold_fraction = to_double(value, where);
   } else if (key == "max-yield-before-hold") {
     s.cosched.max_yield_before_hold =
-        static_cast<int>(to_int(value, lineno));
+        static_cast<int>(to_int(value, where));
   } else if (key == "yield-boost") {
-    s.cosched.yield_priority_boost = to_double(value, lineno);
+    s.cosched.yield_priority_boost = to_double(value, where);
   } else if (key == "yield-retry-min") {
-    s.cosched.yield_retry_period = to_int(value, lineno) * kMinute;
+    s.cosched.yield_retry_period = to_int(value, where) * kMinute;
   } else if (key == "backfill") {
     if (value == "easy") {
       s.sched.backfill = true;
@@ -80,7 +84,7 @@ void apply_key(DomainConfig& d, const std::string& key,
     } else if (value == "none") {
       s.sched.backfill = false;
     } else {
-      fail(lineno, "backfill must be easy|conservative|none, got " + value);
+      fail(where, "backfill must be easy|conservative|none, got " + value);
     }
   } else if (key == "allocation") {
     if (value == "plain") {
@@ -89,12 +93,12 @@ void apply_key(DomainConfig& d, const std::string& key,
       s.alloc = std::make_shared<PartitionAllocation>(
           PartitionAllocation::intrepid());
     } else {
-      fail(lineno, "allocation must be plain|bgp-partitions, got " + value);
+      fail(where, "allocation must be plain|bgp-partitions, got " + value);
     }
   } else if (key == "trace") {
     d.trace_source = value;
   } else {
-    fail(lineno, "unknown key '" + key + "'");
+    fail(where, "unknown key '" + key + "'");
   }
 }
 
@@ -105,7 +109,7 @@ std::vector<DomainConfig> parse_domain_configs(std::istream& in) {
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
-    ++lineno;
+    const std::string where = "config line " + std::to_string(++lineno);
     // Strip comments.
     if (const auto hash = line.find('#'); hash != std::string::npos)
       line = line.substr(0, hash);
@@ -113,12 +117,12 @@ std::vector<DomainConfig> parse_domain_configs(std::istream& in) {
     if (line.empty()) continue;
 
     if (line.front() == '[') {
-      if (line.back() != ']') fail(lineno, "unterminated section header");
+      if (line.back() != ']') fail(where, "unterminated section header");
       std::istringstream hs(line.substr(1, line.size() - 2));
       std::string kind, name;
       hs >> kind >> name;
       if (kind != "domain" || name.empty())
-        fail(lineno, "expected [domain <name>]");
+        fail(where, "expected [domain <name>]");
       DomainConfig d;
       d.spec.name = name;
       domains.push_back(std::move(d));
@@ -126,11 +130,11 @@ std::vector<DomainConfig> parse_domain_configs(std::istream& in) {
     }
 
     const auto eq = line.find('=');
-    if (eq == std::string::npos) fail(lineno, "expected key = value");
-    if (domains.empty()) fail(lineno, "key outside of a [domain] section");
+    if (eq == std::string::npos) fail(where, "expected key = value");
+    if (domains.empty()) fail(where, "key outside of a [domain] section");
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    apply_key(domains.back(), key, value, lineno);
+    apply_key(domains.back(), key, value, where);
   }
 
   for (const DomainConfig& d : domains)
@@ -187,12 +191,29 @@ Trace load_trace_source(const std::string& source, const DomainSpec& spec) {
   }
 
   SynthParams p;
-  if (params.count("load")) p.offered_load = std::stod(params["load"]);
-  if (params.count("days")) p.span = std::stoll(params["days"]) * kDay;
-  if (params.count("jobs"))
-    p.job_count = static_cast<std::size_t>(std::stoull(params["jobs"]));
-  if (params.count("seed"))
-    p.seed = static_cast<std::uint64_t>(std::stoull(params["seed"]));
+  for (const auto& [key, value] : params) {
+    const std::string where = "synth spec " + key;
+    if (key == "load") {
+      p.offered_load = to_double(value, where);
+      if (!std::isfinite(p.offered_load) || p.offered_load <= 0)
+        fail(where, "must be a positive number, got " + value);
+    } else if (key == "days") {
+      const std::int64_t days = to_int(value, where);
+      if (days <= 0 || days > std::numeric_limits<Duration>::max() / kDay)
+        fail(where, "must be a positive day count, got " + value);
+      p.span = days * kDay;
+    } else if (key == "jobs") {
+      const std::int64_t jobs = to_int(value, where);
+      if (jobs < 0) fail(where, "must not be negative, got " + value);
+      p.job_count = static_cast<std::size_t>(jobs);
+    } else if (key == "seed") {
+      const std::int64_t seed = to_int(value, where);
+      if (seed < 0) fail(where, "must not be negative, got " + value);
+      p.seed = static_cast<std::uint64_t>(seed);
+    } else {
+      fail("synth spec", "unknown key '" + key + "'");
+    }
+  }
   return generate_trace(model, p);
 }
 

@@ -34,10 +34,8 @@ struct DomainSpec {
   /// Optional request→charge model (e.g. PartitionAllocation::intrepid()).
   std::shared_ptr<const AllocationModel> alloc;
   /// Coupling group: protocol links are only built between domains sharing
-  /// a group, and each group becomes one dependency cluster of the engine
-  /// (so disjoint groups execute in parallel under set_parallel()).  The
-  /// default — every domain in group 0 — reproduces the legacy all-to-all
-  /// topology.
+  /// a group.  The default — every domain in group 0 — reproduces the
+  /// legacy all-to-all topology.
   int coupling_group = 0;
 };
 
@@ -113,15 +111,6 @@ class CoupledSim {
   /// simulations and reports them as deadlocked.
   SimResult run(Time max_time = 0);
 
-  /// Routes run() through the engine's dependency-clustered parallel
-  /// executor on `threads` workers (0 = serial, the default).  Results are
-  /// byte-identical for every thread count; they also match the serial path
-  /// for completed runs.  (An aborted run differs only in where it stops:
-  /// the serial loop executes one event past max_time before aborting, the
-  /// parallel path drains exactly the events at or before max_time.)
-  void set_parallel(unsigned threads) { parallel_threads_ = threads; }
-  unsigned parallel_threads() const { return parallel_threads_; }
-
   std::size_t size() const { return clusters_.size(); }
   Cluster& cluster(std::size_t i) { return *clusters_.at(i); }
   Engine& engine() { return engine_; }
@@ -151,8 +140,7 @@ class CoupledSim {
   /// lowest-priority gang in the cycle, ties toward the lowest job id — is
   /// ordered to yield over the mesh link of the domain waiting on it, so
   /// the order crosses the fault plane and the fence gate like any other
-  /// side-effecting call.  Serial driver: call before run() and run without
-  /// set_parallel().  Idempotent.
+  /// side-effecting call.  Call before run().  Idempotent.
   void enable_gang_resolution(Duration scan_period);
 
   /// Symmetric partition: domains `a` and `b` cannot exchange any message
@@ -268,14 +256,12 @@ class CoupledSim {
   std::vector<JournalCorruptor> corruptors_;
   std::vector<std::optional<Cluster::RecoveryStats>> recoveries_;
   std::optional<InvariantReport> abort_invariants_;
-  unsigned parallel_threads_ = 0;  ///< 0 = serial run loop
   Duration gang_scan_period_ = 0;  ///< 0 = deadlock resolution disabled
 };
 
 /// Order-independent FNV-1a fingerprint over every job's observable outcome
 /// (id, start, end, yields, forced releases).  Byte-identical fingerprints
-/// mean byte-identical scheduling results — the determinism gate the
-/// parallel engine is held to across thread counts.
+/// mean byte-identical scheduling results.
 std::uint64_t determinism_fingerprint(CoupledSim& sim);
 
 /// Convenience for the common two-domain experiments: builds DomainSpecs for

@@ -1,6 +1,7 @@
 #include "core/event_log.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -38,47 +39,33 @@ JobEventKind parse_kind(const std::string& s) {
   throw ParseError("event log: unknown event kind '" + s + "'");
 }
 
-// Parses "key=value" with a signed integer value.
+// Parses "key=value" whose value is, in full, a signed 64-bit integer.
 std::int64_t parse_field(const std::string& token, const char* key) {
   const std::string prefix = std::string(key) + "=";
   if (token.rfind(prefix, 0) != 0)
     throw ParseError("event log: expected '" + prefix + "...', got '" +
                      token + "'");
-  return std::stoll(token.substr(prefix.size()));
+  const char* first = token.data() + prefix.size();
+  const char* last = token.data() + token.size();
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last)
+    throw ParseError("event log: expected a 64-bit integer in '" + token +
+                     "'");
+  return value;
 }
 
 }  // namespace
 
-std::vector<JobEvent> EventLog::events() const {
-  std::vector<JobEvent> out;
-  out.reserve(size());
-  // Concatenate in shard order, then stable-sort by time: equal-time events
-  // keep (shard, in-shard index) order, making the merge a pure function of
-  // shard contents — identical for serial and parallel runs.
-  for (const auto& shard : shards_) out.insert(out.end(), shard.begin(),
-                                               shard.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const JobEvent& a, const JobEvent& b) {
-                     return a.time < b.time;
-                   });
-  return out;
-}
-
-std::size_t EventLog::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard.size();
-  return n;
-}
-
 std::vector<JobEvent> EventLog::of_kind(JobEventKind kind) const {
   std::vector<JobEvent> out;
-  for (const JobEvent& e : events())
+  for (const JobEvent& e : events_)
     if (e.kind == kind) out.push_back(e);
   return out;
 }
 
 void EventLog::write_text(std::ostream& os) const {
-  for (const JobEvent& e : events()) {
+  for (const JobEvent& e : events_) {
     os << e.time << ' ' << e.system << ' ' << to_string(e.kind)
        << " job=" << e.job << " group=" << e.group << " nodes=" << e.nodes
        << '\n';

@@ -10,6 +10,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -49,42 +50,18 @@ struct JobEvent {
   bool operator==(const JobEvent&) const = default;
 };
 
-/// Append-only event record shared by the domains of one simulation.
-///
-/// Storage is sharded: each recording domain appends to its own shard
-/// (indexed by its engine SourceId), so domains executing on different
-/// parallel-engine lanes never touch the same vector.  events() merges the
-/// shards deterministically — stable by time, shard order breaking ties —
-/// so the merged view is identical for every thread count (each shard's
-/// internal order is its lane-serial order, which parallel execution
-/// preserves).  Single-writer users keep the legacy API: record(event)
-/// appends to shard 0.
+/// Append-only event record shared by the domains of one simulation, kept
+/// in record order.  Every domain records from handlers of the one engine
+/// clock, so a simulation's log is already in time order, and same-instant
+/// lines from different domains appear in execution order.
 class EventLog {
  public:
-  void record(JobEvent event) { record(0, std::move(event)); }
+  void record(JobEvent event) { events_.push_back(std::move(event)); }
 
-  /// Appends to one shard.  The shard must exist (ensure_shard); growth is
-  /// kept out of this call so concurrent writers never reallocate the
-  /// shard table.
-  void record(std::size_t shard, JobEvent event) {
-    COSCHED_CHECK(shard < shards_.size());
-    shards_[shard].push_back(std::move(event));
-  }
-
-  /// Grows the shard table to cover `shard`.  Call at attach time, before
-  /// any parallel recording starts.
-  void ensure_shard(std::size_t shard) {
-    if (shard >= shards_.size()) shards_.resize(shard + 1);
-  }
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Deterministic merged view of all shards.
-  std::vector<JobEvent> events() const;
-  std::size_t size() const;
-  bool empty() const { return size() == 0; }
-  void clear() {
-    for (auto& s : shards_) s.clear();
-  }
+  const std::vector<JobEvent>& events() const { return events_; }
+  std::size_t size() const { return events_.size(); }
+  bool empty() const { return events_.empty(); }
+  void clear() { events_.clear(); }
 
   /// Events of one kind, in record order.
   std::vector<JobEvent> of_kind(JobEventKind kind) const;
@@ -97,8 +74,7 @@ class EventLog {
   static EventLog read_text(std::istream& is);
 
  private:
-  std::vector<std::vector<JobEvent>> shards_ =
-      std::vector<std::vector<JobEvent>>(1);
+  std::vector<JobEvent> events_;
 };
 
 /// §V-B check, computed purely from the log: every group's members started,

@@ -3,9 +3,10 @@
 // This is the substrate the paper's evaluation runs on: the authors extended
 // Qsim (the event-driven simulator shipped with the Cobalt resource manager)
 // to drive multiple scheduling domains from one event clock.  We reproduce
-// that design: a single engine owns the clock, and every scheduling domain
-// (cluster) registers events on it, so cross-domain coscheduling interactions
-// are totally ordered and deterministic.
+// that design: a single engine owns the clock and one serial event queue,
+// and every scheduling domain (cluster) registers events on it, so
+// cross-domain coscheduling interactions are totally ordered and
+// deterministic.
 //
 // Determinism rules:
 //  * Time is integer seconds.
@@ -15,43 +16,13 @@
 // Storage: handlers live in generation-tagged slots recycled through a free
 // list, so steady-state scheduling allocates nothing beyond the heap entry.
 // cancel() detaches the slot in O(1); the heap entry becomes a tombstone
-// drained through one shared path (peek_live), and a lane whose heap is more
-// than half tombstones is compacted in one O(n) rebuild instead of draining
+// drained through one shared path (peek_live), and a heap that is more than
+// half tombstones is compacted in one O(n) rebuild instead of draining
 // lazily one-by-one.
-//
-// -- Parallel execution (dependency clusters + conservative lookahead) -------
-//
-// The engine can execute independent regions of the simulation concurrently
-// while producing *byte-identical* results for every thread count:
-//
-//  * Event sources.  Components register themselves via register_source();
-//    add_dependency() records that two sources exchange synchronous calls or
-//    messages.  build_clusters() runs a reachability pass over the
-//    dependency graph (the MTObjects IsDependentOn idiom) and assigns every
-//    connected component to an execution *lane*.  Events scheduled with no
-//    source — or before clustering — live on lane 0, the global lane.
-//  * Serial semantics are unchanged: step()/run()/run_until() execute the
-//    min entry across all lanes under the legacy (time, priority, global
-//    insertion sequence) total order, so serial runs are bit-identical to
-//    the single-queue engine.
-//  * run_parallel(threads) executes *windows* [T, W): W is bounded by the
-//    next global-lane event (a cross-cluster event pins the window and is
-//    executed serially in total order) and by the conservative lookahead
-//    (set_lookahead).  Within a window each lane's events are executed by a
-//    worker-pool thread in the lane's own (time, priority, seq) order with a
-//    deterministic lane-strided seq band, so insertion sequences never
-//    depend on thread timing.  A handler may schedule into its own lane
-//    freely; schedules into *another* lane are buffered and must land at or
-//    after the window end (the lookahead contract) — they are merged in
-//    deterministic lane order at the window barrier.  cancel() from a worker
-//    must target the worker's own lane.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,8 +30,6 @@
 #include "util/types.h"
 
 namespace cosched {
-
-class WorkerPool;
 
 /// Ordering classes for events that share a timestamp.  Lower runs first.
 /// Completions precede arrivals so nodes freed at time T are available to a
@@ -75,56 +44,41 @@ struct EventPriority {
 };
 
 /// Handle identifying a scheduled event; used for cancellation.  Encodes
-/// (slot generation, lane, slot index) so handles from executed or cancelled
+/// (slot generation, slot index), so handles from executed or cancelled
 /// events — even ones whose slot was since recycled — never alias a live
 /// event.
 using EventId = std::uint64_t;
 
-/// Returned for a cross-lane schedule issued from inside a parallel window:
-/// the event is buffered until the window barrier, so no slot exists yet.
-/// Never aliases a live event (generation 0 is never issued) and cancel()
-/// on it returns false.
-inline constexpr EventId kNullEventId = 0;
-
-/// Identifies a registered event source (a cluster, a node-pool region, an
-/// RPC endpoint).  Events inherit the source of the handler that schedules
-/// them unless overridden with schedule_from() or SourceScope.
+/// The benchmark's frozen wiring (perfbench/coupled_month/traced_wiring.cpp)
+/// still declares one execution lane per coupling group; with one serial
+/// queue there are no lanes, so the alias below and the three members that
+/// take or return it (two on Engine, one on Cluster) are no-ops kept only
+/// for that caller.
 using SourceId = std::uint32_t;
-inline constexpr SourceId kNoSource = 0xffffffffu;
 
 class Engine {
  public:
   using Handler = std::function<void()>;
 
-  /// `until` default for run_parallel: drain the queue.
-  static constexpr Time kTimeMax = std::numeric_limits<Time>::max();
-
-  Engine();
-  ~Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time.  Starts at 0 unless reset.  Inside a parallel
-  /// window this is the executing lane's local clock.
-  Time now() const;
+  /// Current simulated time.  Starts at 0.
+  Time now() const { return now_; }
 
-  /// Schedules a handler at absolute time `t` (>= now) under the current
-  /// ambient source (the source of the executing event, or whatever an
-  /// enclosing SourceScope set).  Returns a handle for cancel().
+  /// Schedules a handler at absolute time `t` (>= now).  Returns a handle
+  /// for cancel().
   EventId schedule_at(Time t, int priority, Handler fn);
 
   /// Schedules a handler `d` seconds from now.
   EventId schedule_in(Duration d, int priority, Handler fn) {
     COSCHED_CHECK(d >= 0);
-    return schedule_at(now() + d, priority, std::move(fn));
+    return schedule_at(now_ + d, priority, std::move(fn));
   }
 
-  /// schedule_at() with an explicit source tag (lane routing).
-  EventId schedule_from(SourceId src, Time t, int priority, Handler fn);
-
   /// Cancels a pending event.  Returns false if it already ran or was
-  /// cancelled before.  From inside a parallel window the event must belong
-  /// to the calling worker's lane.
+  /// cancelled before.
   bool cancel(EventId id);
 
   /// Runs the next pending event; returns false when the queue is empty.
@@ -136,51 +90,7 @@ class Engine {
   /// Runs all events with time <= `t`, then sets the clock to `t`.
   void run_until(Time t);
 
-  // -- event sources & dependency clusters -------------------------------
-
-  /// Registers an event source.  Must precede build_clusters().
-  SourceId register_source(std::string name);
-
-  /// Declares that sources `a` and `b` interact (synchronous peer calls,
-  /// messages): they must execute in one lane.  Must precede
-  /// build_clusters().
-  void add_dependency(SourceId a, SourceId b);
-
-  /// Partitions the registered sources into dependency clusters (connected
-  /// components of the add_dependency() graph) and assigns each its own
-  /// execution lane.  Must run before any event is scheduled; returns the
-  /// number of clusters.  Without this call every event stays on the global
-  /// lane and run_parallel() degenerates to serial execution.
-  std::size_t build_clusters();
-
-  /// Number of dependency clusters (0 before build_clusters()).
-  std::size_t cluster_count() const {
-    return clustered_ ? lanes_.size() - 1 : 0;
-  }
-
-  /// Lane a source executes on (0 = global lane; meaningful after
-  /// build_clusters()).
-  std::uint32_t lane_of_source(SourceId src) const {
-    return lane_index_of(src);
-  }
-
-  /// Conservative lookahead: from inside a parallel window, a cross-lane
-  /// schedule must land at least this far past the window start (it is
-  /// checked against the window end, which this bound caps).  kNoTime
-  /// (default) = unbounded windows; then any dynamic cross-lane schedule
-  /// from a window is an error.  Use the minimum inter-domain network
-  /// latency of the model.
-  void set_lookahead(Duration d) { lookahead_ = d; }
-  Duration lookahead() const { return lookahead_; }
-
-  /// Runs all events with time <= `until` on `threads` workers (the calling
-  /// thread participates).  Results are byte-identical for every thread
-  /// count, including 1, and identical to run()/run_until() whenever lanes
-  /// are independent.  Unlike run_until() the clock is left at the last
-  /// executed event, like run().
-  void run_parallel(unsigned threads, Time until = kTimeMax);
-
-  /// Number of scheduled (uncancelled) events.  Serial context only.
+  /// Number of scheduled (uncancelled) events.
   std::size_t pending() const { return armed_; }
 
   /// Total number of events executed (for micro-benchmarks and tests).
@@ -195,7 +105,6 @@ class Engine {
   std::uint64_t cancelled_total() const { return cancelled_; }
 
   /// High-water mark of pending events (queue sizing / memory telemetry).
-  /// Under run_parallel() this is sampled at window barriers.
   std::size_t peak_pending() const { return peak_pending_; }
 
   /// Cancelled heap entries dropped while popping or compacting.
@@ -204,19 +113,13 @@ class Engine {
   /// Whole-heap tombstone compactions (lazy drain replaced by one rebuild).
   std::uint64_t heap_compactions() const { return compactions_; }
 
-  /// Parallel windows executed by run_parallel().
-  std::uint64_t parallel_windows() const { return windows_; }
-
-  /// Events executed serially by run_parallel() because a global-lane
-  /// (cross-cluster) event pinned the window.
-  std::uint64_t pinned_steps() const { return pinned_steps_; }
+  // No-ops for the benchmark's frozen wiring; see SourceId above.
+  void add_dependency(SourceId, SourceId) {}
+  void build_clusters() {}
 
  private:
-  friend class SourceScope;
-
   struct Slot {
     std::uint32_t gen = 1;  ///< bumped on cancel/execute; 0 is never issued
-    SourceId src = kNoSource;
     Handler fn;
   };
   struct Entry {
@@ -233,100 +136,17 @@ class Engine {
       return a.seq > b.seq;
     }
   };
-  /// A cross-lane event buffered during a parallel window.
-  struct CrossEvent {
-    Time time;
-    int priority;
-    SourceId src;
-    Handler fn;
-  };
-  /// One execution lane: its own heap, slots, and free list.  Outside
-  /// parallel windows all lanes are owned by the (single) serial context;
-  /// inside a window each participating lane is owned by exactly one
-  /// worker, which accumulates its effects in the win_* fields for the
-  /// deterministic fold at the barrier.
-  struct Lane {
-    std::vector<Entry> heap;  ///< binary heap via std::push_heap/pop_heap
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> free;
-    std::uint64_t dead = 0;  ///< tombstones currently in `heap`
 
-    // -- parallel-window scratch (reset per window) ----------------------
-    std::uint64_t win_seq = 0;  ///< next seq in this lane's strided band
-    Time win_last_exec = kNoTime;
-    std::uint64_t win_executed = 0;
-    std::uint64_t win_scheduled = 0;
-    std::uint64_t win_cancelled = 0;
-    std::uint64_t win_tombstones = 0;
-    std::uint64_t win_compactions = 0;
-    std::int64_t win_armed_delta = 0;
-    std::vector<CrossEvent> outbox;
-    std::exception_ptr error;
-  };
-  struct Source {
-    std::string name;
-    std::uint32_t lane = 0;
-  };
-  /// Per-worker execution state during a parallel window; installed as a
-  /// thread-local so now()/schedule_at()/cancel() route to the owned lane.
-  struct ExecContext {
-    Engine* engine;
-    Lane* lane;
-    std::uint32_t lane_index;
-    Time now;
-    SourceId src;
-    Time window_end;  ///< exclusive
-  };
-
-  static constexpr int kLaneBits = 8;
-  static constexpr int kSlotBits = 24;
-  static constexpr std::uint32_t kSlotLimit = 1u << kSlotBits;
-  static constexpr std::size_t kMaxLanes = 1u << kLaneBits;
-  /// Seq band width per lane per window; bands keep insertion sequences a
-  /// pure function of (lane, within-lane order), never of thread timing.
-  static constexpr std::uint64_t kSeqStride = 1ull << 32;
   /// Minimum heap size before tombstone compaction is considered.
   static constexpr std::size_t kCompactMinHeap = 64;
 
-  static EventId make_id(std::uint32_t lane, std::uint32_t slot,
-                         std::uint32_t gen) {
-    return (static_cast<EventId>(gen) << 32) |
-           (static_cast<EventId>(lane) << kSlotBits) | slot;
-  }
-
-  std::uint32_t lane_index_of(SourceId src) const {
-    if (!clustered_ || src == kNoSource) return 0;
-    COSCHED_CHECK(src < sources_.size());
-    return sources_[src].lane;
-  }
-
-  /// Active window context of *this* engine on the calling thread.
-  ExecContext* context() const;
-  SourceId current_source() const;
-
-  EventId insert(Lane& lane, std::uint32_t lane_index, Time t, int priority,
-                 std::uint64_t seq, SourceId src, Handler fn, bool in_window);
-  /// Drains cancelled entries off lane's heap top; returns the next live
-  /// entry or nullptr when the lane is empty.
-  const Entry* peek_live(Lane& lane, bool in_window);
-  /// Compacts the lane heap when more than half its entries are tombstones.
-  void maybe_compact(Lane& lane, bool in_window);
-  /// Min live entry across all lanes under the legacy total order.
-  struct PeekResult {
-    Lane* lane = nullptr;
-    const Entry* entry = nullptr;
-  };
-  PeekResult peek_serial();
-  /// Pops and executes the (live) top of `lane` in serial context.
-  void exec_top(Lane& lane);
-  /// Executes one parallel window [start, end) over `parts`.
-  void run_window(const std::vector<std::uint32_t>& parts, Time end,
-                  unsigned threads);
-  /// Worker body: drains `lanes_[index]` up to the window end.
-  void run_lane_window(std::uint32_t index, Time window_end);
-  void ensure_pool(unsigned threads);
-
-  static thread_local ExecContext* tls_ctx_;
+  /// Drains cancelled entries off the heap top; returns the next live entry
+  /// or nullptr when the queue is empty.
+  const Entry* peek_live();
+  /// Compacts the heap when more than half its entries are tombstones.
+  void maybe_compact();
+  /// Pops and executes the (live) heap top.
+  void exec_top();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -335,35 +155,12 @@ class Engine {
   std::uint64_t cancelled_ = 0;
   std::uint64_t tombstones_ = 0;
   std::uint64_t compactions_ = 0;
-  std::uint64_t windows_ = 0;
-  std::uint64_t pinned_steps_ = 0;
   std::size_t armed_ = 0;
   std::size_t peak_pending_ = 0;
-  SourceId ambient_src_ = kNoSource;
-  Duration lookahead_ = kNoTime;  ///< kNoTime = unbounded windows
-  bool clustered_ = false;
-  std::vector<Lane> lanes_;
-  std::vector<Source> sources_;
-  std::vector<std::pair<SourceId, SourceId>> deps_;
-  std::unique_ptr<WorkerPool> pool_;
-};
-
-/// RAII ambient-source override: events scheduled in scope (without an
-/// explicit schedule_from) are tagged with `src`.  Used by components whose
-/// public entry points are called from outside any handler (trace loading,
-/// test drivers, recovery re-arming) so their events land on the right lane.
-/// Window-aware: inside a parallel window it overrides the worker's
-/// thread-local context instead of engine state.
-class SourceScope {
- public:
-  SourceScope(Engine& engine, SourceId src);
-  ~SourceScope();
-  SourceScope(const SourceScope&) = delete;
-  SourceScope& operator=(const SourceScope&) = delete;
-
- private:
-  SourceId* slot_;
-  SourceId prev_;
+  std::vector<Entry> heap_;  ///< binary heap via std::push_heap/pop_heap
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::uint64_t dead_ = 0;  ///< tombstones currently in heap_
 };
 
 }  // namespace cosched

@@ -179,6 +179,15 @@ TEST(TraceSource, BadSynthSpecsThrow) {
   spec.capacity = 100;
   EXPECT_THROW(load_trace_source("synth:unknown", spec), ParseError);
   EXPECT_THROW(load_trace_source("synth:eureka?load", spec), ParseError);
+  for (const char* bad :
+       {"synth:eureka?load=abc", "synth:eureka?load=0.4x",
+        "synth:eureka?load=0", "synth:eureka?days=abc", "synth:eureka?days=5x",
+        "synth:eureka?days=-1", "synth:eureka?days=0",
+        "synth:eureka?days=99999999999999999999", "synth:eureka?jobs=-5",
+        "synth:eureka?jobs=12x", "synth:eureka?seed=-1",
+        "synth:eureka?seed=x", "synth:eureka?load=0.4&dayz=5"}) {
+    EXPECT_THROW(load_trace_source(bad, spec), ParseError) << bad;
+  }
 }
 
 TEST(TraceSource, SwfPathLoadsFile) {

@@ -1,6 +1,10 @@
 // Integration: full coupled simulations on synthetic workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
 #include "core_test_util.h"
 #include "workload/pairing.h"
 #include "workload/scaling.h"
@@ -162,6 +166,76 @@ TEST(CoupledSim, PartitionAllocationChargesRoundedSizes) {
   // 1024 nodes * 600 s of busy time, not 600 * 600.
   EXPECT_DOUBLE_EQ(
       sim.cluster(0).scheduler().pool().busy_node_seconds(), 1024.0 * 600.0);
+}
+
+// Two coupled pairs in disjoint coupling groups share one engine clock but
+// no protocol link, so each pair must schedule exactly as it does alone.
+TEST(CoupledSim, CouplingGroupsScheduleLikeSeparatePairs) {
+  const SchemeCombo combos[2] = {kHY, kYH};
+  std::vector<DomainSpec> specs;
+  std::vector<Trace> traces(4);
+  for (int g = 0; g < 2; ++g) {
+    for (DomainSpec& s :
+         make_coupled_specs("c" + std::to_string(g), 100,
+                            "v" + std::to_string(g), 100, combos[g])) {
+      s.policy = "fcfs";
+      s.cosched.liveness.enabled = true;
+      specs.push_back(std::move(s));
+    }
+    // Mated jobs with staggered arrivals plus local filler; job and group
+    // ids are disjoint across the two pairs.
+    const JobId base = 10000 * (g + 1);
+    const GroupId gbase = 1000 * (g + 1);
+    for (int i = 0; i < 12; ++i) {
+      const Time t = 60 + 240 * i + 17 * g;
+      traces[2 * g].add(job(base + i, t, 600 + 30 * (i % 5),
+                            10 + 5 * (i % 4), gbase + i));
+      traces[2 * g + 1].add(job(base + 1000 + i, t + 90 + 40 * (i % 3),
+                                500 + 25 * (i % 7), 8 + 4 * (i % 3),
+                                gbase + i));
+      if (i % 3 == 0) {
+        traces[2 * g].add(job(base + 2000 + i, t + 30, 300, 20));
+        traces[2 * g + 1].add(job(base + 3000 + i, t + 50, 400, 16));
+      }
+    }
+  }
+  for (std::size_t d = 2; d < 4; ++d) specs[d].coupling_group = 1;
+
+  using Outcome = std::tuple<Time, Time, int, int>;
+  const auto outcomes = [](CoupledSim& sim, std::size_t first) {
+    std::map<JobId, Outcome> out;
+    for (std::size_t d = first; d < first + 2; ++d) {
+      sim.cluster(d).scheduler().for_each_job(
+          [&](JobId id, const RuntimeJob& j) {
+            out[id] = {j.start, j.end, j.yield_count, j.forced_releases};
+          });
+    }
+    return out;
+  };
+
+  CoupledSim both(specs, traces);
+  EventLog& log = both.enable_event_log();
+  const SimResult r = both.run(30 * kDay);
+  ASSERT_TRUE(r.completed);
+  EXPECT_TRUE(r.invariants.ok());
+  EXPECT_THROW(both.link(0, 2), InvariantError);
+
+  for (std::size_t g = 0; g < 2; ++g) {
+    SCOPED_TRACE(g);
+    std::vector<DomainSpec> pair_specs = {specs[2 * g], specs[2 * g + 1]};
+    for (DomainSpec& s : pair_specs) s.coupling_group = 0;
+    CoupledSim alone(pair_specs, {traces[2 * g], traces[2 * g + 1]});
+    ASSERT_TRUE(alone.run(30 * kDay).completed);
+    const std::map<JobId, Outcome> expected = outcomes(alone, 0);
+    EXPECT_EQ(expected.size(), traces[2 * g].size() + traces[2 * g + 1].size());
+    EXPECT_EQ(outcomes(both, 2 * g), expected);
+  }
+
+  const std::vector<JobEvent>& events = log.events();
+  EXPECT_FALSE(events.empty());
+  EXPECT_TRUE(std::is_sorted(
+      events.begin(), events.end(),
+      [](const JobEvent& a, const JobEvent& b) { return a.time < b.time; }));
 }
 
 }  // namespace

@@ -76,6 +76,20 @@ TEST(Engine, CancelAfterRunReturnsFalse) {
   EXPECT_FALSE(e.cancel(id));
 }
 
+TEST(Engine, StaleHandleDoesNotCancelTheEventReusingItsSlot) {
+  Engine e;
+  const EventId executed = e.schedule_at(1, 0, [] {});
+  e.run();
+  // The executed event's slot is free again; the next schedule reuses it.
+  int fired = 0;
+  const EventId reused = e.schedule_at(2, 0, [&] { ++fired; });
+  EXPECT_NE(reused, executed);
+  EXPECT_FALSE(e.cancel(executed));
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(Engine, StepReturnsFalseWhenEmpty) {
   Engine e;
   EXPECT_FALSE(e.step());
@@ -119,7 +133,7 @@ TEST(Engine, TombstoneHeavyHeapIsCompactedInOneRebuild) {
   std::vector<Time> ran;
   for (int i = 0; i < 1000; ++i)
     ids.push_back(e.schedule_at(1000 + i, 0, [&] { ran.push_back(e.now()); }));
-  // Cancel 90%: once tombstones outnumber live entries the lane heap is
+  // Cancel 90%: once tombstones outnumber live entries the heap is
   // rebuilt in one O(n) pass instead of draining lazily one-by-one.
   for (int i = 0; i < 1000; ++i)
     if (i % 10 != 0) e.cancel(ids[i]);

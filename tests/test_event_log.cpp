@@ -77,6 +77,13 @@ TEST(EventLog, ReadSkipsCommentsAndRejectsGarbage) {
     std::istringstream in("0 a start group=1 job=-1 nodes=4\n");
     EXPECT_THROW(EventLog::read_text(in), ParseError);
   }
+  // Field values must be whole 64-bit integers.
+  for (const char* job : {"job=abc", "job=99999999999999999999", "job=12x",
+                          "job="}) {
+    std::istringstream in(std::string("0 a start ") + job +
+                          " group=-1 nodes=4\n");
+    EXPECT_THROW(EventLog::read_text(in), ParseError) << job;
+  }
 }
 
 TEST(VerifyCoStarts, PerfectGroups) {

@@ -11,9 +11,8 @@
 //     message dispatch exhaustiveness),
 //   - enum definitions and their enumerators (JournalRecordKind, MsgType),
 //   - cosched::MutexLock acquisition sites with block scopes, plus
-//     REQUIRES(...) thread-safety annotations (lock-order, lane purity),
+//     REQUIRES(...) thread-safety annotations (lock-order),
 //   - member mutations (`foo_ = / += / ++ ...`, optional one subscript),
-//   - thread_local declarations (worker-own state is never shared),
 //   - unordered-container declarations and accessor names (unordered-iter).
 //
 // The tokenizer is deliberately not a C++ parser: it is line-oriented on
@@ -54,22 +53,19 @@ struct CallSite {
 /// closing brace of the block holding the guard (the lock is held for
 /// tokens in (token, scope_end)).
 struct LockSite {
-  std::string mutex;  ///< qualified, e.g. "WorkerPool::mu_" or "g_sink_mutex"
+  std::string mutex;  ///< qualified, e.g. "WirePeer::mutex_" or "g_sink_mutex"
   int line = 0;
   std::size_t token = 0;
   std::size_t scope_end = 0;
 };
 
-/// A write to a `_`-suffixed member through implicit/explicit `this`.
+/// A write to a `_`-suffixed member through implicit/explicit `this`:
+/// an assignment/increment or a mutating method call (`m_.insert(...)`,
+/// `m_[k]`).
 struct MutationSite {
   std::string member;
   int line = 0;
   std::size_t token = 0;
-  /// True when the write is a mutating method call (`m_.insert(...)`,
-  /// `m_[k]`) rather than an assignment/increment.  The lane-purity rule
-  /// (matching v1 semantics) only looks at direct writes; the
-  /// snapshot-coverage analysis considers both.
-  bool via_method = false;
 };
 
 /// A `case Enum::kX:` (or unscoped `case kX:`) label.  `arm_end` is the
@@ -92,7 +88,6 @@ struct FunctionInfo {
   int body_last_line = 0;   ///< line of the closing brace
   std::size_t body_begin = 0;  ///< token index of '{'
   std::size_t body_end = 0;    ///< token index of matching '}'
-  bool requires_lock = false;  ///< REQUIRES(...) on the definition
   std::vector<CallSite> calls;
   std::vector<LockSite> locks;
   std::vector<MutationSite> mutations;
@@ -115,26 +110,6 @@ struct EnumInfo {
   std::vector<Enumerator> enumerators;
 };
 
-/// The first lambda handed to a worker-pool dispatch (`<pool>.run(`,
-/// `std::thread(`, `<threads>.emplace_back(`): the concurrently-executed
-/// region the lane-purity rule checks.
-struct PoolLambda {
-  int file = -1;
-  int line = 0;  ///< line of the dispatch site
-  int func = -1; ///< enclosing FunctionInfo index, -1 if none
-  /// One body line's slice inside the lambda region.  `guarded` is sticky
-  /// from the first MutexLock/REQUIRES in the body (v1 semantics).
-  struct Slice {
-    int line = 0;
-    std::string body;
-    bool guarded = false;
-  };
-  std::vector<Slice> slices;
-  /// Call names made from the unguarded part of the lambda body — the
-  /// seeds for the interprocedural reachability walk.
-  std::vector<CallSite> calls;
-};
-
 /// Names of variables declared with an unordered container type, and names
 /// of accessor functions returning references to one (see v1 docs on the
 /// ambiguous-accessor skip).
@@ -154,17 +129,11 @@ struct ProjectIndex {
   std::vector<FileModel> file_model;
   std::vector<FunctionInfo> functions;
   std::vector<EnumInfo> enums;
-  std::vector<PoolLambda> pool_lambdas;
   /// function name -> indices into `functions` (resolution helper).
   std::multimap<std::string, int> functions_by_name;
-  /// "Class::name" (or bare "name") of declarations carrying REQUIRES(...)
-  /// annotations anywhere in the project (headers included).
-  std::set<std::string> requires_annotated;
   /// qualified function -> qualified mutex named in its REQUIRES(...) —
   /// the caller-held locks that seed lock-order edges.
   std::multimap<std::string, std::string> requires_mutexes;
-  /// Identifiers declared thread_local anywhere in the project.
-  std::set<std::string> thread_locals;
   /// Unordered-container declarations by file stem, and project-global
   /// accessor names (see run_lint for the merge rules).
   std::map<std::string, UnorderedDecls> decls_by_stem;

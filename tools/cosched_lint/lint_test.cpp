@@ -49,9 +49,9 @@ TEST(CoschedLint, GoodFixturesCountWaivers) {
   const Report r = lint_dir("good");
   // ordered() waivers: the two sort-before-emit sites in unordered.cpp.
   EXPECT_EQ(r.ordered_waivers_used, 2);
-  // allow() waivers: start_job's journal waiver, the wall-clock banner, the
-  // test-only lease reset, and the one-helper worker-pool counter.
-  EXPECT_EQ(r.allow_waivers_used, 4);
+  // allow() waivers: start_job's journal waiver, the wall-clock banner, and
+  // the test-only lease reset.
+  EXPECT_EQ(r.allow_waivers_used, 3);
   EXPECT_EQ(static_cast<int>(r.waived.size()),
             r.ordered_waivers_used + r.allow_waivers_used);
 }
@@ -60,44 +60,9 @@ TEST(CoschedLint, BadFixturesAreAllFlagged) {
   const Report r = lint_dir("bad");
   const std::set<std::string> expected = {
       "journal-before-mutate", "lease-journal",      "dedup-before-reply",
-      "banned-call",           "unordered-iter",     "engine-shared-state",
-      "journal-coverage",      "dispatch-exhaustiveness", "lock-order"};
+      "banned-call",           "unordered-iter",     "journal-coverage",
+      "dispatch-exhaustiveness", "lock-order"};
   EXPECT_EQ(rules_hit(r), expected);
-}
-
-TEST(CoschedLint, BadEngineFindingsNameTheRacingMembers) {
-  const Report r = lint_dir("bad");
-  // run_window races executed_ and now_; spawn_helper races pinned_steps_
-  // from a raw std::thread lambda; lanes_fanout.cpp adds the
-  // interprocedural fanout_steps_ hit (checked in its own test below).
-  ASSERT_EQ(count_rule(r, "engine-shared-state"), 4);
-  std::set<std::string> members;
-  for (const Finding& f : r.findings) {
-    if (f.rule != "engine-shared-state") continue;
-    if (f.file.find("lanes_fanout.cpp") != std::string::npos) continue;
-    EXPECT_NE(f.file.find("engine.cpp"), std::string::npos);
-    for (const char* m : {"executed_", "now_", "pinned_steps_"})
-      if (f.message.find(std::string("'") + m + "'") != std::string::npos)
-        members.insert(m);
-  }
-  EXPECT_EQ(members,
-            (std::set<std::string>{"executed_", "now_", "pinned_steps_"}));
-}
-
-TEST(CoschedLint, EngineRuleAcceptsLockedAndLaneConfinedLambdas) {
-  // A MutexLock earlier in the lambda body guards later writes; calls into
-  // lane-owned helpers and reads of shared state are never flagged.
-  const std::vector<SourceFile> files = {
-      {"fake/sim/engine.cpp",
-       {"void Engine::fold() {",
-        "  pool_->run([this](unsigned) {",
-        "    MutexLock lock(mu_);",
-        "    executed_ += 1;",
-        "  });",
-        "  windows_ += 1;  // post-barrier: outside the lambda region",
-        "}"}}};
-  const Report r = run_lint(files);
-  EXPECT_EQ(count_rule(r, "engine-shared-state"), 0);
 }
 
 TEST(CoschedLint, BadJournalFindingPointsAtMutation) {
@@ -373,39 +338,6 @@ TEST(CoschedLint, BadLockInversionIsACycle) {
     EXPECT_NE(f.message.find("Inverted::head_mu_"), std::string::npos);
     EXPECT_NE(f.message.find("Inverted::tail_mu_"), std::string::npos);
   }
-}
-
-TEST(CoschedLint, BadFanoutInterproceduralMutationIsCaught) {
-  const Report r = lint_dir("bad");
-  // ++fanout_steps_ is one call away from the pool lambda: invisible to the
-  // v1 lambda-slice rule, caught by the reachability walk.
-  bool found = false;
-  for (const Finding& f : r.findings) {
-    if (f.rule != "engine-shared-state" ||
-        f.file.find("lanes_fanout.cpp") == std::string::npos)
-      continue;
-    found = true;
-    EXPECT_NE(f.message.find("'fanout_steps_'"), std::string::npos);
-    EXPECT_NE(f.message.find("via bump"), std::string::npos);
-    EXPECT_NE(f.message.find("FanoutEngine::bump"), std::string::npos);
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(CoschedLint, RequiresAnnotatedCalleeIsExemptFromLanePurity) {
-  // A REQUIRES-annotated callee runs with the lock held by contract — the
-  // interprocedural walk must not flag its writes.
-  const std::vector<SourceFile> files = {
-      {"fake/sim/guarded.cpp",
-       {"void Striper::run_window(unsigned threads) {",
-        "  pool_->run([this](unsigned lane) {",
-        "    locked_add(lane);",
-        "  });",
-        "}",
-        "void Striper::locked_add(unsigned lane) REQUIRES(mu_) {",
-        "  ++stripe_sum_;",
-        "}"}}};
-  EXPECT_EQ(count_rule(run_lint(files), "engine-shared-state"), 0);
 }
 
 TEST(CoschedLint, JsonReportParsesAndIsStable) {

@@ -1,8 +1,7 @@
 // The cross-file analyses of cosched_lint v2: journal-coverage,
-// dispatch-exhaustiveness, lock-order, and the interprocedural half of
-// engine-shared-state (lane purity).  All four run over the project index
-// built by index.cpp; none of them re-reads source lines except to anchor
-// findings.
+// dispatch-exhaustiveness and lock-order.  All three run over the project
+// index built by index.cpp; none of them re-reads source lines except to
+// anchor findings.
 #include <algorithm>
 #include <deque>
 #include <functional>
@@ -436,75 +435,6 @@ void rule_lock_order_impl(const ProjectIndex& ix, RuleSink& sink) {
     if (color[node] == 0) dfs(node);
 }
 
-// -- rule: engine-shared-state (lane purity, intra + interprocedural) --------
-
-const char* kLambdaMsgTail =
-    "' outside a REQUIRES-annotated section; take the owning Mutex "
-    "(MutexLock), move the write to the post-barrier fold, or waive with "
-    "allow(engine-shared-state)";
-
-void rule_lane_purity_impl(const ProjectIndex& ix, RuleSink& sink) {
-  // Intra-lambda half: v1 semantics over the recorded body slices.
-  for (const PoolLambda& lam : ix.pool_lambdas) {
-    for (const PoolLambda::Slice& slice : lam.slices) {
-      if (slice.guarded) continue;
-      const std::string hit = member_mutation(slice.body);
-      if (hit.empty()) continue;
-      sink.emit(lam.file, slice.line - 1, "engine-shared-state",
-                "worker-pool lambda mutates shared member '" + hit +
-                    std::string(kLambdaMsgTail),
-                /*accepts_ordered=*/false);
-    }
-  }
-
-  // Interprocedural half: walk the call graph from the unguarded part of
-  // each pool lambda; any reachable function that writes a `_`-suffixed
-  // member without a lock runs that write concurrently on every worker.
-  std::set<std::pair<int, std::string>> reported;  // (function, member)
-  for (const PoolLambda& lam : ix.pool_lambdas) {
-    const std::string cls =
-        lam.func >= 0 ? ix.functions[lam.func].cls : std::string();
-    std::set<int> visited;
-    // (function, path-so-far) — path only for the finding message.
-    std::deque<std::pair<int, std::string>> work;
-    for (const CallSite& c : lam.calls) {
-      const int g = resolve_call(ix, c.name, cls, c.receiver);
-      if (g >= 0) work.emplace_back(g, c.name);
-    }
-    while (!work.empty()) {
-      const auto [fi, path] = work.front();
-      work.pop_front();
-      if (!visited.insert(fi).second) continue;
-      const FunctionInfo& f = ix.functions[fi];
-      // A REQUIRES-annotated function runs with the lock held by contract;
-      // its writes (and its callees') are the annotation checker's job.
-      if (f.requires_lock || ix.requires_annotated.count(f.qualified()) != 0)
-        continue;
-      for (const MutationSite& m : f.mutations) {
-        if (m.via_method) continue;  // v1 parity: direct writes only
-        if (ix.thread_locals.count(m.member) != 0) continue;
-        bool guarded = false;
-        for (const LockSite& l : f.locks)
-          if (l.token < m.token && m.token <= l.scope_end) guarded = true;
-        if (guarded) continue;
-        if (!reported.insert({fi, m.member}).second) continue;
-        sink.emit(f.file, m.line - 1, "engine-shared-state",
-                  "function '" + f.qualified() + "' (reachable from the "
-                      "worker-pool lambda at " +
-                      site(ix, lam.file, lam.line) + " via " + path +
-                      ") mutates shared member '" + m.member +
-                      std::string(kLambdaMsgTail),
-                  /*accepts_ordered=*/false);
-      }
-      for (const CallSite& c : f.calls) {
-        const int g = resolve_call(ix, c.name, f.cls, c.receiver);
-        if (g >= 0 && visited.count(g) == 0)
-          work.emplace_back(g, path + " -> " + c.name);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void rule_journal_coverage(const ProjectIndex& index, RuleSink& sink) {
@@ -517,10 +447,6 @@ void rule_dispatch_exhaustiveness(const ProjectIndex& index, RuleSink& sink) {
 
 void rule_lock_order(const ProjectIndex& index, RuleSink& sink) {
   rule_lock_order_impl(index, sink);
-}
-
-void rule_lane_purity(const ProjectIndex& index, RuleSink& sink) {
-  rule_lane_purity_impl(index, sink);
 }
 
 }  // namespace cosched::lint
