@@ -1,7 +1,10 @@
 #include "core/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstddef>
+#include <memory_resource>
 #include <tuple>
 
 #include "proto/message.h"
@@ -29,18 +32,20 @@ void Cluster::track_dependency(const JobSpec& spec) {
 namespace {
 
 /// RAII commit marker: while a job is deciding/starting, peers that query it
-/// see `starting`, which Algorithm 1 treats like `holding` (ready).
+/// see `starting`, which Algorithm 1 treats like `holding` (ready).  The
+/// set holds at most one job per nested decision, so a vector serves:
+/// insert if absent, erase on exit.
 class CommitGuard {
  public:
-  CommitGuard(std::unordered_set<JobId>& set, JobId id) : set_(set), id_(id) {
-    set_.insert(id_);
+  CommitGuard(std::vector<JobId>& set, JobId id) : set_(set), id_(id) {
+    if (std::ranges::find(set_, id_) == set_.end()) set_.push_back(id_);
   }
-  ~CommitGuard() { set_.erase(id_); }
+  ~CommitGuard() { std::erase(set_, id_); }
   CommitGuard(const CommitGuard&) = delete;
   CommitGuard& operator=(const CommitGuard&) = delete;
 
  private:
-  std::unordered_set<JobId>& set_;
+  std::vector<JobId>& set_;
   JobId id_;
 };
 
@@ -208,7 +213,8 @@ std::optional<JobId> Cluster::get_mate_job(GroupId group, JobId asking) {
 }
 
 MateStatus Cluster::get_mate_status(JobId job) {
-  if (committing_.count(job)) return MateStatus::kStarting;
+  if (std::ranges::find(committing_, job) != committing_.end())
+    return MateStatus::kStarting;
   const RuntimeJob* j = sched_.find(job);
   if (!j)
     return expected_.count(job) ? MateStatus::kUnsubmitted
@@ -307,9 +313,17 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
   // Line 2: locate the mate on each peer.  A peer that is down, or has no
   // member of this group, does not constrain the job (lines 30-31).
   using MateRef = GangMate;
+  // A yielding job re-runs this decision on every retry, so the mate lists
+  // below take their storage from a stack arena instead of the heap; past
+  // the buffer (dozens of peers) the arena falls back to the heap.  The
+  // buffer is only ever written before it is read.
+  std::array<std::byte, 1024> arena_buffer;
+  std::pmr::monotonic_buffer_resource arena(arena_buffer.data(),
+                                            arena_buffer.size());
   bool transport_fault = false;
   std::int32_t suspect_peer = -1;  // a suspected peer we could not consult
-  std::vector<MateRef> mates;
+  std::pmr::vector<MateRef> mates(&arena);
+  mates.reserve(peers_.size());
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     // A confirmed-dead peer is not consulted: the detector already holds the
     // answer the transport would eventually fail its way to (§IV-C: remote
@@ -347,7 +361,12 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
   CommitGuard commit(committing_, job.spec.id);
 
   // Lines 4-27: classify each mate.
-  std::vector<MateRef> holding, not_ready, suspected;
+  std::pmr::vector<MateRef> holding(&arena);
+  std::pmr::vector<MateRef> not_ready(&arena);
+  std::pmr::vector<MateRef> suspected(&arena);
+  holding.reserve(mates.size());
+  not_ready.reserve(mates.size());
+  suspected.reserve(mates.size());
   std::int32_t unsubmitted_peer = -1;
   for (const MateRef& m : mates) {
     const auto status_reply = m.peer->get_mate_status(m.id);
@@ -411,7 +430,7 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
       blocking_peer_ = unsubmitted_peer;
       return scheme_decision(job, try_context);
     }
-    std::vector<MateRef> members = holding;
+    std::pmr::vector<MateRef> members(holding, &arena);
     members.insert(members.end(), not_ready.begin(), not_ready.end());
     std::sort(members.begin(), members.end(),
               [](const MateRef& a, const MateRef& b) {
@@ -569,7 +588,7 @@ RunDecision Cluster::gang_hold_hook(RuntimeJob& job) {
 }
 
 RunDecision Cluster::gang_costart(RuntimeJob& job,
-                                  const std::vector<GangMate>& members,
+                                  std::span<const GangMate> members,
                                   bool& transport_fault) {
   const GroupId group = job.spec.group;
 
@@ -878,9 +897,10 @@ void Cluster::arm_yield_retry_event(Time at, JobId id) {
   // Untracked on purpose: the event survives a crash, and its body is fully
   // state-guarded, so a recovery re-arm at the same (at, id) coalesces: the
   // set entry is the ground truth, and whichever twin fires first consumes
-  // it.
-  engine_.schedule_at(at, EventPriority::kSchedule, [this, at, id] {
-    if (yield_retries_.erase({at, id}) == 0) return;
+  // it.  The body reads `at` back as its own firing time, keeping the
+  // capture to two words so the handler fits std::function's inline buffer.
+  engine_.schedule_at(at, EventPriority::kSchedule, [this, id] {
+    if (yield_retries_.erase({engine_.now(), id}) == 0) return;
     const RuntimeJob* j = sched_.find(id);
     if (!j || j->state != JobState::kQueued) return;
     request_iteration();

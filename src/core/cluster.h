@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -287,8 +288,7 @@ class Cluster final : public CoschedService {
   };
   /// Coordinator side of the two-phase costart: prepare every member, then
   /// commit all (kStart) or abort every prepared hold and back off (kYield).
-  RunDecision gang_costart(RuntimeJob& job,
-                           const std::vector<GangMate>& members,
+  RunDecision gang_costart(RuntimeJob& job, std::span<const GangMate> members,
                            bool& transport_fault);
   /// Run_Job hook that places the member into a fenced leased hold
   /// (journals kHold, arms the breaker, grants a self-expiring lease).
@@ -362,7 +362,7 @@ class Cluster final : public CoschedService {
   std::unordered_map<JobId, JobSpec> expected_;   ///< registered, unsubmitted
   /// dependency -> (dependent job, think-time delay); drained at finish.
   std::unordered_multimap<JobId, std::pair<JobId, Duration>> dependents_;
-  std::unordered_set<JobId> committing_;          ///< report kStarting
+  std::vector<JobId> committing_;                 ///< report kStarting
   bool iteration_pending_ = false;
   bool release_tick_pending_ = false;
   bool periodic_armed_ = false;

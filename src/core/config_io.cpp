@@ -31,8 +31,11 @@ std::string trim(const std::string& s) {
 
 double to_double(const std::string& v, const std::string& where) {
   char* end = nullptr;
+  errno = 0;
   const double out = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') fail(where, "expected number: " + v);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(out))
+    fail(where, "expected finite number: " + v);
   return out;
 }
 
@@ -195,7 +198,7 @@ Trace load_trace_source(const std::string& source, const DomainSpec& spec) {
     const std::string where = "synth spec " + key;
     if (key == "load") {
       p.offered_load = to_double(value, where);
-      if (!std::isfinite(p.offered_load) || p.offered_load <= 0)
+      if (p.offered_load <= 0)
         fail(where, "must be a positive number, got " + value);
     } else if (key == "days") {
       const std::int64_t days = to_int(value, where);

@@ -20,6 +20,11 @@ const char* to_string(MateStatus s) {
 
 std::vector<std::uint8_t> Message::encode() const {
   WireWriter w;
+  encode(w);
+  return w.take();
+}
+
+void Message::encode(WireWriter& w) const {
   w.put_u8(static_cast<std::uint8_t>(type));
   w.put_u64(request_id);
   w.put_u64(incarnation);
@@ -73,7 +78,6 @@ std::vector<std::uint8_t> Message::encode() const {
       w.put_string(error);
       break;
   }
-  return w.take();
 }
 
 Message Message::decode(std::span<const std::uint8_t> data) {

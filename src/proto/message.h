@@ -110,7 +110,9 @@ struct Message {
   std::uint64_t queue_depth = 0;  // Heartbeat*: jobs waiting in queue
   double hold_fraction = 0.0;     // Heartbeat*: fraction of nodes held
 
-  /// Serializes to the compact wire form.
+  /// Appends the compact wire form to `w`.
+  void encode(WireWriter& w) const;
+  /// The same bytes in a vector of their own.
   std::vector<std::uint8_t> encode() const;
 
   /// Parses a wire message.  Throws ParseError on malformed input.

@@ -8,13 +8,17 @@ namespace cosched {
 std::optional<Message> LoopbackPeer::round_trip(const Message& req,
                                                 MsgType expect) {
   ++calls_;
-  const auto req_bytes = req.encode();
-  request_bytes_ += req_bytes.size();
-  const auto resp_bytes = dispatcher_.dispatch(req_bytes);
-  response_bytes_ += resp_bytes.size();
+  request_.clear();
+  req.encode(request_);
+  request_bytes_ += request_.bytes().size();
+  // The service may call back through this peer; the dispatcher has decoded
+  // the request before then and clears reply_ only after, so both writers
+  // are free for the nested call.
+  dispatcher_.dispatch(request_.bytes(), reply_);
+  response_bytes_ += reply_.bytes().size();
   Message resp;
   try {
-    resp = Message::decode(resp_bytes);
+    resp = Message::decode(reply_.bytes());
   } catch (const ParseError& e) {
     COSCHED_LOG(kError) << "loopback peer: bad response: " << e.what();
     return std::nullopt;

@@ -72,7 +72,9 @@ class PeerClient {
 
 /// In-process peer: encodes each call, runs it through a ServiceDispatcher,
 /// and decodes the response — the full wire path without a socket, so every
-/// simulation exercises the protocol encoding.
+/// simulation exercises the protocol encoding.  The request and the reply
+/// go through two writers the peer owns and reuses for every call, so a
+/// warm round trip allocates nothing.
 ///
 /// Thread safety: confined to the simulation thread — the counters are
 /// plain integers on purpose.  No mutex, so no GUARDED_BY members; the
@@ -105,6 +107,8 @@ class LoopbackPeer final : public PeerClient {
   std::optional<Message> round_trip(const Message& req, MsgType expect);
 
   ServiceDispatcher dispatcher_;
+  WireWriter request_;
+  WireWriter reply_;
   std::uint64_t next_rid_ = 1;
   std::uint64_t fence_token_ = 0;
   std::uint64_t calls_ = 0;

@@ -7,12 +7,22 @@ namespace cosched {
 
 std::vector<std::uint8_t> ServiceDispatcher::dispatch(
     std::span<const std::uint8_t> request) {
+  WireWriter out;
+  dispatch(request, out);
+  return out.take();
+}
+
+void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
+                                 WireWriter& out) {
   Message req;
   // Every response carries this daemon's incarnation so clients can reject
-  // replies that straddle a server restart.
-  const auto finish = [this](Message resp) {
+  // replies that straddle a server restart.  `out` is cleared here, after
+  // the service call, never on entry: a nested call through the same link
+  // has already written (and its caller decoded) its own reply there.
+  const auto finish = [this, &out](Message resp) {
     resp.incarnation = config_.incarnation;
-    return resp.encode();
+    out.clear();
+    resp.encode(out);
   };
   try {
     req = Message::decode(request);

@@ -210,6 +210,13 @@ class ServiceDispatcher {
                              DispatcherConfig config = {})
       : service_(service), config_(config) {}
 
+  /// Writes the encoded response into `out`, which the caller may reuse
+  /// across calls.  `request` is read only before the service runs, and
+  /// `out` is cleared only right before the response is encoded, so a
+  /// service that calls back through the same buffers (a nested round trip
+  /// over one loopback link) leaves this call's reply intact.
+  void dispatch(std::span<const std::uint8_t> request, WireWriter& out);
+  /// The same response in a vector of its own.
   std::vector<std::uint8_t> dispatch(std::span<const std::uint8_t> request);
 
  private:

@@ -29,6 +29,9 @@ class WireWriter {
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so a writer reused for
+  /// every message stops allocating once it has grown to the largest one.
+  void clear() { buf_.clear(); }
 
   static std::uint64_t zigzag(std::int64_t v) {
     return (static_cast<std::uint64_t>(v) << 1) ^

@@ -43,7 +43,7 @@ bool Scheduler::eligible(const RuntimeJob& job, Time now) const {
   return now >= it->second.end + job.spec.after_delay;
 }
 
-std::vector<JobId> Scheduler::priority_order(Time now) const {
+const std::vector<JobId>& Scheduler::priority_order(Time now) const {
   if (order_time_ == now && order_epoch_ == epoch_) return order_cache_;
   struct Key {
     JobId id;
@@ -153,7 +153,9 @@ std::vector<JobId> Scheduler::iterate_conservative(Time now,
   for (JobId id : holding_)
     profile.reserve(now, kHorizon, jobs_.at(id).allocated);
 
-  for (JobId id : priority_order(now)) {
+  // A copy: a hook may re-enter priority_order and refill the cache.
+  const std::vector<JobId> order = priority_order(now);
+  for (JobId id : order) {
     auto it = jobs_.find(id);
     if (it == jobs_.end()) continue;
     RuntimeJob& job = it->second;
@@ -195,6 +197,7 @@ std::vector<JobId> Scheduler::iterate(Time now, const RunJobHook& hook) {
   if (config_.backfill && config_.conservative)
     return iterate_conservative(now, hook);
   std::vector<JobId> started;
+  // A copy: a hook may re-enter priority_order and refill the cache.
   const std::vector<JobId> order = priority_order(now);
 
   bool blocked = false;
@@ -261,9 +264,9 @@ bool Scheduler::try_start_specific(JobId id, Time now, const RunJobHook& hook) {
   if (!pool_.can_allocate(charged)) return false;
 
   if (config_.backfill && config_.respect_reservation_on_try) {
-    // Find the blocked queue head; starting `id` must not delay it.
-    const std::vector<JobId> order = priority_order(now);
-    for (JobId hid : order) {
+    // Find the blocked queue head; starting `id` must not delay it.  No
+    // hook runs inside this loop, so it reads the cached order in place.
+    for (JobId hid : priority_order(now)) {
       if (hid == id) break;  // `id` outranks everything unfitting before it
       const RuntimeJob& head = jobs_.at(hid);
       if (head.state != JobState::kQueued) continue;

@@ -120,7 +120,9 @@ class Scheduler {
   /// Queue order for one iteration: demoted jobs last, then score desc,
   /// submit asc, id asc.  Cached per (now, state epoch): repeated calls at
   /// one timestamp with no intervening state change skip the re-score/sort.
-  std::vector<JobId> priority_order(Time now) const;
+  /// The reference is to the cache itself, which the next call at another
+  /// time or epoch overwrites: copy it before running a hook.
+  const std::vector<JobId>& priority_order(Time now) const;
 
   // -- introspection ---------------------------------------------------
 

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -67,8 +69,9 @@ std::string Flags::get(const std::string& name) const {
 std::int64_t Flags::get_int(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
+  errno = 0;
   const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE)
     throw ParseError("flag --" + name + " expects an integer, got '" + v + "'");
   return out;
 }
@@ -76,9 +79,12 @@ std::int64_t Flags::get_int(const std::string& name) const {
 double Flags::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
+  errno = 0;
   const double out = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    throw ParseError("flag --" + name + " expects a number, got '" + v + "'");
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(out))
+    throw ParseError("flag --" + name + " expects a finite number, got '" + v +
+                     "'");
   return out;
 }
 

@@ -22,6 +22,8 @@ class Flags {
   std::vector<std::string> parse(int argc, const char* const* argv);
 
   std::string get(const std::string& name) const;
+  /// Throw ParseError unless the whole value is a number in range (for
+  /// get_double: finite, neither overflowing nor underflowing).
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;

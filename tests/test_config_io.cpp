@@ -112,6 +112,16 @@ TEST(ConfigIo, RejectsBadValues) {
                ParseError);
   EXPECT_THROW(parse("[domain x]\ncapacity = 10\nenabled = sometimes\n"),
                ParseError);
+  // Out of range or not finite: strto* would clamp these silently.
+  const auto parse_key = [](const std::string& line) {
+    return parse("[domain x]\ncapacity = 10\n" + line + "\n");
+  };
+  EXPECT_THROW(parse_key("capacity = 99999999999999999999"), ParseError);
+  EXPECT_THROW(parse_key("max-hold-fraction = 1e999"), ParseError);
+  EXPECT_THROW(parse_key("max-hold-fraction = -1e999"), ParseError);
+  EXPECT_THROW(parse_key("max-hold-fraction = 1e-999"), ParseError);
+  EXPECT_THROW(parse_key("max-hold-fraction = inf"), ParseError);
+  EXPECT_THROW(parse_key("yield-boost = nan"), ParseError);
 }
 
 TEST(ConfigIo, MissingFileThrows) {
@@ -179,6 +189,8 @@ TEST(TraceSource, BadSynthSpecsThrow) {
   spec.capacity = 100;
   EXPECT_THROW(load_trace_source("synth:unknown", spec), ParseError);
   EXPECT_THROW(load_trace_source("synth:eureka?load", spec), ParseError);
+  EXPECT_THROW(load_trace_source("synth:eureka?load=1e999", spec), ParseError);
+  EXPECT_THROW(load_trace_source("synth:eureka?load=inf", spec), ParseError);
   for (const char* bad :
        {"synth:eureka?load=abc", "synth:eureka?load=0.4x",
         "synth:eureka?load=0", "synth:eureka?days=abc", "synth:eureka?days=5x",

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/error.h"
 
 namespace cosched {
@@ -81,6 +83,27 @@ TEST(Flags, TypeErrorsThrow) {
   parse(f, {"--name=abc"});
   EXPECT_THROW(f.get_int("name"), ParseError);
   EXPECT_THROW(f.get_bool("name"), ParseError);
+
+  // Out of range or not finite: strto* would clamp these silently.
+  const auto int_of = [](const char* arg) {
+    Flags g = make_flags();
+    parse(g, {arg});
+    return g.get_int("runs");
+  };
+  const auto double_of = [](const char* arg) {
+    Flags g = make_flags();
+    parse(g, {arg});
+    return g.get_double("load");
+  };
+  EXPECT_THROW(int_of("--runs=99999999999999999999"), ParseError);
+  EXPECT_THROW(int_of("--runs=-99999999999999999999"), ParseError);
+  EXPECT_THROW(double_of("--load=1e999"), ParseError);
+  EXPECT_THROW(double_of("--load=-1e999"), ParseError);
+  EXPECT_THROW(double_of("--load=1e-999"), ParseError);
+  EXPECT_THROW(double_of("--load=inf"), ParseError);
+  EXPECT_THROW(double_of("--load=nan"), ParseError);
+  EXPECT_EQ(int_of("--runs=9223372036854775807"), INT64_MAX);
+  EXPECT_DOUBLE_EQ(double_of("--load=1e308"), 1e308);
 }
 
 TEST(Flags, UsageListsFlags) {

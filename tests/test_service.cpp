@@ -20,6 +20,10 @@ class FakeService : public CoschedService {
   std::map<JobId, bool> start_results;
   bool throw_on_try = false;
   int try_calls = 0;
+  /// When set, try_start_mate first asks for the job's status back through
+  /// this peer, the way a remote Run_Job queries its asker mid-call.
+  LoopbackPeer* call_back = nullptr;
+  std::optional<MateStatus> nested_status;
 
   std::optional<JobId> get_mate_job(GroupId group, JobId) override {
     auto it = mates.find(group);
@@ -32,6 +36,7 @@ class FakeService : public CoschedService {
   }
   bool try_start_mate(JobId job) override {
     ++try_calls;
+    if (call_back != nullptr) nested_status = call_back->get_mate_status(job);
     if (throw_on_try) throw Error("scheduler exploded");
     auto it = try_results.find(job);
     return it != try_results.end() && it->second;
@@ -121,6 +126,33 @@ TEST(LoopbackPeer, FullRoundTrips) {
   EXPECT_EQ(peer.try_start_mate(202), false);
   EXPECT_EQ(peer.start_job(202), false);
   EXPECT_EQ(peer.calls(), 5u);
+}
+
+// The peer reuses one request and one reply writer for every call.  A
+// service that calls back through the same link writes the nested reply
+// into that writer while the outer call is still being served; the outer
+// reply must still arrive whole.
+TEST(LoopbackPeer, NestedCallThroughSameLinkKeepsBothReplies) {
+  FakeService svc;
+  svc.statuses[303] = MateStatus::kHolding;
+  svc.try_results[303] = true;
+  LoopbackPeer peer(svc);
+  svc.call_back = &peer;
+
+  EXPECT_EQ(peer.try_start_mate(303), true);
+  EXPECT_EQ(svc.nested_status, MateStatus::kHolding);
+  EXPECT_EQ(svc.try_calls, 1);
+
+  // The outer call takes request id 1, the nested one id 2.
+  const Message outer = make_try_start_mate_req(1, 303);
+  const Message nested = make_get_mate_status_req(2, 303);
+  const Message outer_reply = make_try_start_mate_resp(1, true);
+  const Message nested_reply =
+      make_get_mate_status_resp(2, MateStatus::kHolding);
+  const auto bytes = [](const Message& m) { return m.encode().size(); };
+  EXPECT_EQ(peer.calls(), 2u);
+  EXPECT_EQ(peer.request_bytes(), bytes(outer) + bytes(nested));
+  EXPECT_EQ(peer.response_bytes(), bytes(outer_reply) + bytes(nested_reply));
 }
 
 TEST(LoopbackPeer, ServiceErrorMapsToNullopt) {
