@@ -14,27 +14,33 @@ namespace cosched {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+/// table[0] is the classic byte-at-a-time table, and table[k][b] is the CRC
+/// contribution of byte b followed by k zero bytes, so eight table lookups
+/// advance the CRC by eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+  return t;
 }
 
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_le32(out, static_cast<std::uint32_t>(v));
-  put_le32(out, static_cast<std::uint32_t>(v >> 32));
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t get_le32(const std::uint8_t* p) {
@@ -49,22 +55,74 @@ std::uint64_t get_le64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(get_le32(p + 4)) << 32;
 }
 
+/// Bytes of the LEB128 varint WireWriter::put_u64 writes for `v`.
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Bytes of the v2 frame encode_frame writes around a payload.
+std::size_t frame_size(std::uint64_t seq, std::size_t payload_size) {
+  return 16 + varint_size(seq) + 1 + payload_size;
+}
+
+/// Snapshot envelope header: [u64 generation][u32 crc32(state)].
+constexpr std::size_t kSnapshotEnvelopeSize = 12;
+using SnapshotEnvelope = std::array<std::uint8_t, kSnapshotEnvelopeSize>;
+
+SnapshotEnvelope snapshot_envelope(std::uint64_t generation,
+                                   std::span<const std::uint8_t> state) {
+  SnapshotEnvelope e{};
+  store_le32(e.data(), static_cast<std::uint32_t>(generation));
+  store_le32(e.data() + 4, static_cast<std::uint32_t>(generation >> 32));
+  store_le32(e.data() + 8, crc32(state));
+  return e;
+}
+
+/// Appends one v2 frame whose payload is `head` followed by `tail`: the
+/// header is reserved first and its length and CRCs are filled in over the
+/// body in place, so no temporary body or frame is built.
+void encode_frame(std::vector<std::uint8_t>& out, std::uint64_t seq,
+                  JournalRecordKind kind, std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> tail) {
+  const std::size_t start = out.size();
+  out.resize(start + 16);
+  std::uint64_t v = seq;  // LEB128 varint, as WireWriter::put_u64 writes it
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+  out.push_back(static_cast<std::uint8_t>(v));
+  out.push_back(static_cast<std::uint8_t>(kind));
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+  std::uint8_t* header = out.data() + start;
+  const auto body = std::span<const std::uint8_t>(out).subspan(start + 16);
+  store_le32(header, kJournalMagicV2);
+  store_le32(header + 4, static_cast<std::uint32_t>(body.size()));
+  store_le32(header + 8, crc32(body));
+  store_le32(header + 12, crc32(std::span<const std::uint8_t>(header, 12)));
+}
+
 /// Outcome of decoding one frame at a fixed offset.  kTruncated means the
 /// frame runs past the end of the buffer (a crash artifact when nothing
 /// intact follows); kBad means the bytes are there but wrong (rot).
 enum class FrameStatus { kOk, kTruncated, kBad };
 
-struct ParsedFrame {
-  JournalRecord rec;
-  std::size_t size = 0;  ///< total frame bytes (header + body)
-  const char* error = "";
+/// One intact frame, viewed in place: `payload` aliases the scanned image.
+struct FrameView {
+  std::size_t offset = 0;  ///< first byte of the frame in the image
+  std::size_t size = 0;    ///< total frame bytes (header + body)
+  std::uint64_t seq = 0;
+  JournalRecordKind kind = JournalRecordKind::kSnapshot;
+  std::uint8_t version = 2;
+  std::span<const std::uint8_t> payload;
 };
 
 FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
-                           std::size_t pos, ParsedFrame& out) {
+                           std::size_t pos, FrameView& out,
+                           const char*& error) {
   const std::size_t n = bytes.size();
   if (n - pos < 4) {
-    out.error = "truncated header";
+    error = "truncated header";
     return FrameStatus::kTruncated;
   }
   const std::uint32_t first = get_le32(bytes.data() + pos);
@@ -74,22 +132,21 @@ FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
   std::uint8_t version = 1;
   if (first == kJournalMagicV2) {
     if (n - pos < 16) {
-      out.error = "truncated v2 header";
+      error = "truncated v2 header";
       return FrameStatus::kTruncated;
     }
     len = get_le32(bytes.data() + pos + 4);
     body_crc = get_le32(bytes.data() + pos + 8);
     const std::uint32_t header_crc = get_le32(bytes.data() + pos + 12);
-    if (crc32(std::span<const std::uint8_t>(bytes.data() + pos, 12)) !=
-        header_crc) {
-      out.error = "rotten v2 header";
+    if (crc32(bytes.subspan(pos, 12)) != header_crc) {
+      error = "rotten v2 header";
       return FrameStatus::kBad;
     }
     header = 16;
     version = 2;
   } else {
     if (n - pos < 8) {
-      out.error = "truncated header";
+      error = "truncated header";
       return FrameStatus::kTruncated;
     }
     len = first;
@@ -98,55 +155,103 @@ FrameStatus parse_frame_at(std::span<const std::uint8_t> bytes,
     version = 1;
   }
   if (n - pos - header < len) {
-    out.error =
-        version == 2 ? "truncated v2 body" : "truncated body";
+    error = version == 2 ? "truncated v2 body" : "truncated body";
     return FrameStatus::kTruncated;
   }
-  const std::span<const std::uint8_t> body(bytes.data() + pos + header, len);
+  const std::span<const std::uint8_t> body = bytes.subspan(pos + header, len);
   if (crc32(body) != body_crc) {
-    out.error = "body CRC mismatch";
+    error = "body CRC mismatch";
     return FrameStatus::kBad;
   }
   try {
     WireReader r(body);
-    out.rec.seq = r.get_u64();
+    out.seq = r.get_u64();
     const std::uint8_t k = r.get_u8();
     if (k > static_cast<std::uint8_t>(JournalRecordKind::kGangVictim))
       throw ParseError("journal: unknown record kind");
-    out.rec.kind = static_cast<JournalRecordKind>(k);
-    out.rec.payload.assign(body.begin() + (len - r.remaining()), body.end());
+    out.kind = static_cast<JournalRecordKind>(k);
+    out.payload = body.subspan(len - r.remaining());
   } catch (const ParseError&) {
-    out.error = "unparseable record";
+    error = "unparseable record";
     return FrameStatus::kBad;
   }
-  out.rec.version = version;
+  out.offset = pos;
   out.size = header + len;
+  out.version = version;
   return FrameStatus::kOk;
 }
 
-/// Finds the next offset >= `from` holding a fully intact v2 frame (v1
-/// frames carry no magic, so rot inside a pure-v1 region cannot be
-/// resynced past).  Returns npos when nothing intact follows.
-std::size_t resync_to_magic(std::span<const std::uint8_t> bytes,
-                            std::size_t from) {
-  constexpr std::uint8_t first_byte =
-      static_cast<std::uint8_t>(kJournalMagicV2 & 0xffu);
+JournalRecord to_record(const FrameView& f) {
+  return JournalRecord{f.seq, f.kind, {f.payload.begin(), f.payload.end()},
+                       f.version};
+}
+
+/// The salvage walk shared by salvage_scan and Journal::compact.  Calls
+/// on_frame(const FrameView&) for every intact frame in stream order and
+/// on_gap(offset, length, reason, torn) for every unreadable region.  A
+/// region starts at a frame that fails to decode and ends where the next
+/// v2 magic has an intact frame behind it (v1 frames carry no magic, so rot
+/// inside a pure-v1 region cannot be resynced past); `reason` is why its
+/// first frame failed.  A region that runs to the end of the image and
+/// began with a frame cut short by the end is a torn tail (`torn`, the
+/// normal crash artifact) rather than rot.
+template <class OnFrame, class OnGap>
+void walk_frames(std::span<const std::uint8_t> bytes, OnFrame&& on_frame,
+                 OnGap&& on_gap) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   const std::size_t n = bytes.size();
-  for (std::size_t p = from; p + 16 <= n; ++p) {
-    if (bytes[p] != first_byte) continue;
-    if (get_le32(bytes.data() + p) != kJournalMagicV2) continue;
-    ParsedFrame pf;
-    if (parse_frame_at(bytes, p, pf) == FrameStatus::kOk) return p;
+  std::size_t bad = kNone;  // start of the unreadable region being skipped
+  FrameStatus bad_status = FrameStatus::kOk;
+  const char* bad_reason = "";
+  std::size_t pos = 0;
+  while (pos < n) {
+    if (bad != kNone) {
+      // Resync: only a v2 magic with a whole header behind it can start
+      // the next intact frame.
+      if (n - pos < 16) break;
+      if (get_le32(bytes.data() + pos) != kJournalMagicV2) {
+        ++pos;
+        continue;
+      }
+    }
+    FrameView f;
+    const char* reason = "";
+    const FrameStatus st = parse_frame_at(bytes, pos, f, reason);
+    if (st != FrameStatus::kOk) {
+      if (bad == kNone) {
+        bad = pos;
+        bad_status = st;
+        bad_reason = reason;
+      }
+      ++pos;
+      continue;
+    }
+    if (bad != kNone) {
+      on_gap(bad, pos - bad, bad_reason, false);
+      bad = kNone;
+    }
+    on_frame(f);
+    pos += f.size;
   }
-  return static_cast<std::size_t>(-1);
+  if (bad != kNone)
+    on_gap(bad, n - bad, bad_reason, bad_status == FrameStatus::kTruncated);
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xffffffffu;
-  for (std::uint8_t b : data) c = table[(c ^ b) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = get_le32(p) ^ c;
+    const std::uint32_t hi = get_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -184,32 +289,27 @@ const char* to_string(JournalRecordKind k) {
   return "?";
 }
 
+void encode_frame(std::vector<std::uint8_t>& out, std::uint64_t seq,
+                  JournalRecordKind kind,
+                  std::span<const std::uint8_t> payload) {
+  encode_frame(out, seq, kind, {}, payload);
+}
+
 std::vector<std::uint8_t> encode_frame(std::uint64_t seq,
                                        JournalRecordKind kind,
                                        std::span<const std::uint8_t> payload) {
-  WireWriter pw;
-  pw.put_u64(seq);
-  pw.put_u8(static_cast<std::uint8_t>(kind));
-  std::vector<std::uint8_t> body = pw.take();
-  body.insert(body.end(), payload.begin(), payload.end());
-
   std::vector<std::uint8_t> out;
-  out.reserve(body.size() + 16);
-  put_le32(out, kJournalMagicV2);
-  put_le32(out, static_cast<std::uint32_t>(body.size()));
-  put_le32(out, crc32(body));
-  put_le32(out, crc32(std::span<const std::uint8_t>(out.data(), 12)));
-  out.insert(out.end(), body.begin(), body.end());
+  out.reserve(frame_size(seq, payload.size()));
+  encode_frame(out, seq, kind, payload);
   return out;
 }
 
 std::vector<std::uint8_t> make_snapshot_payload(
     std::uint64_t generation, std::span<const std::uint8_t> state) {
-  std::vector<std::uint8_t> out;
-  out.reserve(state.size() + 12);
-  put_le64(out, generation);
-  put_le32(out, crc32(state));
-  out.insert(out.end(), state.begin(), state.end());
+  const SnapshotEnvelope envelope = snapshot_envelope(generation, state);
+  std::vector<std::uint8_t> out(envelope.size() + state.size());
+  std::ranges::copy(envelope, out.begin());
+  std::ranges::copy(state, out.begin() + envelope.size());
   return out;
 }
 
@@ -220,14 +320,14 @@ SnapshotView parse_snapshot_payload(const JournalRecord& rec) {
     v.state = std::span<const std::uint8_t>(rec.payload);
     return v;
   }
-  if (rec.payload.size() < 12) {
+  if (rec.payload.size() < kSnapshotEnvelopeSize) {
     v.checksum_ok = false;
     return v;
   }
-  v.generation = get_le64(rec.payload.data());
-  const std::uint32_t want = get_le32(rec.payload.data() + 8);
-  v.state = std::span<const std::uint8_t>(rec.payload.data() + 12,
-                                          rec.payload.size() - 12);
+  const std::span<const std::uint8_t> payload(rec.payload);
+  v.generation = get_le64(payload.data());
+  const std::uint32_t want = get_le32(payload.data() + 8);
+  v.state = payload.subspan(kSnapshotEnvelopeSize);
   v.checksum_ok = crc32(v.state) == want;
   return v;
 }
@@ -292,9 +392,11 @@ void FileJournalSink::reset(std::vector<std::uint8_t> contents) {
     throw Error(std::string("journal compact fsync: ") + std::strerror(e));
   }
   ::close(tfd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0)
-    throw Error(std::string("journal compact rename: ") +
-                std::strerror(errno));
+  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+    const int e = errno;
+    ::unlink(tmp.c_str());
+    throw Error(std::string("journal compact rename: ") + std::strerror(e));
+  }
   // The rename is only durable once the parent directory's entry is on
   // disk: without this fsync a crash right here can resurrect the old image
   // or leave the name dangling, undoing a "completed" compaction.
@@ -351,17 +453,13 @@ Journal::Journal(std::unique_ptr<JournalSink> sink) : sink_(std::move(sink)) {
   COSCHED_CHECK(sink_ != nullptr);
 }
 
-std::vector<std::uint8_t> Journal::frame(
-    std::uint64_t seq, JournalRecordKind kind,
-    std::span<const std::uint8_t> payload) {
-  return encode_frame(seq, kind, payload);
-}
-
 std::uint64_t Journal::append(JournalRecordKind kind,
                               std::span<const std::uint8_t> payload) {
   const std::uint64_t seq = next_seq_++;
+  frame_.clear();
+  encode_frame(frame_, seq, kind, payload);
   try {
-    sink_->append(frame(seq, kind, payload));
+    sink_->append(frame_);
   } catch (const JournalNoSpace&) {
     // Swallow here, surface at the commit boundary: an append sits in the
     // middle of a mutation path, and tearing that apart would leave live
@@ -420,33 +518,68 @@ void Journal::reopen() {
 
 void Journal::compact(std::span<const std::uint8_t> snapshot_payload,
                       bool retain_previous) {
-  std::vector<std::uint8_t> image;
+  // What the new image keeps of the old one: the newest intact snapshot and
+  // every intact frame after it (the fallback generation), with every
+  // header and body CRC checked by the same walk salvage_scan makes.  An
+  // intact v2 frame is copied byte for byte, so a run of back-to-back ones
+  // is kept as one entry whose offset/size span the run.  A v1 frame is
+  // kept on its own, to be re-framed as v2.
+  std::vector<std::uint8_t> old;
+  std::vector<FrameView> kept;
+  std::size_t kept_bytes = 0;
   if (retain_previous) {
-    const SalvageReport rep = salvage_scan(sink_->contents());
-    std::size_t snap_idx = rep.records.size();
-    for (std::size_t i = 0; i < rep.records.size(); ++i)
-      if (rep.records[i].kind == JournalRecordKind::kSnapshot) snap_idx = i;
-    // Keep the previous snapshot and everything intact after it as the
-    // fallback generation.  Re-framing scrubs any rot that crept in (the
-    // records are re-encoded from their decoded, CRC-verified form) and
-    // upgrades v1 frames to v2 as a side effect.  A v1 snapshot's payload is
-    // the raw state; once its frame says v2, readers expect the generation
-    // envelope, so wrap it (generation 0 = pre-generation legacy).
-    for (std::size_t i = snap_idx; i < rep.records.size(); ++i) {
-      const JournalRecord& rec = rep.records[i];
-      const auto f =
-          rec.version < 2 && rec.kind == JournalRecordKind::kSnapshot
-              ? encode_frame(rec.seq, rec.kind,
-                             make_snapshot_payload(0, rec.payload))
-              : encode_frame(rec.seq, rec.kind, rec.payload);
-      image.insert(image.end(), f.begin(), f.end());
+    old = sink_->contents();
+    bool anchored = false;
+    walk_frames(
+        old,
+        [&](const FrameView& f) {
+          if (f.kind == JournalRecordKind::kSnapshot) {
+            anchored = true;
+            kept.clear();
+            kept_bytes = 0;
+          }
+          if (!anchored) return;
+          if (f.version == 1) {
+            // Once its frame says v2, readers expect a snapshot's payload
+            // in the generation envelope, so a v1 snapshot's raw state is
+            // wrapped (generation 0 = pre-generation legacy).
+            std::size_t payload = f.payload.size();
+            if (f.kind == JournalRecordKind::kSnapshot)
+              payload += kSnapshotEnvelopeSize;
+            kept_bytes += frame_size(f.seq, payload);
+            kept.push_back(f);
+            return;
+          }
+          kept_bytes += f.size;
+          FrameView* run = kept.empty() ? nullptr : &kept.back();
+          if (run != nullptr && run->version == 2 &&
+              run->offset + run->size == f.offset)
+            run->size += f.size;
+          else
+            kept.push_back(f);
+        },
+        [](std::size_t, std::size_t, const char*, bool) {});
+  }
+
+  const std::uint64_t seq = next_seq_++;
+  const SnapshotEnvelope envelope =
+      snapshot_envelope(++snapshot_generation_, snapshot_payload);
+  std::vector<std::uint8_t> image;
+  image.reserve(kept_bytes +
+                frame_size(seq, envelope.size() + snapshot_payload.size()));
+  for (const FrameView& k : kept) {
+    if (k.version == 2) {
+      const std::uint8_t* run = old.data() + k.offset;
+      image.insert(image.end(), run, run + k.size);
+    } else if (k.kind == JournalRecordKind::kSnapshot) {
+      encode_frame(image, k.seq, k.kind, snapshot_envelope(0, k.payload),
+                   k.payload);
+    } else {
+      encode_frame(image, k.seq, k.kind, k.payload);
     }
   }
-  const std::uint64_t seq = next_seq_++;
-  const auto wrapped =
-      make_snapshot_payload(++snapshot_generation_, snapshot_payload);
-  const auto f = encode_frame(seq, JournalRecordKind::kSnapshot, wrapped);
-  image.insert(image.end(), f.begin(), f.end());
+  encode_frame(image, seq, JournalRecordKind::kSnapshot, envelope,
+               snapshot_payload);
   sink_->reset(std::move(image));
   last_appended_seq_ = seq;
   last_committed_seq_ = seq;
@@ -473,13 +606,14 @@ JournalReplay read_journal(std::span<const std::uint8_t> bytes) {
   JournalReplay out;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    ParsedFrame pf;
-    if (parse_frame_at(bytes, pos, pf) != FrameStatus::kOk) {
+    FrameView f;
+    const char* error = "";
+    if (parse_frame_at(bytes, pos, f, error) != FrameStatus::kOk) {
       out.tail_torn = true;  // strict torn-tail rule: stop at the first flaw
       break;
     }
-    out.records.push_back(std::move(pf.rec));
-    pos += pf.size;
+    out.records.push_back(to_record(f));
+    pos += f.size;
     out.bytes_scanned = pos;
   }
   return out;
@@ -488,33 +622,18 @@ JournalReplay read_journal(std::span<const std::uint8_t> bytes) {
 SalvageReport salvage_scan(std::span<const std::uint8_t> bytes) {
   SalvageReport out;
   out.bytes_scanned = bytes.size();
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    ParsedFrame pf;
-    const FrameStatus st = parse_frame_at(bytes, pos, pf);
-    if (st == FrameStatus::kOk) {
-      out.records.push_back(std::move(pf.rec));
-      pos += pf.size;
-      continue;
-    }
-    const std::size_t next = resync_to_magic(bytes, pos + 1);
-    if (next == static_cast<std::size_t>(-1)) {
-      // Nothing intact follows.  A frame that simply ran off the end of the
-      // buffer is a torn tail (normal crash artifact); bytes that are
-      // present but wrong are trailing rot.
-      if (st == FrameStatus::kTruncated) {
-        out.tail_torn = true;
-      } else {
-        out.corrupt_regions.push_back(
-            {pos, bytes.size() - pos, pf.error});
-        out.bytes_skipped += bytes.size() - pos;
-      }
-      break;
-    }
-    out.corrupt_regions.push_back({pos, next - pos, pf.error});
-    out.bytes_skipped += next - pos;
-    pos = next;
-  }
+  walk_frames(
+      bytes,
+      [&out](const FrameView& f) { out.records.push_back(to_record(f)); },
+      [&out](std::size_t offset, std::size_t length, const char* reason,
+             bool torn) {
+        if (torn) {
+          out.tail_torn = true;
+          return;
+        }
+        out.corrupt_regions.push_back({offset, length, reason});
+        out.bytes_skipped += length;
+      });
   for (std::size_t i = 1; i < out.records.size(); ++i) {
     const std::uint64_t prev = out.records[i - 1].seq;
     const std::uint64_t cur = out.records[i].seq;

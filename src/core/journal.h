@@ -115,7 +115,14 @@ struct JournalRecord {
   std::uint8_t version = 2;
 };
 
-/// Encodes one v2 frame (magic + header CRC) around seq/kind/payload.
+/// Appends one v2 frame (magic + header CRC) around seq/kind/payload to
+/// `out`.  The length and both CRCs are filled in place, so appending into
+/// a reused buffer allocates nothing once it has grown to the frame size.
+void encode_frame(std::vector<std::uint8_t>& out, std::uint64_t seq,
+                  JournalRecordKind kind,
+                  std::span<const std::uint8_t> payload);
+
+/// The same frame as a vector of its own.
 std::vector<std::uint8_t> encode_frame(std::uint64_t seq,
                                        JournalRecordKind kind,
                                        std::span<const std::uint8_t> payload);
@@ -232,8 +239,11 @@ class Journal {
   /// Compaction: rewrites the journal around a fresh generation-numbered,
   /// checksummed snapshot.  With `retain_previous` (the default) the new
   /// image keeps the previous snapshot and every intact record after it —
-  /// the fallback generation — followed by the new snapshot; re-framing the
-  /// retained records also scrubs any rot that crept in between them.
+  /// the fallback generation — followed by the new snapshot.  Every
+  /// retained frame's header and body CRCs are verified first; intact v2
+  /// frames are then copied verbatim and only v1 frames are re-framed (as
+  /// v2), so rot that crept in between them is scrubbed either way.  An
+  /// image with no intact snapshot keeps nothing.
   /// With retain_previous = false the image collapses to the single new
   /// snapshot frame (initial attach, emergency ENOSPC compaction).
   /// Durable on return.  Sequence numbers keep counting.
@@ -272,11 +282,9 @@ class Journal {
   const JournalSink& sink() const { return *sink_; }
 
  private:
-  static std::vector<std::uint8_t> frame(std::uint64_t seq,
-                                         JournalRecordKind kind,
-                                         std::span<const std::uint8_t> payload);
-
   std::unique_ptr<JournalSink> sink_;
+  /// append()'s frame buffer, reused so a warm append allocates nothing.
+  std::vector<std::uint8_t> frame_;
   std::function<void(std::uint64_t)> on_commit_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t last_appended_seq_ = 0;

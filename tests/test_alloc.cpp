@@ -1,4 +1,4 @@
-// Heap allocations on the coscheduling hot path.
+// Heap allocations on the coscheduling and journaling hot paths.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, which is why it is a test executable of its own: every
@@ -13,6 +13,7 @@
 #include <new>
 
 #include "core/fault.h"
+#include "core/journal.h"
 #include "proto/peer.h"
 #include "sched/scheduler.h"
 
@@ -124,6 +125,35 @@ TEST(Allocations, WarmTryStartSpecificAllocatesNothing) {
     for (int i = 0; i < 10000; ++i) s.try_start_specific(500, now, skip);
   });
   EXPECT_EQ(hook_calls, 10001);  // each call passed the head's reservation
+  EXPECT_EQ(allocations, 0u);
+}
+
+/// Keeps nothing, so only the journal's own framing is counted.
+class DiscardingSink final : public JournalSink {
+ public:
+  void append(std::span<const std::uint8_t>) override {}
+  void commit() override {}
+  void reset(std::vector<std::uint8_t>) override {}
+  std::vector<std::uint8_t> contents() const override { return {}; }
+};
+
+TEST(Allocations, WarmJournalAppendsAllocateNothing) {
+  Journal journal(std::make_unique<DiscardingSink>());
+  const std::vector<std::uint8_t> payload(48, 0x5a);
+  // Warm-up: the frame buffer grows once to the largest frame, here one
+  // with a longer payload than any below (their varint seqs grow to two
+  // bytes).
+  journal.append(JournalRecordKind::kSubmit,
+                 std::vector<std::uint8_t>(64, 0x5a));
+  journal.commit();
+
+  const std::uint64_t allocations = allocations_in([&] {
+    for (int i = 0; i < 10000; ++i) {
+      journal.append(JournalRecordKind::kSubmit, payload);
+      journal.commit();
+    }
+  });
+  EXPECT_EQ(journal.last_committed_seq(), 10001u);
   EXPECT_EQ(allocations, 0u);
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -30,6 +32,41 @@ std::vector<std::uint8_t> payload_of(std::initializer_list<int> bytes) {
   std::vector<std::uint8_t> p;
   for (int b : bytes) p.push_back(static_cast<std::uint8_t>(b));
   return p;
+}
+
+/// CRC-32 one bit at a time over the reflected polynomial 0xEDB88320: the
+/// reference the table-driven crc32 must agree with.
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Journal, Crc32MatchesKnownAnswersAndABitwiseReference) {
+  const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
+  EXPECT_EQ(crc32({check, 9}), 0xcbf43926u);
+  EXPECT_EQ(crc32({}), 0u);
+
+  std::vector<std::uint8_t> buf(4096);
+  std::uint32_t x = 12345;
+  for (std::uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  // Lengths 0-64 at offsets 0-7 give every alignment and every tail length
+  // of the eight-bytes-at-a-time loop.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto s = std::span<const std::uint8_t>(buf).subspan(offset, length);
+      EXPECT_EQ(crc32(s), bitwise_crc32(s))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  EXPECT_EQ(crc32(buf), bitwise_crc32(buf));
 }
 
 TEST(Journal, AppendCommitReadRoundTrip) {
@@ -186,6 +223,27 @@ TEST(Journal, FileSinkSurvivesReopenFromDisk) {
     EXPECT_EQ(rep.records[0].kind, JournalRecordKind::kSnapshot);
   }
   std::remove(path.c_str());
+}
+
+TEST(Journal, FileSinkRenameFailureRemovesTheTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::path(::testing::TempDir()) / "cosched_journal_rename_test.wal";
+  const fs::path tmp = path.string() + ".compact";
+  fs::remove_all(path);
+  fs::remove(tmp);
+
+  FileJournalSink sink(path.string());
+  // Put a non-empty directory where the journal file was: the compaction's
+  // rename of the temp file onto it fails (EISDIR).
+  fs::remove(path);
+  fs::create_directory(path);
+  std::ofstream(path / "occupant") << "x";
+
+  EXPECT_THROW(sink.reset(payload_of({1, 2, 3})), Error);
+  EXPECT_FALSE(fs::exists(tmp)) << "failed compaction left " << tmp;
+  fs::remove_all(path);
+  fs::remove(tmp);
 }
 
 // -- kill-anywhere recovery ----------------------------------------------

@@ -263,6 +263,130 @@ TEST(V1Compat, LegacyFramesReadBackAndReopenContinuesTheSequence) {
   EXPECT_EQ(mixed.records[3].seq, 4u);
 }
 
+// -- compaction against the re-framing reference ---------------------------
+
+/// Compaction as it was before intact v2 frames were copied verbatim, kept
+/// as the reference: salvage-scan the image, re-frame every intact record
+/// from the newest intact snapshot on (a v1 snapshot's raw state wrapped as
+/// generation 0), then append the new snapshot.  With no intact snapshot
+/// nothing is kept.
+std::vector<std::uint8_t> reference_compact(
+    std::span<const std::uint8_t> image, std::uint64_t seq,
+    std::uint64_t generation, std::span<const std::uint8_t> state) {
+  const SalvageReport rep = salvage_scan(image);
+  std::size_t snap_idx = rep.records.size();
+  for (std::size_t i = 0; i < rep.records.size(); ++i)
+    if (rep.records[i].kind == JournalRecordKind::kSnapshot) snap_idx = i;
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = snap_idx; i < rep.records.size(); ++i) {
+    const JournalRecord& rec = rep.records[i];
+    const auto f =
+        rec.version < 2 && rec.kind == JournalRecordKind::kSnapshot
+            ? encode_frame(rec.seq, rec.kind,
+                           make_snapshot_payload(0, rec.payload))
+            : encode_frame(rec.seq, rec.kind, rec.payload);
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  const auto f = encode_frame(seq, JournalRecordKind::kSnapshot,
+                              make_snapshot_payload(generation, state));
+  out.insert(out.end(), f.begin(), f.end());
+  return out;
+}
+
+TEST(CompactionDiff, EveryImageShapeMatchesTheReframingReference) {
+  // Sequence numbers start at 125 so the varint seq grows to two bytes.
+  const auto record_payload = [](std::uint64_t seq) {
+    return std::vector<std::uint8_t>(seq % 7 + 1,
+                                     static_cast<std::uint8_t>(seq));
+  };
+  const auto state_of = [](std::uint64_t seq) {
+    return std::vector<std::uint8_t>(40, static_cast<std::uint8_t>(seq));
+  };
+  const auto rec2 = [&](std::uint64_t seq) {
+    return encode_frame(seq, JournalRecordKind::kIterate, record_payload(seq));
+  };
+  const auto rec1 = [&](std::uint64_t seq) {
+    return v1_frame(seq, JournalRecordKind::kIterate, record_payload(seq));
+  };
+  const auto snap2 = [&](std::uint64_t seq, std::uint64_t generation) {
+    return encode_frame(seq, JournalRecordKind::kSnapshot,
+                        make_snapshot_payload(generation, state_of(seq)));
+  };
+  const auto snap1 = [&](std::uint64_t seq) {
+    return v1_frame(seq, JournalRecordKind::kSnapshot, state_of(seq));
+  };
+  const auto flip = [](std::vector<std::uint8_t> frame, std::size_t at) {
+    frame.at(at) ^= 0x10;
+    return frame;
+  };
+  using Frames = std::vector<std::vector<std::uint8_t>>;
+  const Frames clean = {snap2(125, 1), rec2(126), rec2(127), snap2(128, 2),
+                        rec2(129),     rec2(130), rec2(131)};
+  const auto with = [&clean](std::size_t i, std::vector<std::uint8_t> f) {
+    Frames frames = clean;
+    frames.at(i) = std::move(f);
+    return frames;
+  };
+  // The newest snapshot's frame is intact but its envelope's state is not.
+  auto rotten_state = make_snapshot_payload(2, state_of(128));
+  rotten_state.back() ^= 0x20;
+  Frames duplicated = clean;
+  duplicated.insert(duplicated.begin() + 5, rec2(130));
+
+  struct Shape {
+    const char* name;
+    Frames frames;
+    std::size_t cut = 0;  ///< bytes torn off the end of the image
+  };
+  const std::vector<Shape> shapes = {
+      {"clean v2", clean},
+      {"all v1",
+       {snap1(125), rec1(126), rec1(127), snap1(128), rec1(129), rec1(130)}},
+      {"mixed v1/v2",
+       {snap2(125, 1), rec1(126), snap1(127), rec2(128), rec1(129),
+        rec2(130), rec2(131)}},
+      {"no snapshot", {rec2(125), rec2(126), rec2(127)}},
+      {"rot in the dropped generation", with(1, flip(rec2(126), 17))},
+      {"rotten header inside the retained tail", with(5, flip(rec2(130), 5))},
+      {"rotten body inside the retained tail", with(5, flip(rec2(130), 18))},
+      {"rot inside a v1 tail",
+       {snap1(125), rec1(126), flip(rec1(127), 9), rec1(128)}},
+      {"rotten newest-snapshot body", with(3, flip(snap2(128, 2), 30))},
+      {"rotten newest-snapshot state",
+       with(3, encode_frame(128, JournalRecordKind::kSnapshot, rotten_state))},
+      {"torn tail", clean, 3},
+      {"duplicated frame", duplicated},
+  };
+
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    std::vector<std::uint8_t> image;
+    for (const auto& f : shape.frames)
+      image.insert(image.end(), f.begin(), f.end());
+    image.resize(image.size() - shape.cut);
+
+    auto sink = std::make_unique<MemoryJournalSink>();
+    sink->reset(image);
+    Journal j(std::move(sink));
+    j.reopen();
+    const auto state = payload_of({7, 7, 7});
+    j.compact(state);
+    const std::vector<std::uint8_t> compacted = j.sink().contents();
+    EXPECT_EQ(compacted, reference_compact(image, j.last_committed_seq(),
+                                           j.snapshot_generation(), state));
+
+    // Compacting the rewritten image again keeps it as the fallback.
+    j.append(JournalRecordKind::kFinish, payload_of({1}));
+    j.commit();
+    const std::vector<std::uint8_t> grown = j.sink().contents();
+    j.compact(state);
+    EXPECT_EQ(j.sink().contents(),
+              reference_compact(grown, j.last_committed_seq(),
+                                j.snapshot_generation(), state));
+    EXPECT_TRUE(salvage_scan(j.sink().contents()).corrupt_regions.empty());
+  }
+}
+
 // -- kill-anywhere with at-rest corruption --------------------------------
 
 std::uint64_t fingerprint(CoupledSim& sim) {
