@@ -259,7 +259,7 @@ bool Cluster::start_job(JobId job) {
 // -- Algorithm 1 --------------------------------------------------------------
 
 RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
-  if (ready_logged_.insert(job.spec.id).second) {
+  if (ready_logged_.insert(job.spec.id)) {
     log_event(JobEventKind::kReady, job);
     if (journaling()) {
       WireWriter w;
@@ -560,7 +560,7 @@ Duration Cluster::gang_backoff(JobId job, std::uint32_t attempt) const {
 }
 
 RunDecision Cluster::gang_hold_hook(RuntimeJob& job) {
-  if (ready_logged_.insert(job.spec.id).second) {
+  if (ready_logged_.insert(job.spec.id)) {
     log_event(JobEventKind::kReady, job);
     if (journaling()) {
       WireWriter w;
@@ -1282,14 +1282,17 @@ void Cluster::write_snapshot(WireWriter& w) const {
       w.put_i64(delay);
     }
   }
-  const auto write_set = [&w](const std::unordered_set<JobId>& s) {
-    // cosched-lint: ordered(ids are sorted before encoding)
-    std::vector<JobId> ids(s.begin(), s.end());
-    std::sort(ids.begin(), ids.end());
+  const auto write_ids = [&w](const std::vector<JobId>& ids) {
     w.put_u64(ids.size());
     for (JobId id : ids) w.put_i64(id);
   };
-  write_set(ready_logged_);
+  const auto write_set = [&write_ids](const std::unordered_set<JobId>& s) {
+    // cosched-lint: ordered(ids are sorted before encoding)
+    std::vector<JobId> ids(s.begin(), s.end());
+    std::sort(ids.begin(), ids.end());
+    write_ids(ids);
+  };
+  write_ids(ready_logged_.ascending());
   write_set(fault_seen_);
   write_set(unsync_pending_);
 
@@ -1377,7 +1380,7 @@ void Cluster::apply_snapshot(WireReader& r) {
     const Duration delay = r.get_i64();
     dependents_.emplace(dep, std::make_pair(dependent, delay));
   }
-  const auto read_set = [&r](std::unordered_set<JobId>& s) {
+  const auto read_set = [&r](auto& s) {
     for (std::uint64_t n = r.get_u64(); n > 0; --n) s.insert(r.get_i64());
   };
   read_set(ready_logged_);
@@ -1441,6 +1444,11 @@ void Cluster::apply_snapshot(WireReader& r) {
   }
 
   sched_.restore(r);
+}
+
+void Cluster::validate_indices() const {
+  ready_logged_.validate("ready-logged");
+  sched_.validate_indices();
 }
 
 void Cluster::wipe_for_recovery() {

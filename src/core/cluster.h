@@ -33,6 +33,7 @@
 #include "proto/service.h"
 #include "sched/scheduler.h"
 #include "sim/engine.h"
+#include "util/job_id_set.h"
 #include "workload/trace.h"
 
 namespace cosched {
@@ -260,6 +261,11 @@ class Cluster final : public CoschedService {
   /// state at their absolute journaled times.  Idempotent per recovery.
   void rearm_after_restore();
 
+  /// Brute-force checks the ready-job index against the set it orders, then
+  /// the scheduler's indices; throws InvariantError on any mismatch
+  /// (test/debug hook).
+  void validate_indices() const;
+
  private:
   /// Journaling wrapper around Algorithm 1: logs/journals the first-ready
   /// transition and any degraded-mode set/counter deltas around the
@@ -367,7 +373,9 @@ class Cluster final : public CoschedService {
   bool release_tick_pending_ = false;
   bool periodic_armed_ = false;
   EventLog* event_log_ = nullptr;
-  std::unordered_set<JobId> ready_logged_;
+  /// Every job that ever became ready (its kReady is logged once); the
+  /// ascending walk is what write_snapshot() encodes.
+  JobIdSet ready_logged_;
   /// Jobs whose latest decision path hit a transport fault; membership makes
   /// a subsequent forced release fault-attributable.
   std::unordered_set<JobId> fault_seen_;

@@ -1,37 +1,37 @@
 #include "proto/wire.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace cosched {
 
-void WireWriter::put_u64(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+namespace {
+/// First allocation of a fresh writer: every protocol message and most
+/// journal records fit without growing again.
+constexpr std::size_t kInitialCapacity = 64;
+}  // namespace
+
+void WireWriter::grow(std::size_t n) {
+  buf_.resize(std::max({2 * buf_.size(), pos_ + n, kInitialCapacity}));
 }
 
 void WireWriter::put_string(const std::string& s) {
   put_u64(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  std::memcpy(room(s.size()), s.data(), s.size());
+  pos_ += s.size();
 }
 
-std::uint8_t WireReader::get_u8() {
-  if (pos_ >= data_.size()) throw ParseError("wire: truncated u8");
-  return data_[pos_++];
+std::vector<std::uint8_t> WireWriter::take() {
+  std::vector<std::uint8_t> out;
+  out.swap(buf_);
+  out.resize(pos_);
+  pos_ = 0;
+  return out;
 }
 
-std::uint64_t WireReader::get_u64() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    if (pos_ >= data_.size()) throw ParseError("wire: truncated varint");
-    const std::uint8_t b = data_[pos_++];
-    if (shift >= 64 || (shift == 63 && (b & 0x7e)))
-      throw ParseError("wire: varint overflow");
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) return v;
-    shift += 7;
-  }
+void WireReader::fail(std::size_t pos, const char* what) {
+  pos_ = pos;
+  throw ParseError(what);
 }
 
 std::string WireReader::get_string() {

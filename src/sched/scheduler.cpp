@@ -387,6 +387,16 @@ void Scheduler::remove_from_queue(JobId id) {
 
 void Scheduler::archive(JobId id, RuntimeJob&& job) {
   archived_.emplace(id, std::move(job));
+  insert_ascending(archive_ids_, id);
+}
+
+std::vector<JobId> Scheduler::live_ids() const {
+  std::vector<JobId> ids;
+  ids.reserve(jobs_.size());
+  // cosched-lint: ordered(ids are sorted before use)
+  for (const auto& [id, job] : jobs_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 void Scheduler::erase_running_end(const RuntimeJob& job) {
@@ -410,13 +420,10 @@ void Scheduler::snapshot(WireWriter& w) const {
   w.put_double(a.busy_ns);
   w.put_double(a.held_ns);
 
+  // Both tables go out in ascending id order.
   const auto write_jobs =
-      [&w](const std::unordered_map<JobId, RuntimeJob>& table) {
-        std::vector<JobId> ids;
-        ids.reserve(table.size());
-        // cosched-lint: ordered(ids are sorted before encoding)
-        for (const auto& [id, job] : table) ids.push_back(id);
-        std::sort(ids.begin(), ids.end());
+      [&w](const std::unordered_map<JobId, RuntimeJob>& table,
+           const std::vector<JobId>& ids) {
         w.put_u64(ids.size());
         for (JobId id : ids) {
           const RuntimeJob& j = table.at(id);
@@ -433,8 +440,8 @@ void Scheduler::snapshot(WireWriter& w) const {
           w.put_double(j.priority_boost);
         }
       };
-  write_jobs(jobs_);
-  write_jobs(archived_);
+  write_jobs(jobs_, live_ids());
+  write_jobs(archived_, archive_ids_);
 
   // The running-end index in iteration order: equal walltime-end keys keep
   // multimap insertion (= start) order, which the shadow/profile scans
@@ -454,34 +461,38 @@ void Scheduler::restore(WireReader& r) {
 
   jobs_.clear();
   archived_.clear();
+  archive_ids_.clear();
   queued_.clear();
   queue_pos_.clear();
   running_ends_.clear();
   holding_.clear();
 
-  const auto read_jobs = [&r](std::unordered_map<JobId, RuntimeJob>& table) {
-    const std::uint64_t n = r.get_u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      RuntimeJob j;
-      j.spec = decode_job_spec(r);
-      const std::uint8_t s = r.get_u8();
-      COSCHED_CHECK_MSG(s <= static_cast<std::uint8_t>(JobState::kFinished),
-                        "snapshot: bad job state " << int(s));
-      j.state = static_cast<JobState>(s);
-      j.start = r.get_i64();
-      j.end = r.get_i64();
-      j.first_ready = r.get_i64();
-      j.hold_since = r.get_i64();
-      j.allocated = r.get_i64();
-      j.yield_count = static_cast<int>(r.get_i64());
-      j.forced_releases = static_cast<int>(r.get_i64());
-      j.demoted = r.get_bool();
-      j.priority_boost = r.get_double();
-      table.emplace(j.spec.id, std::move(j));
-    }
+  const auto read_job = [&r] {
+    RuntimeJob j;
+    j.spec = decode_job_spec(r);
+    const std::uint8_t s = r.get_u8();
+    COSCHED_CHECK_MSG(s <= static_cast<std::uint8_t>(JobState::kFinished),
+                      "snapshot: bad job state " << int(s));
+    j.state = static_cast<JobState>(s);
+    j.start = r.get_i64();
+    j.end = r.get_i64();
+    j.first_ready = r.get_i64();
+    j.hold_since = r.get_i64();
+    j.allocated = r.get_i64();
+    j.yield_count = static_cast<int>(r.get_i64());
+    j.forced_releases = static_cast<int>(r.get_i64());
+    j.demoted = r.get_bool();
+    j.priority_boost = r.get_double();
+    return j;
   };
-  read_jobs(jobs_);
-  read_jobs(archived_);
+  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
+    RuntimeJob j = read_job();
+    jobs_.emplace(j.spec.id, std::move(j));
+  }
+  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
+    RuntimeJob j = read_job();
+    archive(j.spec.id, std::move(j));
+  }
 
   // Rebuild indices.  Queue order is behaviorally irrelevant (priority_order
   // is a total order with an id tiebreak), so sorted-by-id is canonical.
@@ -607,10 +618,15 @@ void Scheduler::validate_indices() const {
   COSCHED_CHECK_MSG(holding == holding_.size(), "hold index size mismatch");
   COSCHED_CHECK_MSG(running == running_ends_.size(),
                     "running-end index size mismatch");
-  // cosched-lint: ordered(pure assertions; no output or state depends on order)
-  for (const auto& [id, j] : archived_)
+  std::vector<JobId> archived_ids;
+  archived_ids.reserve(archived_.size());
+  // cosched-lint: ordered(pure assertions; the ids are sorted before use)
+  for (const auto& [id, j] : archived_) {
     COSCHED_CHECK_MSG(j.state == JobState::kFinished,
                       "archived job " << id << " not finished");
+    archived_ids.push_back(id);
+  }
+  check_ascending_index(archive_ids_, std::move(archived_ids), "archive");
 }
 
 }  // namespace cosched

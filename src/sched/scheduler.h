@@ -9,7 +9,8 @@
 // same separation the authors used between Cobalt and their extension.
 //
 // Hot-path design: every scheduling iteration touches only *live* jobs.
-// Finished jobs move to an archive map, running jobs are indexed by their
+// Finished jobs move to an archive map (with an ascending id index, so
+// snapshots walk it without sorting), running jobs are indexed by their
 // walltime end (the shadow/profile scans walk that index instead of the
 // whole job table), holding jobs are indexed in a sorted set, and the
 // priority order is cached per (time, state-epoch) so the repeated
@@ -17,7 +18,6 @@
 // score-and-sort.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,6 +30,7 @@
 #include "sched/node_pool.h"
 #include "sched/policy.h"
 #include "sched/runtime_job.h"
+#include "util/job_id_set.h"
 #include "util/types.h"
 
 namespace cosched {
@@ -165,23 +166,16 @@ class Scheduler {
   /// on insertion history (live run vs. journal replay).
   template <class F>
   void for_each_job(F&& fn) const {
-    const auto sorted_ids = [](const std::unordered_map<JobId, RuntimeJob>& t) {
-      std::vector<JobId> ids;
-      ids.reserve(t.size());
-      // cosched-lint: ordered(ids are sorted before use below)
-      for (const auto& [id, job] : t) ids.push_back(id);
-      std::sort(ids.begin(), ids.end());
-      return ids;
-    };
-    for (JobId id : sorted_ids(jobs_)) fn(id, jobs_.at(id));
-    for (JobId id : sorted_ids(archived_)) fn(id, archived_.at(id));
+    for (JobId id : live_ids()) fn(id, jobs_.at(id));
+    for (JobId id : archive_ids_) fn(id, archived_.at(id));
   }
 
   /// Total jobs ever submitted (live + archived).
   std::size_t total_jobs() const { return jobs_.size() + archived_.size(); }
 
-  /// Brute-force recomputes every maintained index from the job tables and
-  /// throws InvariantError on any mismatch (test/debug hook).
+  /// Brute-force recomputes every maintained index (the archive's id index
+  /// included) from the job tables and throws InvariantError on any
+  /// mismatch (test/debug hook).
   void validate_indices() const;
 
   const PriorityPolicy& policy() const { return *policy_; }
@@ -225,6 +219,10 @@ class Scheduler {
   RunDecision decide(RuntimeJob& job, NodeCount charged, Time now,
                      const RunJobHook& hook);
 
+  /// Live job ids in ascending order (sorted per call: the live table is
+  /// small, unlike the archive).
+  std::vector<JobId> live_ids() const;
+
   void do_start(RuntimeJob& job, Time now);
   void remove_from_queue(JobId id);
   void archive(JobId id, RuntimeJob&& job);
@@ -241,6 +239,9 @@ class Scheduler {
 
   std::unordered_map<JobId, RuntimeJob> jobs_;      ///< live jobs only
   std::unordered_map<JobId, RuntimeJob> archived_;  ///< finished jobs
+  /// archived_'s ids in ascending order: snapshot() and for_each_job() walk
+  /// it instead of sorting the whole history on every call.
+  std::vector<JobId> archive_ids_;
 
   // -- maintained indices over the live table --------------------------
   std::vector<JobId> queued_;

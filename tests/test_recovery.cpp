@@ -379,6 +379,8 @@ TEST(KillAnywhere, CrashAtSeededPointsReplaysToIdenticalResults) {
                   : r.invariants.violations.front());
       EXPECT_EQ(fingerprint(sim), base.fp);
       EXPECT_EQ(r.end_time, base.end_time);
+      for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
     }
   }
 }
@@ -482,6 +484,8 @@ TEST(GangRecovery, CrashAnywhereThroughGangLifecycleReplaysIdentically) {
       EXPECT_EQ(r.invariants.gang_atomicity_violations, 0u);
       EXPECT_EQ(fingerprint(sim), base_fp);
       EXPECT_EQ(r.end_time, base.end_time);
+      for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
     }
   }
 }
@@ -500,7 +504,7 @@ TEST(SnapshotRestore, RestoredStateReserializesByteIdentically) {
   b.restore(r1);
   WireWriter w2;
   b.snapshot(w2);
-  EXPECT_EQ(w1.bytes(), w2.bytes());
+  EXPECT_EQ(w1.take(), w2.take());
 }
 
 TEST(SnapshotRestore, FreshSimResumesToIdenticalCompletion) {
@@ -634,8 +638,109 @@ TEST(SnapshotRestore, SeededMidRunLivenessStatesReserializeByteIdentically) {
     second->restore(r1);
     WireWriter w2;
     second->snapshot(w2);
-    EXPECT_EQ(w1.bytes(), w2.bytes());
+    EXPECT_EQ(w1.take(), w2.take());
   }
+}
+
+// -- journal format guard ---------------------------------------------------
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A hold-hold day of synthetic jobs on two domains, a fifth of them
+/// paired, with the liveness layer on.
+Workload liveness_day() {
+  SynthParams p;
+  p.span = 1 * kDay;
+  p.offered_load = 0.7;
+  p.seed = 7;
+  Trace a = generate_trace(eureka_model(), p);
+  p.seed = 8;
+  Trace b = generate_trace(eureka_model(), p);
+  for (auto& j : b.jobs()) j.id += 1000000;
+  pair_by_proportion(a, b, 0.2, 11);
+  Workload w;
+  w.specs = two_domains(kHH);
+  for (auto& s : w.specs) s.cosched.liveness.enabled = true;
+  w.traces = {a, b};
+  return w;
+}
+
+TEST(JournalFormatGuard, FinalImagesMatchPinnedHashes) {
+  // Pins every byte the journal writes, the way DeterminismGuard pins
+  // outcomes: a change to the codec, the snapshot encoder or the framing
+  // that claims to keep the on-disk format must leave both images as they
+  // were.  A hold-hold day with liveness, request drops and a compaction
+  // every 256 records writes snapshots of a growing history, the fallback
+  // generation and the tail records between them.
+  const Workload w = liveness_day();
+  CoupledSim sim(w.specs, w.traces);
+  FaultPlan plan;
+  plan.seed = 21;
+  plan.drop_probability = 0.02;
+  sim.set_fault_plan_all(plan);
+  sim.enable_journaling(/*compact_every=*/256);
+  const SimResult r = sim.run(30 * kDay);
+  ASSERT_TRUE(r.completed);
+  EXPECT_TRUE(r.invariants.ok());
+
+  // Recorded before the buffered codec and the snapshot id indexes.
+  const std::uint64_t pinned[2] = {0xc36196b3f38fe223ULL,
+                                   0x0fb4b233bfa27bd4ULL};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::vector<std::uint8_t> image = sim.journal(i).sink().contents();
+    EXPECT_GE(sim.journal(i).snapshot_generation(), 3u) << "domain " << i;
+    EXPECT_EQ(fnv1a(image), pinned[i])
+        << "domain " << i << " journal image (" << image.size()
+        << " bytes) changed: 0x" << std::hex << fnv1a(image);
+  }
+}
+
+TEST(SnapshotIndexes, StaySortedThroughKillsRecoveryAndRestore) {
+  // The ready index (every job that became ready) and the archive index
+  // (every finished job) take ids out of order: jobs become ready in
+  // priority order and end when they end, and the hourly kills below take
+  // the highest live id.  A crash recovers domain 0 from a compacted journal
+  // (kReady replayed over a snapshot), then a mid-run snapshot is restored
+  // into a fresh sim.  Every index must equal its sorted keys throughout,
+  // and both sims must finish alike.
+  const Workload w = liveness_day();
+  CoupledSim sim(w.specs, w.traces);
+  sim.enable_journaling(/*compact_every=*/64);
+  for (Time h = 1; h <= 10; ++h)
+    sim.engine().schedule_at(h * kHour, EventPriority::kMessage, [&sim] {
+      JobId newest = kNoJob;
+      for (const auto& [id, job] : sim.cluster(0).scheduler().jobs())
+        newest = std::max(newest, id);
+      if (newest != kNoJob) sim.cluster(0).kill_job(newest);
+    });
+  sim.schedule_crash_recovery(0, 300);
+  sim.engine().run_until(12 * kHour);
+  ASSERT_TRUE(sim.last_recovery(0).has_value());
+  for (std::size_t i = 0; i < 2; ++i)
+    ASSERT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
+
+  WireWriter snap;
+  sim.snapshot(snap);
+  CoupledSim fresh(w.specs, w.traces);
+  WireReader r(snap.bytes());
+  fresh.restore(r);
+  for (std::size_t i = 0; i < 2; ++i)
+    ASSERT_NO_THROW(fresh.cluster(i).validate_indices()) << "domain " << i;
+
+  ASSERT_TRUE(sim.run(30 * kDay).completed);
+  ASSERT_TRUE(fresh.run(30 * kDay).completed);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
+    EXPECT_NO_THROW(fresh.cluster(i).validate_indices()) << "domain " << i;
+  }
+  EXPECT_EQ(fingerprint(fresh), fingerprint(sim));
 }
 
 TEST(AbortInvariants, ExceptionDuringRunStillReportsInvariants) {

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "proto/message.h"
 #include "sched/policy.h"
 #include "sched/scheduler.h"
 
@@ -223,6 +226,153 @@ TEST(SchedulerIndex, DependentEligibilityReadsArchive) {
   s.iterate(125);  // 100 + 25: eligibility resolved via the archived record
   EXPECT_EQ(s.running_count(), 1u);
   EXPECT_NO_THROW(s.validate_indices());
+}
+
+// Scheduler::snapshot() as it was before the archive kept an id index: each
+// table's keys are sorted on every call.  The running-end index is ordered
+// by walltime end, which is exact when no two running jobs share an end.
+std::vector<std::uint8_t> reference_snapshot(const Scheduler& s) {
+  WireWriter w;
+  const NodePool::Accounting a = s.pool().accounting();
+  w.put_i64(a.busy);
+  w.put_i64(a.held);
+  w.put_i64(a.last_update);
+  w.put_double(a.busy_ns);
+  w.put_double(a.held_ns);
+  const auto write_jobs =
+      [&w](const std::unordered_map<JobId, RuntimeJob>& table) {
+        std::vector<JobId> ids;
+        for (const auto& [id, job] : table) ids.push_back(id);
+        std::sort(ids.begin(), ids.end());
+        w.put_u64(ids.size());
+        for (JobId id : ids) {
+          const RuntimeJob& j = table.at(id);
+          encode_job_spec(w, j.spec);
+          w.put_u8(static_cast<std::uint8_t>(j.state));
+          w.put_i64(j.start);
+          w.put_i64(j.end);
+          w.put_i64(j.first_ready);
+          w.put_i64(j.hold_since);
+          w.put_i64(j.allocated);
+          w.put_i64(j.yield_count);
+          w.put_i64(j.forced_releases);
+          w.put_bool(j.demoted);
+          w.put_double(j.priority_boost);
+        }
+      };
+  write_jobs(s.jobs());
+  write_jobs(s.archived());
+  std::vector<std::pair<Time, JobId>> ends;
+  for (const auto& [id, j] : s.jobs())
+    if (j.state == JobState::kRunning)
+      ends.emplace_back(j.start + j.spec.walltime, id);
+  std::sort(ends.begin(), ends.end());
+  w.put_u64(ends.size());
+  for (const auto& [end, id] : ends) w.put_i64(id);
+  return w.take();
+}
+
+std::vector<std::uint8_t> snapshot_of(const Scheduler& s) {
+  WireWriter w;
+  s.snapshot(w);
+  return w.take();
+}
+
+std::vector<JobId> archived_walk(const Scheduler& s) {
+  std::vector<JobId> ids;
+  s.for_each_job([&](JobId id, const RuntimeJob& j) {
+    if (j.state == JobState::kFinished) ids.push_back(id);
+  });
+  return ids;
+}
+
+TEST(SchedulerIndex, ArchiveIndexSurvivesOutOfOrderEndsAndRestore) {
+  // 40 jobs on room for 30: some queue, every seventh holds.  Walltimes are
+  // distinct, so the reference's running-end order is exact.
+  const auto make = [] { return Scheduler(300, make_policy("fcfs")); };
+  const RunJobHook hold_sevenths = [](RuntimeJob& job) {
+    return job.spec.id % 7 == 0 ? RunDecision::kHold : RunDecision::kStart;
+  };
+  Scheduler s = make();
+  for (JobId id = 1; id <= 40; ++id)
+    s.submit(make_spec(id, 10, 1000 + 37 * ((id * 17) % 41)), 0);
+  s.iterate(0, hold_sevenths);
+  ASSERT_GT(s.queue_length(), 0u);
+  ASSERT_GT(s.holding_count(), 0u);
+
+  // End jobs against id order: a stride walk of the ids, killing every
+  // third (queued, holding or running) and finishing the running rest.
+  Time now = 10;
+  const auto end_some = [&now](Scheduler& sched, JobId stride, int count) {
+    std::vector<JobId> ended;
+    for (JobId k = 1; k <= 40 && static_cast<int>(ended.size()) < count; ++k) {
+      const JobId id = 41 - (k * stride) % 41;
+      const RuntimeJob* j = sched.find(id);
+      if (j == nullptr || j->state == JobState::kFinished) continue;
+      if (ended.size() % 3 == 0)
+        sched.kill(id, now);
+      else if (j->state == JobState::kRunning)
+        sched.finish(id, now);
+      else
+        continue;
+      ended.push_back(id);
+      now += 10;
+    }
+    return ended;
+  };
+  const std::vector<JobId> ended = end_some(s, 13, 15);
+  ASSERT_EQ(ended.size(), 15u);
+  ASSERT_FALSE(std::is_sorted(ended.begin(), ended.end()));
+  ASSERT_NO_THROW(s.validate_indices());
+  const std::vector<JobId> walk = archived_walk(s);
+  EXPECT_EQ(walk.size(), s.finished_count());
+  EXPECT_TRUE(std::is_sorted(walk.begin(), walk.end()));
+  const std::vector<std::uint8_t> before = snapshot_of(s);
+  EXPECT_EQ(before, reference_snapshot(s));
+
+  // Restore into a fresh scheduler: the archive index is rebuilt, and the
+  // restored state re-encodes to the same bytes.
+  Scheduler restored = make();
+  WireReader r(before);
+  restored.restore(r);
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_NO_THROW(restored.validate_indices());
+  EXPECT_EQ(archived_walk(restored), walk);
+  EXPECT_EQ(snapshot_of(restored), before);
+
+  // Both keep ending jobs out of order after the restore and stay equal.
+  for (Scheduler* sched : {&s, &restored}) {
+    now = 1000;
+    EXPECT_EQ(end_some(*sched, 5, 12).size(), 12u);
+    ASSERT_NO_THROW(sched->validate_indices());
+    EXPECT_EQ(snapshot_of(*sched), reference_snapshot(*sched));
+  }
+  EXPECT_EQ(snapshot_of(restored), snapshot_of(s));
+
+  // Rolling back to the earlier snapshot drops the ids archived since.
+  WireReader back(before);
+  s.restore(back);
+  ASSERT_NO_THROW(s.validate_indices());
+  EXPECT_EQ(archived_walk(s), walk);
+  EXPECT_EQ(snapshot_of(s), before);
+}
+
+TEST(JobIdSet, KeepsMembersAscendingUnderOutOfOrderInserts) {
+  JobIdSet set;
+  for (JobId id : {5, 3, 9, 1, 7}) EXPECT_TRUE(set.insert(id));
+  EXPECT_FALSE(set.insert(3));
+  EXPECT_FALSE(set.insert(9));
+  EXPECT_EQ(set.ascending(), (std::vector<JobId>{1, 3, 5, 7, 9}));
+  EXPECT_TRUE(set.insert(4));
+  EXPECT_EQ(set.ascending(), (std::vector<JobId>{1, 3, 4, 5, 7, 9}));
+  EXPECT_NO_THROW(set.validate("test"));
+
+  // clear() empties both the hash set and the order: old ids insert anew.
+  set.clear();
+  EXPECT_TRUE(set.ascending().empty());
+  for (JobId id : {8, 5}) EXPECT_TRUE(set.insert(id));
+  EXPECT_EQ(set.ascending(), (std::vector<JobId>{5, 8}));
+  EXPECT_NO_THROW(set.validate("test"));
 }
 
 }  // namespace
