@@ -131,16 +131,22 @@ void Cluster::do_submit(const JobSpec& spec) {
 }
 
 void Cluster::load_trace(const Trace& trace) {
-  for (const JobSpec& spec : trace.jobs()) {
+  for (const JobSpec& spec : trace.jobs())
     if (spec.is_paired()) register_expected(spec);
-    engine_.schedule_at(spec.submit, EventPriority::kJobSubmit, [this, spec] {
-      // A snapshot restore may already carry this job: the submit event
-      // survives the crash (it is untracked) and must re-fire as a no-op.
-      if (sched_.find(spec.id) != nullptr) return;
-      do_submit(spec);
-      journal_commit();
-    });
-  }
+  // Stable, so jobs with equal submit times arrive in trace order.
+  std::vector<JobSpec> specs = trace.jobs();
+  std::ranges::stable_sort(specs, {}, &JobSpec::submit);
+  std::vector<Time> times;
+  times.reserve(specs.size());
+  for (const JobSpec& spec : specs) times.push_back(spec.submit);
+  // A snapshot restore may already carry a job: the batch survives the crash
+  // (it is untracked) and must re-fire that job's arrival as a no-op.
+  auto fire = [this, specs = std::move(specs)](std::size_t i) {
+    if (sched_.find(specs[i].id) != nullptr) return;
+    do_submit(specs[i]);
+    journal_commit();
+  };
+  engine_.schedule_batch(times, EventPriority::kJobSubmit, std::move(fire));
 }
 
 void Cluster::submit_now(const JobSpec& spec) {
@@ -896,9 +902,10 @@ void Cluster::log_event(JobEventKind kind, const RuntimeJob& job) {
 void Cluster::arm_yield_retry_event(Time at, JobId id) {
   // Untracked on purpose: the event survives a crash, and its body is fully
   // state-guarded, so a recovery re-arm at the same (at, id) coalesces: the
-  // set entry is the ground truth, and whichever twin fires first consumes
-  // it.  The body reads `at` back as its own firing time, keeping the
-  // capture to two words so the handler fits std::function's inline buffer.
+  // yield_retries_ entry is the ground truth, and whichever twin fires first
+  // consumes it.  The body reads `at` back as its own firing time, keeping
+  // the capture to two words so the handler fits std::function's inline
+  // buffer.
   engine_.schedule_at(at, EventPriority::kSchedule, [this, id] {
     if (yield_retries_.erase({engine_.now(), id}) == 0) return;
     const RuntimeJob* j = sched_.find(id);
@@ -1448,6 +1455,7 @@ void Cluster::apply_snapshot(WireReader& r) {
 
 void Cluster::validate_indices() const {
   ready_logged_.validate("ready-logged");
+  yield_retries_.validate("yield-retry");
   sched_.validate_indices();
 }
 
@@ -1981,7 +1989,7 @@ void Cluster::rearm_after_restore() {
       // retry at a timestamp is always armed earlier (at - period), so it
       // sorts before — and runs before — the iteration armed at that
       // timestamp; a committed kIterate at `now` therefore means every retry
-      // due at `now` was already consumed.  kYield replay re-derives the set
+      // due at `now` was already consumed.  kYield replay re-derives the
       // entry unconditionally, so without this prune the re-armed twin would
       // fire again after recovery and schedule an extra iteration.
       it = yield_retries_.erase(it);

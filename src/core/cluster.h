@@ -55,7 +55,8 @@ class Cluster final : public CoschedService {
 
   /// Loads a trace: pre-registers paired-job associations (the paper's
   /// equivalent of users declaring associated jobs at submission) and
-  /// schedules one submit event per job.
+  /// schedules one submit event per job, as one engine batch in submit
+  /// order (ties in trace order).
   void load_trace(const Trace& trace);
 
   /// Submits one job at the current engine time (examples/tests).
@@ -449,17 +450,19 @@ class Cluster final : public CoschedService {
   /// distinguish holding-origin from queued-origin starts.
   bool starting_from_hold_ = false;
   /// Tracked timers a crash cancels and recovery re-arms.  Untracked events
-  /// (trace submits, yield retries, dependency wakes) survive a crash and
-  /// carry state guards instead.
+  /// (the trace's submit batch, yield retries, dependency wakes) survive a
+  /// crash and carry state guards instead.
   std::unordered_map<JobId, EventId> completion_events_;
   std::optional<EventId> iteration_event_;
   std::optional<EventId> tick_event_;
   std::optional<EventId> periodic_event_;
   Time release_tick_at_ = kNoTime;  ///< absolute time of the armed tick
   Time periodic_at_ = kNoTime;      ///< absolute time of the armed periodic
-  /// Pending yield-retry checks as (absolute time, job); snapshotted so a
-  /// fresh-process restore can re-arm them.
-  std::set<std::pair<Time, JobId>> yield_retries_;
+  /// Pending yield-retry checks as (absolute time, job), ascending and
+  /// duplicate-free; snapshotted so a fresh-process restore can re-arm them.
+  /// Live retries are armed a constant period ahead, so they join at the
+  /// back and fire from the front.
+  SortedDeque<std::pair<Time, JobId>> yield_retries_;
   /// Timestamp of the newest kIterate record seen during replay; kNoTime
   /// outside recovery.  Lets rearm_after_restore() drop yield retries at the
   /// crash instant that provably fired before the crash (retries at a

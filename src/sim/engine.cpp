@@ -23,8 +23,29 @@ EventId Engine::schedule_at(Time t, int priority, Handler fn) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++scheduled_;
   ++armed_;
-  peak_pending_ = std::max(peak_pending_, armed_);
+  peak_pending_ = std::max(peak_pending_, armed_ - batch_armed_);
   return (static_cast<EventId>(s.gen) << 32) | slot;
+}
+
+void Engine::schedule_batch(std::span<const Time> times, int priority,
+                            BatchHandler fire) {
+  COSCHED_CHECK(fire != nullptr);
+  if (times.empty()) return;
+  COSCHED_CHECK_MSG(times.front() >= now_,
+                    "cannot schedule event in the past: t="
+                        << times.front() << " now=" << now_);
+  COSCHED_CHECK_MSG(std::ranges::is_sorted(times),
+                    "batch times must be non-decreasing");
+  auto batch = std::make_unique<Batch>();
+  batch->times.assign(times.begin(), times.end());
+  batch->base = next_seq_;
+  batch->priority = priority;
+  batch->fire = std::move(fire);
+  batches_.push_back(std::move(batch));
+  next_seq_ += times.size();
+  scheduled_ += times.size();
+  armed_ += times.size();
+  batch_armed_ += times.size();
 }
 
 bool Engine::cancel(EventId id) {
@@ -70,6 +91,17 @@ const Engine::Entry* Engine::peek_live() {
   return nullptr;
 }
 
+std::optional<Engine::Next> Engine::peek_next() {
+  Batch* first = nullptr;
+  for (const auto& b : batches_)
+    if (first == nullptr || Later{}(first->head(), b->head())) first = b.get();
+  const Entry* top = peek_live();
+  if (first != nullptr && (top == nullptr || Later{}(*top, first->head())))
+    return Next{first->times[first->next], first};
+  if (top == nullptr) return std::nullopt;
+  return Next{top->time, nullptr};
+}
+
 void Engine::exec_top() {
   const Entry e = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -85,9 +117,28 @@ void Engine::exec_top() {
   fn();  // may schedule events and grow slots_; no slot refs held past here
 }
 
+void Engine::exec_batch(Batch& b) {
+  const std::size_t i = b.next++;
+  --armed_;
+  --batch_armed_;
+  now_ = b.times[i];
+  ++executed_;
+  if (b.next < b.times.size()) {
+    b.fire(i);  // may schedule batches; `b` stays put behind its pointer
+    return;
+  }
+  // Last entry: own the batch here so it is released once fire returns.
+  auto it = batches_.begin();
+  while (it->get() != &b) ++it;
+  const std::unique_ptr<Batch> last = std::move(*it);
+  batches_.erase(it);
+  last->fire(i);
+}
+
 bool Engine::step() {
-  if (peek_live() == nullptr) return false;
-  exec_top();
+  const std::optional<Next> n = peek_next();
+  if (!n) return false;
+  exec(*n);
   return true;
 }
 
@@ -98,10 +149,7 @@ void Engine::run() {
 
 void Engine::run_until(Time t) {
   COSCHED_CHECK(t >= now_);
-  for (const Entry* top = peek_live(); top != nullptr && top->time <= t;
-       top = peek_live()) {
-    exec_top();
-  }
+  for (auto n = peek_next(); n && n->time <= t; n = peek_next()) exec(*n);
   now_ = t;
 }
 

@@ -19,10 +19,26 @@
 // drained through one shared path (peek_live), and a heap that is more than
 // half tombstones is compacted in one O(n) rebuild instead of draining
 // lazily one-by-one.
+//
+// Batches beside the heap: a run's trace arrivals are known up front and
+// already in time order, so schedule_batch() keeps them out of the heap.  A
+// batch reserves one sequence number per entry when it is scheduled and
+// holds only the entries' times (8 bytes each); entry i's sequence number is
+// the batch's base plus i.  Every step runs whichever comes first under the
+// same (time, priority, seq) order: the live heap top or the earliest batch
+// head.  The event order is therefore exactly the one a schedule_at() per
+// entry would give, while each heap pop sifts only the events that
+// handlers schedule as the run goes.  pending() and the event counters
+// count batch entries like any other event; peak_pending() is the heap's
+// own high-water mark.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -59,6 +75,8 @@ using SourceId = std::uint32_t;
 class Engine {
  public:
   using Handler = std::function<void()>;
+  /// Runs batch entry i (see schedule_batch()).
+  using BatchHandler = std::function<void(std::size_t)>;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -70,6 +88,15 @@ class Engine {
   /// Schedules a handler at absolute time `t` (>= now).  Returns a handle
   /// for cancel().
   EventId schedule_at(Time t, int priority, Handler fn);
+
+  /// Schedules `fire(i)` at `times[i]` for every entry of `times`, which
+  /// must be non-decreasing and >= now.  Entry i takes sequence number
+  /// base + i, reserved now, so it runs exactly where schedule_at(times[i],
+  /// priority, ...) called here once per entry would have put it.  Entries
+  /// cannot be cancelled.  The batch (its times and `fire`) is released
+  /// when its last entry runs.
+  void schedule_batch(std::span<const Time> times, int priority,
+                      BatchHandler fire);
 
   /// Schedules a handler `d` seconds from now.
   EventId schedule_in(Duration d, int priority, Handler fn) {
@@ -90,7 +117,8 @@ class Engine {
   /// Runs all events with time <= `t`, then sets the clock to `t`.
   void run_until(Time t);
 
-  /// Number of scheduled (uncancelled) events.
+  /// Number of scheduled (uncancelled) events, unfired batch entries
+  /// included.
   std::size_t pending() const { return armed_; }
 
   /// Total number of events executed (for micro-benchmarks and tests).
@@ -104,7 +132,8 @@ class Engine {
   /// Total events cancelled before running.
   std::uint64_t cancelled_total() const { return cancelled_; }
 
-  /// High-water mark of pending events (queue sizing / memory telemetry).
+  /// High-water mark of live events in the heap, batch entries excluded:
+  /// the heap's depth is what sets the cost of each pop.
   std::size_t peak_pending() const { return peak_pending_; }
 
   /// Cancelled heap entries dropped while popping or compacting.
@@ -136,6 +165,20 @@ class Engine {
       return a.seq > b.seq;
     }
   };
+  struct Batch {
+    std::vector<Time> times;
+    std::uint64_t base = 0;  ///< sequence number of times[0]
+    std::size_t next = 0;    ///< first unfired entry
+    int priority = 0;
+    BatchHandler fire;
+    /// The next entry, ordered like a heap entry (slot and gen unused).
+    Entry head() const { return {times[next], priority, base + next, 0, 0}; }
+  };
+  /// The event to run next; `batch` is null when it is the heap top.
+  struct Next {
+    Time time;
+    Batch* batch;
+  };
 
   /// Minimum heap size before tombstone compaction is considered.
   static constexpr std::size_t kCompactMinHeap = 64;
@@ -145,8 +188,15 @@ class Engine {
   const Entry* peek_live();
   /// Compacts the heap when more than half its entries are tombstones.
   void maybe_compact();
+  /// The earlier of the live heap top and the earliest batch head, or
+  /// nothing when no event is pending.
+  std::optional<Next> peek_next();
   /// Pops and executes the (live) heap top.
   void exec_top();
+  /// Executes `b`'s next entry, releasing the batch after its last one.
+  void exec_batch(Batch& b);
+  /// Executes the event peek_next() returned.
+  void exec(const Next& n) { n.batch ? exec_batch(*n.batch) : exec_top(); }
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -155,9 +205,13 @@ class Engine {
   std::uint64_t cancelled_ = 0;
   std::uint64_t tombstones_ = 0;
   std::uint64_t compactions_ = 0;
-  std::size_t armed_ = 0;
+  std::size_t armed_ = 0;        ///< live heap events + unfired batch entries
+  std::size_t batch_armed_ = 0;  ///< unfired batch entries
   std::size_t peak_pending_ = 0;
   std::vector<Entry> heap_;  ///< binary heap via std::push_heap/pop_heap
+  /// Batches with unfired entries, in scheduling order.  Held by pointer so
+  /// a handler that schedules a batch cannot move the one that is running.
+  std::vector<std::unique_ptr<Batch>> batches_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::uint64_t dead_ = 0;  ///< tombstones currently in heap_

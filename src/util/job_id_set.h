@@ -7,10 +7,13 @@
 // snapshot made each compaction cost the history accumulated so far; these
 // helpers keep the ascending order as ids arrive instead.  Jobs finish and
 // become ready in roughly id order, so an insert lands at or near the back
-// and moves few ids.
+// and moves few ids.  SortedDeque applies the same idea to timers keyed by
+// (time, id): they are armed in time order and fire from the front.
 #pragma once
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -19,16 +22,18 @@
 
 namespace cosched {
 
-/// Inserts `id` into the ascending vector `ids` unless it is already there.
-/// Returns true iff it was inserted.
-inline bool insert_ascending(std::vector<JobId>& ids, JobId id) {
-  if (ids.empty() || ids.back() < id) {
-    ids.push_back(id);
+/// Inserts `v` into the ascending, duplicate-free sequence `seq` (a vector
+/// or a deque) unless it is already there.  Returns true iff it was
+/// inserted.
+template <class Seq>
+bool insert_ascending(Seq& seq, const typename Seq::value_type& v) {
+  if (seq.empty() || seq.back() < v) {
+    seq.push_back(v);
     return true;
   }
-  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (*it == id) return false;
-  ids.insert(it, id);
+  const auto it = std::lower_bound(seq.begin(), seq.end(), v);
+  if (*it == v) return false;
+  seq.insert(it, v);
   return true;
 }
 
@@ -68,6 +73,46 @@ class JobIdSet {
  private:
   std::unordered_set<JobId> members_;
   std::vector<JobId> ascending_;
+};
+
+/// An ascending, duplicate-free deque with std::set's order and its insert
+/// and erase by value, for keys that almost always arrive at the back and
+/// leave from the front.  insert() tries the back and erase() the front
+/// before falling back to a binary search, so a key out of that order
+/// behaves exactly as it would in a set.
+template <class T>
+class SortedDeque {
+ public:
+  using const_iterator = typename std::deque<T>::const_iterator;
+
+  /// Inserts `v`; true iff it was not already a member.
+  bool insert(const T& v) { return insert_ascending(items_, v); }
+  /// Erases `v`; returns the number of entries erased (0 or 1).
+  std::size_t erase(const T& v) {
+    if (!items_.empty() && items_.front() == v) {
+      items_.pop_front();
+      return 1;
+    }
+    const auto it = std::lower_bound(items_.begin(), items_.end(), v);
+    if (it == items_.end() || *it != v) return 0;
+    items_.erase(it);
+    return 1;
+  }
+  const_iterator erase(const_iterator it) { return items_.erase(it); }
+  void clear() { items_.clear(); }
+  std::size_t size() const { return items_.size(); }
+  const_iterator begin() const { return items_.begin(); }
+  const_iterator end() const { return items_.end(); }
+  /// Throws InvariantError unless the entries are strictly ascending
+  /// (test/debug hook; `what` names the deque in the message).
+  void validate(const char* what) const {
+    const auto bad = std::adjacent_find(items_.begin(), items_.end(),
+                                        std::greater_equal<>{});
+    COSCHED_CHECK_MSG(bad == items_.end(), what << " is not ascending");
+  }
+
+ private:
+  std::deque<T> items_;
 };
 
 }  // namespace cosched

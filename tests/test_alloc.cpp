@@ -1,4 +1,5 @@
-// Heap allocations on the coscheduling and journaling hot paths.
+// Heap allocations on the coscheduling, journaling and event-queue hot
+// paths.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, which is why it is a test executable of its own: every
@@ -11,11 +12,14 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
+#include <vector>
 
 #include "core/fault.h"
 #include "core/journal.h"
 #include "proto/peer.h"
 #include "sched/scheduler.h"
+#include "sim/engine.h"
 
 namespace {
 
@@ -154,6 +158,36 @@ TEST(Allocations, WarmJournalAppendsAllocateNothing) {
     }
   });
   EXPECT_EQ(journal.last_committed_seq(), 10001u);
+  EXPECT_EQ(allocations, 0u);
+}
+
+std::vector<Time> ascending_times(std::size_t n) {
+  std::vector<Time> times(n);
+  std::iota(times.begin(), times.end(), Time{0});
+  return times;
+}
+
+TEST(Allocations, BatchedEventsAllocateOnlyWhenScheduled) {
+  // Scheduling a batch allocates a fixed number of times, whatever its size.
+  const auto noop = [](std::size_t) {};
+  const auto schedule_allocations = [&noop](std::size_t n) {
+    const std::vector<Time> times = ascending_times(n);
+    Engine e;
+    return allocations_in([&] { e.schedule_batch(times, 0, noop); });
+  };
+  EXPECT_EQ(schedule_allocations(10), schedule_allocations(10000));
+
+  // Running the batch allocates nothing, its release included.
+  const std::vector<Time> times = ascending_times(10000);
+  Engine e;
+  std::size_t fired = 0;
+  e.schedule_batch(times, 0, [&fired](std::size_t) { ++fired; });
+  const std::uint64_t allocations = allocations_in([&] {
+    while (e.step()) {
+    }
+  });
+  EXPECT_EQ(fired, 10000u);
+  EXPECT_EQ(e.pending(), 0u);
   EXPECT_EQ(allocations, 0u);
 }
 

@@ -1,6 +1,9 @@
 // Cluster as a protocol service: status mapping, registration, counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core_test_util.h"
 
 namespace cosched {
@@ -158,6 +161,68 @@ TEST(Cluster, ForcedReleaseCounterAdvances) {
   EXPECT_GE(alpha.forced_releases(), 3u);
   EXPECT_EQ(alpha.scheduler().find(1)->start,
             beta.scheduler().find(10)->start);
+}
+
+TEST(Cluster, SameInstantYieldRetriesKeepOneEntryEachInTimeIdOrder) {
+  // Three paired jobs wait behind a full machine; when it frees at t=1000
+  // they yield in FCFS order 5, 4, 3 (not id order), because their mates
+  // arrive at t=2000.  A second iteration at the same instant makes each of
+  // them yield again, arming the same (at, id) retries a second time.
+  Engine engine;
+  CoschedConfig cfg;
+  cfg.scheme = Scheme::kYield;
+  Cluster alpha(engine, "alpha", 100, make_policy("fcfs"), cfg);
+  Cluster beta(engine, "beta", 100, make_policy("fcfs"), cfg);
+  LoopbackPeer to_beta(beta), to_alpha(alpha);
+  alpha.add_peer(to_beta);
+  beta.add_peer(to_alpha);
+  EventLog log;
+  alpha.set_event_log(&log);
+
+  Trace a, b;
+  a.add(job(1, 0, 1000, 100));
+  for (const JobId id : {5, 4, 3}) {
+    a.add(job(id, 6 - id, 600, 30, /*group=*/id));
+    b.add(job(10 + id, 2000, 600, 10, /*group=*/id));
+  }
+  alpha.load_trace(a);
+  beta.load_trace(b);
+  engine.schedule_at(1000, EventPriority::kStats,
+                     [&alpha] { alpha.request_iteration(); });
+  engine.run_until(1000);
+
+  std::vector<JobId> yielded;
+  for (const JobEvent& e : log.of_kind(JobEventKind::kYield)) {
+    EXPECT_EQ(e.time, 1000);
+    yielded.push_back(e.job);
+  }
+  ASSERT_EQ(yielded, (std::vector<JobId>{5, 4, 3, 5, 4, 3}));
+  alpha.validate_indices();
+
+  // One entry per (at, id), ascending: the bytes a std::set would encode.
+  const Time at = 1000 + cfg.yield_retry_period;
+  WireWriter expect;
+  expect.put_u64(3);
+  for (const JobId id : {3, 4, 5}) {
+    expect.put_i64(at);
+    expect.put_i64(id);
+  }
+  const std::vector<std::uint8_t> section = expect.take();
+  WireWriter snap;
+  alpha.write_snapshot(snap);
+  const std::vector<std::uint8_t> bytes = snap.take();
+  EXPECT_FALSE(std::ranges::search(bytes, section).empty());
+
+  // The retries fire in arming order (5, 4, 3, then the three twins), so
+  // the first two are found by binary search rather than at the front;
+  // every job still coschedules with its mate.
+  engine.run();
+  alpha.validate_indices();
+  for (const JobId id : {3, 4, 5}) {
+    ASSERT_EQ(alpha.scheduler().find(id)->state, JobState::kFinished);
+    EXPECT_EQ(alpha.scheduler().find(id)->start,
+              beta.scheduler().find(10 + id)->start);
+  }
 }
 
 }  // namespace
