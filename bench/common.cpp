@@ -1,9 +1,11 @@
 #include "common.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -25,14 +27,6 @@ constexpr std::size_t kIntrepidJobs = 9219;  // the paper's month of Intrepid
 constexpr double kIntrepidLoad = 0.68;       // "high and stable"
 constexpr Duration kSpan = 30 * kDay;
 constexpr double kProximityTargetFraction = 0.075;  // paper: 5-10%
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double out = std::strtod(v, &end);
-  return (end == v || out <= 0) ? fallback : out;
-}
 
 Trace make_intrepid(std::uint64_t seed) {
   SynthParams p;
@@ -91,14 +85,42 @@ CaseResult compute_one(const SeriesSpec& spec, int run) {
 
 }  // namespace
 
-int runs() {
-  const char* v = std::getenv("COSCHED_BENCH_RUNS");
-  if (!v) return 3;
-  const int n = std::atoi(v);
-  return n > 0 ? n : 3;
+int positive_int_setting(const char* name, const char* value, int fallback) {
+  if (value == nullptr || *value == '\0') return fallback;
+  const char* end = value + std::strlen(value);
+  int out = 0;
+  const auto [stop, ec] = std::from_chars(value, end, out);
+  if (ec != std::errc() || stop != end || out <= 0) {
+    std::ostringstream msg;
+    msg << name << "='" << value << "': expected a whole positive number";
+    throw Error(msg.str());
+  }
+  return out;
 }
 
-double scale() { return env_double("COSCHED_BENCH_SCALE", 1.0); }
+double positive_real_setting(const char* name, const char* value,
+                             double fallback) {
+  if (value == nullptr || *value == '\0') return fallback;
+  const char* end = value + std::strlen(value);
+  double out = 0;
+  const auto [stop, ec] = std::from_chars(value, end, out);
+  if (ec != std::errc() || stop != end || !std::isfinite(out) || out <= 0) {
+    std::ostringstream msg;
+    msg << name << "='" << value << "': expected a positive finite number";
+    throw Error(msg.str());
+  }
+  return out;
+}
+
+int runs() {
+  return positive_int_setting("COSCHED_BENCH_RUNS",
+                              std::getenv("COSCHED_BENCH_RUNS"), 3);
+}
+
+double scale() {
+  return positive_real_setting("COSCHED_BENCH_SCALE",
+                               std::getenv("COSCHED_BENCH_SCALE"), 1.0);
+}
 
 int hardware_cpus() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -106,13 +128,9 @@ int hardware_cpus() {
 }
 
 int threads() {
-  const char* v = std::getenv("COSCHED_BENCH_THREADS");
-  if (v != nullptr) {
-    const int n = std::atoi(v);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return positive_int_setting("COSCHED_BENCH_THREADS",
+                              std::getenv("COSCHED_BENCH_THREADS"),
+                              hardware_cpus());
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {

@@ -40,6 +40,16 @@ inline constexpr double kEurekaLoads[] = {0.25, 0.50, 0.75};
 inline constexpr double kPairedProportions[] = {0.025, 0.05, 0.10, 0.20,
                                                 0.33};
 
+/// A COSCHED_BENCH_* setting: `fallback` when `value` is null or empty,
+/// otherwise `value` must be a whole positive number with nothing around
+/// it.  Anything else throws Error naming the variable and the value, so a
+/// typo fails the bench instead of running it with the default.
+int positive_int_setting(const char* name, const char* value, int fallback);
+
+/// As positive_int_setting, for a positive finite real number.
+double positive_real_setting(const char* name, const char* value,
+                             double fallback);
+
 /// Number of repetitions per case: COSCHED_BENCH_RUNS (default 3).
 int runs();
 

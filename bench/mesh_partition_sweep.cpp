@@ -52,7 +52,9 @@ std::vector<DomainSpec> mesh_domains(std::size_t k, SchemeCombo combo) {
   // yielders, YH = one yielder among holders, ...).
   std::vector<DomainSpec> specs(k);
   for (std::size_t i = 0; i < k; ++i) {
-    specs[i].name = "m" + std::to_string(i);
+    std::string name = "m";
+    name += std::to_string(i);
+    specs[i].name = std::move(name);
     specs[i].capacity = 100;
     specs[i].cosched.scheme = i == 0 ? combo.first : combo.second;
     specs[i].cosched.hold_release_period = 20 * kMinute;
@@ -136,7 +138,9 @@ RunOutcome run_cycle(std::size_t k, std::uint64_t seed) {
   std::vector<Trace> traces(k);
   const Duration runtime = 600 + static_cast<Duration>(60 * seed);
   for (std::size_t i = 0; i < k; ++i) {
-    specs[i].name = "r" + std::to_string(i);
+    std::string name = "r";
+    name += std::to_string(i);
+    specs[i].name = std::move(name);
     specs[i].capacity = 6;
     specs[i].policy = "fcfs";
     specs[i].cosched.scheme = Scheme::kHold;

@@ -50,8 +50,20 @@
 
 namespace cosched {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.  The kernel
+/// follows the CPU and the span length: on x86-64 CPUs that report
+/// PCLMULQDQ and SSE4.1 (checked once), a span of 64 bytes or more is
+/// folded by carry-less multiplication over its largest multiple of 16
+/// bytes and the table kernel finishes the tail; shorter spans, other
+/// architectures and older CPUs run crc32_portable alone.  Every span gets
+/// the same value either way, so no frame or snapshot byte depends on the
+/// host.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+/// The same CRC-32 by the portable slice-by-8 table kernel alone: the path
+/// crc32 takes wherever it does not fold, and the reference the fold must
+/// match (tests check both kernels on every host).
+std::uint32_t crc32_portable(std::span<const std::uint8_t> data);
 
 /// v2 frame magic ("JLF2" on disk, read as a little-endian u32).
 inline constexpr std::uint32_t kJournalMagicV2 = 0x32464c4au;

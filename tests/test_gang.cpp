@@ -17,7 +17,9 @@ std::vector<DomainSpec> gang_domains(std::size_t n, Scheme scheme,
                                      Duration release = 20 * kMinute) {
   std::vector<DomainSpec> specs(n);
   for (std::size_t i = 0; i < n; ++i) {
-    specs[i].name = "d" + std::to_string(i);
+    std::string name = "d";
+    name += std::to_string(i);
+    specs[i].name = std::move(name);
     specs[i].capacity = capacity;
     specs[i].policy = "fcfs";
     specs[i].cosched.scheme = scheme;

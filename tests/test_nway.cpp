@@ -113,7 +113,9 @@ TEST(NWay, GroupedSyntheticWorkloadCompletes) {
 TEST(NWay, FourDomainsStartTogether) {
   std::vector<DomainSpec> specs(4);
   for (int i = 0; i < 4; ++i) {
-    specs[i].name = "d" + std::to_string(i);
+    std::string name = "d";
+    name += std::to_string(i);
+    specs[i].name = std::move(name);
     specs[i].capacity = 50;
     specs[i].policy = "fcfs";
     specs[i].cosched.scheme = i % 2 ? Scheme::kYield : Scheme::kHold;

@@ -35,7 +35,7 @@ std::vector<std::uint8_t> payload_of(std::initializer_list<int> bytes) {
 }
 
 /// CRC-32 one bit at a time over the reflected polynomial 0xEDB88320: the
-/// reference the table-driven crc32 must agree with.
+/// reference both crc32 kernels must agree with.
 std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
   std::uint32_t c = 0xffffffffu;
   for (std::uint8_t b : data) {
@@ -49,24 +49,32 @@ std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
 TEST(Journal, Crc32MatchesKnownAnswersAndABitwiseReference) {
   const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
   EXPECT_EQ(crc32({check, 9}), 0xcbf43926u);
+  EXPECT_EQ(crc32_portable({check, 9}), 0xcbf43926u);
   EXPECT_EQ(crc32({}), 0u);
+  EXPECT_EQ(crc32_portable({}), 0u);
 
-  std::vector<std::uint8_t> buf(4096);
+  std::vector<std::uint8_t> buf((1u << 20) + 13 + 15);
   std::uint32_t x = 12345;
   for (std::uint8_t& b : buf) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<std::uint8_t>(x >> 24);
   }
-  // Lengths 0-64 at offsets 0-7 give every alignment and every tail length
-  // of the eight-bytes-at-a-time loop.
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
-      const auto s = std::span<const std::uint8_t>(buf).subspan(offset, length);
-      EXPECT_EQ(crc32(s), bitwise_crc32(s))
-          << "offset " << offset << " length " << length;
-    }
-  }
-  EXPECT_EQ(crc32(buf), bitwise_crc32(buf));
+  const auto expect_both = [&](std::size_t offset, std::size_t length) {
+    const auto s = std::span<const std::uint8_t>(buf).subspan(offset, length);
+    const std::uint32_t want = bitwise_crc32(s);
+    EXPECT_EQ(crc32(s), want) << "offset " << offset << " length " << length;
+    EXPECT_EQ(crc32_portable(s), want)
+        << "offset " << offset << " length " << length;
+  };
+  // Lengths 0-320 at offsets 0-15 give every alignment, every count of
+  // 64-byte fold blocks up to five, every remainder of 16-byte blocks and
+  // every tail of the table kernel's eight- and one-byte loops.
+  for (std::size_t offset = 0; offset < 16; ++offset)
+    for (std::size_t length = 0; length <= 320; ++length)
+      expect_both(offset, length);
+  expect_both(3, 4095);
+  expect_both(0, 4096);
+  expect_both(5, (1u << 20) + 13);
 }
 
 TEST(Journal, AppendCommitReadRoundTrip) {
@@ -430,7 +438,9 @@ Workload gang_workload() {
   Workload w;
   w.specs.resize(3);
   for (int i = 0; i < 3; ++i) {
-    w.specs[i].name = "g" + std::to_string(i);
+    std::string name = "g";
+    name += std::to_string(i);
+    w.specs[i].name = std::move(name);
     w.specs[i].capacity = 100;
     w.specs[i].policy = "fcfs";
     w.specs[i].cosched.scheme = Scheme::kYield;

@@ -182,14 +182,15 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
     }
     if (compact_call == nullptr || !writes_snapshot || committed_first)
       continue;
+    std::string message = "'";
+    message += f.qualified();
+    message +=
+        "' writes a snapshot generation (compact) without committing the "
+        "journal first — compaction rewrites the durable image, so buffered "
+        "records would be silently spliced out; commit() before compact() "
+        "or waive with allow(journal-coverage)";
     sink.emit(f.file, compact_call->line - 1, "journal-coverage",
-              "'" + f.qualified() +
-                  "' writes a snapshot generation (compact) without "
-                  "committing the journal first — compaction rewrites the "
-                  "durable image, so buffered records would be silently "
-                  "spliced out; commit() before compact() or waive with "
-                  "allow(journal-coverage)",
-              /*accepts_ordered=*/false);
+              std::move(message), /*accepts_ordered=*/false);
   }
 }
 
