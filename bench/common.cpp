@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -371,8 +372,8 @@ std::string json_num(double v) {
 
 }  // namespace
 
-BenchJsonFile::BenchJsonFile(std::string bench_name)
-    : name_(std::move(bench_name)) {}
+BenchJsonFile::BenchJsonFile(std::string bench_name, int runs_per_case)
+    : name_(std::move(bench_name)), runs_(runs_per_case) {}
 
 void BenchJsonFile::add_case(const std::string& case_name, double wall_seconds,
                              std::uint64_t events,
@@ -395,7 +396,7 @@ void BenchJsonFile::write() {
   for (const Case& c : cases_) wall_total += c.wall_seconds;
   out << "{\n"
       << "  \"bench\": \"" << json_escape(name_) << "\",\n"
-      << "  \"runs\": " << runs() << ",\n"
+      << "  \"runs\": " << runs_ << ",\n"
       << "  \"scale\": " << json_num(scale()) << ",\n"
       << "  \"threads\": " << threads() << ",\n"
       << "  \"machine\": {\"cpus\": " << hardware_cpus()
@@ -408,7 +409,7 @@ void BenchJsonFile::write() {
                             ? static_cast<double>(c.events) / c.wall_seconds
                             : 0.0;
     out << "    {\"case\": \"" << json_escape(c.name) << "\", "
-        << "\"runs\": " << runs() << ", "
+        << "\"runs\": " << runs_ << ", "
         << "\"wall_seconds\": " << json_num(c.wall_seconds) << ", "
         << "\"events\": " << c.events << ", "
         << "\"events_per_sec\": " << json_num(rate) << ", "
@@ -449,6 +450,116 @@ void export_bench_json(const std::string& name) {
          metric("paired_fraction", s.paired_fraction)});
   }
   json.write();
+}
+
+// -- chaos families -----------------------------------------------------
+
+int ChaosFamily::seeds() const { return std::max(runs(), min_seeds); }
+
+std::vector<std::string> ChaosFamily::count_names() const {
+  std::vector<std::string> names = counts;
+  names.push_back("invariant_violations");
+  names.push_back("incomplete");
+  names.insert(names.end(), gate.begin(), gate.end());
+  return names;
+}
+
+namespace {
+
+std::size_t declared_index(const ChaosFamily& family,
+                           const std::vector<std::string>& names,
+                           const std::string& name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end())
+    throw Error("chaos family " + family.bench + " reports undeclared '" +
+                name + "'");
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+}  // namespace
+
+std::vector<ChaosCase> run_chaos(const ChaosFamily& family) {
+  const auto seeds = static_cast<std::size_t>(family.seeds());
+  std::vector<ChaosRun> results(family.cases.size() * seeds);
+  std::vector<double> wall(results.size());
+  parallel_for(results.size(), [&](std::size_t i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    results[i] = family.run(i / seeds, i % seeds);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    wall[i] = took.count();
+  });
+
+  const std::vector<std::string> count_names = family.count_names();
+  std::vector<ChaosCase> cases(
+      family.cases.size(),
+      ChaosCase{std::vector<RunningStats>(family.samples.size()),
+                std::vector<std::size_t>(count_names.size())});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ChaosCase& c = cases[i / seeds];
+    for (const auto& [name, x] : results[i].samples)
+      c.samples[declared_index(family, family.samples, name)].add(x);
+    for (const auto& [name, n] : results[i].counts)
+      c.counts[declared_index(family, count_names, name)] += n;
+    c.wall_seconds += wall[i];
+    c.events += results[i].events;
+  }
+  return cases;
+}
+
+std::string chaos_gate_failures(const ChaosFamily& family,
+                                const std::vector<ChaosCase>& cases) {
+  const std::vector<std::string> names = family.count_names();
+  std::ostringstream out;
+  for (std::size_t c = 0; c < cases.size(); ++c)
+    for (std::size_t k = family.counts.size(); k < names.size(); ++k)
+      if (cases[c].counts[k] > 0)
+        out << family.bench << " case " << family.cases[c] << ": "
+            << names[k] << " = " << cases[c].counts[k] << "\n";
+  return out.str();
+}
+
+bool report_chaos(const ChaosFamily& family,
+                  const std::vector<ChaosCase>& cases) {
+  const int seeds = family.seeds();
+  std::cout << "\n== " << family.bench << ": " << family.title << "\n"
+            << family.cases.size() << " cases x " << seeds
+            << " seeds, scale=" << scale() << ", threads=" << threads()
+            << "\n";
+
+  const std::vector<std::string> names = family.count_names();
+  std::vector<std::string> header = {"case"};
+  header.insert(header.end(), family.samples.begin(), family.samples.end());
+  header.insert(header.end(), family.counts.begin(), family.counts.end());
+  Table table(std::move(header));
+  BenchJsonFile json(family.bench, seeds);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    std::vector<std::string> row = {family.cases[c]};
+    std::vector<BenchJsonFile::Metric> metrics;
+    for (std::size_t s = 0; s < family.samples.size(); ++s) {
+      const RunningStats& st = cases[c].samples[s];
+      row.push_back(format_double(st.mean()));
+      metrics.push_back({family.samples[s], st.mean(), st.stddev()});
+    }
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      if (k < family.counts.size())
+        row.push_back(std::to_string(cases[c].counts[k]));
+      metrics.push_back({names[k], static_cast<double>(cases[c].counts[k]),
+                         0.0});
+    }
+    table.add_row(std::move(row));
+    json.add_case(family.cases[c], cases[c].wall_seconds, cases[c].events,
+                  std::move(metrics));
+  }
+  table.print(std::cout);
+  maybe_export_csv(family.csv, table);
+  json.write();
+
+  const std::string failures = chaos_gate_failures(family, cases);
+  std::cout << family.bench << " gate: "
+            << (failures.empty() ? "PASS" : "FAILED") << "\n";
+  std::cerr << failures;
+  return failures.empty();
 }
 
 std::unique_ptr<CsvWriter> bench_csv(const std::string& name) {

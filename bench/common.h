@@ -148,6 +148,7 @@ Series run_series(bool by_load, double x, SchemeCombo combo, bool enabled,
 ///     "cases": [ { "case": label, "runs": N, "wall_seconds": W,
 ///                  "events": E, "events_per_sec": R,
 ///                  "metrics": { name: {"mean": M, "stddev": D}, ... } } ] }
+/// N is the number of seeds each case ran.
 class BenchJsonFile {
  public:
   struct Metric {
@@ -156,7 +157,8 @@ class BenchJsonFile {
     double stddev = 0.0;
   };
 
-  explicit BenchJsonFile(std::string bench_name);
+  explicit BenchJsonFile(std::string bench_name,
+                         int runs_per_case = bench::runs());
 
   void add_case(const std::string& case_name, double wall_seconds,
                 std::uint64_t events, std::vector<Metric> metrics);
@@ -173,6 +175,7 @@ class BenchJsonFile {
     std::vector<Metric> metrics;
   };
   std::string name_;
+  int runs_;
   std::vector<Case> cases_;
   bool written_ = false;
 };
@@ -180,6 +183,76 @@ class BenchJsonFile {
 /// Writes BENCH_<name>.json covering every series cached so far (i.e. the
 /// bench's prewarmed + computed series, in declaration order).
 void export_bench_json(const std::string& name);
+
+// -- chaos families -------------------------------------------------------
+//
+// A chaos family sweeps one kind of fault over cases x seeds.  Each
+// (case, seed) run reports named samples and named counts; run_chaos adds
+// the runs up per case in seed order, so results do not depend on
+// threads().  Every count named in the family's gate must total zero in
+// every case.
+
+/// What one (case, seed) run of a chaos family reports.
+struct ChaosRun {
+  /// Adds one observation to `name`'s per-case mean and stddev.
+  void sample(std::string name, double x) {
+    samples.emplace_back(std::move(name), x);
+  }
+  /// Adds `n` to `name`'s per-case total.
+  void count(std::string name, std::size_t n = 1) {
+    counts.emplace_back(std::move(name), n);
+  }
+
+  std::vector<std::pair<std::string, double>> samples;
+  std::vector<std::pair<std::string, std::size_t>> counts;
+  /// Engine events executed by the run's simulations.
+  std::uint64_t events = 0;
+};
+
+/// One row of the chaos runner's table.
+struct ChaosFamily {
+  std::string bench;  ///< writes BENCH_<bench>.json
+  std::string csv;    ///< exports its table as <csv>.csv
+  std::string title;
+  std::vector<std::string> cases;  ///< case labels, in report order
+  /// Seeds per case: max(runs(), min_seeds), numbered from 0.
+  int min_seeds = 1;
+  std::vector<std::string> samples;  ///< reported as mean and stddev
+  std::vector<std::string> counts;   ///< reported as totals
+  /// Gated counts beyond invariant_violations and incomplete, which every
+  /// family reports and gates.
+  std::vector<std::string> gate;
+  std::function<ChaosRun(std::size_t case_index, std::uint64_t seed)> run;
+
+  int seeds() const;
+  /// counts, invariant_violations, incomplete, then gate: the order of
+  /// ChaosCase::counts.
+  std::vector<std::string> count_names() const;
+};
+
+/// One case of a family, added up over its seeds.
+struct ChaosCase {
+  std::vector<RunningStats> samples;  ///< parallel to ChaosFamily::samples
+  std::vector<std::size_t> counts;    ///< parallel to count_names()
+  /// Summed host wall time of the case's runs, workload generation included.
+  double wall_seconds = 0.0;
+  std::uint64_t events = 0;
+};
+
+/// Runs every (case, seed) of `family` on threads() workers and adds the
+/// runs up per case in seed order.  Throws Error on a sample or count the
+/// family does not declare.
+std::vector<ChaosCase> run_chaos(const ChaosFamily& family);
+
+/// "" when every gate count of every case is zero; otherwise one line per
+/// nonzero count, naming the case and the counter.
+std::string chaos_gate_failures(const ChaosFamily& family,
+                                const std::vector<ChaosCase>& cases);
+
+/// Prints the family's table and gate, writes BENCH_<bench>.json and the
+/// CSV, and returns whether the gate passed.
+bool report_chaos(const ChaosFamily& family,
+                  const std::vector<ChaosCase>& cases);
 
 /// Standard preamble: experiment title + configuration echo.
 void print_header(const std::string& figure, const std::string& what);

@@ -1,9 +1,11 @@
-// The harness's environment settings: unset or empty keeps the default,
-// anything else must parse in full or the bench fails naming the variable.
+// The harness's environment settings (unset or empty keeps the default,
+// anything else must parse in full or the bench fails naming the variable)
+// and the chaos runner's shared aggregation and gate.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common.h"
 #include "util/error.h"
@@ -79,6 +81,76 @@ TEST(BenchSettings, AccessorsReadTheEnvironment) {
   setenv("COSCHED_BENCH_THREADS", "", 1);
   EXPECT_EQ(threads(), hardware_cpus());
   unsetenv("COSCHED_BENCH_THREADS");
+}
+
+/// Two cases, a sample `x`, a plain count and one family gate count.
+ChaosFamily fake_family() {
+  ChaosFamily f;
+  f.bench = "fake";
+  f.cases = {"a", "b"};
+  f.min_seeds = 2;
+  f.samples = {"x"};
+  f.counts = {"crashes"};
+  f.gate = {"silent_loss"};
+  return f;
+}
+
+TEST(ChaosGate, SeedsAddUpToTheStatsOfTheirSamplesAndTheSumOfTheirCounts) {
+  setenv("COSCHED_BENCH_RUNS", "1", 1);  // min_seeds wins: two seeds
+  ChaosFamily f = fake_family();
+  f.run = [](std::size_t c, std::uint64_t seed) {
+    ChaosRun r;
+    r.sample("x", c == 0 ? 1.0 + 2.0 * static_cast<double>(seed) : 10.0);
+    r.count("crashes", 3 + seed);
+    r.count("silent_loss", 0);
+    r.events = 100;
+    return r;
+  };
+  const std::vector<ChaosCase> cases = run_chaos(f);
+  unsetenv("COSCHED_BENCH_RUNS");
+
+  ASSERT_EQ(cases.size(), 2u);
+  RunningStats expect;
+  expect.add(1.0);
+  expect.add(3.0);
+  EXPECT_EQ(cases[0].samples[0].count(), 2u);
+  EXPECT_EQ(cases[0].samples[0].mean(), expect.mean());
+  EXPECT_EQ(cases[0].samples[0].stddev(), expect.stddev());
+  EXPECT_EQ(cases[0].counts,
+            (std::vector<std::size_t>{7, 0, 0, 0}));  // crashes 3 + 4
+  EXPECT_EQ(cases[0].events, 200u);
+  EXPECT_EQ(cases[1].samples[0].mean(), 10.0);
+  EXPECT_EQ(cases[1].samples[0].stddev(), 0.0);
+}
+
+TEST(ChaosGate, UndeclaredNamesThrow) {
+  ChaosFamily f = fake_family();
+  f.run = [](std::size_t, std::uint64_t) {
+    ChaosRun r;
+    r.count("silent_losses");
+    return r;
+  };
+  const std::string what = rejection([&] { run_chaos(f); });
+  EXPECT_NE(what.find("silent_losses"), std::string::npos) << what;
+}
+
+TEST(ChaosGate, AnyNonzeroGateCountFailsNamingTheCaseAndCounter) {
+  const ChaosFamily f = fake_family();
+  const std::vector<std::string> names = f.count_names();
+  ASSERT_EQ(names, (std::vector<std::string>{"crashes", "invariant_violations",
+                                             "incomplete", "silent_loss"}));
+  // A nonzero plain count does not gate.
+  const std::vector<ChaosCase> passing(
+      2, ChaosCase{{RunningStats{}}, {5, 0, 0, 0}});
+  EXPECT_EQ(chaos_gate_failures(f, passing), "");
+  for (std::size_t k = 1; k < names.size(); ++k) {
+    std::vector<ChaosCase> failing = passing;
+    failing[1].counts[k] = 2;
+    const std::string what = chaos_gate_failures(f, failing);
+    EXPECT_NE(what.find("case b: " + names[k] + " = 2"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("case a"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

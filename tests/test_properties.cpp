@@ -131,48 +131,11 @@ TEST_P(CoschedSweep, SyncTimeZeroForUnpairedJobs) {
 // -- determinism guard --------------------------------------------------
 //
 // The incremental scheduler/engine rewrite must not change simulation
-// results: these fingerprints (FNV-1a over every job's id, start, end,
-// yield count, and forced releases, sorted by id) were recorded from the
-// pre-optimization implementation for fixed seeds.  Any divergence in
-// scheduling order, backfill decisions, or event ordering changes a start
-// time somewhere and breaks the hash.
-
-namespace determinism {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ULL;
-  return h;
-}
-
-std::uint64_t fingerprint(CoupledSim& sim) {
-  struct Rec {
-    JobId id;
-    Time start, end;
-    int yields, releases;
-  };
-  std::vector<Rec> recs;
-  for (std::size_t d = 0; d < sim.size(); ++d) {
-    sim.cluster(d).scheduler().for_each_job(
-        [&](JobId id, const RuntimeJob& j) {
-          recs.push_back(
-              Rec{id, j.start, j.end, j.yield_count, j.forced_releases});
-        });
-  }
-  std::sort(recs.begin(), recs.end(),
-            [](const Rec& a, const Rec& b) { return a.id < b.id; });
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const Rec& r : recs) {
-    h = fnv(h, static_cast<std::uint64_t>(r.id));
-    h = fnv(h, static_cast<std::uint64_t>(r.start));
-    h = fnv(h, static_cast<std::uint64_t>(r.end));
-    h = fnv(h, static_cast<std::uint64_t>(r.yields));
-    h = fnv(h, static_cast<std::uint64_t>(r.releases));
-  }
-  return h;
-}
-
-}  // namespace determinism
+// results: these fingerprints (determinism_fingerprint: FNV-1a over every
+// job's id, start, end, yield count, and forced releases, sorted by id) were
+// recorded from the pre-optimization implementation for fixed seeds.  Any
+// divergence in scheduling order, backfill decisions, or event ordering
+// changes a start time somewhere and breaks the hash.
 
 TEST(DeterminismGuard, FixedSeedResultsMatchPreOptimizationFingerprints) {
   struct Pinned {
@@ -214,7 +177,7 @@ TEST(DeterminismGuard, FixedSeedResultsMatchPreOptimizationFingerprints) {
     CoupledSim sim(specs, traces);
     const SimResult r = sim.run(120 * kDay);
     ASSERT_TRUE(r.completed) << p.combo.label;
-    EXPECT_EQ(determinism::fingerprint(sim), p.expect)
+    EXPECT_EQ(determinism_fingerprint(sim), p.expect)
         << "simulation results diverged from the pre-optimization "
            "implementation for combo "
         << p.combo.label;
@@ -236,7 +199,7 @@ TEST(DeterminismGuard, RepeatedRunsAreBitIdentical) {
     auto specs = make_coupled_specs("a", 100, "b", 100, kHY);
     CoupledSim sim(specs, {a, b});
     EXPECT_TRUE(sim.run(120 * kDay).completed);
-    return determinism::fingerprint(sim);
+    return determinism_fingerprint(sim);
   };
   EXPECT_EQ(run_fp(), run_fp());
 }
@@ -264,7 +227,7 @@ TEST(DeterminismGuard, ChaosRunsWithSameFaultSeedAreBitIdentical) {
     const SimResult r = sim.run(120 * kDay);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.invariants.ok());
-    return determinism::fingerprint(sim);
+    return determinism_fingerprint(sim);
   };
   EXPECT_EQ(run_fp(3), run_fp(3));
   EXPECT_NE(run_fp(3), run_fp(4));
@@ -298,7 +261,7 @@ TEST(DeterminismGuard, PartitionChaosRunsWithSameScheduleAreBitIdentical) {
     const SimResult r = sim.run(120 * kDay);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.invariants.ok());
-    return determinism::fingerprint(sim);
+    return determinism_fingerprint(sim);
   };
   EXPECT_EQ(run_fp(3, 6 * kHour), run_fp(3, 6 * kHour));
   EXPECT_NE(run_fp(3, 6 * kHour), run_fp(5, 7 * kHour));

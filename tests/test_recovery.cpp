@@ -256,37 +256,6 @@ TEST(Journal, FileSinkRenameFailureRemovesTheTempFile) {
 
 // -- kill-anywhere recovery ----------------------------------------------
 
-std::uint64_t fingerprint(CoupledSim& sim) {
-  struct Rec {
-    JobId id;
-    Time start, end;
-    int yields, releases;
-  };
-  std::vector<Rec> recs;
-  for (std::size_t d = 0; d < sim.size(); ++d) {
-    sim.cluster(d).scheduler().for_each_job(
-        [&](JobId id, const RuntimeJob& j) {
-          recs.push_back(
-              Rec{id, j.start, j.end, j.yield_count, j.forced_releases});
-        });
-  }
-  std::sort(recs.begin(), recs.end(),
-            [](const Rec& a, const Rec& b) { return a.id < b.id; });
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  for (const Rec& r : recs) {
-    mix(static_cast<std::uint64_t>(r.id));
-    mix(static_cast<std::uint64_t>(r.start));
-    mix(static_cast<std::uint64_t>(r.end));
-    mix(static_cast<std::uint64_t>(r.yields));
-    mix(static_cast<std::uint64_t>(r.releases));
-  }
-  return h;
-}
-
 struct Workload {
   std::vector<DomainSpec> specs;
   std::vector<Trace> traces;
@@ -326,7 +295,7 @@ Baseline run_baseline(SchemeCombo combo, std::uint64_t compact_every = 0) {
   EXPECT_TRUE(r.completed) << combo.label;
   EXPECT_TRUE(r.invariants.ok()) << combo.label;
   Baseline base;
-  base.fp = fingerprint(sim);
+  base.fp = determinism_fingerprint(sim);
   base.end_time = r.end_time;
   base.last_seq[0] = sim.journal(0).last_committed_seq();
   base.last_seq[1] = sim.journal(1).last_committed_seq();
@@ -345,7 +314,9 @@ TEST(KillAnywhere, JournalingItselfIsTransparent) {
     const SimResult rj = journaled.run(10 * kDay);
     ASSERT_TRUE(rj.completed) << combo.label;
 
-    EXPECT_EQ(fingerprint(plain), fingerprint(journaled)) << combo.label;
+    EXPECT_EQ(determinism_fingerprint(plain),
+              determinism_fingerprint(journaled))
+        << combo.label;
     EXPECT_EQ(rp.end_time, rj.end_time) << combo.label;
     EXPECT_GT(journaled.journal(0).last_committed_seq(), 2u) << combo.label;
   }
@@ -385,7 +356,7 @@ TEST(KillAnywhere, CrashAtSeededPointsReplaysToIdenticalResults) {
           << (r.invariants.violations.empty()
                   ? ""
                   : r.invariants.violations.front());
-      EXPECT_EQ(fingerprint(sim), base.fp);
+      EXPECT_EQ(determinism_fingerprint(sim), base.fp);
       EXPECT_EQ(r.end_time, base.end_time);
       for (std::size_t i = 0; i < 2; ++i)
         EXPECT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
@@ -408,7 +379,7 @@ TEST(KillAnywhere, CrashAfterCompactionReplaysSnapshotPlusTail) {
     ASSERT_TRUE(sim.last_recovery(0).has_value());
     ASSERT_TRUE(r.completed);
     EXPECT_TRUE(r.invariants.ok());
-    EXPECT_EQ(fingerprint(sim), base.fp);
+    EXPECT_EQ(determinism_fingerprint(sim), base.fp);
     EXPECT_EQ(r.end_time, base.end_time);
   }
 }
@@ -425,7 +396,7 @@ TEST(KillAnywhere, BothDomainsCanCrashInOneRun) {
   ASSERT_TRUE(sim.last_recovery(1).has_value());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.invariants.ok());
-  EXPECT_EQ(fingerprint(sim), base.fp);
+  EXPECT_EQ(determinism_fingerprint(sim), base.fp);
   EXPECT_EQ(r.end_time, base.end_time);
 }
 
@@ -471,7 +442,7 @@ TEST(GangRecovery, CrashAnywhereThroughGangLifecycleReplaysIdentically) {
   ASSERT_GE(base.gangs_aborted, 1u);
   ASSERT_GE(base.gangs_committed, 2u);
   ASSERT_EQ(base.invariants.gang_atomicity_violations, 0u);
-  const std::uint64_t base_fp = fingerprint(base_sim);
+  const std::uint64_t base_fp = determinism_fingerprint(base_sim);
 
   for (std::size_t domain = 0; domain < 3; ++domain) {
     const std::uint64_t last = base_sim.journal(domain).last_committed_seq();
@@ -492,7 +463,7 @@ TEST(GangRecovery, CrashAnywhereThroughGangLifecycleReplaysIdentically) {
                   ? ""
                   : r.invariants.violations.front());
       EXPECT_EQ(r.invariants.gang_atomicity_violations, 0u);
-      EXPECT_EQ(fingerprint(sim), base_fp);
+      EXPECT_EQ(determinism_fingerprint(sim), base_fp);
       EXPECT_EQ(r.end_time, base.end_time);
       for (std::size_t i = 0; i < 3; ++i)
         EXPECT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
@@ -538,7 +509,8 @@ TEST(SnapshotRestore, FreshSimResumesToIdenticalCompletion) {
     const SimResult rs = second.run(10 * kDay);
     ASSERT_TRUE(rs.completed);
     EXPECT_TRUE(rs.invariants.ok());
-    EXPECT_EQ(fingerprint(second), fingerprint(uninterrupted));
+    EXPECT_EQ(determinism_fingerprint(second),
+              determinism_fingerprint(uninterrupted));
     EXPECT_EQ(rs.end_time, ru.end_time);
   }
 }
@@ -574,7 +546,7 @@ TEST(LeaseRecovery, CrashBetweenLeaseGrantAndStartReplaysIdentically) {
   ASSERT_TRUE(rb.completed);
   ASSERT_GE(base_sim.cluster(0).lease_grants(), 1u);
   EXPECT_GT(base_sim.cluster(0).lease_renewals(), 0u);
-  const std::uint64_t base_fp = fingerprint(base_sim);
+  const std::uint64_t base_fp = determinism_fingerprint(base_sim);
 
   // Locate the first lease-grant record in alpha's journal; crashing at its
   // sequence number lands exactly in the grant-to-start window.
@@ -606,7 +578,7 @@ TEST(LeaseRecovery, CrashBetweenLeaseGrantAndStartReplaysIdentically) {
     EXPECT_TRUE(r.invariants.ok())
         << (r.invariants.violations.empty() ? ""
                                             : r.invariants.violations.front());
-    EXPECT_EQ(fingerprint(sim), base_fp);
+    EXPECT_EQ(determinism_fingerprint(sim), base_fp);
     EXPECT_EQ(r.end_time, rb.end_time);
     EXPECT_TRUE(sim.cluster(0).leases().empty());
   }
@@ -750,7 +722,7 @@ TEST(SnapshotIndexes, StaySortedThroughKillsRecoveryAndRestore) {
     EXPECT_NO_THROW(sim.cluster(i).validate_indices()) << "domain " << i;
     EXPECT_NO_THROW(fresh.cluster(i).validate_indices()) << "domain " << i;
   }
-  EXPECT_EQ(fingerprint(fresh), fingerprint(sim));
+  EXPECT_EQ(determinism_fingerprint(fresh), determinism_fingerprint(sim));
 }
 
 TEST(AbortInvariants, ExceptionDuringRunStillReportsInvariants) {

@@ -389,37 +389,6 @@ TEST(CompactionDiff, EveryImageShapeMatchesTheReframingReference) {
 
 // -- kill-anywhere with at-rest corruption --------------------------------
 
-std::uint64_t fingerprint(CoupledSim& sim) {
-  struct Rec {
-    JobId id;
-    Time start, end;
-    int yields, releases;
-  };
-  std::vector<Rec> recs;
-  for (std::size_t d = 0; d < sim.size(); ++d) {
-    sim.cluster(d).scheduler().for_each_job(
-        [&](JobId id, const RuntimeJob& j) {
-          recs.push_back(
-              Rec{id, j.start, j.end, j.yield_count, j.forced_releases});
-        });
-  }
-  std::sort(recs.begin(), recs.end(),
-            [](const Rec& a, const Rec& b) { return a.id < b.id; });
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  for (const Rec& r : recs) {
-    mix(static_cast<std::uint64_t>(r.id));
-    mix(static_cast<std::uint64_t>(r.start));
-    mix(static_cast<std::uint64_t>(r.end));
-    mix(static_cast<std::uint64_t>(r.yields));
-    mix(static_cast<std::uint64_t>(r.releases));
-  }
-  return h;
-}
-
 struct Workload {
   std::vector<DomainSpec> specs;
   std::vector<Trace> traces;
@@ -456,7 +425,7 @@ Baseline run_baseline(SchemeCombo combo, std::uint64_t compact_every = 0) {
   const SimResult r = sim.run(10 * kDay);
   EXPECT_TRUE(r.completed) << combo.label;
   Baseline base;
-  base.fp = fingerprint(sim);
+  base.fp = determinism_fingerprint(sim);
   base.end_time = r.end_time;
   base.last_seq[0] = sim.journal(0).last_committed_seq();
   base.last_seq[1] = sim.journal(1).last_committed_seq();
@@ -530,7 +499,8 @@ TEST(CorruptAnywhere, EveryOffsetClassEitherReplaysExactlyOrReportsTheLoss) {
       const Cluster::RecoveryStats& stats = *sim.last_recovery(domain);
       const bool loss_reported =
           stats.data_loss_reported() || stats.tail_torn;
-      const bool exact = r.completed && fingerprint(sim) == base.fp &&
+      const bool exact = r.completed &&
+                         determinism_fingerprint(sim) == base.fp &&
                          r.end_time == base.end_time;
       EXPECT_TRUE(exact || loss_reported)
           << "silent loss: recovery diverged from the baseline without "
@@ -560,7 +530,7 @@ TEST(CorruptAnywhere, BitFlipRecoveryStatsItemizeTheDamage) {
   if (failed_loudly) GTEST_SKIP() << "flip landed in the only snapshot";
   ASSERT_TRUE(sim.last_recovery(0).has_value());
   const Cluster::RecoveryStats& stats = *sim.last_recovery(0);
-  if (fingerprint(sim) != base.fp || !r.completed) {
+  if (determinism_fingerprint(sim) != base.fp || !r.completed) {
     EXPECT_TRUE(stats.data_loss_reported() || stats.tail_torn);
     EXPECT_GT(stats.corrupt_regions + (stats.tail_torn ? 1u : 0u), 0u);
   }
@@ -594,7 +564,8 @@ TEST(CorruptAnywhere, LostAndReorderedWritesEitherReplayExactlyOrReport) {
     ASSERT_TRUE(sim.last_recovery(0).has_value());
     const Cluster::RecoveryStats& stats = *sim.last_recovery(0);
     const bool loss_reported = stats.data_loss_reported() || stats.tail_torn;
-    const bool exact = r.completed && fingerprint(sim) == base.fp &&
+    const bool exact = r.completed &&
+                       determinism_fingerprint(sim) == base.fp &&
                        r.end_time == base.end_time;
     EXPECT_TRUE(exact || loss_reported)
         << "silent loss under write-time faults";
@@ -635,7 +606,7 @@ TEST(CorruptAnywhere, DowngradedV1ImageStillReplaysBitForBit) {
     const Cluster::RecoveryStats& stats = *sim.last_recovery(0);
     EXPECT_FALSE(stats.data_loss_reported());
     ASSERT_TRUE(r.completed);
-    EXPECT_EQ(fingerprint(sim), base.fp);
+    EXPECT_EQ(determinism_fingerprint(sim), base.fp);
     EXPECT_EQ(r.end_time, base.end_time);
   }
 }
@@ -681,7 +652,7 @@ TEST(GenerationFallback, RottenNewestSnapshotFallsBackAndStillReplaysExactly) {
   EXPECT_TRUE(stats.snapshot_fallback);
   EXPECT_TRUE(stats.data_loss_reported());
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(fingerprint(sim), base.fp);
+  EXPECT_EQ(determinism_fingerprint(sim), base.fp);
   EXPECT_EQ(r.end_time, base.end_time);
 }
 
@@ -707,7 +678,7 @@ TEST(Enospc, LadderKeepsTheSimulationAliveAndCountsEveryRung) {
   EXPECT_GT(r.invariants.storage_emergency_compactions +
                 r.invariants.storage_degraded_domains,
             0u);
-  EXPECT_EQ(fingerprint(sim), base.fp);
+  EXPECT_EQ(determinism_fingerprint(sim), base.fp);
   EXPECT_EQ(r.end_time, base.end_time);
 
   // Whatever rung the ladder reached, both journals must still anchor a
