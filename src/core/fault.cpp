@@ -90,70 +90,52 @@ FaultInjectingPeer::Verdict FaultInjectingPeer::verdict() {
   return Verdict::kDeliver;
 }
 
+template <typename Call>
+auto FaultInjectingPeer::forward(Call call) {
+  using Answer = decltype(call(*inner_));
+  const Verdict v = verdict();
+  if (v == Verdict::kFail) return Answer();
+  Answer answer = call(*inner_);
+  return v == Verdict::kDeliver ? answer : Answer();
+}
+
 std::optional<std::optional<JobId>> FaultInjectingPeer::get_mate_job(
     GroupId group, JobId asking) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->get_mate_job(group, asking);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.get_mate_job(group, asking); });
 }
 
 std::optional<MateStatus> FaultInjectingPeer::get_mate_status(JobId mate) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->get_mate_status(mate);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.get_mate_status(mate); });
 }
 
 std::optional<bool> FaultInjectingPeer::try_start_mate(JobId mate) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->try_start_mate(mate);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.try_start_mate(mate); });
 }
 
 std::optional<bool> FaultInjectingPeer::start_job(JobId job) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->start_job(job);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.start_job(job); });
 }
 
 std::optional<bool> FaultInjectingPeer::gang_prepare(JobId job,
                                                      GroupId group) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->gang_prepare(job, group);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.gang_prepare(job, group); });
 }
 
 std::optional<bool> FaultInjectingPeer::gang_commit(JobId job, GroupId group) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->gang_commit(job, group);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.gang_commit(job, group); });
 }
 
 std::optional<bool> FaultInjectingPeer::gang_abort(JobId job, GroupId group) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->gang_abort(job, group);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.gang_abort(job, group); });
 }
 
 std::optional<bool> FaultInjectingPeer::gang_victim(JobId job, GroupId group) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->gang_victim(job, group);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.gang_victim(job, group); });
 }
 
 std::optional<HeartbeatInfo> FaultInjectingPeer::heartbeat(
     const HeartbeatInfo& mine) {
-  const Verdict v = verdict();
-  if (v == Verdict::kFail) return std::nullopt;
-  auto r = inner_->heartbeat(mine);
-  return v == Verdict::kDeliver ? r : std::nullopt;
+  return forward([&](PeerClient& p) { return p.heartbeat(mine); });
 }
 
 }  // namespace cosched

@@ -186,6 +186,11 @@ class FaultInjectingPeer final : public PeerClient {
   enum class Verdict : std::uint8_t { kFail, kDeliver, kCorrupt, kDropReply };
 
   Verdict verdict();
+  /// Sends one call through verdict(): `call` reaches the wrapped peer
+  /// unless the request is lost, and its answer returns only when the reply
+  /// is delivered too.
+  template <typename Call>
+  auto forward(Call call);
   bool in_outage(Time now) const;
   bool in_reply_outage(Time now) const;
   void on_failed_call();

@@ -69,14 +69,23 @@ bool WirePeer::ensure_channel() {
   // stale replies if the server restarts mid-conversation.
   if (config_.incarnation != 0 && !hello_done_) {
     ++stats_.hellos;
-    const auto resp =
-        attempt(make_hello_req(next_rid_++, config_.incarnation),
-                MsgType::kHelloResp);
-    if (!resp) return false;  // attempt() already dropped the channel
-    server_incarnation_ = resp->incarnation;
+    const Message hello = make_hello_req(next_rid_++, config_.incarnation);
+    Message reply;
+    if (!attempt(hello, reply)) return false;  // the channel is dropped
+    if (reply.type != MsgType::kHelloResp) {
+      COSCHED_LOG(kWarn) << "wire peer: hello not answered";
+      drop_channel();
+      return false;
+    }
+    server_incarnation_ = reply.incarnation;
     hello_done_ = true;
   }
   return true;
+}
+
+void WirePeer::drop_channel() {
+  channel_.reset();
+  hello_done_ = false;
 }
 
 int WirePeer::backoff_ms(int attempt) {
@@ -121,66 +130,65 @@ void WirePeer::record_success() {
   }
 }
 
-std::optional<Message> WirePeer::attempt(const Message& req, MsgType expect) {
+bool WirePeer::attempt(const Message& req, Message& reply) {
   ++stats_.attempts;
   try {
     channel_->write_frame(req.encode());
     const auto frame = channel_->read_frame();
     if (!frame) {
       COSCHED_LOG(kWarn) << "wire peer: connection closed by remote";
-      channel_.reset();
-      hello_done_ = false;
-      return std::nullopt;
+      drop_channel();
+      return false;
     }
-    Message resp = Message::decode(*frame);
-    if (resp.type != expect || resp.request_id != req.request_id) {
-      // A stray or mismatched reply means the stream lost call/response
+    reply = Message::decode(*frame);
+    if (reply.request_id != req.request_id) {
+      // A reply to another request means the stream lost call/response
       // alignment (e.g. a late answer to a timed-out request); only a fresh
-      // connection restores it.
-      COSCHED_LOG(kWarn) << "wire peer: unexpected response";
-      channel_.reset();
-      hello_done_ = false;
-      return std::nullopt;
+      // connection restores it.  A reply of another *type* to this request
+      // (an error reply, say) is aligned: it answers the call.
+      COSCHED_LOG(kWarn) << "wire peer: response id mismatch";
+      drop_channel();
+      return false;
     }
     // Even a well-aligned reply is stale if the server restarted since this
     // connection's hello: its verdict belongs to a dead incarnation's state.
     // Drop the channel so the next attempt re-handshakes.
     if (config_.incarnation != 0 && hello_done_ &&
-        resp.incarnation != *server_incarnation_) {
+        reply.incarnation != *server_incarnation_) {
       ++stats_.stale_rejected;
       COSCHED_LOG(kWarn) << "wire peer: stale response (server incarnation "
-                         << resp.incarnation << " != handshaken "
+                         << reply.incarnation << " != handshaken "
                          << *server_incarnation_ << ")";
-      channel_.reset();
-      hello_done_ = false;
-      return std::nullopt;
+      drop_channel();
+      return false;
     }
-    return resp;
+    return true;
   } catch (const TimeoutError& e) {
     ++stats_.timeouts;
     COSCHED_LOG(kWarn) << "wire peer: " << e.what();
     // The reply may still arrive later and would desync the next call.
-    channel_.reset();
-    hello_done_ = false;
-    return std::nullopt;
+    drop_channel();
+    return false;
   } catch (const std::exception& e) {
     COSCHED_LOG(kWarn) << "wire peer: transport failure: " << e.what();
-    channel_.reset();
-    hello_done_ = false;
-    return std::nullopt;
+    drop_channel();
+    return false;
   }
 }
 
-std::optional<Message> WirePeer::round_trip(Message req, MsgType expect) {
+bool WirePeer::exchange(Message& req, Message& reply) {
   MutexLock lock(mutex_);
   ++stats_.calls;
+  // One id per call, stamped under the mutex: a retry resends it, so the
+  // server's exactly-once cache answers the retry instead of re-executing.
+  req.request_id = next_rid_++;
   req.incarnation = config_.incarnation;
 
   bool probing = false;
   if (state_ == BreakerState::kOpen) {
     if (Clock::now() < open_until_) {
       ++stats_.fast_fails;
-      return std::nullopt;  // fast fail: remote is known-down
+      return false;  // fast fail: remote is known-down
     }
     state_ = BreakerState::kHalfOpen;
     probing = true;
@@ -195,97 +203,20 @@ std::optional<Message> WirePeer::round_trip(Message req, MsgType expect) {
   for (int att = 1; att <= max_attempts; ++att) {
     if (att > 1) {
       ++stats_.retries;
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms(att - 1)));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(backoff_ms(att - 1)));
     }
     if (!ensure_channel()) {
       if (!factory_) break;  // nothing to retry against
       continue;
     }
-    if (auto resp = attempt(req, expect)) {
+    if (attempt(req, reply)) {
       record_success();
-      return resp;
+      return true;
     }
   }
   record_failure();
-  return std::nullopt;
-}
-
-std::optional<std::optional<JobId>> WirePeer::get_mate_job(GroupId group,
-                                                           JobId asking) {
-  const auto resp = round_trip(make_get_mate_job_req(next_rid_++, group, asking),
-                               MsgType::kGetMateJobResp);
-  if (!resp) return std::nullopt;
-  // in_place distinguishes "reachable, no mate" from transport failure.
-  if (!resp->found)
-    return std::optional<std::optional<JobId>>(std::in_place, std::nullopt);
-  return std::optional<std::optional<JobId>>(std::in_place, resp->job);
-}
-
-std::optional<MateStatus> WirePeer::get_mate_status(JobId mate) {
-  const auto resp = round_trip(make_get_mate_status_req(next_rid_++, mate),
-                               MsgType::kGetMateStatusResp);
-  if (!resp) return std::nullopt;
-  return resp->status;
-}
-
-std::optional<bool> WirePeer::try_start_mate(JobId mate) {
-  auto req = make_try_start_mate_req(next_rid_++, mate);
-  req.fence = fence_token_.load();
-  const auto resp = round_trip(req, MsgType::kTryStartMateResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> WirePeer::start_job(JobId job) {
-  auto req = make_start_job_req(next_rid_++, job);
-  req.fence = fence_token_.load();
-  const auto resp = round_trip(req, MsgType::kStartJobResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> WirePeer::gang_prepare(JobId job, GroupId group) {
-  auto req = make_gang_prepare_req(next_rid_++, job, group);
-  req.fence = fence_token_.load();
-  const auto resp = round_trip(req, MsgType::kGangPrepareResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> WirePeer::gang_commit(JobId job, GroupId group) {
-  auto req = make_gang_commit_req(next_rid_++, job, group);
-  req.fence = fence_token_.load();
-  const auto resp = round_trip(req, MsgType::kGangCommitResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> WirePeer::gang_abort(JobId job, GroupId group) {
-  auto req = make_gang_abort_req(next_rid_++, job, group);
-  req.fence = fence_token_.load();
-  const auto resp = round_trip(req, MsgType::kGangAbortResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> WirePeer::gang_victim(JobId job, GroupId group) {
-  auto req = make_gang_victim_req(next_rid_++, job, group);
-  req.fence = fence_token_.load();
-  const auto resp = round_trip(req, MsgType::kGangVictimResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<HeartbeatInfo> WirePeer::heartbeat(const HeartbeatInfo& mine) {
-  const auto resp = round_trip(make_heartbeat_req(next_rid_++, mine),
-                               MsgType::kHeartbeatResp);
-  if (!resp) return std::nullopt;
-  HeartbeatInfo theirs;
-  theirs.incarnation = resp->hb_incarnation;
-  theirs.fence = resp->fence;
-  theirs.queue_depth = resp->queue_depth;
-  theirs.hold_fraction = resp->hold_fraction;
-  return theirs;
+  return false;
 }
 
 void serve_channel(FramedChannel& channel, CoschedService& service,

@@ -9,7 +9,6 @@
 // channel factory) until the remote answers again.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -62,13 +61,13 @@ enum class BreakerState : std::uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 }
 
 const char* to_string(BreakerState s);
 
-/// Socket-backed PeerClient: one request in flight at a time (the protocol
-/// is strictly call/response).  Thread-safe; transport errors report as
-/// nullopt ("remote unknown") after bounded retries, matching the paper's
-/// fault-tolerance rule that a job never waits on a dead remote.  When
-/// constructed with a channel factory the peer re-establishes the
+/// Socket transport for the protocol stub: one request in flight at a time
+/// (the protocol is strictly call/response).  Thread-safe; transport errors
+/// report as nullopt ("remote unknown") after bounded retries, matching the
+/// paper's fault-tolerance rule that a job never waits on a dead remote.
+/// When constructed with a channel factory the peer re-establishes the
 /// connection on the next (half-open) probe after a failure.
-class WirePeer final : public PeerClient {
+class WirePeer final : public ProtocolPeer {
  public:
   /// Returns a fresh connected channel, or nullopt if the remote is
   /// unreachable right now.  Must not block unboundedly.
@@ -80,20 +79,6 @@ class WirePeer final : public PeerClient {
   /// failures (half-open probes).
   explicit WirePeer(ChannelFactory factory, WirePeerConfig config = {});
 
-  std::optional<std::optional<JobId>> get_mate_job(GroupId group,
-                                                   JobId asking) override;
-  std::optional<MateStatus> get_mate_status(JobId mate) override;
-  std::optional<bool> try_start_mate(JobId mate) override;
-  std::optional<bool> start_job(JobId job) override;
-  std::optional<bool> gang_prepare(JobId job, GroupId group) override;
-  std::optional<bool> gang_commit(JobId job, GroupId group) override;
-  std::optional<bool> gang_abort(JobId job, GroupId group) override;
-  std::optional<bool> gang_victim(JobId job, GroupId group) override;
-  std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo& mine) override;
-  /// Atomic: the scheduler thread updates the token from heartbeat acks
-  /// while call threads stamp it onto outgoing requests.
-  void set_fence_token(std::uint64_t token) override { fence_token_ = token; }
-
   /// True while the breaker is closed (remote believed reachable).
   bool healthy() const;
   BreakerState breaker_state() const;
@@ -101,7 +86,7 @@ class WirePeer final : public PeerClient {
   /// Degraded-mode accounting for metrics/reporting.
   struct TransportStats {
     std::uint64_t calls = 0;            ///< protocol calls issued
-    std::uint64_t failed_calls = 0;     ///< calls that returned nullopt
+    std::uint64_t failed_calls = 0;     ///< calls left with no reply
     std::uint64_t attempts = 0;         ///< wire round-trips attempted
     std::uint64_t retries = 0;          ///< attempts beyond the first
     std::uint64_t timeouts = 0;         ///< attempts lost to the deadline
@@ -121,13 +106,15 @@ class WirePeer final : public PeerClient {
   std::optional<std::uint64_t> server_incarnation() const;
 
  private:
-  std::optional<Message> round_trip(Message req, MsgType expect)
-      EXCLUDES(mutex_);
-  /// One wire attempt on the current channel.  nullopt = transport failure
+  /// One protocol call under the breaker and retry policy.  Stamps the
+  /// request id and this client's incarnation; a retry resends the same id.
+  bool exchange(Message& req, Message& reply) override EXCLUDES(mutex_);
+  /// One wire attempt on the current channel.  False = transport failure
   /// (the channel has been dropped).
-  std::optional<Message> attempt(const Message& req, MsgType expect)
-      REQUIRES(mutex_);
+  bool attempt(const Message& req, Message& reply) REQUIRES(mutex_);
   bool ensure_channel() REQUIRES(mutex_);
+  /// Forgets the connection: the next attempt dials and says hello anew.
+  void drop_channel() REQUIRES(mutex_);
   void record_failure() REQUIRES(mutex_);
   void record_success() REQUIRES(mutex_);
   int backoff_ms(int attempt) REQUIRES(mutex_);
@@ -143,11 +130,7 @@ class WirePeer final : public PeerClient {
   /// after a reconnect would alias a *different* logical call into an old
   /// verdict.  Response/request matching is instead scoped per connection
   /// plus the server incarnation learned from that connection's hello.
-  /// Atomic because requests are built (rid allocated) before round_trip
-  /// takes the peer mutex.
-  std::atomic<std::uint64_t> next_rid_{1};
-  /// Fencing token stamped on side-effecting requests (0 = unfenced).
-  std::atomic<std::uint64_t> fence_token_{0};
+  std::uint64_t next_rid_ GUARDED_BY(mutex_) = 1;
   /// True once the hello handshake completed on the *current* channel;
   /// cleared whenever the channel drops.
   bool hello_done_ GUARDED_BY(mutex_) = false;

@@ -28,7 +28,7 @@ enum class RecvStatus {
 /// Thread safety: the only shared state is fd_, an atomic (close() may race
 /// a blocked recv() during shutdown).  There is no mutex here, so nothing
 /// for -Wthread-safety to track; see src/util/thread_annotations.h for the
-/// annotated-mutex convention used by the stateful classes (RpcClient,
+/// annotated-mutex convention used by the stateful classes (WirePeer,
 /// RpcDedup).
 class Socket {
  public:

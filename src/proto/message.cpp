@@ -153,13 +153,20 @@ Message Message::decode(std::span<const std::uint8_t> data) {
   return m;
 }
 
-Message make_get_mate_job_req(std::uint64_t rid, GroupId group, JobId asking) {
+namespace {
+Message make_job_req(MsgType type, std::uint64_t rid, JobId job,
+                     GroupId group = kNoGroup) {
   Message m;
-  m.type = MsgType::kGetMateJobReq;
+  m.type = type;
   m.request_id = rid;
+  m.job = job;
   m.group = group;
-  m.job = asking;
   return m;
+}
+}  // namespace
+
+Message make_get_mate_job_req(std::uint64_t rid, GroupId group, JobId asking) {
+  return make_job_req(MsgType::kGetMateJobReq, rid, asking, group);
 }
 
 Message make_get_mate_job_resp(std::uint64_t rid, std::optional<JobId> mate) {
@@ -172,11 +179,7 @@ Message make_get_mate_job_resp(std::uint64_t rid, std::optional<JobId> mate) {
 }
 
 Message make_get_mate_status_req(std::uint64_t rid, JobId mate) {
-  Message m;
-  m.type = MsgType::kGetMateStatusReq;
-  m.request_id = rid;
-  m.job = mate;
-  return m;
+  return make_job_req(MsgType::kGetMateStatusReq, rid, mate);
 }
 
 Message make_get_mate_status_resp(std::uint64_t rid, MateStatus status) {
@@ -188,35 +191,19 @@ Message make_get_mate_status_resp(std::uint64_t rid, MateStatus status) {
 }
 
 Message make_try_start_mate_req(std::uint64_t rid, JobId mate) {
-  Message m;
-  m.type = MsgType::kTryStartMateReq;
-  m.request_id = rid;
-  m.job = mate;
-  return m;
+  return make_job_req(MsgType::kTryStartMateReq, rid, mate);
 }
 
 Message make_try_start_mate_resp(std::uint64_t rid, bool started) {
-  Message m;
-  m.type = MsgType::kTryStartMateResp;
-  m.request_id = rid;
-  m.ok = started;
-  return m;
+  return make_verdict_resp(MsgType::kTryStartMateReq, rid, started);
 }
 
 Message make_start_job_req(std::uint64_t rid, JobId job) {
-  Message m;
-  m.type = MsgType::kStartJobReq;
-  m.request_id = rid;
-  m.job = job;
-  return m;
+  return make_job_req(MsgType::kStartJobReq, rid, job);
 }
 
 Message make_start_job_resp(std::uint64_t rid, bool ok) {
-  Message m;
-  m.type = MsgType::kStartJobResp;
-  m.request_id = rid;
-  m.ok = ok;
-  return m;
+  return make_verdict_resp(MsgType::kStartJobReq, rid, ok);
 }
 
 Message make_hello_req(std::uint64_t rid, std::uint64_t client_incarnation) {
@@ -243,49 +230,37 @@ Message make_error_resp(std::uint64_t rid, std::string error) {
   return m;
 }
 
-namespace {
-Message make_gang_req(MsgType type, std::uint64_t rid, JobId job,
-                      GroupId group) {
+Message make_verdict_resp(MsgType req, std::uint64_t rid, bool ok) {
   Message m;
-  m.type = type;
-  m.request_id = rid;
-  m.job = job;
-  m.group = group;
-  return m;
-}
-
-Message make_gang_resp(MsgType type, std::uint64_t rid, bool ok) {
-  Message m;
-  m.type = type;
+  m.type = response_type(req);
   m.request_id = rid;
   m.ok = ok;
   return m;
 }
-}  // namespace
 
 Message make_gang_prepare_req(std::uint64_t rid, JobId job, GroupId group) {
-  return make_gang_req(MsgType::kGangPrepareReq, rid, job, group);
+  return make_job_req(MsgType::kGangPrepareReq, rid, job, group);
 }
 Message make_gang_prepare_resp(std::uint64_t rid, bool ok) {
-  return make_gang_resp(MsgType::kGangPrepareResp, rid, ok);
+  return make_verdict_resp(MsgType::kGangPrepareReq, rid, ok);
 }
 Message make_gang_commit_req(std::uint64_t rid, JobId job, GroupId group) {
-  return make_gang_req(MsgType::kGangCommitReq, rid, job, group);
+  return make_job_req(MsgType::kGangCommitReq, rid, job, group);
 }
 Message make_gang_commit_resp(std::uint64_t rid, bool ok) {
-  return make_gang_resp(MsgType::kGangCommitResp, rid, ok);
+  return make_verdict_resp(MsgType::kGangCommitReq, rid, ok);
 }
 Message make_gang_abort_req(std::uint64_t rid, JobId job, GroupId group) {
-  return make_gang_req(MsgType::kGangAbortReq, rid, job, group);
+  return make_job_req(MsgType::kGangAbortReq, rid, job, group);
 }
 Message make_gang_abort_resp(std::uint64_t rid, bool ok) {
-  return make_gang_resp(MsgType::kGangAbortResp, rid, ok);
+  return make_verdict_resp(MsgType::kGangAbortReq, rid, ok);
 }
 Message make_gang_victim_req(std::uint64_t rid, JobId job, GroupId group) {
-  return make_gang_req(MsgType::kGangVictimReq, rid, job, group);
+  return make_job_req(MsgType::kGangVictimReq, rid, job, group);
 }
 Message make_gang_victim_resp(std::uint64_t rid, bool ok) {
-  return make_gang_resp(MsgType::kGangVictimResp, rid, ok);
+  return make_verdict_resp(MsgType::kGangVictimReq, rid, ok);
 }
 
 namespace {

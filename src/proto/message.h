@@ -121,6 +121,12 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
+/// The response type that answers request type `req`: the next enumerator.
+/// No request maps to kErrorResp, which answers any request that failed.
+constexpr MsgType response_type(MsgType req) {
+  return static_cast<MsgType>(static_cast<std::uint8_t>(req) + 1);
+}
+
 // Convenience constructors for each call.
 Message make_get_mate_job_req(std::uint64_t rid, GroupId group, JobId asking);
 Message make_get_mate_job_resp(std::uint64_t rid, std::optional<JobId> mate);
@@ -133,6 +139,10 @@ Message make_start_job_resp(std::uint64_t rid, bool ok);
 Message make_hello_req(std::uint64_t rid, std::uint64_t client_incarnation);
 Message make_hello_resp(std::uint64_t rid, std::uint64_t server_incarnation);
 Message make_error_resp(std::uint64_t rid, std::string error);
+/// The reply to any of the six side-effecting requests (tryStartMate,
+/// startJob and the four gang calls) of type `req`: its response_type,
+/// carrying the verdict `ok`.
+Message make_verdict_resp(MsgType req, std::uint64_t rid, bool ok);
 
 // Gang costart calls.  Requests carry (job, fence, group); responses carry
 // the boolean outcome.

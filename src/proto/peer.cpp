@@ -5,9 +5,79 @@
 
 namespace cosched {
 
-std::optional<Message> LoopbackPeer::round_trip(const Message& req,
-                                                MsgType expect) {
+bool ProtocolPeer::call(Message& req, Message& reply) {
+  if (!exchange(req, reply)) return false;
+  if (reply.type == response_type(req.type)) return true;
+  if (reply.type == MsgType::kErrorResp)
+    COSCHED_LOG(kWarn) << "peer: remote error: " << reply.error;
+  else
+    COSCHED_LOG(kWarn) << "peer: unexpected response type "
+                       << static_cast<int>(reply.type);
+  return false;
+}
+
+std::optional<bool> ProtocolPeer::fenced(Message req) {
+  req.fence = fence_token_;
+  Message reply;
+  if (!call(req, reply)) return std::nullopt;
+  return reply.ok;
+}
+
+std::optional<std::optional<JobId>> ProtocolPeer::get_mate_job(GroupId group,
+                                                               JobId asking) {
+  Message req = make_get_mate_job_req(0, group, asking);
+  Message reply;
+  if (!call(req, reply)) return std::nullopt;
+  // in_place distinguishes "reachable, no mate" from transport failure:
+  // optional<optional<T>>(nullopt) would construct an *empty outer*.
+  if (!reply.found)
+    return std::optional<std::optional<JobId>>(std::in_place, std::nullopt);
+  return std::optional<std::optional<JobId>>(std::in_place, reply.job);
+}
+
+std::optional<MateStatus> ProtocolPeer::get_mate_status(JobId mate) {
+  Message req = make_get_mate_status_req(0, mate);
+  Message reply;
+  if (!call(req, reply)) return std::nullopt;
+  return reply.status;
+}
+
+std::optional<bool> ProtocolPeer::try_start_mate(JobId mate) {
+  return fenced(make_try_start_mate_req(0, mate));
+}
+
+std::optional<bool> ProtocolPeer::start_job(JobId job) {
+  return fenced(make_start_job_req(0, job));
+}
+
+std::optional<bool> ProtocolPeer::gang_prepare(JobId job, GroupId group) {
+  return fenced(make_gang_prepare_req(0, job, group));
+}
+
+std::optional<bool> ProtocolPeer::gang_commit(JobId job, GroupId group) {
+  return fenced(make_gang_commit_req(0, job, group));
+}
+
+std::optional<bool> ProtocolPeer::gang_abort(JobId job, GroupId group) {
+  return fenced(make_gang_abort_req(0, job, group));
+}
+
+std::optional<bool> ProtocolPeer::gang_victim(JobId job, GroupId group) {
+  return fenced(make_gang_victim_req(0, job, group));
+}
+
+std::optional<HeartbeatInfo> ProtocolPeer::heartbeat(
+    const HeartbeatInfo& mine) {
+  Message req = make_heartbeat_req(0, mine);
+  Message reply;
+  if (!call(req, reply)) return std::nullopt;
+  return HeartbeatInfo{reply.hb_incarnation, reply.fence, reply.queue_depth,
+                       reply.hold_fraction};
+}
+
+bool LoopbackPeer::exchange(Message& req, Message& reply) {
   ++calls_;
+  req.request_id = next_rid_++;
   request_.clear();
   req.encode(request_);
   request_bytes_ += request_.bytes().size();
@@ -16,103 +86,15 @@ std::optional<Message> LoopbackPeer::round_trip(const Message& req,
   // are free for the nested call.
   dispatcher_.dispatch(request_.bytes(), reply_);
   response_bytes_ += reply_.bytes().size();
-  Message resp;
   try {
-    resp = Message::decode(reply_.bytes());
+    reply = Message::decode(reply_.bytes());
   } catch (const ParseError& e) {
     COSCHED_LOG(kError) << "loopback peer: bad response: " << e.what();
-    return std::nullopt;
+    return false;
   }
-  if (resp.type != expect) {
-    if (resp.type == MsgType::kErrorResp)
-      COSCHED_LOG(kWarn) << "loopback peer: remote error: " << resp.error;
-    return std::nullopt;
-  }
-  if (resp.request_id != req.request_id) {
-    COSCHED_LOG(kError) << "loopback peer: response id mismatch";
-    return std::nullopt;
-  }
-  return resp;
-}
-
-std::optional<std::optional<JobId>> LoopbackPeer::get_mate_job(GroupId group,
-                                                               JobId asking) {
-  const auto resp = round_trip(make_get_mate_job_req(next_rid_++, group, asking),
-                               MsgType::kGetMateJobResp);
-  if (!resp) return std::nullopt;
-  // in_place distinguishes "reachable, no mate" from transport failure:
-  // optional<optional<T>>(nullopt) would construct an *empty outer*.
-  if (!resp->found)
-    return std::optional<std::optional<JobId>>(std::in_place, std::nullopt);
-  return std::optional<std::optional<JobId>>(std::in_place, resp->job);
-}
-
-std::optional<MateStatus> LoopbackPeer::get_mate_status(JobId mate) {
-  const auto resp = round_trip(make_get_mate_status_req(next_rid_++, mate),
-                               MsgType::kGetMateStatusResp);
-  if (!resp) return std::nullopt;
-  return resp->status;
-}
-
-std::optional<bool> LoopbackPeer::try_start_mate(JobId mate) {
-  auto req = make_try_start_mate_req(next_rid_++, mate);
-  req.fence = fence_token_;
-  const auto resp = round_trip(req, MsgType::kTryStartMateResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> LoopbackPeer::start_job(JobId job) {
-  auto req = make_start_job_req(next_rid_++, job);
-  req.fence = fence_token_;
-  const auto resp = round_trip(req, MsgType::kStartJobResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> LoopbackPeer::gang_prepare(JobId job, GroupId group) {
-  auto req = make_gang_prepare_req(next_rid_++, job, group);
-  req.fence = fence_token_;
-  const auto resp = round_trip(req, MsgType::kGangPrepareResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> LoopbackPeer::gang_commit(JobId job, GroupId group) {
-  auto req = make_gang_commit_req(next_rid_++, job, group);
-  req.fence = fence_token_;
-  const auto resp = round_trip(req, MsgType::kGangCommitResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> LoopbackPeer::gang_abort(JobId job, GroupId group) {
-  auto req = make_gang_abort_req(next_rid_++, job, group);
-  req.fence = fence_token_;
-  const auto resp = round_trip(req, MsgType::kGangAbortResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<bool> LoopbackPeer::gang_victim(JobId job, GroupId group) {
-  auto req = make_gang_victim_req(next_rid_++, job, group);
-  req.fence = fence_token_;
-  const auto resp = round_trip(req, MsgType::kGangVictimResp);
-  if (!resp) return std::nullopt;
-  return resp->ok;
-}
-
-std::optional<HeartbeatInfo> LoopbackPeer::heartbeat(
-    const HeartbeatInfo& mine) {
-  const auto resp = round_trip(make_heartbeat_req(next_rid_++, mine),
-                               MsgType::kHeartbeatResp);
-  if (!resp) return std::nullopt;
-  HeartbeatInfo theirs;
-  theirs.incarnation = resp->hb_incarnation;
-  theirs.fence = resp->fence;
-  theirs.queue_depth = resp->queue_depth;
-  theirs.hold_fraction = resp->hold_fraction;
-  return theirs;
+  if (reply.request_id == req.request_id) return true;
+  COSCHED_LOG(kError) << "loopback peer: response id mismatch";
+  return false;
 }
 
 }  // namespace cosched

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "proto/message.h"
@@ -31,69 +30,75 @@ class PeerClient {
   /// Two-phase gang costart calls (k >= 3 domains).  All side-effecting:
   /// fenced and deduped like tryStartMate/startJob.  nullopt = transport
   /// failure (the coordinator treats an unanswered prepare/commit as a
-  /// reason to abort the round).  Defaults keep legacy peers compiling and
-  /// report "remote cannot gang-start".
-  virtual std::optional<bool> gang_prepare(JobId job, GroupId group) {
-    (void)job;
-    (void)group;
-    return std::optional<bool>(false);
-  }
-  virtual std::optional<bool> gang_commit(JobId job, GroupId group) {
-    (void)job;
-    (void)group;
-    return std::optional<bool>(false);
-  }
-  virtual std::optional<bool> gang_abort(JobId job, GroupId group) {
-    (void)job;
-    (void)group;
-    return std::optional<bool>(false);
-  }
-  virtual std::optional<bool> gang_victim(JobId job, GroupId group) {
-    (void)job;
-    (void)group;
-    return std::optional<bool>(false);
-  }
+  /// reason to abort the round).
+  virtual std::optional<bool> gang_prepare(JobId job, GroupId group) = 0;
+  virtual std::optional<bool> gang_commit(JobId job, GroupId group) = 0;
+  virtual std::optional<bool> gang_abort(JobId job, GroupId group) = 0;
+  virtual std::optional<bool> gang_victim(JobId job, GroupId group) = 0;
 
   /// Liveness probe carrying the local domain's payload; the remote's
   /// payload comes back.  nullopt = unreachable OR the remote predates the
-  /// liveness protocol — either way no evidence of life.  Default keeps
-  /// legacy peers compiling.
-  virtual std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo& mine) {
-    (void)mine;
-    return std::nullopt;
-  }
+  /// liveness protocol — either way no evidence of life.
+  virtual std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo& mine) = 0;
 
   /// Sets the fencing token stamped on subsequent side-effecting calls
-  /// (tryStartMate/startJob): the remote's fencing epoch as last learned
-  /// from its heartbeats.  Default no-op for legacy peers (token 0 =
-  /// unfenced, always admitted).
-  virtual void set_fence_token(std::uint64_t token) { (void)token; }
+  /// (tryStartMate, startJob and the gang calls): the remote's fencing
+  /// epoch as last learned from its heartbeats (0 = unfenced, always
+  /// admitted).
+  virtual void set_fence_token(std::uint64_t token) = 0;
 };
 
-/// In-process peer: encodes each call, runs it through a ServiceDispatcher,
-/// and decodes the response — the full wire path without a socket, so every
-/// simulation exercises the protocol encoding.  The request and the reply
-/// go through two writers the peer owns and reuses for every call, so a
-/// warm round trip allocates nothing.
+/// The nine typed calls, written once over one transport method.  Each call
+/// builds its request, stamps the fencing token on the six side-effecting
+/// ones, and accepts only the reply type that answers the request
+/// (response_type): any other reply, an error reply included, reads as
+/// nullopt ("remote unknown") on every transport.
 ///
-/// Thread safety: confined to the simulation thread — the counters are
-/// plain integers on purpose.  No mutex, so no GUARDED_BY members; the
-/// annotated-mutex convention lives in src/util/thread_annotations.h.
-class LoopbackPeer final : public PeerClient {
+/// Thread safety: the fencing token is atomic, because a heartbeat thread
+/// may set it while call threads stamp it; requests and replies live on
+/// each call's stack, so what else is shared is the transport's business.
+class ProtocolPeer : public PeerClient {
+ public:
+  std::optional<std::optional<JobId>> get_mate_job(GroupId group,
+                                                   JobId asking) final;
+  std::optional<MateStatus> get_mate_status(JobId mate) final;
+  std::optional<bool> try_start_mate(JobId mate) final;
+  std::optional<bool> start_job(JobId job) final;
+  std::optional<bool> gang_prepare(JobId job, GroupId group) final;
+  std::optional<bool> gang_commit(JobId job, GroupId group) final;
+  std::optional<bool> gang_abort(JobId job, GroupId group) final;
+  std::optional<bool> gang_victim(JobId job, GroupId group) final;
+  std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo& mine) final;
+  void set_fence_token(std::uint64_t token) final { fence_token_ = token; }
+
+ protected:
+  /// The transport: stamps `req` with a request id of its own as it sends
+  /// it, and decodes the answer into `reply`.  False = no reply to this
+  /// request came back.  A reply of any type counts as an answer.
+  virtual bool exchange(Message& req, Message& reply) = 0;
+
+ private:
+  /// exchange() that accepts only the reply type answering `req`.
+  bool call(Message& req, Message& reply);
+  /// A side-effecting call: fenced, answered by the reply's verdict.
+  std::optional<bool> fenced(Message req);
+
+  std::atomic<std::uint64_t> fence_token_{0};
+};
+
+/// In-process transport: encodes each request, runs it through a
+/// ServiceDispatcher, and decodes the response — the full wire path without
+/// a socket, so every simulation exercises the protocol encoding.  The
+/// request and the reply go through two writers the peer owns and reuses for
+/// every call, so a warm round trip allocates nothing.
+///
+/// Thread safety: confined to the simulation thread — the request-id
+/// counter and the counters are plain integers on purpose.  No mutex, so no
+/// GUARDED_BY members; the annotated-mutex convention lives in
+/// src/util/thread_annotations.h.
+class LoopbackPeer final : public ProtocolPeer {
  public:
   explicit LoopbackPeer(CoschedService& service) : dispatcher_(service) {}
-
-  std::optional<std::optional<JobId>> get_mate_job(GroupId group,
-                                                   JobId asking) override;
-  std::optional<MateStatus> get_mate_status(JobId mate) override;
-  std::optional<bool> try_start_mate(JobId mate) override;
-  std::optional<bool> start_job(JobId job) override;
-  std::optional<bool> gang_prepare(JobId job, GroupId group) override;
-  std::optional<bool> gang_commit(JobId job, GroupId group) override;
-  std::optional<bool> gang_abort(JobId job, GroupId group) override;
-  std::optional<bool> gang_victim(JobId job, GroupId group) override;
-  std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo& mine) override;
-  void set_fence_token(std::uint64_t token) override { fence_token_ = token; }
 
   /// Total protocol round-trips performed (for the overhead accounting).
   std::uint64_t calls() const { return calls_; }
@@ -104,13 +109,12 @@ class LoopbackPeer final : public PeerClient {
   std::uint64_t response_bytes() const { return response_bytes_; }
 
  private:
-  std::optional<Message> round_trip(const Message& req, MsgType expect);
+  bool exchange(Message& req, Message& reply) override;
 
   ServiceDispatcher dispatcher_;
   WireWriter request_;
   WireWriter reply_;
   std::uint64_t next_rid_ = 1;
-  std::uint64_t fence_token_ = 0;
   std::uint64_t calls_ = 0;
   std::uint64_t request_bytes_ = 0;
   std::uint64_t response_bytes_ = 0;

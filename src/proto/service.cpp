@@ -31,34 +31,6 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
     return finish(make_error_resp(0, e.what()));
   }
 
-  // Exactly-once: side-effecting calls from incarnated clients are answered
-  // from the dedup cache on retry instead of re-executing.
-  const bool dedupable = config_.dedup != nullptr && req.incarnation != 0 &&
-                         (req.type == MsgType::kTryStartMateReq ||
-                          req.type == MsgType::kStartJobReq ||
-                          req.type == MsgType::kGangPrepareReq ||
-                          req.type == MsgType::kGangCommitReq ||
-                          req.type == MsgType::kGangAbortReq ||
-                          req.type == MsgType::kGangVictimReq);
-  if (dedupable) {
-    if (auto hit = config_.dedup->lookup(req.incarnation, req.request_id)) {
-      switch (req.type) {
-        case MsgType::kTryStartMateReq:
-          return finish(make_try_start_mate_resp(req.request_id, hit->verdict));
-        case MsgType::kGangPrepareReq:
-          return finish(make_gang_prepare_resp(req.request_id, hit->verdict));
-        case MsgType::kGangCommitReq:
-          return finish(make_gang_commit_resp(req.request_id, hit->verdict));
-        case MsgType::kGangAbortReq:
-          return finish(make_gang_abort_resp(req.request_id, hit->verdict));
-        case MsgType::kGangVictimReq:
-          return finish(make_gang_victim_resp(req.request_id, hit->verdict));
-        default:
-          return finish(make_start_job_resp(req.request_id, hit->verdict));
-      }
-    }
-  }
-
   try {
     switch (req.type) {
       case MsgType::kGetMateJobReq:
@@ -67,52 +39,52 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
       case MsgType::kGetMateStatusReq:
         return finish(make_get_mate_status_resp(
             req.request_id, service_.get_mate_status(req.job)));
-      case MsgType::kTryStartMateReq: {
+      case MsgType::kTryStartMateReq:
+      case MsgType::kStartJobReq:
+      case MsgType::kGangPrepareReq:
+      case MsgType::kGangCommitReq:
+      case MsgType::kGangAbortReq:
+      case MsgType::kGangVictimReq: {
+        // Exactly-once: a retry from an incarnated client is answered from
+        // the dedup cache instead of re-executing.
+        const bool dedupable = config_.dedup != nullptr && req.incarnation != 0;
+        if (dedupable) {
+          if (auto hit = config_.dedup->lookup(req.incarnation, req.request_id))
+            return finish(
+                make_verdict_resp(req.type, req.request_id, hit->verdict));
+        }
         // Fence check after the dedup lookup: a retried call that already
         // executed must keep its recorded verdict even if the epoch has
         // since advanced.  A rejection is NOT recorded — the caller may
         // legitimately retry with a refreshed token.
         const bool admitted = service_.admit_fence(req.job, req.fence);
-        const bool started = admitted && service_.try_start_mate(req.job);
-        if (dedupable && admitted)
-          config_.dedup->record(req.incarnation, req.request_id, req.type,
-                                started);
-        return finish(make_try_start_mate_resp(req.request_id, started));
-      }
-      case MsgType::kStartJobReq: {
-        const bool admitted = service_.admit_fence(req.job, req.fence);
-        const bool ok = admitted && service_.start_job(req.job);
-        if (dedupable && admitted)
-          config_.dedup->record(req.incarnation, req.request_id, req.type, ok);
-        return finish(make_start_job_resp(req.request_id, ok));
-      }
-      case MsgType::kGangPrepareReq: {
-        const bool admitted = service_.admit_fence(req.job, req.fence);
-        const bool ok = admitted && service_.gang_prepare(req.job, req.group);
-        if (dedupable && admitted)
-          config_.dedup->record(req.incarnation, req.request_id, req.type, ok);
-        return finish(make_gang_prepare_resp(req.request_id, ok));
-      }
-      case MsgType::kGangCommitReq: {
-        const bool admitted = service_.admit_fence(req.job, req.fence);
-        const bool ok = admitted && service_.gang_commit(req.job, req.group);
-        if (dedupable && admitted)
-          config_.dedup->record(req.incarnation, req.request_id, req.type, ok);
-        return finish(make_gang_commit_resp(req.request_id, ok));
-      }
-      case MsgType::kGangAbortReq: {
-        const bool admitted = service_.admit_fence(req.job, req.fence);
-        const bool ok = admitted && service_.gang_abort(req.job, req.group);
-        if (dedupable && admitted)
-          config_.dedup->record(req.incarnation, req.request_id, req.type, ok);
-        return finish(make_gang_abort_resp(req.request_id, ok));
-      }
-      case MsgType::kGangVictimReq: {
-        const bool admitted = service_.admit_fence(req.job, req.fence);
-        const bool ok = admitted && service_.gang_victim(req.job, req.group);
-        if (dedupable && admitted)
-          config_.dedup->record(req.incarnation, req.request_id, req.type, ok);
-        return finish(make_gang_victim_resp(req.request_id, ok));
+        bool ok = false;
+        if (admitted) {
+          switch (req.type) {
+            case MsgType::kTryStartMateReq:
+              ok = service_.try_start_mate(req.job);
+              break;
+            case MsgType::kStartJobReq:
+              ok = service_.start_job(req.job);
+              break;
+            case MsgType::kGangPrepareReq:
+              ok = service_.gang_prepare(req.job, req.group);
+              break;
+            case MsgType::kGangCommitReq:
+              ok = service_.gang_commit(req.job, req.group);
+              break;
+            case MsgType::kGangAbortReq:
+              ok = service_.gang_abort(req.job, req.group);
+              break;
+            default:
+              ok = service_.gang_victim(req.job, req.group);
+              break;
+          }
+          if (dedupable)
+            config_.dedup->record(req.incarnation, req.request_id, req.type,
+                                  ok);
+        }
+        return finish(make_verdict_resp(req.type, req.request_id, ok));
       }
       case MsgType::kHelloReq:
         if (config_.dedup && req.incarnation != 0)

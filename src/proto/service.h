@@ -90,10 +90,11 @@ class CoschedService {
   }
 };
 
-/// Exactly-once verdict cache for the side-effecting calls (tryStartMate,
-/// startJob).  A retried request — same (client incarnation, request id) —
-/// returns the recorded verdict instead of re-running the scheduling
-/// iteration, so a lost response can never double-start a mate.
+/// Exactly-once verdict cache for the six side-effecting calls
+/// (tryStartMate, startJob and the four gang calls).  A retried request —
+/// same (client incarnation, request id) — returns the recorded verdict
+/// instead of re-running the scheduling iteration, so a lost response can
+/// never double-start a mate.
 ///
 /// Keys are (client incarnation, request id).  Request ids are monotone per
 /// client incarnation and never reused (see net/rpc.h), so an entry is hit

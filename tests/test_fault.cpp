@@ -158,6 +158,27 @@ class CountingPeer final : public PeerClient {
     ++calls;
     return true;
   }
+  std::optional<bool> gang_prepare(JobId, GroupId) override {
+    ++calls;
+    return true;
+  }
+  std::optional<bool> gang_commit(JobId, GroupId) override {
+    ++calls;
+    return true;
+  }
+  std::optional<bool> gang_abort(JobId, GroupId) override {
+    ++calls;
+    return true;
+  }
+  std::optional<bool> gang_victim(JobId, GroupId) override {
+    ++calls;
+    return true;
+  }
+  std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo&) override {
+    ++calls;
+    return HeartbeatInfo{};
+  }
+  void set_fence_token(std::uint64_t) override {}
 };
 
 TEST(FaultPlan, DefaultPlanIsTransparent) {

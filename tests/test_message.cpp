@@ -145,6 +145,36 @@ TEST(Message, TruncatedHeartbeatRejected) {
   EXPECT_THROW(Message::decode(bytes), ParseError);
 }
 
+TEST(Message, EveryRequestMapsToTheResponseThatAnswersIt) {
+  // A peer accepts only response_type(request); anything else, an error
+  // reply included, reads as "remote unknown".
+  const std::pair<MsgType, MsgType> pairs[] = {
+      {MsgType::kGetMateJobReq, MsgType::kGetMateJobResp},
+      {MsgType::kGetMateStatusReq, MsgType::kGetMateStatusResp},
+      {MsgType::kTryStartMateReq, MsgType::kTryStartMateResp},
+      {MsgType::kStartJobReq, MsgType::kStartJobResp},
+      {MsgType::kHelloReq, MsgType::kHelloResp},
+      {MsgType::kHeartbeatReq, MsgType::kHeartbeatResp},
+      {MsgType::kGangPrepareReq, MsgType::kGangPrepareResp},
+      {MsgType::kGangCommitReq, MsgType::kGangCommitResp},
+      {MsgType::kGangAbortReq, MsgType::kGangAbortResp},
+      {MsgType::kGangVictimReq, MsgType::kGangVictimResp},
+  };
+  for (const auto& [req, resp] : pairs) {
+    EXPECT_EQ(response_type(req), resp) << static_cast<int>(req);
+    EXPECT_NE(response_type(req), MsgType::kErrorResp);
+  }
+  // The verdict reply of each side-effecting request has the same type.
+  for (MsgType req : {MsgType::kTryStartMateReq, MsgType::kStartJobReq,
+                      MsgType::kGangPrepareReq, MsgType::kGangCommitReq,
+                      MsgType::kGangAbortReq, MsgType::kGangVictimReq}) {
+    const Message m = make_verdict_resp(req, 3, true);
+    EXPECT_EQ(m.type, response_type(req));
+    EXPECT_EQ(m.request_id, 3u);
+    EXPECT_TRUE(m.ok);
+  }
+}
+
 TEST(Message, EncodingIsCompact) {
   // A status request is a type byte + small varints: a handful of bytes,
   // befitting the paper's "lightweight protocol".

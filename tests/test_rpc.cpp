@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
 #include <thread>
+#include <variant>
 
 namespace cosched {
 namespace {
@@ -228,6 +231,175 @@ TEST(WireRpc, RestartedServerIsRediscovered) {
 
   peer.reset();
   second.join();
+}
+
+TEST(WireRpc, ErrorReplyKeepsAFixedChannel) {
+  // FakeService has no liveness, so the dispatcher answers a heartbeat with
+  // an error reply.  That is an answer on an aligned stream: the call reads
+  // unknown, and the only connection stays up.
+  Harness h;
+  h.service.statuses[4] = MateStatus::kQueuing;
+  EXPECT_EQ(h.peer->heartbeat(HeartbeatInfo{}), std::nullopt);
+  EXPECT_EQ(h.peer->get_mate_status(4), MateStatus::kQueuing);
+  EXPECT_TRUE(h.peer->healthy());
+  EXPECT_EQ(h.peer->stats().breaker_opens, 0u);
+}
+
+TEST(WireRpc, ErrorReplyNeitherRedialsNorRetries) {
+  FakeService service;
+  service.statuses[4] = MateStatus::kQueuing;
+  std::vector<std::thread> servers;
+  auto peer = std::make_unique<WirePeer>([&]() -> std::optional<FramedChannel> {
+    auto [c, s] = Socket::pair();
+    servers.emplace_back(
+        [&service, sp = std::make_shared<Socket>(std::move(s))]() mutable {
+          FramedChannel ch(std::move(*sp));
+          serve_channel(ch, service);
+        });
+    return FramedChannel(std::move(c));
+  });
+
+  ASSERT_EQ(peer->get_mate_status(4), MateStatus::kQueuing);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(peer->heartbeat(HeartbeatInfo{}), std::nullopt);
+  const WirePeer::TransportStats stats = peer->stats();
+  EXPECT_EQ(stats.reconnects, 1u);  // the first dial only
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.failed_calls, 0u);
+  EXPECT_EQ(peer->breaker_state(), BreakerState::kClosed);
+  EXPECT_EQ(peer->get_mate_status(4), MateStatus::kQueuing);
+
+  peer.reset();
+  for (auto& t : servers) t.join();
+}
+
+/// Answers all nine calls from their arguments, and records the fencing
+/// token that reaches the service with each call.
+class FullService : public CoschedService {
+ public:
+  std::vector<std::uint64_t> admitted_fences;  // side-effecting calls
+  std::vector<std::uint64_t> heartbeat_fences;
+
+  std::optional<JobId> get_mate_job(GroupId group, JobId) override {
+    return group * 10;
+  }
+  MateStatus get_mate_status(JobId job) override {
+    return static_cast<MateStatus>(job % 8);
+  }
+  bool try_start_mate(JobId job) override { return job % 2 == 1; }
+  bool start_job(JobId job) override { return job % 2 == 1; }
+  bool gang_prepare(JobId job, GroupId group) override { return job > group; }
+  bool gang_commit(JobId job, GroupId group) override { return job > group; }
+  bool gang_abort(JobId job, GroupId group) override { return job > group; }
+  bool gang_victim(JobId job, GroupId group) override { return job > group; }
+  std::optional<HeartbeatInfo> heartbeat(const HeartbeatInfo& from) override {
+    heartbeat_fences.push_back(from.fence);
+    return HeartbeatInfo{from.incarnation + 1, 77, from.queue_depth * 2, 0.25};
+  }
+  bool admit_fence(JobId, std::uint64_t fence) override {
+    admitted_fences.push_back(fence);
+    return true;
+  }
+};
+
+using Answer =
+    std::variant<std::optional<std::optional<JobId>>, std::optional<MateStatus>,
+                 std::optional<bool>, std::optional<HeartbeatInfo>>;
+
+struct CallCase {
+  MsgType request;
+  std::function<Answer(PeerClient&)> call;
+  Answer expected;
+};
+
+std::vector<CallCase> all_nine_calls() {
+  const HeartbeatInfo mine{5, 0, 3, 0.5};
+  return {
+      {MsgType::kGetMateJobReq,
+       [](PeerClient& p) -> Answer { return p.get_mate_job(3, 1); },
+       std::optional<std::optional<JobId>>(std::in_place, 30)},
+      {MsgType::kGetMateStatusReq,
+       [](PeerClient& p) -> Answer { return p.get_mate_status(9); },
+       std::optional<MateStatus>(MateStatus::kQueuing)},
+      {MsgType::kTryStartMateReq,
+       [](PeerClient& p) -> Answer { return p.try_start_mate(31); },
+       std::optional<bool>(true)},
+      {MsgType::kStartJobReq,
+       [](PeerClient& p) -> Answer { return p.start_job(32); },
+       std::optional<bool>(false)},
+      {MsgType::kGangPrepareReq,
+       [](PeerClient& p) -> Answer { return p.gang_prepare(40, 4); },
+       std::optional<bool>(true)},
+      {MsgType::kGangCommitReq,
+       [](PeerClient& p) -> Answer { return p.gang_commit(2, 4); },
+       std::optional<bool>(false)},
+      {MsgType::kGangAbortReq,
+       [](PeerClient& p) -> Answer { return p.gang_abort(41, 4); },
+       std::optional<bool>(true)},
+      {MsgType::kGangVictimReq,
+       [](PeerClient& p) -> Answer { return p.gang_victim(3, 4); },
+       std::optional<bool>(false)},
+      {MsgType::kHeartbeatReq,
+       [mine](PeerClient& p) -> Answer { return p.heartbeat(mine); },
+       std::optional<HeartbeatInfo>(HeartbeatInfo{6, 77, 6, 0.25})},
+  };
+}
+
+TEST(WireRpc, AllNineCallsAnswerAlikeOverLoopbackAndSocket) {
+  constexpr std::uint64_t kToken = 0xfe9ce;
+  const std::set<MsgType> side_effecting = {
+      MsgType::kTryStartMateReq, MsgType::kStartJobReq,
+      MsgType::kGangPrepareReq,  MsgType::kGangCommitReq,
+      MsgType::kGangAbortReq,    MsgType::kGangVictimReq};
+  const std::vector<CallCase> cases = all_nine_calls();
+  FullService service;
+
+  LoopbackPeer loopback(service);
+  loopback.set_fence_token(kToken);
+  for (const CallCase& c : cases)
+    EXPECT_EQ(c.call(loopback), c.expected)
+        << "loopback, request type " << static_cast<int>(c.request);
+  EXPECT_EQ(loopback.calls(), cases.size());
+
+  // The same calls over a socket, with the server recording every request
+  // as it decodes it.
+  std::vector<Message> requests;
+  auto [client_sock, server_sock] = Socket::pair();
+  std::thread server(
+      [&, sp = std::make_shared<Socket>(std::move(server_sock))]() mutable {
+        FramedChannel ch(std::move(*sp));
+        ServiceDispatcher dispatcher(service);
+        while (auto frame = ch.read_frame()) {
+          requests.push_back(Message::decode(*frame));
+          ch.write_frame(dispatcher.dispatch(*frame));
+        }
+      });
+  auto wire = std::make_unique<WirePeer>(FramedChannel(std::move(client_sock)));
+  wire->set_fence_token(kToken);
+  for (const CallCase& c : cases)
+    EXPECT_EQ(c.call(*wire), c.expected)
+        << "wire, request type " << static_cast<int>(c.request);
+  EXPECT_TRUE(wire->healthy());
+  wire.reset();
+  server.join();
+
+  // The hello, then the nine calls in order, with rising request ids.
+  ASSERT_EQ(requests.size(), cases.size() + 1);
+  EXPECT_EQ(requests[0].type, MsgType::kHelloReq);
+  EXPECT_EQ(requests[0].fence, 0u);
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    const Message& req = requests[i];
+    EXPECT_EQ(req.type, cases[i - 1].request);
+    if (i > 1) {
+      EXPECT_GT(req.request_id, requests[i - 1].request_id);
+    }
+    EXPECT_EQ(req.fence, side_effecting.count(req.type) ? kToken : 0u)
+        << "request type " << static_cast<int>(req.type);
+  }
+  // Both transports brought the token to each of the six side-effecting
+  // calls and nowhere else.
+  EXPECT_EQ(service.admitted_fences, std::vector<std::uint64_t>(12, kToken));
+  EXPECT_EQ(service.heartbeat_fences, std::vector<std::uint64_t>(2, 0u));
 }
 
 TEST(WireRpc, ConcurrentClientsSerialized) {
