@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <memory_resource>
 #include <tuple>
+#include <utility>
 
 #include "proto/message.h"
 #include "util/error.h"
@@ -17,19 +18,54 @@ namespace cosched {
 void Cluster::track_dependency(const JobSpec& spec) {
   if (!spec.has_dependency()) return;
   // Dependency already finished: schedule the delayed wake directly (the
-  // finish-side drain will never see this dependent).
+  // finish-side drain will never see this dependent; apply_submit() linked
+  // every other dependency).
   const RuntimeJob* dep = sched_.find(spec.after);
-  if (dep != nullptr && dep->state == JobState::kFinished) {
-    const Time ready_at =
-        std::max(engine_.now(), dep->end + spec.after_delay);
-    engine_.schedule_at(ready_at, EventPriority::kSchedule,
-                        [this] { request_iteration(); });
-    return;
-  }
-  dependents_.emplace(spec.after, std::make_pair(spec.id, spec.after_delay));
+  if (dep == nullptr || dep->state != JobState::kFinished) return;
+  const Time ready_at = std::max(engine_.now(), dep->end + spec.after_delay);
+  engine_.schedule_at(ready_at, EventPriority::kSchedule,
+                      [this] { request_iteration(); });
 }
 
 namespace {
+
+// The journal payload codec: a record's payload is its apply's parameters,
+// in order, each in its wire form.
+void put(WireWriter& w, std::int64_t v) { w.put_i64(v); }
+void put(WireWriter& w, std::uint64_t v) { w.put_u64(v); }
+void put(WireWriter& w, bool v) { w.put_bool(v); }
+void put(WireWriter& w, double v) { w.put_double(v); }
+void put(WireWriter& w, const JobSpec& v) { encode_job_spec(w, v); }
+void put(WireWriter& w, const HoldLease& v) { v.snapshot(w); }
+void put(WireWriter& w, const std::vector<std::optional<HeartbeatInfo>>& v) {
+  w.put_u64(v.size());
+  for (const std::optional<HeartbeatInfo>& a : v) {
+    w.put_bool(a.has_value());
+    if (!a) continue;
+    w.put_u64(a->incarnation);
+    w.put_u64(a->fence);
+    w.put_u64(a->queue_depth);
+    w.put_double(a->hold_fraction);
+  }
+}
+
+void get(WireReader& r, std::int64_t& v) { v = r.get_i64(); }
+void get(WireReader& r, std::uint64_t& v) { v = r.get_u64(); }
+void get(WireReader& r, bool& v) { v = r.get_bool(); }
+void get(WireReader& r, double& v) { v = r.get_double(); }
+void get(WireReader& r, JobSpec& v) { v = decode_job_spec(r); }
+void get(WireReader& r, HoldLease& v) { v = HoldLease::restore(r); }
+void get(WireReader& r, std::vector<std::optional<HeartbeatInfo>>& v) {
+  v.resize(r.get_u64());
+  for (std::optional<HeartbeatInfo>& a : v) {
+    if (!r.get_bool()) continue;
+    HeartbeatInfo& info = a.emplace();
+    info.incarnation = r.get_u64();
+    info.fence = r.get_u64();
+    info.queue_depth = r.get_u64();
+    info.hold_fraction = r.get_double();
+  }
+}
 
 /// RAII commit marker: while a job is deciding/starting, peers that query it
 /// see `starting`, which Algorithm 1 treats like `holding` (ready).  The
@@ -51,6 +87,28 @@ class CommitGuard {
 
 }  // namespace
 
+template <class... Fields>
+void Cluster::append(JournalRecordKind kind, const Fields&... fields) {
+  if (!journaling()) return;
+  WireWriter w;
+  (put(w, fields), ...);
+  journal_->append(kind, w.bytes());
+}
+
+template <class... Params>
+void Cluster::commit(JournalRecordKind kind, void (Cluster::*apply)(Params...),
+                     std::type_identity_t<Params>... fields) {
+  append(kind, fields...);
+  (this->*apply)(fields...);
+}
+
+template <class... Params>
+void Cluster::replay(WireReader& r, void (Cluster::*apply)(Params...)) {
+  std::tuple<std::remove_cvref_t<Params>...> fields;
+  std::apply([&r](auto&... f) { (get(r, f), ...); }, fields);
+  std::apply([this, apply](auto&... f) { (this->*apply)(f...); }, fields);
+}
+
 Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
                  std::unique_ptr<PriorityPolicy> policy, CoschedConfig cosched,
                  SchedulerConfig sched_config,
@@ -65,13 +123,8 @@ Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
 
 void Cluster::arm_periodic_iteration() {
   if (sched_cfg_.iteration_period <= 0 || periodic_armed_) return;
-  periodic_armed_ = true;
-  periodic_at_ = engine_.now() + sched_cfg_.iteration_period;
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(periodic_at_);
-    journal_->append(JournalRecordKind::kPeriodicArmed, w.bytes());
-  }
+  commit(JournalRecordKind::kPeriodicArmed, &Cluster::apply_periodic_armed,
+         engine_.now() + sched_cfg_.iteration_period);
   periodic_event_ = engine_.schedule_at(periodic_at_, EventPriority::kStats,
                                         [this] { periodic_body(); });
 }
@@ -98,35 +151,22 @@ void Cluster::add_peer(PeerClient& peer) {
 
 void Cluster::register_expected(const JobSpec& spec) {
   COSCHED_CHECK(spec.is_paired());
-  auto [it, inserted] = group_to_job_.emplace(spec.group, spec.id);
-  COSCHED_CHECK_MSG(inserted || it->second == spec.id,
+  const auto it = group_to_job_.find(spec.group);
+  COSCHED_CHECK_MSG(it == group_to_job_.end() || it->second == spec.id,
                     "group " << spec.group << " already has local member "
                              << it->second << " on " << name_);
-  expected_.emplace(spec.id, spec);
-  if (journaling()) {
-    WireWriter w;
-    encode_job_spec(w, spec);
-    journal_->append(JournalRecordKind::kExpected, w.bytes());
-    journal_commit();
-  }
+  commit(JournalRecordKind::kExpected, &Cluster::apply_expected, spec);
+  journal_commit();
 }
 
 void Cluster::do_submit(const JobSpec& spec) {
-  if (spec.is_paired() && !group_to_job_.count(spec.group))
-    group_to_job_.emplace(spec.group, spec.id);
-  expected_.erase(spec.id);
-  sched_.submit(spec, engine_.now());
-  track_dependency(spec);
+  // The timers' records precede kSubmit in the journal.
   arm_periodic_iteration();
   arm_liveness_tick();
-  if (journaling()) {
-    WireWriter w;
-    encode_job_spec(w, spec);
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kSubmit, w.bytes());
-  }
-  if (const RuntimeJob* j = sched_.find(spec.id))
-    log_event(JobEventKind::kSubmit, *j);
+  commit(JournalRecordKind::kSubmit, &Cluster::apply_submit, spec,
+         engine_.now());
+  track_dependency(spec);
+  log_event(JobEventKind::kSubmit, *sched_.find(spec.id));
   request_iteration();
 }
 
@@ -157,55 +197,43 @@ void Cluster::submit_now(const JobSpec& spec) {
 void Cluster::kill_job(JobId id) {
   const RuntimeJob* j = sched_.find(id);
   if (j == nullptr || j->state == JobState::kFinished) return;
-  sched_.kill(id, engine_.now());
+  commit(JournalRecordKind::kKill, &Cluster::apply_kill, id, engine_.now());
   // The stale completion event stays armed (its body is state-guarded) so
   // the engine's drain time matches a run without the kill; only the
   // tracking entry goes.
   completion_events_.erase(id);
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(id);
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kKill, w.bytes());
-  }
-  leases_.erase(id);
-  gang_prepared_.erase(id);
-  gang_backoff_until_.erase(id);
-  gang_attempts_.erase(id);
-  if (const RuntimeJob* killed = sched_.find(id))
-    log_event(JobEventKind::kFinish, *killed);
+  log_event(JobEventKind::kFinish, *sched_.find(id));
   request_iteration();
   journal_commit();
 }
 
 void Cluster::request_iteration() {
   if (iteration_pending_) return;
-  iteration_pending_ = true;
-  if (journaling()) {
-    // Committed immediately: this can be the only record of an entry point
-    // (e.g. a transport retry listener), and losing it would silently drop
-    // the armed iteration on recovery.
-    WireWriter w;
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kIterArmed, w.bytes());
-    journal_->commit();
-  }
+  commit(JournalRecordKind::kIterArmed, &Cluster::apply_iteration_armed,
+         engine_.now());
+  // Committed immediately: this can be the only record of an entry point
+  // (e.g. a transport retry listener), and losing it would silently drop
+  // the armed iteration on recovery.
+  if (journaling()) journal_->commit();
   iteration_event_ = engine_.schedule_at(
       engine_.now(), EventPriority::kSchedule, [this] { run_iteration_body(); });
 }
 
-void Cluster::run_iteration_body() {
-  iteration_event_.reset();
+void Cluster::begin_iteration() {
   iteration_pending_ = false;
   ++iterations_run_;
+}
+
+void Cluster::run_iteration_body() {
+  iteration_event_.reset();
+  // kIterate's effect is split around the iteration it records: the
+  // pending flag clears before it, so a request made during the iteration
+  // arms the next one, and the scheduler ends the demotions after it.
+  begin_iteration();
   sched_.iterate(engine_.now(), [this](RuntimeJob& job) {
     return run_job_hook(job, /*try_context=*/false);
   });
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kIterate, w.bytes());
-  }
+  append(JournalRecordKind::kIterate, engine_.now());
   journal_commit();
 }
 
@@ -254,55 +282,51 @@ bool Cluster::start_job(JobId job) {
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (!j || j->state != JobState::kHolding) return false;
-  starting_from_hold_ = true;
-  // cosched-lint: allow(journal-before-mutate) kStart journaled by on_job_started
-  sched_.start_holding(job, engine_.now());
-  starting_from_hold_ = false;
+  start_held(job);
   journal_commit();
   return true;
 }
 
+void Cluster::start_held(JobId id) {
+  const RuntimeJob& j = *sched_.find(id);
+  // The start's own callback, on_job_started, journals kStart with these
+  // fields; the flag tells it the job held.
+  starting_from_hold_ = true;
+  apply_start(id, engine_.now(), j.first_ready, j.allocated,
+              /*from_hold=*/true, unsync_pending_.count(id) > 0);
+  starting_from_hold_ = false;
+}
+
 // -- Algorithm 1 --------------------------------------------------------------
 
-RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
-  if (ready_logged_.insert(job.spec.id)) {
-    log_event(JobEventKind::kReady, job);
-    if (journaling()) {
-      WireWriter w;
-      w.put_i64(job.spec.id);
-      w.put_i64(job.first_ready);
-      journal_->append(JournalRecordKind::kReady, w.bytes());
-    }
-  }
-  if (!journaling()) return run_job_decision(job, try_context);
+void Cluster::note_ready(const RuntimeJob& job) {
+  if (ready_logged_.contains(job.spec.id)) return;
+  commit(JournalRecordKind::kReady, &Cluster::apply_ready, job.spec.id,
+         job.first_ready);
+  log_event(JobEventKind::kReady, job);
+}
 
-  // The decision path may talk to peers and flip degraded-mode state; diff
-  // it around the call so replay reproduces the §IV-C bookkeeping exactly.
-  const std::uint64_t unknown_before = unknown_status_decisions_;
-  const std::uint64_t suspected_before = suspected_status_decisions_;
-  const bool fault_before = fault_seen_.count(job.spec.id) > 0;
-  const bool unsync_before = unsync_pending_.count(job.spec.id) > 0;
-  const RunDecision d = run_job_decision(job, try_context);
-  const std::uint64_t unknown_delta =
-      unknown_status_decisions_ - unknown_before;
-  const std::uint64_t suspected_delta =
-      suspected_status_decisions_ - suspected_before;
-  const bool fault_now = fault_seen_.count(job.spec.id) > 0;
-  const bool unsync_now = unsync_pending_.count(job.spec.id) > 0;
-  if (unknown_delta != 0 || suspected_delta != 0 ||
-      fault_now != fault_before || unsync_now != unsync_before) {
-    WireWriter w;
-    w.put_i64(job.spec.id);
-    w.put_u64(unknown_delta);
-    w.put_bool(fault_now);
-    w.put_bool(unsync_now);
-    w.put_u64(suspected_delta);
-    journal_->append(JournalRecordKind::kDegraded, w.bytes());
-  }
+RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
+  note_ready(job);
+  // The decision may talk to peers; what it learns about their faults is
+  // applied once it is made, so replay reproduces the §IV-C bookkeeping.
+  Degraded deg;
+  const RunDecision d = run_job_decision(job, try_context, deg);
+  if (deg.unknown == 0 && deg.suspected == 0 && !deg.fault_seen && !deg.unsync)
+    return d;
+  const JobId id = job.spec.id;
+  const bool had_fault = fault_seen_.count(id) > 0;
+  const bool had_unsync = unsync_pending_.count(id) > 0;
+  if (deg.unknown != 0 || deg.suspected != 0 ||
+      (deg.fault_seen && !had_fault) || (deg.unsync && !had_unsync))
+    commit(JournalRecordKind::kDegraded, &Cluster::apply_degraded, id,
+           deg.unknown, deg.fault_seen || had_fault, deg.unsync || had_unsync,
+           deg.suspected);
   return d;
 }
 
-RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
+RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context,
+                                      Degraded& deg) {
   blocking_peer_ = -1;
 
   // Lines 33-36: coscheduling disabled, or a regular job: start normally.
@@ -326,7 +350,6 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
   std::array<std::byte, 1024> arena_buffer;
   std::pmr::monotonic_buffer_resource arena(arena_buffer.data(),
                                             arena_buffer.size());
-  bool transport_fault = false;
   std::int32_t suspect_peer = -1;  // a suspected peer we could not consult
   std::pmr::vector<MateRef> mates(&arena);
   mates.reserve(peers_.size());
@@ -335,8 +358,7 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
     // answer the transport would eventually fail its way to (§IV-C: remote
     // down, mate unknown — do not block the local job).
     if (liveness_on() && peer_health(i) == PeerHealth::kDead) {
-      transport_fault = true;
-      ++unknown_status_decisions_;
+      deg.peer_call_failed();
       continue;
     }
     const auto found = peers_[i]->get_mate_job(job.spec.group, job.spec.id);
@@ -344,11 +366,10 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
       if (liveness_on() && peer_health(i) == PeerHealth::kSuspect) {
         // Unreachable but not yet confirmed dead: await confirmation under
         // the local scheme instead of starting unsynchronized right away.
-        ++suspected_status_decisions_;
+        ++deg.suspected;
         if (suspect_peer < 0) suspect_peer = static_cast<std::int32_t>(i);
       } else {
-        transport_fault = true;
-        ++unknown_status_decisions_;
+        deg.peer_call_failed();
       }
       continue;
     }
@@ -360,11 +381,11 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
       blocking_peer_ = suspect_peer;
       return scheme_decision(job, try_context);
     }
-    if (transport_fault) unsync_pending_.insert(job.spec.id);
+    if (deg.transport_fault) deg.unsync = true;
     return RunDecision::kStart;
   }
 
-  CommitGuard commit(committing_, job.spec.id);
+  CommitGuard commit_marker(committing_, job.spec.id);
 
   // Lines 4-27: classify each mate.
   std::pmr::vector<MateRef> holding(&arena);
@@ -384,11 +405,10 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
         // The failure is not confirmed yet: treat the silent mate as
         // `suspected` and fall back to the local scheme (hold/yield) rather
         // than start unsynchronized on what may be a transient partition.
-        ++suspected_status_decisions_;
+        ++deg.suspected;
         status = MateStatus::kSuspected;
       } else {
-        transport_fault = true;
-        ++unknown_status_decisions_;
+        deg.peer_call_failed();
         status = MateStatus::kUnknown;
       }
     } else {
@@ -442,9 +462,8 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
               [](const MateRef& a, const MateRef& b) {
                 return a.peer_index < b.peer_index;
               });
-    const RunDecision d = gang_costart(job, members, transport_fault);
-    if (d == RunDecision::kStart && transport_fault)
-      unsync_pending_.insert(job.spec.id);
+    const RunDecision d = gang_costart(job, members, deg);
+    if (d == RunDecision::kStart && deg.transport_fault) deg.unsync = true;
     return d;
   }
 
@@ -455,12 +474,9 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
     // suffices; `false` means the mate could not start now.
     const auto started = not_ready.front().peer->try_start_mate(
         not_ready.front().id);
-    if (!started) {
-      transport_fault = true;
-      ++unknown_status_decisions_;
-    }
+    if (!started) deg.peer_call_failed();
     if (started.has_value() && !*started) {
-      if (transport_fault) fault_seen_.insert(job.spec.id);
+      if (deg.transport_fault) deg.fault_seen = true;
       blocking_peer_ = not_ready.front().peer_index;
       return scheme_decision(job, try_context);
     }
@@ -482,14 +498,13 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context) {
     if (!woke) {
       // The wake-up itself was lost: our mate stays holding while we run —
       // the quintessential unsynchronized start.
-      transport_fault = true;
-      ++unknown_status_decisions_;
+      deg.peer_call_failed();
     } else if (!*woke) {
       COSCHED_LOG(kDebug) << name_ << ": mate " << m.id
                           << " was no longer holding at start";
     }
   }
-  if (transport_fault) unsync_pending_.insert(job.spec.id);
+  if (deg.transport_fault) deg.unsync = true;
   return RunDecision::kStart;
 }
 
@@ -518,32 +533,28 @@ RunDecision Cluster::scheme_decision(RuntimeJob& job, bool try_context,
       scheme = Scheme::kYield;
   }
 
-  if (scheme == Scheme::kHold) {
-    schedule_hold_release(job.spec.id);
-    if (journaling()) {
-      WireWriter w;
-      w.put_i64(job.spec.id);
-      w.put_i64(engine_.now());
-      w.put_i64(job.first_ready);
-      w.put_i64(job.allocated);
-      journal_->append(JournalRecordKind::kHold, w.bytes());
-    }
-    log_event(JobEventKind::kHold, job);
-    if (liveness_on()) grant_lease(job.spec.id, blocking_peer_);
-    return RunDecision::kHold;
-  }
+  if (scheme == Scheme::kHold) return hold_for_mates(job, blocking_peer_);
+  // The raised boost is the decision's: the scheduler's yield transition
+  // keeps it, and the record carries it absolute.
   job.priority_boost += cfg_.yield_priority_boost;
-  schedule_yield_retry(job.spec.id);
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job.spec.id);
-    w.put_i64(engine_.now());
-    w.put_i64(job.first_ready);
-    w.put_double(job.priority_boost);  // absolute, so replay is idempotent
-    journal_->append(JournalRecordKind::kYield, w.bytes());
-  }
+  append(JournalRecordKind::kYield, job.spec.id, engine_.now(),
+         job.first_ready, job.priority_boost);
+  add_yield_retry(job.spec.id, engine_.now());
+  if (cfg_.yield_retry_period > 0)
+    arm_yield_retry_event(engine_.now() + cfg_.yield_retry_period,
+                          job.spec.id);
   log_event(JobEventKind::kYield, job);
   return RunDecision::kYield;
+}
+
+RunDecision Cluster::hold_for_mates(const RuntimeJob& job,
+                                    std::int32_t lease_peer) {
+  schedule_hold_release();
+  append(JournalRecordKind::kHold, job.spec.id, engine_.now(),
+         job.first_ready, job.allocated);
+  log_event(JobEventKind::kHold, job);
+  if (liveness_on()) grant_lease(job.spec.id, lease_peer);
+  return RunDecision::kHold;
 }
 
 // -- k-of-N gang costart (two-phase, fenced) ----------------------------------
@@ -566,36 +577,28 @@ Duration Cluster::gang_backoff(JobId job, std::uint32_t attempt) const {
 }
 
 RunDecision Cluster::gang_hold_hook(RuntimeJob& job) {
-  if (ready_logged_.insert(job.spec.id)) {
-    log_event(JobEventKind::kReady, job);
-    if (journaling()) {
-      WireWriter w;
-      w.put_i64(job.spec.id);
-      w.put_i64(job.first_ready);
-      journal_->append(JournalRecordKind::kReady, w.bytes());
-    }
-  }
-  schedule_hold_release(job.spec.id);
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job.spec.id);
-    w.put_i64(engine_.now());
-    w.put_i64(job.first_ready);
-    w.put_i64(job.allocated);
-    journal_->append(JournalRecordKind::kHold, w.bytes());
-  }
-  log_event(JobEventKind::kHold, job);
+  note_ready(job);
   // The prepared hold's lease has no renewal source (peer = -1): unless a
   // commit lands, it expires after lease_duration and the fencing epoch
   // advances — a partitioned coordinator can neither keep these nodes past
   // the lease nor commit with its stale token once the partition heals.
-  if (liveness_on()) grant_lease(job.spec.id, /*peer=*/-1);
-  return RunDecision::kHold;
+  return hold_for_mates(job, /*lease_peer=*/-1);
+}
+
+void Cluster::commit_gang_commit(JobId id, GroupId group, bool coordinator) {
+  commit(JournalRecordKind::kGangCommit, &Cluster::apply_gang_commit, id,
+         group, engine_.now(), coordinator, 0, kNoTime);
+}
+
+void Cluster::commit_gang_abort(JobId id, GroupId group, bool coordinator,
+                                std::uint64_t attempt, Time until) {
+  commit(JournalRecordKind::kGangAbort, &Cluster::apply_gang_abort, id, group,
+         engine_.now(), coordinator, attempt, until);
 }
 
 RunDecision Cluster::gang_costart(RuntimeJob& job,
                                   std::span<const GangMate> members,
-                                  bool& transport_fault) {
+                                  Degraded& deg) {
   const GroupId group = job.spec.group;
 
   // Phase 1 — prepare: place every member into a fenced leased hold.
@@ -603,10 +606,7 @@ RunDecision Cluster::gang_costart(RuntimeJob& job,
   std::int32_t failed_peer = -1;
   for (const GangMate& m : members) {
     const auto ok = m.peer->gang_prepare(m.id, group);
-    if (!ok) {
-      transport_fault = true;
-      ++unknown_status_decisions_;
-    }
+    if (!ok) deg.peer_call_failed();
     if (!ok || !*ok) {
       failed_peer = m.peer_index;
       break;
@@ -619,32 +619,17 @@ RunDecision Cluster::gang_costart(RuntimeJob& job,
     // re-preparing so the gangs of a wait cycle do not livelock
     // re-acquiring each other's nodes.
     for (const GangMate& m : prepared) {
-      const auto released = m.peer->gang_abort(m.id, group);
-      if (!released) {
-        // The member keeps its prepared hold, but its self-expiring lease
-        // returns the nodes at expiry — the fencing guarantee.
-        transport_fault = true;
-        ++unknown_status_decisions_;
-      }
+      // A lost abort leaves the member its prepared hold, but the hold's
+      // self-expiring lease returns the nodes at expiry — the fencing
+      // guarantee.
+      if (!m.peer->gang_abort(m.id, group)) deg.peer_call_failed();
     }
     const auto ait = gang_attempts_.find(job.spec.id);
     const std::uint32_t attempt =
         (ait == gang_attempts_.end() ? 0u : ait->second) + 1;
-    const Time until = engine_.now() + gang_backoff(job.spec.id, attempt);
-    if (journaling()) {
-      WireWriter w;
-      w.put_i64(job.spec.id);
-      w.put_i64(group);
-      w.put_i64(engine_.now());
-      w.put_bool(true);  // coordinator-side round abort
-      w.put_u64(attempt);
-      w.put_i64(until);
-      journal_->append(JournalRecordKind::kGangAbort, w.bytes());
-    }
-    gang_attempts_[job.spec.id] = attempt;
-    gang_backoff_until_[job.spec.id] = until;
-    ++gangs_aborted_;
-    if (transport_fault) fault_seen_.insert(job.spec.id);
+    commit_gang_abort(job.spec.id, group, /*coordinator=*/true, attempt,
+                      engine_.now() + gang_backoff(job.spec.id, attempt));
+    if (deg.transport_fault) deg.fault_seen = true;
     blocking_peer_ = failed_peer;
     return scheme_decision(job, /*try_context=*/false, Scheme::kYield);
   }
@@ -656,25 +641,13 @@ RunDecision Cluster::gang_costart(RuntimeJob& job,
   for (const GangMate& m : prepared) {
     const auto started = m.peer->gang_commit(m.id, group);
     if (!started) {
-      transport_fault = true;
-      ++unknown_status_decisions_;
+      deg.peer_call_failed();
     } else if (!*started) {
       COSCHED_LOG(kDebug) << name_ << ": gang member " << m.id
                           << " was no longer prepared at commit";
     }
   }
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job.spec.id);
-    w.put_i64(group);
-    w.put_i64(engine_.now());
-    w.put_bool(true);  // coordinator-side commit
-    w.put_u64(0);
-    w.put_i64(kNoTime);
-    journal_->append(JournalRecordKind::kGangCommit, w.bytes());
-  }
-  gang_started_.insert(job.spec.id);
-  ++gangs_committed_;
+  commit_gang_commit(job.spec.id, group, /*coordinator=*/true);
   return RunDecision::kStart;
 }
 
@@ -683,44 +656,28 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
   if (!cfg_.enabled) return false;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr) return false;
-  if (j->state == JobState::kHolding) {
-    // Idempotent re-prepare (coordinator retry after a lost reply, or the
-    // member already held under its own scheme): refresh the self-expiring
-    // lease so the hold is fenced, and report success.
-    if (gang_prepared_.insert(job).second) {
-      if (journaling()) {
-        WireWriter w;
-        w.put_i64(job);
-        w.put_i64(group);
-        w.put_i64(engine_.now());
-        journal_->append(JournalRecordKind::kGangPrepare, w.bytes());
-      }
-      ++gangs_prepared_;
+  // A holding member is re-prepared in place (coordinator retry after a lost
+  // reply, or the member already held under its own scheme): its record, if
+  // it was not prepared yet, then a refreshed self-expiring lease fence the
+  // hold.  A queued member takes a fenced leased hold first.
+  const bool was_holding = j->state == JobState::kHolding;
+  if (!was_holding) {
+    if (j->state != JobState::kQueued) return false;
+    sched_.try_start_specific(job, engine_.now(), [this](RuntimeJob& jj) {
+      return gang_hold_hook(jj);
+    });
+    const RuntimeJob* after = sched_.find(job);
+    if (after == nullptr || after->state != JobState::kHolding) {
+      // Not enough free nodes (or not eligible yet): the coordinator aborts
+      // the round and backs off.
+      journal_commit();
+      return false;
     }
-    if (liveness_on()) grant_lease(job, /*peer=*/-1);
-    journal_commit();
-    return true;
   }
-  if (j->state != JobState::kQueued) return false;
-  sched_.try_start_specific(job, engine_.now(), [this](RuntimeJob& jj) {
-    return gang_hold_hook(jj);
-  });
-  const RuntimeJob* after = sched_.find(job);
-  if (after == nullptr || after->state != JobState::kHolding) {
-    // Not enough free nodes (or not eligible yet): the coordinator aborts
-    // the round and backs off.
-    journal_commit();
-    return false;
-  }
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    w.put_i64(group);
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kGangPrepare, w.bytes());
-  }
-  gang_prepared_.insert(job);
-  ++gangs_prepared_;
+  if (!was_holding || gang_prepared_.count(job) == 0)
+    commit(JournalRecordKind::kGangPrepare, &Cluster::apply_gang_prepare, job,
+           group, engine_.now());
+  if (was_holding && liveness_on()) grant_lease(job, /*peer=*/-1);
   journal_commit();
   return true;
 }
@@ -732,21 +689,8 @@ bool Cluster::gang_commit(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    w.put_i64(group);
-    w.put_i64(engine_.now());
-    w.put_bool(false);  // member-side commit
-    w.put_u64(0);
-    w.put_i64(kNoTime);
-    journal_->append(JournalRecordKind::kGangCommit, w.bytes());
-  }
-  gang_prepared_.erase(job);
-  gang_started_.insert(job);
-  starting_from_hold_ = true;
-  sched_.start_holding(job, engine_.now());
-  starting_from_hold_ = false;
+  commit_gang_commit(job, group, /*coordinator=*/false);
+  start_held(job);
   journal_commit();
   return true;
 }
@@ -754,31 +698,15 @@ bool Cluster::gang_commit(JobId job, GroupId group) {
 bool Cluster::gang_abort(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
   if (gang_prepared_.count(job) == 0) return false;
-  const Time now = engine_.now();
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    w.put_i64(group);
-    w.put_i64(now);
-    w.put_bool(false);  // member-side hold release
-    w.put_u64(0);
-    w.put_i64(kNoTime);
-    journal_->append(JournalRecordKind::kGangAbort, w.bytes());
-    if (liveness_on() && leases_.count(job) > 0) {
-      // Abort advances the fencing epoch just like a lease expiry: any
-      // in-flight commit stamped under the prepared epoch is now stale.
-      WireWriter f;
-      f.put_u64(static_cast<std::uint64_t>(fence_counter_) + 1);
-      journal_->append(JournalRecordKind::kLeaseFence, f.bytes());
-    }
-  }
-  gang_prepared_.erase(job);
-  if (liveness_on() && leases_.erase(job) > 0) ++fence_counter_;
+  // Abort advances the fencing epoch just like a lease expiry: any
+  // in-flight commit stamped under the prepared epoch is now stale.
+  const bool fenced = liveness_on() && leases_.count(job) > 0;
   const RuntimeJob* j = sched_.find(job);
-  if (j != nullptr && j->state == JobState::kHolding) {
-    sched_.release_hold(job, now);
-    if (const RuntimeJob* released = sched_.find(job))
-      log_event(JobEventKind::kHoldRelease, *released);
+  const bool holding = j != nullptr && j->state == JobState::kHolding;
+  commit_gang_abort(job, group, /*coordinator=*/false);
+  if (fenced) advance_fence();
+  if (holding) {
+    log_event(JobEventKind::kHoldRelease, *sched_.find(job));
     request_iteration();
   }
   journal_commit();
@@ -789,33 +717,15 @@ bool Cluster::gang_victim(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
-  const Time now = engine_.now();
   const auto ait = gang_attempts_.find(job);
   const std::uint32_t attempt =
       (ait == gang_attempts_.end() ? 0u : ait->second) + 1;
-  const Time until = now + gang_backoff(job, attempt);
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    w.put_i64(group);
-    w.put_i64(now);
-    w.put_u64(attempt);
-    w.put_i64(until);
-    journal_->append(JournalRecordKind::kGangVictim, w.bytes());
-    if (liveness_on() && leases_.count(job) > 0) {
-      WireWriter f;
-      f.put_u64(static_cast<std::uint64_t>(fence_counter_) + 1);
-      journal_->append(JournalRecordKind::kLeaseFence, f.bytes());
-    }
-  }
-  gang_attempts_[job] = attempt;
-  gang_backoff_until_[job] = until;
-  gang_prepared_.erase(job);
-  ++gangs_victimized_;
-  if (liveness_on() && leases_.erase(job) > 0) ++fence_counter_;
-  sched_.release_hold(job, now);
-  if (const RuntimeJob* released = sched_.find(job))
-    log_event(JobEventKind::kHoldRelease, *released);
+  const bool fenced = liveness_on() && leases_.count(job) > 0;
+  commit(JournalRecordKind::kGangVictim, &Cluster::apply_gang_victim, job,
+         group, engine_.now(), attempt,
+         engine_.now() + gang_backoff(job, attempt));
+  if (fenced) advance_fence();
+  log_event(JobEventKind::kHoldRelease, *sched_.find(job));
   request_iteration();
   journal_commit();
   return true;
@@ -824,35 +734,17 @@ bool Cluster::gang_victim(JobId job, GroupId group) {
 // -- events -------------------------------------------------------------------
 
 void Cluster::on_job_started(const RuntimeJob& job) {
+  // Every start lands here from the scheduler's start transition: a live
+  // one journals kStart, and a replayed one came from apply_start().  Both
+  // then run the Cluster side of the start.
   const JobId id = job.spec.id;
-  const bool was_unsync = unsync_pending_.erase(id) > 0;
-  if (was_unsync) ++unsync_starts_;
-  fault_seen_.erase(id);
-  // A start retires the job's gang bookkeeping (gang_started_ is permanent:
-  // it witnesses the atomicity invariant).  Before the replay check so a
-  // replayed kStart clears exactly what the live start cleared.
-  gang_prepared_.erase(id);
-  gang_backoff_until_.erase(id);
-  gang_attempts_.erase(id);
-  // During journal replay the start came from a kStart record: the degraded
-  // bookkeeping above still applies (driven by replayed kDegraded state),
-  // but events, records, and timers are reconstructed elsewhere.
-  if (replaying_) return;
+  const bool was_unsync = unsync_pending_.count(id) > 0;
+  append(JournalRecordKind::kStart, id, engine_.now(), job.first_ready,
+         job.allocated, starting_from_hold_, was_unsync);
+  apply_started(id);
+  if (replaying_) return;  // recovery re-arms the completion itself
   log_event(JobEventKind::kStart, job);
   if (was_unsync) log_event(JobEventKind::kUnsyncStart, job);
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(id);
-    w.put_i64(engine_.now());
-    w.put_i64(job.first_ready);
-    w.put_i64(job.allocated);
-    w.put_bool(starting_from_hold_);
-    w.put_bool(was_unsync);
-    journal_->append(JournalRecordKind::kStart, w.bytes());
-  }
-  // A start closes the job's hold lease (replay closes it via the kStart
-  // record, in apply_record).
-  leases_.erase(id);
   completion_events_[id] = engine_.schedule_at(
       engine_.now() + job.spec.runtime, EventPriority::kJobEnd,
       [this, id] { on_job_finished(id); });
@@ -864,17 +756,9 @@ void Cluster::on_job_finished(JobId id) {
   // event; a second finish would corrupt the pool accounting.
   const RuntimeJob* cur = sched_.find(id);
   if (cur == nullptr || cur->state != JobState::kRunning) return;
-  sched_.finish(id, engine_.now());
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(id);
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kFinish, w.bytes());
-  }
-  if (const RuntimeJob* j = sched_.find(id))
-    log_event(JobEventKind::kFinish, *j);
   // Dependents gated by a think-time delay become eligible later than this
   // finish-triggered iteration; wake the scheduler when the gap elapses.
+  // Armed before the finish's apply drops the dependency links.
   auto [begin, end] = dependents_.equal_range(id);
   for (auto it = begin; it != end; ++it) {
     const Duration delay = it->second.second;
@@ -882,7 +766,9 @@ void Cluster::on_job_finished(JobId id) {
       engine_.schedule_in(delay, EventPriority::kSchedule,
                           [this] { request_iteration(); });
   }
-  dependents_.erase(id);
+  commit(JournalRecordKind::kFinish, &Cluster::apply_finish, id,
+         engine_.now());
+  log_event(JobEventKind::kFinish, *sched_.find(id));
   request_iteration();
   journal_commit();
 }
@@ -914,15 +800,12 @@ void Cluster::arm_yield_retry_event(Time at, JobId id) {
   });
 }
 
-void Cluster::schedule_yield_retry(JobId id) {
-  if (cfg_.yield_retry_period <= 0) return;
-  const Time at = engine_.now() + cfg_.yield_retry_period;
-  yield_retries_.insert({at, id});
-  arm_yield_retry_event(at, id);
+void Cluster::add_yield_retry(JobId id, Time yielded_at) {
+  if (cfg_.yield_retry_period > 0)
+    yield_retries_.insert({yielded_at + cfg_.yield_retry_period, id});
 }
 
-void Cluster::schedule_hold_release(JobId id) {
-  (void)id;
+void Cluster::schedule_hold_release() {
   if (cfg_.hold_release_period <= 0) return;  // deadlock breaker disabled
   if (release_tick_pending_) return;
   // One synchronized tick per domain, not per-job timers: the paper's
@@ -931,13 +814,8 @@ void Cluster::schedule_hold_release(JobId id) {
   // with staggered per-job releases, a blocked job larger than any single
   // hold can never see enough simultaneous free nodes, and every released
   // holder immediately re-holds (cross-machine livelock).
-  release_tick_pending_ = true;
-  release_tick_at_ = engine_.now() + cfg_.hold_release_period;
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(release_tick_at_);
-    journal_->append(JournalRecordKind::kTickArmed, w.bytes());
-  }
+  commit(JournalRecordKind::kTickArmed, &Cluster::apply_tick_armed,
+         engine_.now() + cfg_.hold_release_period);
   tick_event_ = engine_.schedule_at(release_tick_at_,
                                     EventPriority::kHoldRelease,
                                     [this] { hold_release_tick(); });
@@ -945,36 +823,27 @@ void Cluster::schedule_hold_release(JobId id) {
 
 void Cluster::hold_release_tick() {
   tick_event_.reset();
-  release_tick_pending_ = false;
-  release_tick_at_ = kNoTime;
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(engine_.now());
-    journal_->append(JournalRecordKind::kTickFired, w.bytes());
-  }
+  commit(JournalRecordKind::kTickFired, &Cluster::apply_tick_fired,
+         engine_.now());
   const std::vector<JobId> holders = sched_.holding_ids();
   if (holders.empty()) {
     journal_commit();
     return;
   }
-  for (JobId h : holders) {
-    sched_.release_hold(h, engine_.now());
-    ++forced_releases_;
-    const bool degraded = fault_seen_.count(h) > 0;
-    if (degraded) ++degraded_forced_releases_;
-    if (journaling()) {
-      WireWriter w;
-      w.put_i64(h);
-      w.put_i64(engine_.now());
-      w.put_bool(degraded);
-      journal_->append(JournalRecordKind::kHoldRelease, w.bytes());
-    }
-    leases_.erase(h);  // the domain-wide breaker supersedes the lease
-    if (const RuntimeJob* j = sched_.find(h))
-      log_event(JobEventKind::kHoldRelease, *j);
-  }
+  for (JobId h : holders) force_release(h, fault_seen_.count(h) > 0);
   request_iteration();
   journal_commit();
+}
+
+void Cluster::force_release(JobId id, bool degraded) {
+  commit(JournalRecordKind::kHoldRelease, &Cluster::apply_hold_release, id,
+         engine_.now(), degraded);
+  log_event(JobEventKind::kHoldRelease, *sched_.find(id));
+}
+
+void Cluster::advance_fence() {
+  commit(JournalRecordKind::kLeaseFence, &Cluster::apply_lease_fence,
+         std::uint64_t{fence_counter_} + 1);
 }
 
 // -- liveness layer -----------------------------------------------------------
@@ -1030,13 +899,8 @@ std::uint64_t Cluster::lease_expiry_violations(Time now) const {
 
 void Cluster::arm_liveness_tick() {
   if (!liveness_on() || liveness_armed_) return;
-  liveness_armed_ = true;
-  liveness_at_ = engine_.now() + cfg_.liveness.heartbeat_period;
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(liveness_at_);
-    journal_->append(JournalRecordKind::kLivenessArmed, w.bytes());
-  }
+  commit(JournalRecordKind::kLivenessArmed, &Cluster::apply_liveness_armed,
+         engine_.now() + cfg_.liveness.heartbeat_period);
   liveness_event_ = engine_.schedule_at(liveness_at_, EventPriority::kStats,
                                         [this] { liveness_body(); });
 }
@@ -1055,63 +919,27 @@ void Cluster::liveness_body() {
   const Time now = engine_.now();
   const HeartbeatInfo mine = liveness_info();
 
-  // Probe every peer first, then journal the whole round before touching
-  // detector or lease state (journal-before-mutate for the entire body).
-  struct Ack {
-    bool acked = false;
-    HeartbeatInfo info;
-  };
-  std::vector<Ack> acks(peers_.size());
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    peer_state_[i].detector.mark_probe(now);
-    const auto reply = peers_[i]->heartbeat(mine);
-    if (reply) acks[i] = Ack{true, *reply};
-  }
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(now);
-    w.put_u64(acks.size());
-    for (const Ack& a : acks) {
-      w.put_bool(a.acked);
-      if (!a.acked) continue;
-      w.put_u64(a.info.incarnation);
-      w.put_u64(a.info.fence);
-      w.put_u64(a.info.queue_depth);
-      w.put_double(a.info.hold_fraction);
-    }
-    journal_->append(JournalRecordKind::kHeartbeat, w.bytes());
-  }
-  heartbeats_sent_ += acks.size();
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (!acks[i].acked) continue;
-    ++heartbeats_acked_;
-    peer_state_[i].detector.record_heartbeat(now);
-    peer_state_[i].info = acks[i].info;
-    peer_state_[i].ever_heard = true;
-    // Learn the peer's fencing epoch: every later side-effecting call to it
-    // carries this token, so the peer can spot us going stale.
-    peers_[i]->set_fence_token(acks[i].info.fence);
-  }
+  // Probe every peer, then journal and apply the whole round.
+  std::vector<std::optional<HeartbeatInfo>> acks(peers_.size());
+  for (std::size_t i = 0; i < peers_.size(); ++i)
+    acks[i] = peers_[i]->heartbeat(mine);
+  commit(JournalRecordKind::kHeartbeat, &Cluster::apply_heartbeat, now, acks);
+  // Learn each peer's fencing epoch: every later side-effecting call to it
+  // carries this token, so the peer can spot us going stale.
+  for (std::size_t i = 0; i < peers_.size(); ++i)
+    if (acks[i]) peers_[i]->set_fence_token(acks[i]->fence);
 
   // Lease maintenance.  Renewal requires fresh evidence from the blocking
   // peer *this round*; a lease whose peer stayed silent past the expiry
   // auto-expires.  leases_ is ordered, so the scan is deterministic.
   std::vector<std::pair<JobId, bool>> to_expire;  // (job, mate confirmed dead)
-  for (auto& [job, lease] : leases_) {
+  for (const auto& [job, lease] : leases_) {
     const bool peer_ok = lease.peer >= 0 &&
                          static_cast<std::size_t>(lease.peer) < acks.size() &&
-                         acks[static_cast<std::size_t>(lease.peer)].acked;
+                         acks[static_cast<std::size_t>(lease.peer)];
     if (peer_ok) {
-      const Time renewed = now + cfg_.liveness.lease_duration;
-      if (journaling()) {
-        WireWriter w;
-        w.put_i64(job);
-        w.put_i64(renewed);
-        journal_->append(JournalRecordKind::kLeaseRenew, w.bytes());
-      }
-      lease.expires_at = renewed;
-      ++lease.renewals;
-      ++lease_renewals_;
+      commit(JournalRecordKind::kLeaseRenew, &Cluster::apply_lease_renew, job,
+             now + cfg_.liveness.lease_duration);
       continue;
     }
     if (lease.expires_at <= now) {
@@ -1134,52 +962,22 @@ void Cluster::grant_lease(JobId job, std::int32_t peer) {
   lease.granted_at = engine_.now();
   lease.expires_at = engine_.now() + cfg_.liveness.lease_duration;
   lease.token = fence_epoch();
-  if (journaling()) {
-    WireWriter w;
-    lease.snapshot(w);
-    journal_->append(JournalRecordKind::kLeaseGrant, w.bytes());
-  }
-  leases_[job] = lease;
-  ++lease_grants_;
+  commit(JournalRecordKind::kLeaseGrant, &Cluster::apply_lease_grant, lease);
   arm_liveness_tick();
 }
 
 void Cluster::expire_lease(JobId job, bool mate_dead) {
-  const auto it = leases_.find(job);
-  if (it == leases_.end()) return;
-  const Time now = engine_.now();
+  if (leases_.count(job) == 0) return;
   // The fencing epoch advances with the expiry: any in-flight call stamped
   // under the old epoch is stale from this instant, which is exactly what
   // closes the partitioned-then-healed double-start window.
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    w.put_i64(now);
-    w.put_bool(mate_dead);
-    journal_->append(JournalRecordKind::kLeaseExpire, w.bytes());
-    WireWriter f;
-    f.put_u64(static_cast<std::uint64_t>(fence_counter_) + 1);
-    journal_->append(JournalRecordKind::kLeaseFence, f.bytes());
-  }
-  leases_.erase(it);
-  ++lease_expiries_;
-  ++fence_counter_;
+  commit(JournalRecordKind::kLeaseExpire, &Cluster::apply_lease_expire, job,
+         engine_.now(), mate_dead);
+  advance_fence();
   const RuntimeJob* j = sched_.find(job);
   if (j != nullptr) log_event(JobEventKind::kLeaseExpire, *j);
   if (j != nullptr && j->state == JobState::kHolding) {
-    const bool degraded = mate_dead || fault_seen_.count(job) > 0;
-    if (journaling()) {
-      WireWriter w;
-      w.put_i64(job);
-      w.put_i64(now);
-      w.put_bool(degraded);
-      journal_->append(JournalRecordKind::kHoldRelease, w.bytes());
-    }
-    sched_.release_hold(job, now);
-    ++forced_releases_;
-    if (degraded) ++degraded_forced_releases_;
-    if (const RuntimeJob* released = sched_.find(job))
-      log_event(JobEventKind::kHoldRelease, *released);
+    force_release(job, mate_dead || fault_seen_.count(job) > 0);
     // The requeued job decides afresh next iteration: a confirmed-dead mate
     // then takes the §IV-C unknown path and starts unsynchronized.
     request_iteration();
@@ -1543,243 +1341,268 @@ void Cluster::apply_record(const JournalRecord& rec) {
       // replay loop never routes them here.
       COSCHED_CHECK_MSG(false, name_ << ": snapshot record routed to replay");
       break;
-    case JournalRecordKind::kIncarnation:
-      incarnation_ = r.get_u64();
-      break;
-    case JournalRecordKind::kExpected: {
-      const JobSpec spec = decode_job_spec(r);
-      if (spec.is_paired()) group_to_job_.emplace(spec.group, spec.id);
-      expected_.emplace(spec.id, spec);
-      break;
-    }
-    case JournalRecordKind::kSubmit: {
-      const JobSpec spec = decode_job_spec(r);
-      const Time t = r.get_i64();
-      if (spec.is_paired() && !group_to_job_.count(spec.group))
-        group_to_job_.emplace(spec.group, spec.id);
-      expected_.erase(spec.id);
-      sched_.submit(spec, t);
-      // Re-register the dependency link only while it can still fire; wakes
-      // for already-finished dependencies are re-derived by
-      // rearm_after_restore().
-      if (spec.has_dependency()) {
-        const RuntimeJob* dep = sched_.find(spec.after);
-        if (dep == nullptr || dep->state != JobState::kFinished)
-          dependents_.emplace(spec.after,
-                              std::make_pair(spec.id, spec.after_delay));
-      }
-      break;
-    }
-    case JournalRecordKind::kReady: {
-      const JobId id = r.get_i64();
-      const Time first_ready = r.get_i64();
-      ready_logged_.insert(id);
-      if (RuntimeJob* j = sched_.find_mut(id))
-        if (j->first_ready == kNoTime) j->first_ready = first_ready;
-      break;
-    }
-    case JournalRecordKind::kStart: {
-      const JobId id = r.get_i64();
-      const Time t = r.get_i64();
-      const Time first_ready = r.get_i64();
-      const NodeCount allocated = r.get_i64();
-      const bool from_hold = r.get_bool();
-      r.get_bool();  // was_unsync: reproduced via replayed kDegraded state
-      if (from_hold)
-        sched_.start_holding(id, t);
-      else
-        sched_.replay_start(id, t, first_ready, allocated);
-      leases_.erase(id);
-      break;
-    }
-    case JournalRecordKind::kHold: {
-      const JobId id = r.get_i64();
-      const Time t = r.get_i64();
-      const Time first_ready = r.get_i64();
-      const NodeCount allocated = r.get_i64();
-      sched_.replay_hold(id, t, first_ready, allocated);
-      break;
-    }
-    case JournalRecordKind::kHoldRelease: {
-      const JobId id = r.get_i64();
-      const Time t = r.get_i64();
-      const bool degraded = r.get_bool();
-      sched_.release_hold(id, t);
-      ++forced_releases_;
-      if (degraded) ++degraded_forced_releases_;
-      leases_.erase(id);
-      break;
-    }
-    case JournalRecordKind::kYield: {
-      const JobId id = r.get_i64();
-      const Time t = r.get_i64();
-      const Time first_ready = r.get_i64();
-      const double boost = r.get_double();
-      sched_.replay_yield(id, first_ready, boost);
-      if (cfg_.yield_retry_period > 0)
-        yield_retries_.insert({t + cfg_.yield_retry_period, id});
-      break;
-    }
-    case JournalRecordKind::kFinish: {
-      const JobId id = r.get_i64();
-      const Time t = r.get_i64();
-      sched_.finish(id, t);
-      dependents_.erase(id);
-      break;
-    }
-    case JournalRecordKind::kKill: {
-      const JobId id = r.get_i64();
-      const Time t = r.get_i64();
-      sched_.kill(id, t);
-      leases_.erase(id);
-      break;
-    }
-    case JournalRecordKind::kIterate:
-      // cosched-lint: allow(journal-coverage) replay-scoped scratch (kNoTime outside recovery), consumed by rearm_after_restore in the same pass
-      replay_last_iterate_ = r.get_i64();
-      iteration_pending_ = false;
-      ++iterations_run_;
-      sched_.replay_clear_demotions();
-      break;
-    case JournalRecordKind::kTickArmed:
-      release_tick_pending_ = true;
-      release_tick_at_ = r.get_i64();
-      break;
-    case JournalRecordKind::kTickFired:
-      release_tick_pending_ = false;
-      release_tick_at_ = kNoTime;
-      break;
-    case JournalRecordKind::kIterArmed:
-      iteration_pending_ = true;
-      break;
-    case JournalRecordKind::kPeriodicArmed:
-      periodic_armed_ = true;
-      periodic_at_ = r.get_i64();
-      break;
-    case JournalRecordKind::kDegraded: {
-      const JobId id = r.get_i64();
-      const std::uint64_t unknown_delta = r.get_u64();
-      const bool fault_now = r.get_bool();
-      const bool unsync_now = r.get_bool();
-      suspected_status_decisions_ += r.get_u64();
-      unknown_status_decisions_ += unknown_delta;
-      if (fault_now)
-        fault_seen_.insert(id);
-      else
-        fault_seen_.erase(id);
-      if (unsync_now)
-        unsync_pending_.insert(id);
-      else
-        unsync_pending_.erase(id);
-      break;
-    }
-    case JournalRecordKind::kLeaseGrant: {
-      const HoldLease lease = HoldLease::restore(r);
-      leases_[lease.job] = lease;
-      ++lease_grants_;
-      break;
-    }
-    case JournalRecordKind::kLeaseRenew: {
-      const JobId id = r.get_i64();
-      const Time expires = r.get_i64();
-      const auto it = leases_.find(id);
-      if (it != leases_.end()) {
-        it->second.expires_at = expires;
-        ++it->second.renewals;
-      }
-      ++lease_renewals_;
-      break;
-    }
-    case JournalRecordKind::kLeaseExpire: {
-      const JobId id = r.get_i64();
-      leases_.erase(id);
-      ++lease_expiries_;
-      break;
-    }
-    case JournalRecordKind::kLeaseFence:
-      fence_counter_ = static_cast<std::uint32_t>(r.get_u64());
-      break;
-    case JournalRecordKind::kHeartbeat: {
-      const Time t = r.get_i64();
-      const std::uint64_t n = r.get_u64();
-      heartbeats_sent_ += n;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (i < peer_state_.size()) peer_state_[i].detector.mark_probe(t);
-        if (!r.get_bool()) continue;
-        HeartbeatInfo info;
-        info.incarnation = r.get_u64();
-        info.fence = r.get_u64();
-        info.queue_depth = r.get_u64();
-        info.hold_fraction = r.get_double();
-        ++heartbeats_acked_;
-        if (i < peer_state_.size()) {
-          peer_state_[i].detector.record_heartbeat(t);
-          peer_state_[i].info = info;
-          peer_state_[i].ever_heard = true;
-        }
-      }
-      break;
-    }
-    case JournalRecordKind::kLivenessArmed:
-      liveness_armed_ = true;
-      liveness_at_ = r.get_i64();
-      break;
     case JournalRecordKind::kDedup:
       break;  // owned by the RPC layer, not scheduler state
-    case JournalRecordKind::kGangPrepare: {
-      const JobId id = r.get_i64();
-      gang_prepared_.insert(id);
-      ++gangs_prepared_;
-      break;
-    }
-    case JournalRecordKind::kGangCommit: {
-      const JobId id = r.get_i64();
-      r.get_i64();  // group
-      r.get_i64();  // time
-      const bool coordinator = r.get_bool();
-      gang_prepared_.erase(id);
-      gang_started_.insert(id);
-      if (coordinator) ++gangs_committed_;
-      // The start itself replays from the kStart record that follows.
-      break;
-    }
-    case JournalRecordKind::kGangAbort: {
-      const JobId id = r.get_i64();
-      r.get_i64();  // group
-      const Time t = r.get_i64();
-      const bool coordinator = r.get_bool();
-      const auto attempt = static_cast<std::uint32_t>(r.get_u64());
-      const Time until = r.get_i64();
-      if (coordinator) {
-        gang_attempts_[id] = attempt;
-        gang_backoff_until_[id] = until;
-        ++gangs_aborted_;
-      } else {
-        gang_prepared_.erase(id);
-        leases_.erase(id);
-        const RuntimeJob* j = sched_.find(id);
-        if (j != nullptr && j->state == JobState::kHolding)
-          sched_.release_hold(id, t);
-      }
-      break;
-    }
-    case JournalRecordKind::kGangVictim: {
-      const JobId id = r.get_i64();
-      r.get_i64();  // group
-      const Time t = r.get_i64();
-      const auto attempt = static_cast<std::uint32_t>(r.get_u64());
-      const Time until = r.get_i64();
-      gang_attempts_[id] = attempt;
-      gang_backoff_until_[id] = until;
-      gang_prepared_.erase(id);
-      ++gangs_victimized_;
-      leases_.erase(id);
-      const RuntimeJob* j = sched_.find(id);
-      if (j != nullptr && j->state == JobState::kHolding)
-        sched_.release_hold(id, t);
-      break;
-    }
+    case JournalRecordKind::kIncarnation:
+      return replay(r, &Cluster::apply_incarnation);
+    case JournalRecordKind::kExpected:
+      return replay(r, &Cluster::apply_expected);
+    case JournalRecordKind::kSubmit:
+      return replay(r, &Cluster::apply_submit);
+    case JournalRecordKind::kReady:
+      return replay(r, &Cluster::apply_ready);
+    case JournalRecordKind::kStart:
+      return replay(r, &Cluster::apply_start);
+    case JournalRecordKind::kHold:
+      return replay(r, &Cluster::apply_hold);
+    case JournalRecordKind::kHoldRelease:
+      return replay(r, &Cluster::apply_hold_release);
+    case JournalRecordKind::kYield:
+      return replay(r, &Cluster::apply_yield);
+    case JournalRecordKind::kFinish:
+      return replay(r, &Cluster::apply_finish);
+    case JournalRecordKind::kKill:
+      return replay(r, &Cluster::apply_kill);
+    case JournalRecordKind::kIterate:
+      return replay(r, &Cluster::apply_iterate);
+    case JournalRecordKind::kTickArmed:
+      return replay(r, &Cluster::apply_tick_armed);
+    case JournalRecordKind::kTickFired:
+      return replay(r, &Cluster::apply_tick_fired);
+    case JournalRecordKind::kIterArmed:
+      return replay(r, &Cluster::apply_iteration_armed);
+    case JournalRecordKind::kPeriodicArmed:
+      return replay(r, &Cluster::apply_periodic_armed);
+    case JournalRecordKind::kDegraded:
+      return replay(r, &Cluster::apply_degraded);
+    case JournalRecordKind::kLeaseGrant:
+      return replay(r, &Cluster::apply_lease_grant);
+    case JournalRecordKind::kLeaseRenew:
+      return replay(r, &Cluster::apply_lease_renew);
+    case JournalRecordKind::kLeaseExpire:
+      return replay(r, &Cluster::apply_lease_expire);
+    case JournalRecordKind::kLeaseFence:
+      return replay(r, &Cluster::apply_lease_fence);
+    case JournalRecordKind::kHeartbeat:
+      return replay(r, &Cluster::apply_heartbeat);
+    case JournalRecordKind::kLivenessArmed:
+      return replay(r, &Cluster::apply_liveness_armed);
+    case JournalRecordKind::kGangPrepare:
+      return replay(r, &Cluster::apply_gang_prepare);
+    case JournalRecordKind::kGangCommit:
+      return replay(r, &Cluster::apply_gang_commit);
+    case JournalRecordKind::kGangAbort:
+      return replay(r, &Cluster::apply_gang_abort);
+    case JournalRecordKind::kGangVictim:
+      return replay(r, &Cluster::apply_gang_victim);
   }
+}
+
+// -- applies: one per record kind --------------------------------------------
+
+void Cluster::apply_incarnation(std::uint64_t incarnation) {
+  incarnation_ = incarnation;
+}
+
+void Cluster::apply_expected(const JobSpec& spec) {
+  group_to_job_.try_emplace(spec.group, spec.id);
+  expected_.try_emplace(spec.id, spec);
+}
+
+void Cluster::apply_submit(const JobSpec& spec, Time t) {
+  if (spec.is_paired()) group_to_job_.try_emplace(spec.group, spec.id);
+  expected_.erase(spec.id);
+  sched_.submit(spec, t);
+  // Link the dependency only while it can still fire; a dependency that
+  // already finished gets a direct wake (track_dependency, or
+  // rearm_after_restore after a recovery).
+  if (!spec.has_dependency()) return;
+  const RuntimeJob* dep = sched_.find(spec.after);
+  if (dep == nullptr || dep->state != JobState::kFinished)
+    dependents_.emplace(spec.after, std::make_pair(spec.id, spec.after_delay));
+}
+
+void Cluster::apply_ready(JobId id, Time first_ready) {
+  ready_logged_.insert(id);
+  // A live decision set first_ready already; a replayed one may not reach
+  // another record that carries it.
+  if (RuntimeJob* j = sched_.find_mut(id))
+    if (j->first_ready == kNoTime) j->first_ready = first_ready;
+}
+
+void Cluster::apply_start(JobId id, Time t, Time first_ready,
+                          NodeCount allocated, bool from_hold,
+                          bool /*was_unsync: kDegraded state re-derives it*/) {
+  if (from_hold)
+    sched_.start_holding(id, t);
+  else
+    sched_.start_queued(id, t, first_ready, allocated);
+}
+
+void Cluster::apply_started(JobId id) {
+  if (unsync_pending_.erase(id) > 0) ++unsync_starts_;
+  fault_seen_.erase(id);
+  // The gang bookkeeping retires (gang_started_ stays: it witnesses the
+  // atomicity invariant), and so does the hold's lease.
+  gang_prepared_.erase(id);
+  gang_backoff_until_.erase(id);
+  gang_attempts_.erase(id);
+  leases_.erase(id);
+}
+
+void Cluster::apply_hold(JobId id, Time t, Time first_ready,
+                         NodeCount allocated) {
+  sched_.hold(id, t, first_ready, allocated);
+}
+
+void Cluster::apply_hold_release(JobId id, Time t, bool degraded) {
+  sched_.release_hold(id, t);
+  ++forced_releases_;
+  if (degraded) ++degraded_forced_releases_;
+  leases_.erase(id);  // the release supersedes the lease
+}
+
+void Cluster::apply_yield(JobId id, Time t, Time first_ready, double boost) {
+  sched_.yield(id, first_ready, boost);
+  add_yield_retry(id, t);
+}
+
+void Cluster::apply_finish(JobId id, Time t) {
+  sched_.finish(id, t);
+  dependents_.erase(id);
+}
+
+void Cluster::apply_kill(JobId id, Time t) {
+  sched_.kill(id, t);
+  leases_.erase(id);
+  gang_prepared_.erase(id);
+  gang_backoff_until_.erase(id);
+  gang_attempts_.erase(id);
+}
+
+void Cluster::apply_iterate(Time t) {
+  // cosched-lint: allow(journal-coverage) replay-scoped scratch (kNoTime outside recovery), consumed by rearm_after_restore in the same pass
+  replay_last_iterate_ = t;
+  begin_iteration();
+  sched_.clear_demotions();
+}
+
+void Cluster::apply_tick_armed(Time at) {
+  release_tick_pending_ = true;
+  release_tick_at_ = at;
+}
+
+void Cluster::apply_tick_fired(Time /*fired_at*/) {
+  release_tick_pending_ = false;
+  release_tick_at_ = kNoTime;
+}
+
+void Cluster::apply_iteration_armed(Time /*armed_at*/) {
+  iteration_pending_ = true;
+}
+
+void Cluster::apply_periodic_armed(Time at) {
+  periodic_armed_ = true;
+  periodic_at_ = at;
+}
+
+void Cluster::apply_degraded(JobId id, std::uint64_t unknown, bool fault_seen,
+                             bool unsync_pending, std::uint64_t suspected) {
+  unknown_status_decisions_ += unknown;
+  suspected_status_decisions_ += suspected;
+  if (fault_seen)
+    fault_seen_.insert(id);
+  else
+    fault_seen_.erase(id);
+  if (unsync_pending)
+    unsync_pending_.insert(id);
+  else
+    unsync_pending_.erase(id);
+}
+
+void Cluster::apply_lease_grant(const HoldLease& lease) {
+  leases_[lease.job] = lease;
+  ++lease_grants_;
+}
+
+void Cluster::apply_lease_renew(JobId id, Time expires_at) {
+  const auto it = leases_.find(id);
+  if (it != leases_.end()) {
+    it->second.expires_at = expires_at;
+    ++it->second.renewals;
+  }
+  ++lease_renewals_;
+}
+
+void Cluster::apply_lease_expire(JobId id, Time /*t*/, bool /*mate_dead*/) {
+  leases_.erase(id);
+  ++lease_expiries_;
+}
+
+void Cluster::apply_lease_fence(std::uint64_t counter) {
+  fence_counter_ = static_cast<std::uint32_t>(counter);
+}
+
+void Cluster::apply_heartbeat(
+    Time t, const std::vector<std::optional<HeartbeatInfo>>& acks) {
+  heartbeats_sent_ += acks.size();
+  for (std::size_t i = 0; i < acks.size(); ++i) {
+    if (acks[i]) ++heartbeats_acked_;
+    if (i >= peer_state_.size()) continue;
+    PeerState& ps = peer_state_[i];
+    ps.detector.mark_probe(t);
+    if (!acks[i]) continue;
+    ps.detector.record_heartbeat(t);
+    ps.info = *acks[i];
+    ps.ever_heard = true;
+  }
+}
+
+void Cluster::apply_liveness_armed(Time at) {
+  liveness_armed_ = true;
+  liveness_at_ = at;
+}
+
+void Cluster::apply_gang_prepare(JobId id, GroupId /*group*/, Time /*t*/) {
+  gang_prepared_.insert(id);
+  ++gangs_prepared_;
+}
+
+void Cluster::apply_gang_commit(JobId id, GroupId /*group*/, Time /*t*/,
+                                bool coordinator, std::uint64_t /*attempt*/,
+                                Time /*until*/) {
+  gang_prepared_.erase(id);
+  gang_started_.insert(id);
+  if (coordinator) ++gangs_committed_;
+  // The start itself is its own kStart record.
+}
+
+void Cluster::apply_gang_abort(JobId id, GroupId /*group*/, Time t,
+                               bool coordinator, std::uint64_t attempt,
+                               Time until) {
+  if (coordinator) {
+    // The round failed: back off before re-preparing.
+    gang_attempts_[id] = static_cast<std::uint32_t>(attempt);
+    gang_backoff_until_[id] = until;
+    ++gangs_aborted_;
+    return;
+  }
+  // A member releases its prepared hold.
+  gang_prepared_.erase(id);
+  leases_.erase(id);
+  const RuntimeJob* j = sched_.find(id);
+  if (j != nullptr && j->state == JobState::kHolding) sched_.release_hold(id, t);
+}
+
+void Cluster::apply_gang_victim(JobId id, GroupId /*group*/, Time t,
+                                std::uint64_t attempt, Time until) {
+  gang_attempts_[id] = static_cast<std::uint32_t>(attempt);
+  gang_backoff_until_[id] = until;
+  gang_prepared_.erase(id);
+  ++gangs_victimized_;
+  leases_.erase(id);
+  const RuntimeJob* j = sched_.find(id);
+  if (j != nullptr && j->state == JobState::kHolding) sched_.release_hold(id, t);
 }
 
 std::size_t Cluster::apply_verified_snapshot(
@@ -1889,11 +1712,9 @@ Cluster::RecoveryStats Cluster::recover_from_journal(Journal& journal) {
 
   // New life: bump the incarnation and make it durable so peers (and the
   // RPC dedup cache) can tell pre-crash requests from post-crash ones.
-  ++incarnation_;
   journal_ = &journal;
-  WireWriter inc;
-  inc.put_u64(incarnation_);
-  journal_->append(JournalRecordKind::kIncarnation, inc.bytes());
+  commit(JournalRecordKind::kIncarnation, &Cluster::apply_incarnation,
+         incarnation_ + 1);
   journal_->commit();
 
   stats.incarnation = incarnation_;

@@ -20,6 +20,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -268,15 +269,29 @@ class Cluster final : public CoschedService {
   void validate_indices() const;
 
  private:
-  /// Journaling wrapper around Algorithm 1: logs/journals the first-ready
-  /// transition and any degraded-mode set/counter deltas around the
-  /// decision.
+  /// Algorithm 1's degraded-mode bookkeeping for one decision (§IV-C),
+  /// gathered while the decision runs and applied once through kDegraded.
+  struct Degraded {
+    std::uint64_t unknown = 0;     ///< peer calls that failed: mate unknown
+    std::uint64_t suspected = 0;   ///< mates awaited on a suspected peer
+    bool transport_fault = false;  ///< some peer call failed
+    bool fault_seen = false;       ///< a later forced release is degraded
+    bool unsync = false;           ///< a start now is unsynchronized
+    void peer_call_failed() {
+      transport_fault = true;
+      ++unknown;
+    }
+  };
+
+  /// Run_Job hook around Algorithm 1: journals the first-ready transition
+  /// and then the decision's degraded-mode bookkeeping.
   RunDecision run_job_hook(RuntimeJob& job, bool try_context);
 
   /// The paper's Run_Job coscheduling logic (Algorithm 1).  `try_context`
   /// is true when invoked underneath a remote tryStartMate: the job must
   /// either start or decline without side effects (no hold/yield).
-  RunDecision run_job_decision(RuntimeJob& job, bool try_context);
+  RunDecision run_job_decision(RuntimeJob& job, bool try_context,
+                               Degraded& deg);
 
   /// Applies the local scheme + enhancement thresholds (§IV-E2).  `force`
   /// overrides the configured scheme (gang paths yield while backing off
@@ -296,20 +311,40 @@ class Cluster final : public CoschedService {
   /// Coordinator side of the two-phase costart: prepare every member, then
   /// commit all (kStart) or abort every prepared hold and back off (kYield).
   RunDecision gang_costart(RuntimeJob& job, std::span<const GangMate> members,
-                           bool& transport_fault);
+                           Degraded& deg);
   /// Run_Job hook that places the member into a fenced leased hold
   /// (journals kHold, arms the breaker, grants a self-expiring lease).
   RunDecision gang_hold_hook(RuntimeJob& job);
+  /// Journals the two gang round kinds; the member side of a round carries
+  /// no backoff (attempt 0, until kNoTime).
+  void commit_gang_commit(JobId id, GroupId group, bool coordinator);
+  void commit_gang_abort(JobId id, GroupId group, bool coordinator,
+                         std::uint64_t attempt = 0, Time until = kNoTime);
   /// Deterministic jittered exponential backoff for re-prepare attempts.
   Duration gang_backoff(JobId job, std::uint32_t attempt) const;
 
   void track_dependency(const JobSpec& spec);
   void do_submit(const JobSpec& spec);
   void arm_periodic_iteration();
+  /// Journals kReady the first time a job is selected.
+  void note_ready(const RuntimeJob& job);
+  /// The hook's side of a hold: arm the release tick, journal kHold (the
+  /// scheduler applies it when the hook returns) and lease the hold against
+  /// peer `lease_peer`.
+  RunDecision hold_for_mates(const RuntimeJob& job, std::int32_t lease_peer);
+  /// Forced release of a holder (tick or lease expiry), journaled.
+  void force_release(JobId id, bool degraded);
+  /// Advances the fencing epoch, journaled.
+  void advance_fence();
+  void begin_iteration();
+  /// Starts a holding job (its mates are ready) through kStart's apply.
+  void start_held(JobId id);
   void on_job_started(const RuntimeJob& job);
   void on_job_finished(JobId id);
-  void schedule_hold_release(JobId id);
-  void schedule_yield_retry(JobId id);
+  void schedule_hold_release();
+  /// The yield-retry entry of a yield at `yielded_at` (kYield's Cluster
+  /// state).
+  void add_yield_retry(JobId id, Time yielded_at);
   void log_event(JobEventKind kind, const RuntimeJob& job);
 
   // Timer event bodies, named so recovery can re-arm them at absolute
@@ -328,12 +363,69 @@ class Cluster final : public CoschedService {
   /// backed by live mates, expire the rest.
   void liveness_body();
   /// Grants (or re-grants) the hold lease for `job` against blocking peer
-  /// `peer` (journal-before-mutate).
+  /// `peer`.
   void grant_lease(JobId job, std::int32_t peer);
   /// Expires one lease: advances the fencing epoch, force-releases the hold
   /// and requeues the job (a confirmed-dead mate then starts it
   /// unsynchronized at the next iteration).
   void expire_lease(JobId job, bool mate_dead);
+
+  // -- journaled changes --------------------------------------------------
+  //
+  // Every durable change is one record kind with one apply_* method, and a
+  // record's payload is its apply's parameters in order.  A live change
+  // commits its record: commit() encodes and appends it when journaling,
+  // then calls the apply; timers, EventLog entries, RPCs and fence-token
+  // pushes follow on the live path.  apply_record() decodes the same fields
+  // and calls the same apply through replay().
+  //
+  // kHold and kYield record a Run_Job decision: the hook appends them and
+  // Scheduler::decide() applies the transition when the hook returns.
+  // kStart is appended by the scheduler's start callback (on_job_started),
+  // whatever started the job.  Their applies run the same scheduler
+  // transitions.
+  template <class... Fields>
+  void append(JournalRecordKind kind, const Fields&... fields);
+  template <class... Params>
+  void commit(JournalRecordKind kind, void (Cluster::*apply)(Params...),
+              std::type_identity_t<Params>... fields);
+  template <class... Params>
+  void replay(WireReader& r, void (Cluster::*apply)(Params...));
+
+  void apply_incarnation(std::uint64_t incarnation);
+  void apply_expected(const JobSpec& spec);
+  void apply_submit(const JobSpec& spec, Time t);
+  void apply_ready(JobId id, Time first_ready);
+  void apply_start(JobId id, Time t, Time first_ready, NodeCount allocated,
+                   bool from_hold, bool was_unsync);
+  /// The Cluster side of every start, live or replayed (on_job_started).
+  void apply_started(JobId id);
+  void apply_hold(JobId id, Time t, Time first_ready, NodeCount allocated);
+  void apply_hold_release(JobId id, Time t, bool degraded);
+  void apply_yield(JobId id, Time t, Time first_ready, double boost);
+  void apply_finish(JobId id, Time t);
+  void apply_kill(JobId id, Time t);
+  void apply_iterate(Time t);
+  void apply_tick_armed(Time at);
+  void apply_tick_fired(Time t);
+  void apply_iteration_armed(Time t);
+  void apply_periodic_armed(Time at);
+  void apply_degraded(JobId id, std::uint64_t unknown, bool fault_seen,
+                      bool unsync_pending, std::uint64_t suspected);
+  void apply_lease_grant(const HoldLease& lease);
+  void apply_lease_renew(JobId id, Time expires_at);
+  void apply_lease_expire(JobId id, Time t, bool mate_dead);
+  void apply_lease_fence(std::uint64_t counter);
+  void apply_heartbeat(Time t,
+                       const std::vector<std::optional<HeartbeatInfo>>& acks);
+  void apply_liveness_armed(Time at);
+  void apply_gang_prepare(JobId id, GroupId group, Time t);
+  void apply_gang_commit(JobId id, GroupId group, Time t, bool coordinator,
+                         std::uint64_t attempt, Time until);
+  void apply_gang_abort(JobId id, GroupId group, Time t, bool coordinator,
+                        std::uint64_t attempt, Time until);
+  void apply_gang_victim(JobId id, GroupId group, Time t,
+                         std::uint64_t attempt, Time until);
 
   // -- journaling internals ----------------------------------------------
   bool journaling() const { return journal_ != nullptr && !replaying_; }
@@ -446,7 +538,7 @@ class Cluster final : public CoschedService {
   std::uint64_t enospc_events_ = 0;
   /// Emergency compactions that successfully recovered journal space.
   std::uint64_t emergency_compactions_ = 0;
-  /// True while start_job() promotes a holder, so the kStart record can
+  /// True while start_held() promotes a holder, so the kStart record can
   /// distinguish holding-origin from queued-origin starts.
   bool starting_from_hold_ = false;
   /// Tracked timers a crash cancels and recovery re-arms.  Untracked events

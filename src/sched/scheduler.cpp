@@ -102,21 +102,13 @@ RunDecision Scheduler::decide(RuntimeJob& job, NodeCount charged, Time now,
   const RunDecision d = hook ? hook(job) : RunDecision::kStart;
   switch (d) {
     case RunDecision::kStart:
-      pool_.allocate(charged, now);
-      do_start(job, now);
+      start_queued(job, now, job.first_ready, charged);
       break;
     case RunDecision::kHold:
-      pool_.hold(charged, now);
-      job.state = JobState::kHolding;
-      job.hold_since = now;
-      remove_from_queue(job.spec.id);
-      holding_.insert(job.spec.id);
-      touch();
+      hold(job, now, job.first_ready, charged);
       break;
     case RunDecision::kYield:
-      job.allocated = 0;
-      ++job.yield_count;
-      touch();  // the hook may have raised priority_boost
+      yield(job, job.first_ready, job.priority_boost);
       break;
     case RunDecision::kSkip:
       // By contract side-effect free (tryStartMate contexts); the cached
@@ -125,6 +117,68 @@ RunDecision Scheduler::decide(RuntimeJob& job, NodeCount charged, Time now,
       break;
   }
   return d;
+}
+
+RuntimeJob& Scheduler::queued_job(JobId id) {
+  auto it = jobs_.find(id);
+  COSCHED_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
+  COSCHED_CHECK_MSG(it->second.state == JobState::kQueued,
+                    "job " << id << " is not queued");
+  return it->second;
+}
+
+void Scheduler::start_queued(JobId id, Time now, Time first_ready,
+                             NodeCount allocated) {
+  start_queued(queued_job(id), now, first_ready, allocated);
+}
+
+void Scheduler::start_queued(RuntimeJob& job, Time now, Time first_ready,
+                             NodeCount allocated) {
+  job.allocated = allocated;
+  job.first_ready = first_ready;
+  pool_.allocate(allocated, now);
+  do_start(job, now);
+}
+
+void Scheduler::hold(JobId id, Time now, Time first_ready,
+                     NodeCount allocated) {
+  hold(queued_job(id), now, first_ready, allocated);
+}
+
+void Scheduler::hold(RuntimeJob& job, Time now, Time first_ready,
+                     NodeCount allocated) {
+  job.allocated = allocated;
+  job.first_ready = first_ready;
+  pool_.hold(allocated, now);
+  job.state = JobState::kHolding;
+  job.hold_since = now;
+  remove_from_queue(job.spec.id);
+  holding_.insert(job.spec.id);
+  touch();
+}
+
+void Scheduler::yield(JobId id, Time first_ready, double boost) {
+  yield(queued_job(id), first_ready, boost);
+}
+
+void Scheduler::yield(RuntimeJob& job, Time first_ready, double boost) {
+  job.first_ready = first_ready;
+  job.allocated = 0;
+  ++job.yield_count;
+  job.priority_boost = boost;
+  touch();
+}
+
+void Scheduler::clear_demotions() {
+  bool any = false;
+  for (JobId id : queued_) {
+    RuntimeJob& j = jobs_.at(id);
+    if (j.demoted) {
+      j.demoted = false;
+      any = true;
+    }
+  }
+  if (any) touch();
 }
 
 void Scheduler::do_start(RuntimeJob& job, Time now) {
@@ -181,15 +235,7 @@ std::vector<JobId> Scheduler::iterate_conservative(Time now,
         break;  // slot released; later jobs may claim it
     }
   }
-  bool any_demoted = false;
-  for (JobId id : queued_) {
-    RuntimeJob& j = jobs_.at(id);
-    if (j.demoted) {
-      j.demoted = false;
-      any_demoted = true;
-    }
-  }
-  if (any_demoted) touch();
+  clear_demotions();
   return started;
 }
 
@@ -240,16 +286,7 @@ std::vector<JobId> Scheduler::iterate(Time now, const RunJobHook& hook) {
       shadow.extra = std::max<NodeCount>(0, shadow.extra - charged);
   }
 
-  // Demotion lasts exactly one iteration (paper §IV-E1).
-  bool any_demoted = false;
-  for (JobId id : queued_) {
-    RuntimeJob& j = jobs_.at(id);
-    if (j.demoted) {
-      j.demoted = false;
-      any_demoted = true;
-    }
-  }
-  if (any_demoted) touch();
+  clear_demotions();
   return started;
 }
 
@@ -526,60 +563,6 @@ void Scheduler::restore(WireReader& r) {
     running_ends_.emplace(j.start + j.spec.walltime, id);
   }
   touch();
-}
-
-void Scheduler::replay_start(JobId id, Time t, Time first_ready,
-                             NodeCount allocated) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "replay start: unknown job " << id);
-  RuntimeJob& job = it->second;
-  COSCHED_CHECK_MSG(job.state == JobState::kQueued,
-                    "replay start: job " << id << " not queued");
-  job.allocated = allocated;
-  job.first_ready = first_ready;
-  pool_.allocate(allocated, t);
-  do_start(job, t);
-}
-
-void Scheduler::replay_hold(JobId id, Time t, Time first_ready,
-                            NodeCount allocated) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "replay hold: unknown job " << id);
-  RuntimeJob& job = it->second;
-  COSCHED_CHECK_MSG(job.state == JobState::kQueued,
-                    "replay hold: job " << id << " not queued");
-  job.allocated = allocated;
-  job.first_ready = first_ready;
-  pool_.hold(allocated, t);
-  job.state = JobState::kHolding;
-  job.hold_since = t;
-  remove_from_queue(id);
-  holding_.insert(id);
-  touch();
-}
-
-void Scheduler::replay_yield(JobId id, Time first_ready, double boost) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "replay yield: unknown job " << id);
-  RuntimeJob& job = it->second;
-  COSCHED_CHECK_MSG(job.state == JobState::kQueued,
-                    "replay yield: job " << id << " not queued");
-  job.first_ready = first_ready;
-  ++job.yield_count;
-  job.priority_boost = boost;
-  touch();
-}
-
-void Scheduler::replay_clear_demotions() {
-  bool any = false;
-  for (JobId id : queued_) {
-    RuntimeJob& j = jobs_.at(id);
-    if (j.demoted) {
-      j.demoted = false;
-      any = true;
-    }
-  }
-  if (any) touch();
 }
 
 void Scheduler::validate_indices() const {

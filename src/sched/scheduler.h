@@ -180,29 +180,34 @@ class Scheduler {
 
   const PriorityPolicy& policy() const { return *policy_; }
 
+  // -- decision transitions ----------------------------------------------
+  //
+  // What a queued job's Run_Job decision does to the scheduler.  decide()
+  // applies them when the hook returns; journal replay applies them from
+  // the records the hook's owner wrote.  Both run this one code, so every
+  // index and pool integral comes out the same.
+
+  /// Starts a queued job on `allocated` nodes.
+  void start_queued(JobId id, Time now, Time first_ready, NodeCount allocated);
+  /// A queued job occupies `allocated` nodes and waits for its mates.
+  void hold(JobId id, Time now, Time first_ready, NodeCount allocated);
+  /// A queued job gives its turn up; `boost` is its priority boost after the
+  /// decision (the hook may raise it, §IV-E1).
+  void yield(JobId id, Time first_ready, double boost);
+  /// Ends every demotion: a demotion lasts one iteration (§IV-E1), so
+  /// iterate() calls this last.
+  void clear_demotions();
+
   // -- crash-consistent persistence (core/journal.h) ---------------------
   //
   // snapshot()/restore() serialize the complete mutable state (job tables,
   // pool accounting, running-end tie order) in a canonical order; capacity,
   // policy, config, and the allocation model are construction facts and are
   // not included — restore() must be called on a Scheduler built with the
-  // same ones.  The replay_* mutators re-apply journaled decisions through
-  // the same code paths normal operation uses, so every index and pool
-  // integral is rebuilt identically (validate after with validate_indices).
+  // same ones.
 
   void snapshot(WireWriter& w) const;
   void restore(WireReader& r);
-
-  /// Replays a journaled start of a *queued* job (holding-origin starts
-  /// replay through start_holding()).
-  void replay_start(JobId id, Time t, Time first_ready, NodeCount allocated);
-  /// Replays a journaled hold acquisition.
-  void replay_hold(JobId id, Time t, Time first_ready, NodeCount allocated);
-  /// Replays a journaled yield (re-applies the count, boost, first_ready).
-  void replay_yield(JobId id, Time first_ready, double boost);
-  /// Replays the end-of-iteration demotion clear (paper §IV-E1: demotion
-  /// lasts exactly one iteration) — an otherwise unjournaled mutation.
-  void replay_clear_demotions();
 
  private:
   // EASY reservation for a blocked head job.
@@ -222,6 +227,13 @@ class Scheduler {
   /// Live job ids in ascending order (sorted per call: the live table is
   /// small, unlike the archive).
   std::vector<JobId> live_ids() const;
+
+  /// The queued job `id`; throws InvariantError for any other.
+  RuntimeJob& queued_job(JobId id);
+  void start_queued(RuntimeJob& job, Time now, Time first_ready,
+                    NodeCount allocated);
+  void hold(RuntimeJob& job, Time now, Time first_ready, NodeCount allocated);
+  void yield(RuntimeJob& job, Time first_ready, double boost);
 
   void do_start(RuntimeJob& job, Time now);
   void remove_from_queue(JobId id);

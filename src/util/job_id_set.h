@@ -56,6 +56,7 @@ class JobIdSet {
     insert_ascending(ascending_, id);
     return true;
   }
+  bool contains(JobId id) const { return members_.count(id) > 0; }
   void clear() {
     members_.clear();
     ascending_.clear();

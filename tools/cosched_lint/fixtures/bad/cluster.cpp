@@ -1,30 +1,31 @@
-// Known-bad fixture: a state-mutating Cluster method with no journal
-// append in its body — the journal-before-mutate rule must flag the
-// mutation line.  (Never compiled; parsed by cosched_lint_test only.)
+// Known-bad fixture: Cluster methods that change replayed state outside an
+// apply_* method — the mutate-in-apply rule must flag every mutation line,
+// journaled or not.  (Never compiled; parsed by cosched_lint_test only.)
 #include "core/cluster.h"
 
 namespace cosched {
 
 void Cluster::kill_job(JobId id) {
-  sched_.kill(id, engine_.now());
+  sched_.kill(id, engine_.now());  // no record at all
   request_iteration();
 }
 
 void Cluster::expire_lease(JobId job) {
-  leases_.erase(job);  // no journal append anywhere in this body
+  leases_.erase(job);  // no record at all
   ++fence_counter_;
 }
 
 bool Cluster::gang_victim(JobId job) {
-  sched_.release_hold(job, engine_.now());  // no journal append in this body
+  append(JournalRecordKind::kGangVictim, job, engine_.now());
+  sched_.release_hold(job, engine_.now());  // journaled, but not an apply
   return true;
 }
 
 bool Cluster::grant_lease(JobId job) {
-  leases_[job] = HoldLease{};  // mutation first...
   WireWriter w;
   w.put_i64(job);
-  journal_->append(JournalRecordKind::kLeaseGrant, w.bytes());  // ...too late
+  journal_->append(JournalRecordKind::kLeaseGrant, w.bytes());
+  leases_[job] = HoldLease{};  // write-ahead, but not an apply
   return true;
 }
 

@@ -1,55 +1,43 @@
-// Known-good fixture: mutations journaled in-body, a replay method exempt
-// by name, and an explicit allow() waiver.  (Never compiled.)
+// Known-good fixture: live methods commit records whose apply_* methods make
+// the changes, the replay arms call the same applies, and an explicit
+// allow() waiver covers a test-only reset.  (Never compiled.)
 #include "core/cluster.h"
 
 namespace cosched {
 
 void Cluster::kill_job(JobId id) {
-  sched_.kill(id, engine_.now());
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(id);
-    journal_->append(JournalRecordKind::kKill, w.bytes());
-  }
+  commit(JournalRecordKind::kKill, &Cluster::apply_kill, id, engine_.now());
+  request_iteration();
   journal_commit();
-}
-
-void Cluster::apply_record(const JournalRecord& rec) {
-  // Replay path: runs with journaling() false, exempt by method name.
-  sched_.finish(1, 2);
-  leases_.erase(1);  // lease replay is exempt too
 }
 
 void Cluster::grant_lease(JobId job, const HoldLease& lease) {
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    journal_->append(JournalRecordKind::kLeaseGrant, w.bytes());
+  commit(JournalRecordKind::kLeaseGrant, &Cluster::apply_lease_grant, lease);
+  arm_liveness_tick();
+}
+
+void Cluster::apply_record(const JournalRecord& rec) {
+  WireReader r(rec.payload);
+  switch (rec.kind) {
+    case JournalRecordKind::kKill:
+      return replay(r, &Cluster::apply_kill);
+    case JournalRecordKind::kLeaseGrant:
+      return replay(r, &Cluster::apply_lease_grant);
   }
-  leases_[job] = lease;  // write-ahead: record precedes the table write
+}
+
+void Cluster::apply_kill(JobId id, Time t) {
+  sched_.kill(id, t);
+  leases_.erase(id);
+}
+
+void Cluster::apply_lease_grant(const HoldLease& lease) {
+  leases_[lease.job] = lease;
 }
 
 void Cluster::reset_leases_for_test() {
-  // cosched-lint: allow(lease-journal) test-only reset, never journaled
+  // cosched-lint: allow(mutate-in-apply) test-only reset, never journaled
   leases_.clear();
-}
-
-bool Cluster::gang_abort(JobId job, GroupId group) {
-  if (journaling()) {
-    WireWriter w;
-    w.put_i64(job);
-    w.put_i64(group);
-    journal_->append(JournalRecordKind::kGangAbort, w.bytes());
-  }
-  sched_.release_hold(job, engine_.now());  // record precedes the release
-  journal_commit();
-  return true;
-}
-
-bool Cluster::start_job(JobId job) {
-  // cosched-lint: allow(journal-before-mutate) kStart journaled by on_start
-  sched_.start_holding(job, engine_.now());
-  return true;
 }
 
 }  // namespace cosched

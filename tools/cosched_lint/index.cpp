@@ -251,7 +251,7 @@ bool is_mutator_method(const std::string& s) {
       "insert",     "erase",      "clear",    "emplace", "emplace_back",
       "push_back",  "pop_back",   "push",     "pop",     "push_front",
       "pop_front",  "assign",     "resize",   "reset",   "emplace_hint",
-      "insert_or_assign",
+      "insert_or_assign", "try_emplace",
   };
   return m.count(s) != 0;
 }
@@ -539,6 +539,19 @@ void extract_file(ProjectIndex& index, int file) {
       if (!recv.empty()) recv.erase(recv.find_last_not_of(":>-.") + 1);
       // recv currently ends with the separator; strip back to the chain.
       c.receiver = recv;
+      f.calls.push_back(std::move(c));
+    }
+
+    // Member-function references (`&Cls::name` with no call): whatever the
+    // pointer is handed to calls it, so the reference is a call edge too.
+    if (tok.kind == Token::kIdent && t >= 3 && toks[t - 1].text == "::" &&
+        toks[t - 2].kind == Token::kIdent && toks[t - 3].text == "&" &&
+        (t + 1 >= toks.size() || toks[t + 1].text != "(")) {
+      CallSite c;
+      c.name = tok.text;
+      c.receiver = toks[t - 2].text;
+      c.line = tok.line;
+      c.token = t;
       f.calls.push_back(std::move(c));
     }
 

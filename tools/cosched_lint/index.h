@@ -40,8 +40,9 @@ struct Token {
 };
 
 /// A call site inside a function body: `receiver.name(` / `receiver->name(`
-/// / `name(`.  The receiver chain is joined verbatim ("config_.dedup",
-/// "sched_", "std").
+/// / `name(`, or a member-function reference `&Cls::name` (receiver "Cls").
+/// The receiver chain is joined verbatim ("config_.dedup", "sched_",
+/// "std").
 struct CallSite {
   std::string name;
   std::string receiver;

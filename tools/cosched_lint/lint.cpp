@@ -212,9 +212,11 @@ void rule_unordered_iter(const FileContext& ctx, RuleSink& sink) {
   }
 }
 
-// -- rules: journal-before-mutate / lease-journal ----------------------------
+// -- rule: mutate-in-apply ---------------------------------------------------
 
-bool journal_exempt_method(const std::string& name) {
+/// Cluster methods that may change replayed state directly: the apply_*
+/// methods journal replay runs, and the snapshot/recovery path.
+bool apply_path_method(const std::string& name) {
   static const char* kPrefixes[] = {"apply_",  "restore_", "wipe_",
                                     "recover_", "rearm_",   "replay",
                                     "write_",  "snapshot"};
@@ -222,82 +224,40 @@ bool journal_exempt_method(const std::string& name) {
                      [&](const char* p) { return name.rfind(p, 0) == 0; });
 }
 
-/// Runs the two Cluster write-ahead rules over every indexed
-/// Cluster::<method> body in this file (the index replaces v1's inline
-/// brace tracking; the per-line matching inside a body is unchanged).
-void rule_cluster_write_ahead(const FileContext& ctx, const ProjectIndex& ix,
-                              RuleSink& sink) {
+/// A scheduler transition or lease-table write in a Cluster method outside
+/// the apply path is a change the journal replay never makes.
+void rule_mutate_in_apply(const FileContext& ctx, const ProjectIndex& ix,
+                          RuleSink& sink) {
   if (file_stem(ctx.src->path) != "cluster") return;
-  static const char* kSchedMutators[] = {
-      "sched_.submit(",        "sched_.kill(",
-      "sched_.finish(",        "sched_.release_hold(",
-      "sched_.start_holding(",
+  static const char* kMutators[] = {
+      "sched_.submit(",      "sched_.kill(",          "sched_.finish(",
+      "sched_.release_hold(", "sched_.start_holding(", "sched_.start_queued(",
+      "sched_.hold(",        "sched_.yield(",         "sched_.clear_demotions(",
+      "leases_[",            "leases_.emplace",       "leases_.try_emplace",
+      "leases_.insert",      "leases_.erase",         "leases_.clear",
   };
-  static const char* kLeaseMutators[] = {"leases_[", "leases_.emplace",
-                                         "leases_.insert", "leases_.erase",
-                                         "leases_.clear"};
 
   for (const FunctionInfo& f : ix.functions) {
-    if (f.file != ctx.file || f.cls != "Cluster") continue;
+    if (f.file != ctx.file || f.cls != "Cluster" || apply_path_method(f.name))
+      continue;
     if (f.body_first_line <= 0 || f.body_last_line < f.body_first_line)
       continue;
     const std::size_t first = static_cast<std::size_t>(f.body_first_line - 1);
     const std::size_t last = std::min(
         static_cast<std::size_t>(f.body_last_line - 1), ctx.code->size() - 1);
-    const bool exempt = journal_exempt_method(f.name);
-
-    // journal-before-mutate: same-body presence of an append.
-    std::size_t first_mutation = std::string::npos;
-    std::string mutation_text;
-    bool has_append = false;
-    // lease-journal: append must *precede* the lease-table write.
-    bool append_seen = false;
-
     for (std::size_t i = first; i <= last; ++i) {
-      const std::string& code = (*ctx.code)[i];
-      const std::size_t apos = code.find("journal_->append(");
-      if (!exempt && first_mutation == std::string::npos) {
-        for (const char* m : kSchedMutators) {
-          if (code.find(m) != std::string::npos) {
-            first_mutation = i;
-            mutation_text = m;
-            mutation_text.pop_back();  // drop the '('
-            break;
-          }
-        }
-      }
-      if (!exempt) {
-        for (const char* m : kLeaseMutators) {
-          const std::size_t mpos = code.find(m);
-          if (mpos == std::string::npos) continue;
-          if (append_seen || (apos != std::string::npos && apos < mpos))
-            continue;
-          std::string token(m);
-          if (token.back() == '(' || token.back() == '[') token.pop_back();
-          sink.emit(ctx.file, static_cast<int>(i), "lease-journal",
-                    "Cluster::" + f.name + " mutates the lease table (" +
-                        token +
-                        ") before any journal append in this body; journal "
-                        "the lease record first (write-ahead) or waive with "
-                        "allow(lease-journal)",
-                    /*accepts_ordered=*/false);
-        }
-      }
-      if (apos != std::string::npos) {
-        has_append = true;
-        append_seen = true;
+      for (const char* m : kMutators) {
+        if ((*ctx.code)[i].find(m) == std::string::npos) continue;
+        std::string token(m);
+        if (token.back() == '(' || token.back() == '[') token.pop_back();
+        sink.emit(ctx.file, static_cast<int>(i), "mutate-in-apply",
+                  "Cluster::" + f.name + " changes replayed state (" + token +
+                      ") outside an apply_* method, so journal replay would "
+                      "not reproduce it; commit a record whose apply makes "
+                      "the change, or waive with allow(mutate-in-apply)",
+                  /*accepts_ordered=*/false);
       }
     }
-
-    if (first_mutation != std::string::npos && !has_append && !exempt)
-      sink.emit(ctx.file, static_cast<int>(first_mutation),
-                "journal-before-mutate",
-                "Cluster::" + f.name + " mutates scheduler state (" +
-                    mutation_text +
-                    ") without journaling a record in the same body; append "
-                    "a JournalRecord before the effect becomes visible or "
-                    "waive with allow(journal-before-mutate)",
-                /*accepts_ordered=*/false);
   }
 }
 
@@ -452,7 +412,7 @@ Report run_lint(const std::vector<SourceFile>& files) {
 
     rule_banned_call(ctx, sink);
     rule_unordered_iter(ctx, sink);
-    rule_cluster_write_ahead(ctx, index, sink);
+    rule_mutate_in_apply(ctx, index, sink);
     rule_dedup_before_reply(ctx, sink);
   }
 
@@ -532,9 +492,8 @@ std::string to_json(const Report& r) {
   static const char* kKnownRules[] = {
       "banned-call",          "dedup-before-reply",
       "dispatch-exhaustiveness",
-      "journal-before-mutate", "journal-coverage",
-      "lease-journal",        "lock-order",
-      "unordered-iter",
+      "journal-coverage",     "lock-order",
+      "mutate-in-apply",      "unordered-iter",
   };
   std::map<std::string, std::pair<int, int>> rules;  // rule -> (findings, waived)
   for (const char* k : kKnownRules) rules[k] = {0, 0};

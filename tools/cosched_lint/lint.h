@@ -8,17 +8,14 @@
 // reports, kill-anywhere recovery) only catch when a test happens to hit
 // them:
 //
-//   journal-before-mutate  every state-mutating Cluster method appends a
-//                          journal record in the same body as the mutation
-//                          (the PR 3 write-ahead rule; commit happens at the
-//                          entry-point boundary)
-//   lease-journal          every mutation of the Cluster lease table
-//                          (leases_) is *preceded* in the same body by a
-//                          journal append — strict write-ahead ordering, not
-//                          just same-body presence, because a crash between
-//                          a lease change and its record replays to a
-//                          different fencing state (replay/restore methods
-//                          exempt by name)
+//   mutate-in-apply        no Cluster method outside the apply path
+//                          (apply_*, and restore_/wipe_/recover_/rearm_/
+//                          replay/write_/snapshot) calls a scheduler
+//                          mutator or writes the lease table (leases_):
+//                          every such change goes through the apply_*
+//                          method of its record kind, which journal replay
+//                          runs too, so live and replayed state cannot
+//                          drift apart
 //   dedup-before-reply     RpcDedup verdicts are recorded (and thereby
 //                          journaled durable) before the dispatcher builds
 //                          the reply
@@ -32,10 +29,12 @@
 //                          metrics, or wire output is the classic silent
 //                          determinism bug
 //   journal-coverage       every JournalRecordKind enumerator has a writer
-//                          site (append/frame/encode_frame), a replay arm in
-//                          the journal apply switch (apply_record, recover_
-//                          from_journal, or the salvage/fallback helpers),
-//                          a to_string name arm, and its replay-arm state is
+//                          site (append/commit/frame/encode_frame), a replay
+//                          arm in the journal apply switch (apply_record,
+//                          recover_from_journal, or the salvage/fallback
+//                          helpers), a to_string name arm, and the state its
+//                          replay arm writes, itself or through the methods
+//                          of its class it reaches (the applies), is
 //                          covered by write_snapshot/apply_snapshot — a kind
 //                          missing any of these silently loses state across
 //                          recovery/compaction.  Also: a function that rolls

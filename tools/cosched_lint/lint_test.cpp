@@ -49,9 +49,8 @@ TEST(CoschedLint, GoodFixturesCountWaivers) {
   const Report r = lint_dir("good");
   // ordered() waivers: the two sort-before-emit sites in unordered.cpp.
   EXPECT_EQ(r.ordered_waivers_used, 2);
-  // allow() waivers: start_job's journal waiver, the wall-clock banner, and
-  // the test-only lease reset.
-  EXPECT_EQ(r.allow_waivers_used, 3);
+  // allow() waivers: the wall-clock banner and the test-only lease reset.
+  EXPECT_EQ(r.allow_waivers_used, 2);
   EXPECT_EQ(static_cast<int>(r.waived.size()),
             r.ordered_waivers_used + r.allow_waivers_used);
 }
@@ -59,20 +58,21 @@ TEST(CoschedLint, GoodFixturesCountWaivers) {
 TEST(CoschedLint, BadFixturesAreAllFlagged) {
   const Report r = lint_dir("bad");
   const std::set<std::string> expected = {
-      "journal-before-mutate", "lease-journal",      "dedup-before-reply",
-      "banned-call",           "unordered-iter",     "journal-coverage",
+      "mutate-in-apply",         "dedup-before-reply", "banned-call",
+      "unordered-iter",          "journal-coverage",
       "dispatch-exhaustiveness", "lock-order"};
   EXPECT_EQ(rules_hit(r), expected);
 }
 
 TEST(CoschedLint, BadJournalFindingPointsAtMutation) {
   const Report r = lint_dir("bad");
-  // kill_job forgets the kKill record; gang_victim releases the hold with no
-  // record — the rule must name each method and its mutator.
-  ASSERT_EQ(count_rule(r, "journal-before-mutate"), 2);
+  // kill_job kills with no record; gang_victim journals a record but
+  // releases the hold outside an apply — the rule must name each method and
+  // its scheduler mutator.
+  ASSERT_EQ(count_rule(r, "mutate-in-apply"), 4);
   std::set<std::string> methods;
   for (const Finding& f : r.findings) {
-    if (f.rule != "journal-before-mutate") continue;
+    if (f.rule != "mutate-in-apply") continue;
     EXPECT_NE(f.file.find("cluster.cpp"), std::string::npos);
     if (f.message.find("kill_job") != std::string::npos) {
       EXPECT_NE(f.message.find("sched_.kill"), std::string::npos);
@@ -86,15 +86,15 @@ TEST(CoschedLint, BadJournalFindingPointsAtMutation) {
   EXPECT_EQ(methods, (std::set<std::string>{"kill_job", "gang_victim"}));
 }
 
-TEST(CoschedLint, BadLeaseFindingsCatchMissingAndLateAppends) {
+TEST(CoschedLint, BadLeaseFindingsCatchTableWritesOutsideApply) {
   const Report r = lint_dir("bad");
-  // expire_lease has no append at all; grant_lease appends only *after* the
-  // table write — the ordered rule must flag both.
-  ASSERT_EQ(count_rule(r, "lease-journal"), 2);
+  // expire_lease erases with no record; grant_lease journals first but
+  // writes the table outside an apply — both are flagged.
   std::set<std::string> methods;
   for (const Finding& f : r.findings) {
-    if (f.rule != "lease-journal") continue;
-    EXPECT_NE(f.file.find("cluster.cpp"), std::string::npos);
+    if (f.rule != "mutate-in-apply" ||
+        f.message.find("leases_") == std::string::npos)
+      continue;
     if (f.message.find("expire_lease") != std::string::npos)
       methods.insert("expire_lease");
     if (f.message.find("grant_lease") != std::string::npos)
@@ -103,18 +103,23 @@ TEST(CoschedLint, BadLeaseFindingsCatchMissingAndLateAppends) {
   EXPECT_EQ(methods, (std::set<std::string>{"expire_lease", "grant_lease"}));
 }
 
-TEST(CoschedLint, LeaseRuleAcceptsWriteAheadOrderAndExemptsReplay) {
-  // Append-before-mutation in the same body passes; the same mutation in an
-  // apply_* replay method needs no append at all.
+TEST(CoschedLint, MutationRuleExemptsTheApplyPath) {
+  // The applies and the recovery path may change replayed state; a live
+  // method may only commit a record whose apply does.
   const std::vector<SourceFile> files = {
       {"fake/core/cluster.cpp",
        {"void Cluster::expire_lease(JobId job) {",
-        "  journal_->append(JournalRecordKind::kLeaseExpire, w.bytes());",
-        "  leases_.erase(job);", "}",
-        "void Cluster::apply_snapshot(const Snapshot& s) {",
-        "  leases_.clear();", "}"}}};
-  const Report r = run_lint(files);
-  EXPECT_TRUE(r.findings.empty());
+        "  commit(JournalRecordKind::kLeaseExpire, &Cluster::apply_expire,",
+        "         job);", "}",
+        "void Cluster::apply_expire(JobId job) {",
+        "  leases_.erase(job);", "  sched_.release_hold(job, 0);", "}",
+        "void Cluster::wipe_for_recovery() {", "  leases_.clear();", "}"}}};
+  EXPECT_TRUE(run_lint(files).findings.empty());
+  std::vector<SourceFile> live = files;
+  live[0].lines.insert(live[0].lines.begin() + 3, "  leases_.erase(job);");
+  const Report r = run_lint(live);
+  ASSERT_EQ(count_rule(r, "mutate-in-apply"), 1);
+  EXPECT_NE(r.findings[0].message.find("expire_lease"), std::string::npos);
 }
 
 TEST(CoschedLint, BadDedupFindingOnEffectfulCall) {
@@ -267,6 +272,37 @@ TEST(CoschedLint, CommitBeforeCompactAndLadderShapesPass) {
         "  journal_->compact(snap.bytes());",
         "}"}}};
   EXPECT_EQ(count_rule(run_lint(files), "journal-coverage"), 0);
+}
+
+TEST(CoschedLint, JournalCoverageFollowsArmsIntoApplies) {
+  // A replay arm that hands the record to an apply must have that apply's
+  // state snapshotted, as if the arm wrote it itself.
+  const std::vector<std::string> lines = {
+      "enum class JournalRecordKind { kOneMark = 1 };",
+      "void Box::save() {",
+      "  commit(JournalRecordKind::kOneMark, &Box::apply_one, 1);",
+      "}",
+      "void Box::apply_record(const Record& rec) {",
+      "  switch (rec.kind) {",
+      "    case JournalRecordKind::kOneMark:",
+      "      return replay(r, &Box::apply_one);",
+      "  }",
+      "}",
+      "void Box::apply_one(long v) { count(v); }",
+      "void Box::count(long v) { one_ += v; }",
+      "void Box::write_snapshot(Writer& w) const { w.put(base_); }",
+      "void Box::apply_snapshot(Reader& r) { base_ = r.get(); }"};
+  const Report r = run_lint({{"fake/core/box.cpp", lines}});
+  ASSERT_EQ(count_rule(r, "journal-coverage"), 1);
+  EXPECT_NE(r.findings[0].message.find("'one_'"), std::string::npos);
+  EXPECT_EQ(r.findings[0].line, 12);  // the write, two calls deep
+
+  std::vector<std::string> covered = lines;
+  covered[12] = "void Box::write_snapshot(Writer& w) const { w.put(one_); }";
+  covered[13] = "void Box::apply_snapshot(Reader& r) { one_ = r.get(); }";
+  EXPECT_EQ(count_rule(run_lint({{"fake/core/box.cpp", covered}}),
+                       "journal-coverage"),
+            0);
 }
 
 TEST(CoschedLint, JournalReplayArmDeletionIsCaught) {

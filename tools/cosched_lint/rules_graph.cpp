@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,13 +27,31 @@ std::string site(const ProjectIndex& ix, int file, int line) {
   return (*ix.files)[file].path + ":" + std::to_string(line);
 }
 
+/// Transitive closure of project functions reachable from `start`.
+std::set<int> reachable(const ProjectIndex& ix, int start) {
+  std::set<int> seen;
+  std::deque<int> work{start};
+  while (!work.empty()) {
+    const int cur = work.front();
+    work.pop_front();
+    if (!seen.insert(cur).second) continue;
+    for (const CallSite& c : ix.functions[cur].calls) {
+      const int g = resolve_call(ix, c.name, ix.functions[cur].cls, c.receiver);
+      if (g >= 0 && seen.count(g) == 0) work.push_back(g);
+    }
+  }
+  return seen;
+}
+
 // -- rule: journal-coverage --------------------------------------------------
 //
 // Every JournalRecordKind enumerator must have (a) an append()/frame()
 // writer site, (b) a replay case in apply_record/recover_from_journal,
 // (c) a to_string name-table entry.  Additionally, any member a replay arm
-// mutates must appear in write_snapshot AND apply_snapshot — otherwise the
-// state the record re-creates is silently dropped across a compaction.
+// mutates, itself or through the methods of its own class it reaches (the
+// applies the arms call), must appear in write_snapshot AND apply_snapshot
+// — otherwise the state the record re-creates is silently dropped across a
+// compaction.
 // Each category is gated on at least one enumerator of the enum having a
 // site of that category, so a partially-modeled snippet set (unit-test
 // fragments without a to_string) is not drowned in noise while a single
@@ -40,8 +59,9 @@ std::string site(const ProjectIndex& ix, int file, int line) {
 
 void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
   // Writer sites: `JournalRecordKind::kX` appearing as an argument of an
-  // append(...), frame(...), or encode_frame(...) call (the frame encoders
-  // cover the compaction/salvage paths that emit kSnapshot directly).
+  // append(...), commit(...), frame(...), or encode_frame(...) call (the
+  // frame encoders cover the compaction/salvage paths that emit kSnapshot
+  // directly).
   std::set<std::string> writers;
   for (const FileModel& fm : ix.file_model) {
     const std::vector<Token>& toks = fm.tokens;
@@ -54,8 +74,8 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
       const std::size_t lo = i >= 8 ? i - 8 : 0;
       for (std::size_t k = lo; k < i; ++k) {
         if (toks[k].kind == Token::kIdent &&
-            (toks[k].text == "append" || toks[k].text == "frame" ||
-             toks[k].text == "encode_frame") &&
+            (toks[k].text == "append" || toks[k].text == "commit" ||
+             toks[k].text == "frame" || toks[k].text == "encode_frame") &&
             k + 1 < toks.size() && toks[k + 1].text == "(") {
           writers.insert(toks[i + 2].text);
           break;
@@ -133,22 +153,40 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
     }
   }
 
-  // Snapshot coverage of replay-arm state.
+  // Snapshot coverage of replay-arm state: the arm's own writes, and those
+  // of every method of its class the arm reaches.
   if (!have_write_snapshot || !have_apply_snapshot) return;
-  std::set<std::pair<std::string, std::string>> reported;  // (kind, member)
+  std::set<std::tuple<int, int, std::string>> reported;  // (file, line, member)
   for (const FunctionInfo& f : ix.functions) {
     if (f.name != "apply_record") continue;
     for (const CaseSite& cs : f.cases) {
       if (cs.enum_name != "JournalRecordKind" ||
           all_kinds.count(cs.enumerator) == 0)
         continue;
-      for (const MutationSite& m : f.mutations) {
-        if (m.token <= cs.token || m.token >= cs.arm_end) continue;
+      const auto in_arm = [&cs](std::size_t token) {
+        return token > cs.token && token < cs.arm_end;
+      };
+      std::vector<std::pair<int, const MutationSite*>> writes;  // (file, site)
+      for (const MutationSite& m : f.mutations)
+        if (in_arm(m.token)) writes.emplace_back(f.file, &m);
+      std::set<int> applies;
+      for (const CallSite& c : f.calls) {
+        if (!in_arm(c.token)) continue;
+        const int g = resolve_call(ix, c.name, f.cls, c.receiver);
+        if (g < 0) continue;
+        for (const int r : reachable(ix, g))
+          if (ix.functions[r].cls == f.cls) applies.insert(r);
+      }
+      for (const int r : applies)
+        for (const MutationSite& m : ix.functions[r].mutations)
+          writes.emplace_back(ix.functions[r].file, &m);
+      for (const auto& [file, site] : writes) {
+        const MutationSite& m = *site;
         if (snapshot_tokens_write.count(m.member) != 0 &&
             snapshot_tokens_apply.count(m.member) != 0)
           continue;
-        if (!reported.insert({cs.enumerator, m.member}).second) continue;
-        sink.emit(f.file, m.line - 1, "journal-coverage",
+        if (!reported.insert({file, m.line, m.member}).second) continue;
+        sink.emit(file, m.line - 1, "journal-coverage",
                   "replay arm for '" + cs.enumerator + "' mutates '" +
                       m.member +
                       "' which never appears in write_snapshot/"
@@ -205,22 +243,6 @@ bool call_is_effectful(const CallSite& c) {
   if (c.receiver.find("service") == std::string::npos) return false;
   return c.name == "try_start_mate" || c.name == "start_job" ||
          c.name.rfind("gang_", 0) == 0;
-}
-
-/// Transitive closure of project functions reachable from `start`.
-std::set<int> reachable(const ProjectIndex& ix, int start) {
-  std::set<int> seen;
-  std::deque<int> work{start};
-  while (!work.empty()) {
-    const int cur = work.front();
-    work.pop_front();
-    if (!seen.insert(cur).second) continue;
-    for (const CallSite& c : ix.functions[cur].calls) {
-      const int g = resolve_call(ix, c.name, ix.functions[cur].cls, c.receiver);
-      if (g >= 0 && seen.count(g) == 0) work.push_back(g);
-    }
-  }
-  return seen;
 }
 
 void rule_dispatch_exhaustiveness_impl(const ProjectIndex& ix,
