@@ -801,6 +801,66 @@ TEST(JournalFormatGuard, EveryRecordKindMatchesPinnedHashes) {
         << "image " << i << " changed: 0x" << std::hex << hashes[i];
 }
 
+/// crash_workload(kYY) plus one think-time dependent per domain, submitted
+/// while the job it waits for still runs.
+Workload dependency_workload() {
+  Workload w = crash_workload(kYY);
+  JobSpec a = job(5, 5 * kMinute, 20 * kMinute, 10);
+  a.after = 1;
+  a.after_delay = 10 * kMinute;
+  w.traces[0].add(a);
+  JobSpec b = job(50, 2 * kMinute, 20 * kMinute, 10);
+  b.after = 10;
+  b.after_delay = 15 * kMinute;
+  w.traces[1].add(b);
+  return w;
+}
+
+TEST(JournalFormatGuard, SnapshotContainersMatchPinnedHashes) {
+  // The snapshots in the images above leave several containers empty at
+  // every point they are written, so those containers' encodings are
+  // pinned nowhere else.  These instants hold them filled: think-time
+  // dependents (both domains at 601 s), yield retries (alpha at 1801 s),
+  // and, in a gang run whose coordinator is killed while replies are lost,
+  // degraded-mode marks, a prepared member, a backoff deadline with its
+  // attempt count (all at 301 s) and started gang members (1801 s).
+  std::vector<std::uint64_t> hashes;
+  const auto pin = [&hashes](CoupledSim& sim, Time t) {
+    sim.engine().run_until(t);
+    WireWriter w;
+    sim.snapshot(w);
+    hashes.push_back(fnv1a(w.bytes()));
+  };
+  {
+    const Workload w = dependency_workload();
+    CoupledSim sim(w.specs, w.traces);
+    pin(sim, 601);
+    pin(sim, 1801);
+  }
+  {
+    const Workload w = gang_workload();
+    CoupledSim sim(w.specs, w.traces);
+    sim.engine().schedule_at(10 * kMinute, EventPriority::kMessage,
+                             [&sim] { sim.cluster(0).kill_job(1); });
+    FaultPlan plan;
+    plan.seed = 11;
+    plan.reply_drop_probability = 0.3;
+    sim.set_fault_plan_all(plan);
+    pin(sim, 301);
+    EXPECT_FALSE(sim.cluster(0).gang_prepared_jobs().empty());
+    pin(sim, 1801);
+    EXPECT_FALSE(sim.cluster(2).gang_started_jobs().empty());
+  }
+  // Recorded before the snapshot fields were grouped by owner.
+  const std::vector<std::uint64_t> pinned = {
+      0x358453579095c205ULL, 0x1e6c8a5282daaf72ULL, 0x8511ba2d2a475eb8ULL,
+      0xfffed9ee24b790b6ULL};
+  ASSERT_EQ(hashes.size(), pinned.size());
+  for (std::size_t i = 0; i < hashes.size(); ++i)
+    EXPECT_EQ(hashes[i], pinned[i])
+        << "snapshot " << i << " changed: 0x" << std::hex << hashes[i];
+}
+
 // -- replay equals live -----------------------------------------------------
 
 /// A domain's snapshot split around the two fields a recovery does not
@@ -1059,6 +1119,40 @@ TEST(ExactlyOnce, DedupVerdictsPersistThroughJournalRestart) {
   ServiceDispatcher d2(fresh_service, DispatcherConfig{3, &restored});
   EXPECT_TRUE(Message::decode(d2.dispatch(req.encode())).ok);
   EXPECT_EQ(fresh_service.try_start_calls, 0);  // answered from the cache
+}
+
+TEST(JournalFormatGuard, DedupImageMatchesPinnedHash) {
+  // kDedup is the one kind the Cluster does not write: pin its payload
+  // through the dedup journal's own wiring, with every side-effecting op,
+  // both verdicts and multi-byte incarnations and request ids.
+  Journal journal(std::make_unique<MemoryJournalSink>());
+  RpcDedup dedup;
+  bind_dedup_journal(dedup, journal);
+  const MsgType ops[] = {MsgType::kTryStartMateReq, MsgType::kStartJobReq,
+                         MsgType::kGangPrepareReq,  MsgType::kGangCommitReq,
+                         MsgType::kGangAbortReq,    MsgType::kGangVictimReq};
+  std::uint64_t rid = 1;
+  for (const MsgType op : ops) {
+    dedup.record(kClientInc, rid, op, rid % 2 == 0);
+    dedup.record((3ull << 32) | 2, rid * 300, op, rid % 3 == 0);
+    ++rid;
+  }
+  const std::vector<std::uint8_t> image = journal.sink().contents();
+
+  RpcDedup restored;
+  for (const JournalRecord& rec : read_journal(image).records) {
+    ASSERT_EQ(rec.kind, JournalRecordKind::kDedup);
+    apply_dedup_record(restored, rec);
+  }
+  ASSERT_EQ(restored.size(), 12u);
+  const auto entry = restored.lookup((3ull << 32) | 2, 1800);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->op, MsgType::kGangVictimReq);
+  EXPECT_TRUE(entry->verdict);
+  // Recorded before the dedup record's fields became one list.
+  EXPECT_EQ(fnv1a(image), 0x6108f914f44bd52fULL)
+      << "dedup image (" << image.size() << " bytes) changed: 0x" << std::hex
+      << fnv1a(image);
 }
 
 TEST(ExactlyOnce, HelloEvictsOnlyOlderIncarnationsOfTheSameClient) {
