@@ -8,7 +8,7 @@
 #include <tuple>
 #include <utility>
 
-#include "proto/message.h"
+#include "proto/durable.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -28,44 +28,6 @@ void Cluster::track_dependency(const JobSpec& spec) {
 }
 
 namespace {
-
-// The journal payload codec: a record's payload is its apply's parameters,
-// in order, each in its wire form.
-void put(WireWriter& w, std::int64_t v) { w.put_i64(v); }
-void put(WireWriter& w, std::uint64_t v) { w.put_u64(v); }
-void put(WireWriter& w, bool v) { w.put_bool(v); }
-void put(WireWriter& w, double v) { w.put_double(v); }
-void put(WireWriter& w, const JobSpec& v) { encode_job_spec(w, v); }
-void put(WireWriter& w, const HoldLease& v) { v.snapshot(w); }
-void put(WireWriter& w, const std::vector<std::optional<HeartbeatInfo>>& v) {
-  w.put_u64(v.size());
-  for (const std::optional<HeartbeatInfo>& a : v) {
-    w.put_bool(a.has_value());
-    if (!a) continue;
-    w.put_u64(a->incarnation);
-    w.put_u64(a->fence);
-    w.put_u64(a->queue_depth);
-    w.put_double(a->hold_fraction);
-  }
-}
-
-void get(WireReader& r, std::int64_t& v) { v = r.get_i64(); }
-void get(WireReader& r, std::uint64_t& v) { v = r.get_u64(); }
-void get(WireReader& r, bool& v) { v = r.get_bool(); }
-void get(WireReader& r, double& v) { v = r.get_double(); }
-void get(WireReader& r, JobSpec& v) { v = decode_job_spec(r); }
-void get(WireReader& r, HoldLease& v) { v = HoldLease::restore(r); }
-void get(WireReader& r, std::vector<std::optional<HeartbeatInfo>>& v) {
-  v.resize(r.get_u64());
-  for (std::optional<HeartbeatInfo>& a : v) {
-    if (!r.get_bool()) continue;
-    HeartbeatInfo& info = a.emplace();
-    info.incarnation = r.get_u64();
-    info.fence = r.get_u64();
-    info.queue_depth = r.get_u64();
-    info.hold_fraction = r.get_double();
-  }
-}
 
 /// RAII commit marker: while a job is deciding/starting, peers that query it
 /// see `starting`, which Algorithm 1 treats like `holding` (ready).  The
@@ -122,17 +84,18 @@ Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
 }
 
 void Cluster::arm_periodic_iteration() {
-  if (sched_cfg_.iteration_period <= 0 || periodic_armed_) return;
+  if (sched_cfg_.iteration_period <= 0 || agent_.periodic_armed) return;
   commit(JournalRecordKind::kPeriodicArmed, &Cluster::apply_periodic_armed,
          engine_.now() + sched_cfg_.iteration_period);
-  periodic_event_ = engine_.schedule_at(periodic_at_, EventPriority::kStats,
-                                        [this] { periodic_body(); });
+  periodic_event_ =
+      engine_.schedule_at(agent_.periodic_at, EventPriority::kStats,
+                          [this] { periodic_body(); });
 }
 
 void Cluster::periodic_body() {
   periodic_event_.reset();
-  periodic_armed_ = false;
-  periodic_at_ = kNoTime;
+  agent_.periodic_armed = false;
+  agent_.periodic_at = kNoTime;
   const bool work_left = sched_.queue_length() > 0 ||
                          sched_.running_count() > 0 ||
                          sched_.holding_count() > 0;
@@ -151,8 +114,8 @@ void Cluster::add_peer(PeerClient& peer) {
 
 void Cluster::register_expected(const JobSpec& spec) {
   COSCHED_CHECK(spec.is_paired());
-  const auto it = group_to_job_.find(spec.group);
-  COSCHED_CHECK_MSG(it == group_to_job_.end() || it->second == spec.id,
+  const auto it = agent_.group_to_job.find(spec.group);
+  COSCHED_CHECK_MSG(it == agent_.group_to_job.end() || it->second == spec.id,
                     "group " << spec.group << " already has local member "
                              << it->second << " on " << name_);
   commit(JournalRecordKind::kExpected, &Cluster::apply_expected, spec);
@@ -208,7 +171,7 @@ void Cluster::kill_job(JobId id) {
 }
 
 void Cluster::request_iteration() {
-  if (iteration_pending_) return;
+  if (agent_.iteration_pending) return;
   commit(JournalRecordKind::kIterArmed, &Cluster::apply_iteration_armed,
          engine_.now());
   // Committed immediately: this can be the only record of an entry point
@@ -220,8 +183,8 @@ void Cluster::request_iteration() {
 }
 
 void Cluster::begin_iteration() {
-  iteration_pending_ = false;
-  ++iterations_run_;
+  agent_.iteration_pending = false;
+  ++agent_.iterations_run;
 }
 
 void Cluster::run_iteration_body() {
@@ -241,8 +204,8 @@ void Cluster::run_iteration_body() {
 
 std::optional<JobId> Cluster::get_mate_job(GroupId group, JobId asking) {
   (void)asking;
-  auto it = group_to_job_.find(group);
-  if (it == group_to_job_.end()) return std::nullopt;
+  auto it = agent_.group_to_job.find(group);
+  if (it == agent_.group_to_job.end()) return std::nullopt;
   return it->second;
 }
 
@@ -251,7 +214,7 @@ MateStatus Cluster::get_mate_status(JobId job) {
     return MateStatus::kStarting;
   const RuntimeJob* j = sched_.find(job);
   if (!j)
-    return expected_.count(job) ? MateStatus::kUnsubmitted
+    return agent_.expected.count(job) ? MateStatus::kUnsubmitted
                                 : MateStatus::kUnknown;
   switch (j->state) {
     case JobState::kQueued: return MateStatus::kQueuing;
@@ -265,9 +228,9 @@ MateStatus Cluster::get_mate_status(JobId job) {
 bool Cluster::try_start_mate(JobId job) {
   // Tripwire behind the no-start-with-stale-fence invariant: the dispatcher
   // must not reach this method after admit_fence() said "stale".
-  if (job == pending_stale_fence_) ++stale_fence_starts_;
+  if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
-  ++try_start_requests_;
+  ++agent_.try_start_requests;
   if (!sched_.find(job)) return false;  // unsubmitted or unknown: cannot start
   const bool started =
       sched_.try_start_specific(job, engine_.now(), [this](RuntimeJob& j) {
@@ -278,7 +241,7 @@ bool Cluster::try_start_mate(JobId job) {
 }
 
 bool Cluster::start_job(JobId job) {
-  if (job == pending_stale_fence_) ++stale_fence_starts_;
+  if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (!j || j->state != JobState::kHolding) return false;
@@ -293,14 +256,14 @@ void Cluster::start_held(JobId id) {
   // fields; the flag tells it the job held.
   starting_from_hold_ = true;
   apply_start(id, engine_.now(), j.first_ready, j.allocated,
-              /*from_hold=*/true, unsync_pending_.count(id) > 0);
+              /*from_hold=*/true, agent_.unsync_pending.count(id) > 0);
   starting_from_hold_ = false;
 }
 
 // -- Algorithm 1 --------------------------------------------------------------
 
 void Cluster::note_ready(const RuntimeJob& job) {
-  if (ready_logged_.contains(job.spec.id)) return;
+  if (agent_.ready_logged.contains(job.spec.id)) return;
   commit(JournalRecordKind::kReady, &Cluster::apply_ready, job.spec.id,
          job.first_ready);
   log_event(JobEventKind::kReady, job);
@@ -315,8 +278,8 @@ RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
   if (deg.unknown == 0 && deg.suspected == 0 && !deg.fault_seen && !deg.unsync)
     return d;
   const JobId id = job.spec.id;
-  const bool had_fault = fault_seen_.count(id) > 0;
-  const bool had_unsync = unsync_pending_.count(id) > 0;
+  const bool had_fault = agent_.fault_seen.count(id) > 0;
+  const bool had_unsync = agent_.unsync_pending.count(id) > 0;
   if (deg.unknown != 0 || deg.suspected != 0 ||
       (deg.fault_seen && !had_fault) || (deg.unsync && !had_unsync))
     commit(JournalRecordKind::kDegraded, &Cluster::apply_degraded, id,
@@ -335,8 +298,8 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context,
   // A gang job inside its re-prepare backoff window yields without touching
   // peers (jittered backoff after an aborted round or a victim order).
   if (gang_on()) {
-    const auto bo = gang_backoff_until_.find(job.spec.id);
-    if (bo != gang_backoff_until_.end() && engine_.now() < bo->second)
+    const auto bo = gang_book_.backoff_until.find(job.spec.id);
+    if (bo != gang_book_.backoff_until.end() && engine_.now() < bo->second)
       return scheme_decision(job, try_context, Scheme::kYield);
   }
 
@@ -624,9 +587,9 @@ RunDecision Cluster::gang_costart(RuntimeJob& job,
       // guarantee.
       if (!m.peer->gang_abort(m.id, group)) deg.peer_call_failed();
     }
-    const auto ait = gang_attempts_.find(job.spec.id);
+    const auto ait = gang_book_.attempts.find(job.spec.id);
     const std::uint32_t attempt =
-        (ait == gang_attempts_.end() ? 0u : ait->second) + 1;
+        (ait == gang_book_.attempts.end() ? 0u : ait->second) + 1;
     commit_gang_abort(job.spec.id, group, /*coordinator=*/true, attempt,
                       engine_.now() + gang_backoff(job.spec.id, attempt));
     if (deg.transport_fault) deg.fault_seen = true;
@@ -674,7 +637,7 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
       return false;
     }
   }
-  if (!was_holding || gang_prepared_.count(job) == 0)
+  if (!was_holding || gang_book_.prepared.count(job) == 0)
     commit(JournalRecordKind::kGangPrepare, &Cluster::apply_gang_prepare, job,
            group, engine_.now());
   if (was_holding && liveness_on()) grant_lease(job, /*peer=*/-1);
@@ -685,7 +648,7 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
 bool Cluster::gang_commit(JobId job, GroupId group) {
   // Tripwire parity with start_job: the dispatcher must not reach a gang
   // start after admit_fence() said "stale".
-  if (job == pending_stale_fence_) ++stale_fence_starts_;
+  if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
@@ -697,10 +660,10 @@ bool Cluster::gang_commit(JobId job, GroupId group) {
 
 bool Cluster::gang_abort(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
-  if (gang_prepared_.count(job) == 0) return false;
+  if (gang_book_.prepared.count(job) == 0) return false;
   // Abort advances the fencing epoch just like a lease expiry: any
   // in-flight commit stamped under the prepared epoch is now stale.
-  const bool fenced = liveness_on() && leases_.count(job) > 0;
+  const bool fenced = liveness_on() && lease_table_.leases.count(job) > 0;
   const RuntimeJob* j = sched_.find(job);
   const bool holding = j != nullptr && j->state == JobState::kHolding;
   commit_gang_abort(job, group, /*coordinator=*/false);
@@ -717,10 +680,10 @@ bool Cluster::gang_victim(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
-  const auto ait = gang_attempts_.find(job);
+  const auto ait = gang_book_.attempts.find(job);
   const std::uint32_t attempt =
-      (ait == gang_attempts_.end() ? 0u : ait->second) + 1;
-  const bool fenced = liveness_on() && leases_.count(job) > 0;
+      (ait == gang_book_.attempts.end() ? 0u : ait->second) + 1;
+  const bool fenced = liveness_on() && lease_table_.leases.count(job) > 0;
   commit(JournalRecordKind::kGangVictim, &Cluster::apply_gang_victim, job,
          group, engine_.now(), attempt,
          engine_.now() + gang_backoff(job, attempt));
@@ -738,7 +701,7 @@ void Cluster::on_job_started(const RuntimeJob& job) {
   // one journals kStart, and a replayed one came from apply_start().  Both
   // then run the Cluster side of the start.
   const JobId id = job.spec.id;
-  const bool was_unsync = unsync_pending_.count(id) > 0;
+  const bool was_unsync = agent_.unsync_pending.count(id) > 0;
   append(JournalRecordKind::kStart, id, engine_.now(), job.first_ready,
          job.allocated, starting_from_hold_, was_unsync);
   apply_started(id);
@@ -759,7 +722,7 @@ void Cluster::on_job_finished(JobId id) {
   // Dependents gated by a think-time delay become eligible later than this
   // finish-triggered iteration; wake the scheduler when the gap elapses.
   // Armed before the finish's apply drops the dependency links.
-  auto [begin, end] = dependents_.equal_range(id);
+  auto [begin, end] = agent_.dependents.equal_range(id);
   for (auto it = begin; it != end; ++it) {
     const Duration delay = it->second.second;
     if (delay > 0)
@@ -788,12 +751,12 @@ void Cluster::log_event(JobEventKind kind, const RuntimeJob& job) {
 void Cluster::arm_yield_retry_event(Time at, JobId id) {
   // Untracked on purpose: the event survives a crash, and its body is fully
   // state-guarded, so a recovery re-arm at the same (at, id) coalesces: the
-  // yield_retries_ entry is the ground truth, and whichever twin fires first
+  // yield-retry entry is the ground truth, and whichever twin fires first
   // consumes it.  The body reads `at` back as its own firing time, keeping
   // the capture to two words so the handler fits std::function's inline
   // buffer.
   engine_.schedule_at(at, EventPriority::kSchedule, [this, id] {
-    if (yield_retries_.erase({engine_.now(), id}) == 0) return;
+    if (agent_.yield_retries.erase({engine_.now(), id}) == 0) return;
     const RuntimeJob* j = sched_.find(id);
     if (!j || j->state != JobState::kQueued) return;
     request_iteration();
@@ -802,12 +765,12 @@ void Cluster::arm_yield_retry_event(Time at, JobId id) {
 
 void Cluster::add_yield_retry(JobId id, Time yielded_at) {
   if (cfg_.yield_retry_period > 0)
-    yield_retries_.insert({yielded_at + cfg_.yield_retry_period, id});
+    agent_.yield_retries.insert({yielded_at + cfg_.yield_retry_period, id});
 }
 
 void Cluster::schedule_hold_release() {
   if (cfg_.hold_release_period <= 0) return;  // deadlock breaker disabled
-  if (release_tick_pending_) return;
+  if (agent_.release_tick_pending) return;
   // One synchronized tick per domain, not per-job timers: the paper's
   // enhancement "force[s] the holding jobs to release their resources
   // periodically".  Releasing all holders at the same instant matters —
@@ -816,7 +779,7 @@ void Cluster::schedule_hold_release() {
   // holder immediately re-holds (cross-machine livelock).
   commit(JournalRecordKind::kTickArmed, &Cluster::apply_tick_armed,
          engine_.now() + cfg_.hold_release_period);
-  tick_event_ = engine_.schedule_at(release_tick_at_,
+  tick_event_ = engine_.schedule_at(agent_.release_tick_at,
                                     EventPriority::kHoldRelease,
                                     [this] { hold_release_tick(); });
 }
@@ -830,7 +793,7 @@ void Cluster::hold_release_tick() {
     journal_commit();
     return;
   }
-  for (JobId h : holders) force_release(h, fault_seen_.count(h) > 0);
+  for (JobId h : holders) force_release(h, agent_.fault_seen.count(h) > 0);
   request_iteration();
   journal_commit();
 }
@@ -843,14 +806,14 @@ void Cluster::force_release(JobId id, bool degraded) {
 
 void Cluster::advance_fence() {
   commit(JournalRecordKind::kLeaseFence, &Cluster::apply_lease_fence,
-         std::uint64_t{fence_counter_} + 1);
+         std::uint64_t{lease_table_.fence_counter} + 1);
 }
 
 // -- liveness layer -----------------------------------------------------------
 
 HeartbeatInfo Cluster::liveness_info() const {
   HeartbeatInfo info;
-  info.incarnation = incarnation_;
+  info.incarnation = agent_.incarnation;
   info.fence = fence_epoch();
   info.queue_depth = sched_.queue_length();
   info.hold_fraction = sched_.hold_fraction();
@@ -879,7 +842,7 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
   // The caller learned this token before our last lease expiry (or before a
   // restart bumped the incarnation): its view of our holds is stale, and
   // acting on it could double-start the group.
-  ++stale_fence_rejections_;
+  ++lease_table_.stale_fence_rejections;
   pending_stale_fence_ = job;
   if (const RuntimeJob* j = sched_.find(job))
     log_event(JobEventKind::kFenceReject, *j);
@@ -889,7 +852,7 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
 std::uint64_t Cluster::lease_expiry_violations(Time now) const {
   const Duration grace = 2 * cfg_.liveness.heartbeat_period;
   std::uint64_t violations = 0;
-  for (const auto& [id, lease] : leases_) {
+  for (const auto& [id, lease] : lease_table_.leases) {
     if (now - lease.expires_at <= grace) continue;
     const RuntimeJob* j = sched_.find(id);
     if (j != nullptr && j->state == JobState::kHolding) ++violations;
@@ -898,23 +861,24 @@ std::uint64_t Cluster::lease_expiry_violations(Time now) const {
 }
 
 void Cluster::arm_liveness_tick() {
-  if (!liveness_on() || liveness_armed_) return;
+  if (!liveness_on() || lease_table_.liveness_armed) return;
   commit(JournalRecordKind::kLivenessArmed, &Cluster::apply_liveness_armed,
          engine_.now() + cfg_.liveness.heartbeat_period);
-  liveness_event_ = engine_.schedule_at(liveness_at_, EventPriority::kStats,
-                                        [this] { liveness_body(); });
+  liveness_event_ =
+      engine_.schedule_at(lease_table_.liveness_at, EventPriority::kStats,
+                          [this] { liveness_body(); });
 }
 
 void Cluster::liveness_body() {
   liveness_event_.reset();
-  liveness_armed_ = false;
-  liveness_at_ = kNoTime;
+  lease_table_.liveness_armed = false;
+  lease_table_.liveness_at = kNoTime;
   if (!liveness_on()) return;
   const bool work_left = sched_.queue_length() > 0 ||
                          sched_.running_count() > 0 ||
                          sched_.holding_count() > 0;
   // Quiescent fire journals nothing (mirrors periodic_body); submits re-arm.
-  if (!work_left && leases_.empty()) return;
+  if (!work_left && lease_table_.leases.empty()) return;
 
   const Time now = engine_.now();
   const HeartbeatInfo mine = liveness_info();
@@ -931,9 +895,9 @@ void Cluster::liveness_body() {
 
   // Lease maintenance.  Renewal requires fresh evidence from the blocking
   // peer *this round*; a lease whose peer stayed silent past the expiry
-  // auto-expires.  leases_ is ordered, so the scan is deterministic.
+  // auto-expires.  The lease table is ordered, so the scan is deterministic.
   std::vector<std::pair<JobId, bool>> to_expire;  // (job, mate confirmed dead)
-  for (const auto& [job, lease] : leases_) {
+  for (const auto& [job, lease] : lease_table_.leases) {
     const bool peer_ok = lease.peer >= 0 &&
                          static_cast<std::size_t>(lease.peer) < acks.size() &&
                          acks[static_cast<std::size_t>(lease.peer)];
@@ -967,7 +931,7 @@ void Cluster::grant_lease(JobId job, std::int32_t peer) {
 }
 
 void Cluster::expire_lease(JobId job, bool mate_dead) {
-  if (leases_.count(job) == 0) return;
+  if (lease_table_.leases.count(job) == 0) return;
   // The fencing epoch advances with the expiry: any in-flight call stamped
   // under the old epoch is stale from this instant, which is exactly what
   // closes the partitioned-then-healed double-start window.
@@ -977,7 +941,7 @@ void Cluster::expire_lease(JobId job, bool mate_dead) {
   const RuntimeJob* j = sched_.find(job);
   if (j != nullptr) log_event(JobEventKind::kLeaseExpire, *j);
   if (j != nullptr && j->state == JobState::kHolding) {
-    force_release(job, mate_dead || fault_seen_.count(job) > 0);
+    force_release(job, mate_dead || agent_.fault_seen.count(job) > 0);
     // The requeued job decides afresh next iteration: a confirmed-dead mate
     // then takes the §IV-C unknown path and starts unsynchronized.
     request_iteration();
@@ -1023,14 +987,14 @@ void Cluster::journal_commit() {
 }
 
 void Cluster::emergency_compact() {
-  ++enospc_events_;
+  ++agent_.enospc_events;
   WireWriter snap;
   write_snapshot(snap);
   try {
     // Rung 2: collapse the whole log into one snapshot frame, freeing every
     // byte the tail occupied.
     journal_->compact(snap.bytes(), /*retain_previous=*/false);
-    ++emergency_compactions_;
+    ++agent_.emergency_compactions;
   } catch (const Error&) {
     // Rung 3: even a single snapshot does not fit (or the old image cannot
     // be read back) — keep journaling in memory so in-process recovery and
@@ -1041,219 +1005,18 @@ void Cluster::emergency_compact() {
 }
 
 void Cluster::write_snapshot(WireWriter& w) const {
-  w.put_u64(incarnation_);
-  w.put_u64(iterations_run_);
-  w.put_u64(try_start_requests_);
-  w.put_u64(forced_releases_);
-  w.put_u64(unknown_status_decisions_);
-  w.put_u64(unsync_starts_);
-  w.put_u64(degraded_forced_releases_);
-  w.put_u64(enospc_events_);
-  w.put_u64(emergency_compactions_);
-
-  // All containers go out in a canonical (sorted) order so two snapshots of
-  // equal state are byte-identical.
-  {
-    std::vector<JobId> ids;
-    ids.reserve(expected_.size());
-    // cosched-lint: ordered(ids are sorted before encoding)
-    for (const auto& [id, spec] : expected_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.put_u64(ids.size());
-    for (JobId id : ids) encode_job_spec(w, expected_.at(id));
-  }
-  {
-    // cosched-lint: ordered(pairs are sorted before encoding)
-    std::vector<std::pair<GroupId, JobId>> groups(group_to_job_.begin(),
-                                                  group_to_job_.end());
-    std::sort(groups.begin(), groups.end());
-    w.put_u64(groups.size());
-    for (const auto& [g, j] : groups) {
-      w.put_i64(g);
-      w.put_i64(j);
-    }
-  }
-  {
-    std::vector<std::tuple<JobId, JobId, Duration>> deps;
-    deps.reserve(dependents_.size());
-    // cosched-lint: ordered(tuples are sorted before encoding)
-    for (const auto& [dep, val] : dependents_)
-      deps.emplace_back(dep, val.first, val.second);
-    std::sort(deps.begin(), deps.end());
-    w.put_u64(deps.size());
-    for (const auto& [dep, dependent, delay] : deps) {
-      w.put_i64(dep);
-      w.put_i64(dependent);
-      w.put_i64(delay);
-    }
-  }
-  const auto write_ids = [&w](const std::vector<JobId>& ids) {
-    w.put_u64(ids.size());
-    for (JobId id : ids) w.put_i64(id);
-  };
-  const auto write_set = [&write_ids](const std::unordered_set<JobId>& s) {
-    // cosched-lint: ordered(ids are sorted before encoding)
-    std::vector<JobId> ids(s.begin(), s.end());
-    std::sort(ids.begin(), ids.end());
-    write_ids(ids);
-  };
-  write_ids(ready_logged_.ascending());
-  write_set(fault_seen_);
-  write_set(unsync_pending_);
-
-  w.put_bool(iteration_pending_);
-  w.put_bool(release_tick_pending_);
-  w.put_i64(release_tick_at_);
-  w.put_bool(periodic_armed_);
-  w.put_i64(periodic_at_);
-  w.put_u64(yield_retries_.size());
-  for (const auto& [at, id] : yield_retries_) {
-    w.put_i64(at);
-    w.put_i64(id);
-  }
-
-  // -- liveness layer (leases_ and peer_state_ are already ordered) ------
-  w.put_u64(heartbeats_sent_);
-  w.put_u64(heartbeats_acked_);
-  w.put_u64(lease_grants_);
-  w.put_u64(lease_renewals_);
-  w.put_u64(lease_expiries_);
-  w.put_u64(stale_fence_rejections_);
-  w.put_u64(stale_fence_starts_);
-  w.put_u64(suspected_status_decisions_);
-  w.put_u64(fence_counter_);
-  w.put_bool(liveness_armed_);
-  w.put_i64(liveness_at_);
-  w.put_u64(leases_.size());
-  for (const auto& [id, lease] : leases_) lease.snapshot(w);
-  w.put_u64(peer_state_.size());
-  for (const PeerState& ps : peer_state_) {
-    ps.detector.snapshot(w);
-    w.put_u64(ps.info.incarnation);
-    w.put_u64(ps.info.fence);
-    w.put_u64(ps.info.queue_depth);
-    w.put_double(ps.info.hold_fraction);
-    w.put_bool(ps.ever_heard);
-  }
-
-  // -- gang costart layer (all containers are ordered) -------------------
-  w.put_u64(gangs_prepared_);
-  w.put_u64(gangs_committed_);
-  w.put_u64(gangs_aborted_);
-  w.put_u64(gangs_victimized_);
-  w.put_u64(gang_prepared_.size());
-  for (JobId id : gang_prepared_) w.put_i64(id);
-  w.put_u64(gang_started_.size());
-  for (JobId id : gang_started_) w.put_i64(id);
-  w.put_u64(gang_backoff_until_.size());
-  for (const auto& [id, until] : gang_backoff_until_) {
-    w.put_i64(id);
-    w.put_i64(until);
-  }
-  w.put_u64(gang_attempts_.size());
-  for (const auto& [id, attempt] : gang_attempts_) {
-    w.put_i64(id);
-    w.put_u64(attempt);
-  }
-
+  put(w, snapshot_fields(*this));
   sched_.snapshot(w);
 }
 
 void Cluster::apply_snapshot(WireReader& r) {
-  incarnation_ = r.get_u64();
-  iterations_run_ = r.get_u64();
-  try_start_requests_ = r.get_u64();
-  forced_releases_ = r.get_u64();
-  unknown_status_decisions_ = r.get_u64();
-  unsync_starts_ = r.get_u64();
-  degraded_forced_releases_ = r.get_u64();
-  enospc_events_ = r.get_u64();
-  emergency_compactions_ = r.get_u64();
-
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const JobSpec spec = decode_job_spec(r);
-    expected_.emplace(spec.id, spec);
-  }
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const GroupId g = r.get_i64();
-    const JobId j = r.get_i64();
-    group_to_job_.emplace(g, j);
-  }
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const JobId dep = r.get_i64();
-    const JobId dependent = r.get_i64();
-    const Duration delay = r.get_i64();
-    dependents_.emplace(dep, std::make_pair(dependent, delay));
-  }
-  const auto read_set = [&r](auto& s) {
-    for (std::uint64_t n = r.get_u64(); n > 0; --n) s.insert(r.get_i64());
-  };
-  read_set(ready_logged_);
-  read_set(fault_seen_);
-  read_set(unsync_pending_);
-
-  iteration_pending_ = r.get_bool();
-  release_tick_pending_ = r.get_bool();
-  release_tick_at_ = r.get_i64();
-  periodic_armed_ = r.get_bool();
-  periodic_at_ = r.get_i64();
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const Time at = r.get_i64();
-    const JobId id = r.get_i64();
-    yield_retries_.insert({at, id});
-  }
-
-  heartbeats_sent_ = r.get_u64();
-  heartbeats_acked_ = r.get_u64();
-  lease_grants_ = r.get_u64();
-  lease_renewals_ = r.get_u64();
-  lease_expiries_ = r.get_u64();
-  stale_fence_rejections_ = r.get_u64();
-  stale_fence_starts_ = r.get_u64();
-  suspected_status_decisions_ = r.get_u64();
-  fence_counter_ = static_cast<std::uint32_t>(r.get_u64());
-  liveness_armed_ = r.get_bool();
-  liveness_at_ = r.get_i64();
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const HoldLease lease = HoldLease::restore(r);
-    leases_.emplace(lease.job, lease);
-  }
-  const std::uint64_t n_peers = r.get_u64();
-  COSCHED_CHECK_MSG(n_peers == peer_state_.size(),
-                    name_ << ": snapshot has " << n_peers
-                          << " peers, cluster has " << peer_state_.size());
-  for (PeerState& ps : peer_state_) {
-    ps.detector.restore(r);
-    ps.info.incarnation = r.get_u64();
-    ps.info.fence = r.get_u64();
-    ps.info.queue_depth = r.get_u64();
-    ps.info.hold_fraction = r.get_double();
-    ps.ever_heard = r.get_bool();
-  }
-
-  gangs_prepared_ = r.get_u64();
-  gangs_committed_ = r.get_u64();
-  gangs_aborted_ = r.get_u64();
-  gangs_victimized_ = r.get_u64();
-  for (std::uint64_t n = r.get_u64(); n > 0; --n)
-    gang_prepared_.insert(r.get_i64());
-  for (std::uint64_t n = r.get_u64(); n > 0; --n)
-    gang_started_.insert(r.get_i64());
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const JobId id = r.get_i64();
-    gang_backoff_until_[id] = r.get_i64();
-  }
-  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    const JobId id = r.get_i64();
-    gang_attempts_[id] = static_cast<std::uint32_t>(r.get_u64());
-  }
-
+  get(r, snapshot_fields(*this));
   sched_.restore(r);
 }
 
 void Cluster::validate_indices() const {
-  ready_logged_.validate("ready-logged");
-  yield_retries_.validate("yield-retry");
+  agent_.ready_logged.validate("ready-logged");
+  agent_.yield_retries.validate("yield-retry");
   sched_.validate_indices();
 }
 
@@ -1261,67 +1024,21 @@ void Cluster::wipe_for_recovery() {
   // cosched-lint: ordered(every event is cancelled; order is unobservable)
   for (auto& [id, ev] : completion_events_) engine_.cancel(ev);
   completion_events_.clear();
-  if (iteration_event_) engine_.cancel(*iteration_event_);
-  if (tick_event_) engine_.cancel(*tick_event_);
-  if (periodic_event_) engine_.cancel(*periodic_event_);
-  if (liveness_event_) engine_.cancel(*liveness_event_);
-  iteration_event_.reset();
-  tick_event_.reset();
-  periodic_event_.reset();
-  liveness_event_.reset();
-
-  group_to_job_.clear();
-  expected_.clear();
-  dependents_.clear();
+  for (std::optional<EventId>* ev :
+       {&iteration_event_, &tick_event_, &periodic_event_, &liveness_event_}) {
+    if (*ev) engine_.cancel(**ev);
+    ev->reset();
+  }
+  agent_ = {};
+  lease_table_ = {};
+  gang_book_ = {};
+  // peer_state_ keeps its size: the snapshot applied next overwrites every
+  // entry.  The rest is process-local.
   committing_.clear();
-  ready_logged_.clear();
-  fault_seen_.clear();
-  unsync_pending_.clear();
-  yield_retries_.clear();
-  replay_last_iterate_ = kNoTime;
-  iteration_pending_ = false;
-  release_tick_pending_ = false;
-  periodic_armed_ = false;
-  release_tick_at_ = kNoTime;
-  periodic_at_ = kNoTime;
-  iterations_run_ = 0;
-  try_start_requests_ = 0;
-  forced_releases_ = 0;
-  unknown_status_decisions_ = 0;
-  unsync_starts_ = 0;
-  degraded_forced_releases_ = 0;
-  enospc_events_ = 0;
-  emergency_compactions_ = 0;
-  incarnation_ = 1;
-  starting_from_hold_ = false;
-
-  leases_.clear();
-  for (PeerState& ps : peer_state_)
-    ps = PeerState{FailureDetector(cfg_.liveness.heartbeat_period,
-                                   engine_.now()),
-                   HeartbeatInfo{}, false};
-  fence_counter_ = 0;
-  liveness_armed_ = false;
-  liveness_at_ = kNoTime;
   pending_stale_fence_ = kNoJob;
-  heartbeats_sent_ = 0;
-  heartbeats_acked_ = 0;
-  lease_grants_ = 0;
-  lease_renewals_ = 0;
-  lease_expiries_ = 0;
-  stale_fence_rejections_ = 0;
-  stale_fence_starts_ = 0;
-  suspected_status_decisions_ = 0;
   blocking_peer_ = -1;
-
-  gang_prepared_.clear();
-  gang_started_.clear();
-  gang_backoff_until_.clear();
-  gang_attempts_.clear();
-  gangs_prepared_ = 0;
-  gangs_committed_ = 0;
-  gangs_aborted_ = 0;
-  gangs_victimized_ = 0;
+  starting_from_hold_ = false;
+  replay_last_iterate_ = kNoTime;
 }
 
 void Cluster::restore_snapshot(WireReader& r) {
@@ -1401,17 +1118,17 @@ void Cluster::apply_record(const JournalRecord& rec) {
 // -- applies: one per record kind --------------------------------------------
 
 void Cluster::apply_incarnation(std::uint64_t incarnation) {
-  incarnation_ = incarnation;
+  agent_.incarnation = incarnation;
 }
 
 void Cluster::apply_expected(const JobSpec& spec) {
-  group_to_job_.try_emplace(spec.group, spec.id);
-  expected_.try_emplace(spec.id, spec);
+  agent_.group_to_job.try_emplace(spec.group, spec.id);
+  agent_.expected.try_emplace(spec.id, spec);
 }
 
 void Cluster::apply_submit(const JobSpec& spec, Time t) {
-  if (spec.is_paired()) group_to_job_.try_emplace(spec.group, spec.id);
-  expected_.erase(spec.id);
+  if (spec.is_paired()) agent_.group_to_job.try_emplace(spec.group, spec.id);
+  agent_.expected.erase(spec.id);
   sched_.submit(spec, t);
   // Link the dependency only while it can still fire; a dependency that
   // already finished gets a direct wake (track_dependency, or
@@ -1419,11 +1136,12 @@ void Cluster::apply_submit(const JobSpec& spec, Time t) {
   if (!spec.has_dependency()) return;
   const RuntimeJob* dep = sched_.find(spec.after);
   if (dep == nullptr || dep->state != JobState::kFinished)
-    dependents_.emplace(spec.after, std::make_pair(spec.id, spec.after_delay));
+    agent_.dependents.emplace(spec.after,
+                              std::make_pair(spec.id, spec.after_delay));
 }
 
 void Cluster::apply_ready(JobId id, Time first_ready) {
-  ready_logged_.insert(id);
+  agent_.ready_logged.insert(id);
   // A live decision set first_ready already; a replayed one may not reach
   // another record that carries it.
   if (RuntimeJob* j = sched_.find_mut(id))
@@ -1440,14 +1158,14 @@ void Cluster::apply_start(JobId id, Time t, Time first_ready,
 }
 
 void Cluster::apply_started(JobId id) {
-  if (unsync_pending_.erase(id) > 0) ++unsync_starts_;
-  fault_seen_.erase(id);
-  // The gang bookkeeping retires (gang_started_ stays: it witnesses the
+  if (agent_.unsync_pending.erase(id) > 0) ++agent_.unsync_starts;
+  agent_.fault_seen.erase(id);
+  // The gang bookkeeping retires (gang_book_.started stays: it witnesses the
   // atomicity invariant), and so does the hold's lease.
-  gang_prepared_.erase(id);
-  gang_backoff_until_.erase(id);
-  gang_attempts_.erase(id);
-  leases_.erase(id);
+  gang_book_.prepared.erase(id);
+  gang_book_.backoff_until.erase(id);
+  gang_book_.attempts.erase(id);
+  lease_table_.leases.erase(id);
 }
 
 void Cluster::apply_hold(JobId id, Time t, Time first_ready,
@@ -1457,9 +1175,9 @@ void Cluster::apply_hold(JobId id, Time t, Time first_ready,
 
 void Cluster::apply_hold_release(JobId id, Time t, bool degraded) {
   sched_.release_hold(id, t);
-  ++forced_releases_;
-  if (degraded) ++degraded_forced_releases_;
-  leases_.erase(id);  // the release supersedes the lease
+  ++agent_.forced_releases;
+  if (degraded) ++agent_.degraded_forced_releases;
+  lease_table_.leases.erase(id);  // the release supersedes the lease
 }
 
 void Cluster::apply_yield(JobId id, Time t, Time first_ready, double boost) {
@@ -1469,15 +1187,15 @@ void Cluster::apply_yield(JobId id, Time t, Time first_ready, double boost) {
 
 void Cluster::apply_finish(JobId id, Time t) {
   sched_.finish(id, t);
-  dependents_.erase(id);
+  agent_.dependents.erase(id);
 }
 
 void Cluster::apply_kill(JobId id, Time t) {
   sched_.kill(id, t);
-  leases_.erase(id);
-  gang_prepared_.erase(id);
-  gang_backoff_until_.erase(id);
-  gang_attempts_.erase(id);
+  lease_table_.leases.erase(id);
+  gang_book_.prepared.erase(id);
+  gang_book_.backoff_until.erase(id);
+  gang_book_.attempts.erase(id);
 }
 
 void Cluster::apply_iterate(Time t) {
@@ -1488,66 +1206,66 @@ void Cluster::apply_iterate(Time t) {
 }
 
 void Cluster::apply_tick_armed(Time at) {
-  release_tick_pending_ = true;
-  release_tick_at_ = at;
+  agent_.release_tick_pending = true;
+  agent_.release_tick_at = at;
 }
 
 void Cluster::apply_tick_fired(Time /*fired_at*/) {
-  release_tick_pending_ = false;
-  release_tick_at_ = kNoTime;
+  agent_.release_tick_pending = false;
+  agent_.release_tick_at = kNoTime;
 }
 
 void Cluster::apply_iteration_armed(Time /*armed_at*/) {
-  iteration_pending_ = true;
+  agent_.iteration_pending = true;
 }
 
 void Cluster::apply_periodic_armed(Time at) {
-  periodic_armed_ = true;
-  periodic_at_ = at;
+  agent_.periodic_armed = true;
+  agent_.periodic_at = at;
 }
 
 void Cluster::apply_degraded(JobId id, std::uint64_t unknown, bool fault_seen,
                              bool unsync_pending, std::uint64_t suspected) {
-  unknown_status_decisions_ += unknown;
-  suspected_status_decisions_ += suspected;
+  agent_.unknown_status_decisions += unknown;
+  lease_table_.suspected_status_decisions += suspected;
   if (fault_seen)
-    fault_seen_.insert(id);
+    agent_.fault_seen.insert(id);
   else
-    fault_seen_.erase(id);
+    agent_.fault_seen.erase(id);
   if (unsync_pending)
-    unsync_pending_.insert(id);
+    agent_.unsync_pending.insert(id);
   else
-    unsync_pending_.erase(id);
+    agent_.unsync_pending.erase(id);
 }
 
 void Cluster::apply_lease_grant(const HoldLease& lease) {
-  leases_[lease.job] = lease;
-  ++lease_grants_;
+  lease_table_.leases[lease.job] = lease;
+  ++lease_table_.lease_grants;
 }
 
 void Cluster::apply_lease_renew(JobId id, Time expires_at) {
-  const auto it = leases_.find(id);
-  if (it != leases_.end()) {
+  const auto it = lease_table_.leases.find(id);
+  if (it != lease_table_.leases.end()) {
     it->second.expires_at = expires_at;
     ++it->second.renewals;
   }
-  ++lease_renewals_;
+  ++lease_table_.lease_renewals;
 }
 
 void Cluster::apply_lease_expire(JobId id, Time /*t*/, bool /*mate_dead*/) {
-  leases_.erase(id);
-  ++lease_expiries_;
+  lease_table_.leases.erase(id);
+  ++lease_table_.lease_expiries;
 }
 
 void Cluster::apply_lease_fence(std::uint64_t counter) {
-  fence_counter_ = static_cast<std::uint32_t>(counter);
+  lease_table_.fence_counter = static_cast<std::uint32_t>(counter);
 }
 
 void Cluster::apply_heartbeat(
     Time t, const std::vector<std::optional<HeartbeatInfo>>& acks) {
-  heartbeats_sent_ += acks.size();
+  lease_table_.heartbeats_sent += acks.size();
   for (std::size_t i = 0; i < acks.size(); ++i) {
-    if (acks[i]) ++heartbeats_acked_;
+    if (acks[i]) ++lease_table_.heartbeats_acked;
     if (i >= peer_state_.size()) continue;
     PeerState& ps = peer_state_[i];
     ps.detector.mark_probe(t);
@@ -1559,21 +1277,21 @@ void Cluster::apply_heartbeat(
 }
 
 void Cluster::apply_liveness_armed(Time at) {
-  liveness_armed_ = true;
-  liveness_at_ = at;
+  lease_table_.liveness_armed = true;
+  lease_table_.liveness_at = at;
 }
 
 void Cluster::apply_gang_prepare(JobId id, GroupId /*group*/, Time /*t*/) {
-  gang_prepared_.insert(id);
-  ++gangs_prepared_;
+  gang_book_.prepared.insert(id);
+  ++gang_book_.gangs_prepared;
 }
 
 void Cluster::apply_gang_commit(JobId id, GroupId /*group*/, Time /*t*/,
                                 bool coordinator, std::uint64_t /*attempt*/,
                                 Time /*until*/) {
-  gang_prepared_.erase(id);
-  gang_started_.insert(id);
-  if (coordinator) ++gangs_committed_;
+  gang_book_.prepared.erase(id);
+  gang_book_.started.insert(id);
+  if (coordinator) ++gang_book_.gangs_committed;
   // The start itself is its own kStart record.
 }
 
@@ -1582,25 +1300,25 @@ void Cluster::apply_gang_abort(JobId id, GroupId /*group*/, Time t,
                                Time until) {
   if (coordinator) {
     // The round failed: back off before re-preparing.
-    gang_attempts_[id] = static_cast<std::uint32_t>(attempt);
-    gang_backoff_until_[id] = until;
-    ++gangs_aborted_;
+    gang_book_.attempts[id] = static_cast<std::uint32_t>(attempt);
+    gang_book_.backoff_until[id] = until;
+    ++gang_book_.gangs_aborted;
     return;
   }
   // A member releases its prepared hold.
-  gang_prepared_.erase(id);
-  leases_.erase(id);
+  gang_book_.prepared.erase(id);
+  lease_table_.leases.erase(id);
   const RuntimeJob* j = sched_.find(id);
   if (j != nullptr && j->state == JobState::kHolding) sched_.release_hold(id, t);
 }
 
 void Cluster::apply_gang_victim(JobId id, GroupId /*group*/, Time t,
                                 std::uint64_t attempt, Time until) {
-  gang_attempts_[id] = static_cast<std::uint32_t>(attempt);
-  gang_backoff_until_[id] = until;
-  gang_prepared_.erase(id);
-  ++gangs_victimized_;
-  leases_.erase(id);
+  gang_book_.attempts[id] = static_cast<std::uint32_t>(attempt);
+  gang_book_.backoff_until[id] = until;
+  gang_book_.prepared.erase(id);
+  ++gang_book_.gangs_victimized;
+  lease_table_.leases.erase(id);
   const RuntimeJob* j = sched_.find(id);
   if (j != nullptr && j->state == JobState::kHolding) sched_.release_hold(id, t);
 }
@@ -1714,10 +1432,10 @@ Cluster::RecoveryStats Cluster::recover_from_journal(Journal& journal) {
   // RPC dedup cache) can tell pre-crash requests from post-crash ones.
   journal_ = &journal;
   commit(JournalRecordKind::kIncarnation, &Cluster::apply_incarnation,
-         incarnation_ + 1);
+         agent_.incarnation + 1);
   journal_->commit();
 
-  stats.incarnation = incarnation_;
+  stats.incarnation = agent_.incarnation;
   stats.replay_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1752,48 +1470,51 @@ void Cluster::rearm_after_restore() {
                             [this, id] { on_job_finished(id); });
   }
 
-  if (release_tick_pending_) {
-    if (release_tick_at_ >= now) {
-      tick_event_ = engine_.schedule_at(release_tick_at_,
+  if (agent_.release_tick_pending) {
+    if (agent_.release_tick_at >= now) {
+      tick_event_ = engine_.schedule_at(agent_.release_tick_at,
                                         EventPriority::kHoldRelease,
                                         [this] { hold_release_tick(); });
     } else {
       // The tick fired before the crash but its kTickFired never committed
       // together with a state change we kept — treat it as spent.
-      release_tick_pending_ = false;
-      release_tick_at_ = kNoTime;
+      agent_.release_tick_pending = false;
+      agent_.release_tick_at = kNoTime;
     }
   }
 
-  if (periodic_armed_) {
-    if (periodic_at_ >= now) {
-      periodic_event_ = engine_.schedule_at(periodic_at_, EventPriority::kStats,
-                                            [this] { periodic_body(); });
+  if (agent_.periodic_armed) {
+    if (agent_.periodic_at >= now) {
+      periodic_event_ =
+          engine_.schedule_at(agent_.periodic_at, EventPriority::kStats,
+                              [this] { periodic_body(); });
     } else {
       // A quiescent periodic fire journals nothing; an armed-in-the-past
       // timer therefore means it already fired and found no work.
-      periodic_armed_ = false;
-      periodic_at_ = kNoTime;
+      agent_.periodic_armed = false;
+      agent_.periodic_at = kNoTime;
     }
   }
 
-  if (liveness_armed_) {
-    if (liveness_at_ >= now) {
-      liveness_event_ = engine_.schedule_at(liveness_at_, EventPriority::kStats,
-                                            [this] { liveness_body(); });
+  if (lease_table_.liveness_armed) {
+    if (lease_table_.liveness_at >= now) {
+      liveness_event_ =
+          engine_.schedule_at(lease_table_.liveness_at, EventPriority::kStats,
+                              [this] { liveness_body(); });
     } else {
       // Same quiescence rule as the periodic timer: a liveness fire with
       // work (or leases) always journals a kHeartbeat, so armed-in-the-past
       // means it fired and found nothing to do.
-      liveness_armed_ = false;
-      liveness_at_ = kNoTime;
+      lease_table_.liveness_armed = false;
+      lease_table_.liveness_at = kNoTime;
     }
   }
   // Defensive: leases must never sit without a renewal/expiry driver.  In
   // any consistent journal state leases imply an armed tick, so this only
   // fires if that invariant was already broken — and it re-derives the same
   // way on a second recovery, so it needs no record of its own.
-  if (!liveness_armed_ && liveness_on() && !leases_.empty())
+  if (!lease_table_.liveness_armed && liveness_on() &&
+      !lease_table_.leases.empty())
     arm_liveness_tick();
 
   // Re-teach peers the fencing tokens learned before the crash: the stubs'
@@ -1802,7 +1523,8 @@ void Cluster::rearm_after_restore() {
     if (peer_state_[i].ever_heard)
       peers_[i]->set_fence_token(peer_state_[i].info.fence);
 
-  for (auto it = yield_retries_.begin(); it != yield_retries_.end();) {
+  SortedDeque<std::pair<Time, JobId>>& retries = agent_.yield_retries;
+  for (auto it = retries.begin(); it != retries.end();) {
     const Time at = it->first;
     const JobId id = it->second;
     if (at < now || (at == now && replay_last_iterate_ == now)) {
@@ -1813,7 +1535,7 @@ void Cluster::rearm_after_restore() {
       // due at `now` was already consumed.  kYield replay re-derives the
       // entry unconditionally, so without this prune the re-armed twin would
       // fire again after recovery and schedule an extra iteration.
-      it = yield_retries_.erase(it);
+      it = retries.erase(it);
       continue;
     }
     arm_yield_retry_event(at, id);
@@ -1842,7 +1564,7 @@ void Cluster::rearm_after_restore() {
   // order at the crash instant: a retry firing after the iteration would
   // schedule a second iteration at the same time, yielding paired jobs once
   // more than the uncrashed run.
-  if (iteration_pending_)
+  if (agent_.iteration_pending)
     iteration_event_ = engine_.schedule_at(now, EventPriority::kSchedule,
                                            [this] { run_iteration_body(); });
 }

@@ -97,29 +97,29 @@ class Cluster final : public CoschedService {
   const CoschedConfig& config() const { return cfg_; }
   void set_config(const CoschedConfig& cfg) { cfg_ = cfg; }
 
-  std::uint64_t iterations_run() const { return iterations_run_; }
-  std::uint64_t try_start_requests() const { return try_start_requests_; }
-  std::uint64_t forced_releases() const { return forced_releases_; }
+  std::uint64_t iterations_run() const { return agent_.iterations_run; }
+  std::uint64_t try_start_requests() const { return agent_.try_start_requests; }
+  std::uint64_t forced_releases() const { return agent_.forced_releases; }
 
   // -- degraded-mode counters (§IV-C fault rule firing) ------------------
   /// Peer calls that failed in a decision path (mate treated as unknown).
   std::uint64_t unknown_status_decisions() const {
-    return unknown_status_decisions_;
+    return agent_.unknown_status_decisions;
   }
   /// Paired jobs started without mate confirmation.
-  std::uint64_t unsync_starts() const { return unsync_starts_; }
+  std::uint64_t unsync_starts() const { return agent_.unsync_starts; }
   /// Forced releases of jobs whose decision saw a transport fault.
   std::uint64_t degraded_forced_releases() const {
-    return degraded_forced_releases_;
+    return agent_.degraded_forced_releases;
   }
 
   // -- storage alarm counters (journal ENOSPC ladder) --------------------
   /// Commits that found the journal out of space (each triggers the
   /// emergency-compaction → degrade-to-memory ladder).
-  std::uint64_t storage_enospc_events() const { return enospc_events_; }
+  std::uint64_t storage_enospc_events() const { return agent_.enospc_events; }
   /// Emergency compactions that freed enough space to stay durable.
   std::uint64_t storage_emergency_compactions() const {
-    return emergency_compactions_;
+    return agent_.emergency_compactions;
   }
   /// The attached journal fell back to an in-memory sink (durability lost
   /// until an operator intervenes).
@@ -135,7 +135,7 @@ class Cluster final : public CoschedService {
   /// Current fencing epoch: side-effecting calls stamped with an older
   /// nonzero token are rejected by admit_fence().
   std::uint64_t fence_epoch() const {
-    return make_fence_token(incarnation_, fence_counter_);
+    return make_fence_token(agent_.incarnation, lease_table_.fence_counter);
   }
 
   /// Detector health of peer `i` at the current engine time (kAlive when
@@ -148,26 +148,32 @@ class Cluster final : public CoschedService {
   }
 
   /// Active hold leases by job id (empty when liveness is disabled).
-  const std::map<JobId, HoldLease>& leases() const { return leases_; }
+  const std::map<JobId, HoldLease>& leases() const {
+    return lease_table_.leases;
+  }
 
-  std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
-  std::uint64_t heartbeats_acked() const { return heartbeats_acked_; }
-  std::uint64_t lease_grants() const { return lease_grants_; }
-  std::uint64_t lease_renewals() const { return lease_renewals_; }
-  std::uint64_t lease_expiries() const { return lease_expiries_; }
+  std::uint64_t heartbeats_sent() const { return lease_table_.heartbeats_sent; }
+  std::uint64_t heartbeats_acked() const {
+    return lease_table_.heartbeats_acked;
+  }
+  std::uint64_t lease_grants() const { return lease_table_.lease_grants; }
+  std::uint64_t lease_renewals() const { return lease_table_.lease_renewals; }
+  std::uint64_t lease_expiries() const { return lease_table_.lease_expiries; }
   /// Side-effecting calls rejected for carrying a stale fencing token.
   std::uint64_t stale_fence_rejections() const {
-    return stale_fence_rejections_;
+    return lease_table_.stale_fence_rejections;
   }
   /// Starts that executed despite a stale fence — the runtime tripwire
   /// behind the no-start-with-stale-fence invariant; always 0 unless the
   /// dispatcher gate is bypassed.
-  std::uint64_t stale_fence_starts() const { return stale_fence_starts_; }
+  std::uint64_t stale_fence_starts() const {
+    return lease_table_.stale_fence_starts;
+  }
   /// Decision paths that classified a mate as `suspected` (detector phase
   /// between alive and confirmed-dead): the job held/yielded instead of
   /// starting unsynchronized.
   std::uint64_t suspected_status_decisions() const {
-    return suspected_status_decisions_;
+    return lease_table_.suspected_status_decisions;
   }
   /// Leases whose expiry is more than two heartbeat periods overdue while
   /// their job still holds nodes — the lease-expiry-respected invariant.
@@ -175,18 +181,22 @@ class Cluster final : public CoschedService {
 
   // -- gang costart layer (two-phase k-of-N starts) ----------------------
   /// Members this domain placed into a fenced prepared hold.
-  std::uint64_t gangs_prepared() const { return gangs_prepared_; }
+  std::uint64_t gangs_prepared() const { return gang_book_.gangs_prepared; }
   /// Coordinator-side: gang rounds that committed (one per gang start).
-  std::uint64_t gangs_committed() const { return gangs_committed_; }
+  std::uint64_t gangs_committed() const { return gang_book_.gangs_committed; }
   /// Coordinator-side: prepare rounds aborted (holds released, backoff).
-  std::uint64_t gangs_aborted() const { return gangs_aborted_; }
+  std::uint64_t gangs_aborted() const { return gang_book_.gangs_aborted; }
   /// Victim-side: holds force-yielded by a deadlock-resolution order.
-  std::uint64_t gangs_victimized() const { return gangs_victimized_; }
+  std::uint64_t gangs_victimized() const { return gang_book_.gangs_victimized; }
   /// Jobs on this domain that started through a gang commit — the basis of
   /// the gang-atomicity invariant (a committed gang must fully start).
-  const std::set<JobId>& gang_started_jobs() const { return gang_started_; }
+  const std::set<JobId>& gang_started_jobs() const {
+    return gang_book_.started;
+  }
   /// Jobs currently sitting in a prepared (fenced, leased) hold.
-  const std::set<JobId>& gang_prepared_jobs() const { return gang_prepared_; }
+  const std::set<JobId>& gang_prepared_jobs() const {
+    return gang_book_.prepared;
+  }
 
   /// Attaches a lifecycle event log (not owned; may be shared across
   /// domains).  Pass nullptr to detach.
@@ -241,7 +251,7 @@ class Cluster final : public CoschedService {
   Journal* journal() { return journal_; }
 
   /// Daemon incarnation: starts at 1, bumped by every recovery.
-  std::uint64_t incarnation() const { return incarnation_; }
+  std::uint64_t incarnation() const { return agent_.incarnation; }
 
   /// Full crash recovery on this object: cancels tracked timers, wipes all
   /// mutable state, applies the journal's snapshot, replays the tail
@@ -455,89 +465,140 @@ class Cluster final : public CoschedService {
   CoschedConfig cfg_;
   SchedulerConfig sched_cfg_;
   Scheduler sched_;
-
   std::vector<PeerClient*> peers_;
-  std::unordered_map<GroupId, JobId> group_to_job_;
-  std::unordered_map<JobId, JobSpec> expected_;   ///< registered, unsubmitted
-  /// dependency -> (dependent job, think-time delay); drained at finish.
-  std::unordered_multimap<JobId, std::pair<JobId, Duration>> dependents_;
-  std::vector<JobId> committing_;                 ///< report kStarting
-  bool iteration_pending_ = false;
-  bool release_tick_pending_ = false;
-  bool periodic_armed_ = false;
   EventLog* event_log_ = nullptr;
-  /// Every job that ever became ready (its kReady is logged once); the
-  /// ascending walk is what write_snapshot() encodes.
-  JobIdSet ready_logged_;
-  /// Jobs whose latest decision path hit a transport fault; membership makes
-  /// a subsequent forced release fault-attributable.
-  std::unordered_set<JobId> fault_seen_;
-  /// Jobs whose start decision was taken under a transport fault; confirmed
-  /// as unsynchronized starts when the start actually lands.
-  std::unordered_set<JobId> unsync_pending_;
 
-  std::uint64_t iterations_run_ = 0;
-  std::uint64_t try_start_requests_ = 0;
-  std::uint64_t forced_releases_ = 0;
-  std::uint64_t unknown_status_decisions_ = 0;
-  std::uint64_t unsync_starts_ = 0;
-  std::uint64_t degraded_forced_releases_ = 0;
+  // -- durable state ----------------------------------------------------------
+  //
+  // What a snapshot carries besides the scheduler's state, grouped by owner.
+  // Each group declares its members in snapshot order, and each member's
+  // initializer is its value after wipe_for_recovery().
 
-  // -- liveness layer ------------------------------------------------------
-  /// Per-peer detector + last-heard payload, parallel to peers_.
+  /// The Algorithm-1 agent: decision counters, the paired-job registry,
+  /// degraded-mode marks and the armed timers.
+  struct Agent {
+    std::uint64_t incarnation = 1;  ///< starts at 1, bumped by every recovery
+    std::uint64_t iterations_run = 0;
+    std::uint64_t try_start_requests = 0;
+    std::uint64_t forced_releases = 0;
+    std::uint64_t unknown_status_decisions = 0;
+    std::uint64_t unsync_starts = 0;
+    std::uint64_t degraded_forced_releases = 0;
+    /// Times the journal hit ENOSPC and entered the degradation ladder.
+    std::uint64_t enospc_events = 0;
+    /// Emergency compactions that successfully recovered journal space.
+    std::uint64_t emergency_compactions = 0;
+    std::unordered_map<JobId, JobSpec> expected;  ///< registered, unsubmitted
+    std::unordered_map<GroupId, JobId> group_to_job;
+    /// dependency -> (dependent job, think-time delay); drained at finish.
+    std::unordered_multimap<JobId, std::pair<JobId, Duration>> dependents;
+    /// Every job that ever became ready (its kReady is logged once).
+    JobIdSet ready_logged;
+    /// Jobs whose latest decision path hit a transport fault; membership
+    /// makes a subsequent forced release fault-attributable.
+    std::unordered_set<JobId> fault_seen;
+    /// Jobs whose start decision was taken under a transport fault;
+    /// confirmed as unsynchronized starts when the start actually lands.
+    std::unordered_set<JobId> unsync_pending;
+    bool iteration_pending = false;
+    bool release_tick_pending = false;
+    Time release_tick_at = kNoTime;  ///< absolute time of the armed tick
+    bool periodic_armed = false;
+    Time periodic_at = kNoTime;      ///< absolute time of the armed periodic
+    /// Pending yield-retry checks as (absolute time, job), ascending and
+    /// duplicate-free, so a fresh-process restore can re-arm them.  Live
+    /// retries are armed a constant period ahead, so they join at the back
+    /// and fire from the front.
+    SortedDeque<std::pair<Time, JobId>> yield_retries;
+    COSCHED_FIELDS(Agent, incarnation, iterations_run, try_start_requests,
+                   forced_releases, unknown_status_decisions, unsync_starts,
+                   degraded_forced_releases, enospc_events,
+                   emergency_compactions, expected, group_to_job, dependents,
+                   ready_logged, fault_seen, unsync_pending, iteration_pending,
+                   release_tick_pending, release_tick_at, periodic_armed,
+                   periodic_at, yield_retries)
+  };
+
+  /// The liveness layer's lease table: heartbeat and lease counters, the
+  /// fencing epoch, the liveness timer and the active hold leases.
+  struct LeaseTable {
+    std::uint64_t heartbeats_sent = 0;
+    std::uint64_t heartbeats_acked = 0;
+    std::uint64_t lease_grants = 0;
+    std::uint64_t lease_renewals = 0;
+    std::uint64_t lease_expiries = 0;
+    std::uint64_t stale_fence_rejections = 0;
+    std::uint64_t stale_fence_starts = 0;
+    std::uint64_t suspected_status_decisions = 0;
+    /// Low 32 bits of the fencing epoch; bumped on every lease expiry.  The
+    /// incarnation forms the high bits (see make_fence_token).
+    std::uint32_t fence_counter = 0;
+    bool liveness_armed = false;
+    Time liveness_at = kNoTime;
+    /// Active hold leases by job.  Ordered so snapshots and expiry scans are
+    /// deterministic.
+    std::map<JobId, HoldLease> leases;
+    COSCHED_FIELDS(LeaseTable, heartbeats_sent, heartbeats_acked,
+                   lease_grants, lease_renewals, lease_expiries,
+                   stale_fence_rejections, stale_fence_starts,
+                   suspected_status_decisions, fence_counter, liveness_armed,
+                   liveness_at, leases)
+  };
+
+  /// Detector and last-heard payload of one peer.
   struct PeerState {
     FailureDetector detector;
     HeartbeatInfo info;
     bool ever_heard = false;
+    COSCHED_FIELDS(PeerState, detector, info, ever_heard)
   };
+
+  /// The gang costart layer's book: round counters and per-job state, all
+  /// ordered so snapshots are canonical.
+  struct GangBook {
+    std::uint64_t gangs_prepared = 0;
+    std::uint64_t gangs_committed = 0;
+    std::uint64_t gangs_aborted = 0;
+    std::uint64_t gangs_victimized = 0;
+    /// Members currently in a prepared hold.
+    std::set<JobId> prepared;
+    /// Jobs started via a gang commit (never shrinks; atomicity witness).
+    std::set<JobId> started;
+    /// Re-prepare backoff deadline per local gang job (coordinator/victim).
+    std::map<JobId, Time> backoff_until;
+    /// Abort/victim attempt count per job, feeding the backoff exponent.
+    std::map<JobId, std::uint32_t> attempts;
+    COSCHED_FIELDS(GangBook, gangs_prepared, gangs_committed, gangs_aborted,
+                   gangs_victimized, prepared, started, backoff_until,
+                   attempts)
+  };
+
+  Agent agent_;
+  LeaseTable lease_table_;
+  /// One entry per peer, parallel to peers_: add_peer() sizes it, so it is
+  /// not wiped, and a snapshot must carry exactly as many entries.
   std::vector<PeerState> peer_state_;
-  /// Active hold leases by job.  Ordered so snapshots and expiry scans are
-  /// deterministic.
-  std::map<JobId, HoldLease> leases_;
-  /// Low 32 bits of the fencing epoch; bumped on every lease expiry.  The
-  /// incarnation forms the high bits (see make_fence_token).
-  std::uint32_t fence_counter_ = 0;
-  bool liveness_armed_ = false;
-  Time liveness_at_ = kNoTime;
-  std::optional<EventId> liveness_event_;
+  GangBook gang_book_;
+
+  /// The snapshot's field list: what write_snapshot() writes and
+  /// apply_snapshot() reads, in order, ahead of the scheduler's state.
+  template <class Self>
+  static auto snapshot_fields(Self& self) {
+    return std::tie(self.agent_, self.lease_table_, self.peer_state_,
+                    self.gang_book_);
+  }
+
+  // -- process-local state ----------------------------------------------------
+  std::vector<JobId> committing_;  ///< report kStarting
   /// Job whose latest admit_fence() verdict was "stale" — consumed by
   /// try_start_mate/start_job to detect a bypassed gate.
   JobId pending_stale_fence_ = kNoJob;
-  std::uint64_t heartbeats_sent_ = 0;
-  std::uint64_t heartbeats_acked_ = 0;
-  std::uint64_t lease_grants_ = 0;
-  std::uint64_t lease_renewals_ = 0;
-  std::uint64_t lease_expiries_ = 0;
-  std::uint64_t stale_fence_rejections_ = 0;
-  std::uint64_t stale_fence_starts_ = 0;
-  std::uint64_t suspected_status_decisions_ = 0;
   /// Peer index that blocked the most recent scheme_decision (-1 = none);
   /// the lease grant records it as the renewal source.
   std::int32_t blocking_peer_ = -1;
-
-  // -- gang costart layer ---------------------------------------------------
-  /// Members currently in a prepared hold (ordered: snapshots are canonical).
-  std::set<JobId> gang_prepared_;
-  /// Jobs started via a gang commit (never shrinks; atomicity witness).
-  std::set<JobId> gang_started_;
-  /// Re-prepare backoff deadline per local gang job (coordinator/victim).
-  std::map<JobId, Time> gang_backoff_until_;
-  /// Abort/victim attempt count per job, feeding the backoff exponent.
-  std::map<JobId, std::uint32_t> gang_attempts_;
-  std::uint64_t gangs_prepared_ = 0;
-  std::uint64_t gangs_committed_ = 0;
-  std::uint64_t gangs_aborted_ = 0;
-  std::uint64_t gangs_victimized_ = 0;
-
-  // -- crash-consistent persistence ---------------------------------------
   Journal* journal_ = nullptr;   ///< not owned
   std::uint64_t compact_every_ = 0;
   bool replaying_ = false;
-  std::uint64_t incarnation_ = 1;
-  /// Times the journal hit ENOSPC and entered the degradation ladder.
-  std::uint64_t enospc_events_ = 0;
-  /// Emergency compactions that successfully recovered journal space.
-  std::uint64_t emergency_compactions_ = 0;
   /// True while start_held() promotes a holder, so the kStart record can
   /// distinguish holding-origin from queued-origin starts.
   bool starting_from_hold_ = false;
@@ -548,13 +609,7 @@ class Cluster final : public CoschedService {
   std::optional<EventId> iteration_event_;
   std::optional<EventId> tick_event_;
   std::optional<EventId> periodic_event_;
-  Time release_tick_at_ = kNoTime;  ///< absolute time of the armed tick
-  Time periodic_at_ = kNoTime;      ///< absolute time of the armed periodic
-  /// Pending yield-retry checks as (absolute time, job), ascending and
-  /// duplicate-free; snapshotted so a fresh-process restore can re-arm them.
-  /// Live retries are armed a constant period ahead, so they join at the
-  /// back and fire from the front.
-  SortedDeque<std::pair<Time, JobId>> yield_retries_;
+  std::optional<EventId> liveness_event_;
   /// Timestamp of the newest kIterate record seen during replay; kNoTime
   /// outside recovery.  Lets rearm_after_restore() drop yield retries at the
   /// crash instant that provably fired before the crash (retries at a

@@ -2,18 +2,28 @@
 
 #include <cstdint>
 
-#include "proto/wire.h"
+#include "proto/durable.h"
 
 namespace cosched {
+
+namespace {
+
+/// A kDedup record's payload.
+struct DedupRecord {
+  std::uint64_t incarnation = 0;
+  std::uint64_t rid = 0;
+  MsgType op = MsgType::kErrorResp;
+  bool verdict = false;
+  COSCHED_FIELDS(DedupRecord, incarnation, rid, op, verdict)
+};
+
+}  // namespace
 
 void bind_dedup_journal(RpcDedup& dedup, Journal& journal) {
   dedup.set_persist([&journal](std::uint64_t inc, std::uint64_t rid,
                                MsgType op, bool verdict) {
     WireWriter w;
-    w.put_u64(inc);
-    w.put_u64(rid);
-    w.put_u8(static_cast<std::uint8_t>(op));
-    w.put_bool(verdict);
+    put(w, DedupRecord{inc, rid, op, verdict});
     journal.append(JournalRecordKind::kDedup, w.bytes());
     // Commit here, not at the entry-point boundary: the dispatcher builds
     // the reply as soon as record() returns, so this is the last point
@@ -24,10 +34,9 @@ void bind_dedup_journal(RpcDedup& dedup, Journal& journal) {
 
 void apply_dedup_record(RpcDedup& dedup, const JournalRecord& rec) {
   WireReader r(rec.payload);
-  const std::uint64_t inc = r.get_u64();
-  const std::uint64_t rid = r.get_u64();
-  const MsgType op = static_cast<MsgType>(r.get_u8());
-  dedup.insert_restored(inc, rid, op, r.get_bool());
+  DedupRecord d;
+  get(r, d);
+  dedup.insert_restored(d.incarnation, d.rid, d.op, d.verdict);
 }
 
 }  // namespace cosched

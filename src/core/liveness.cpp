@@ -58,46 +58,4 @@ PeerHealth FailureDetector::health(Time now, double phi_suspect,
   return PeerHealth::kAlive;
 }
 
-void FailureDetector::snapshot(WireWriter& w) const {
-  w.put_i64(expected_interval_);
-  w.put_i64(epoch_);
-  w.put_i64(last_heard_);
-  w.put_bool(probed_);
-  w.put_u64(heartbeats_seen_);
-  w.put_u64(gaps_.size());
-  for (const Duration g : gaps_) w.put_i64(g);
-}
-
-void FailureDetector::restore(WireReader& r) {
-  expected_interval_ = r.get_i64();
-  epoch_ = r.get_i64();
-  last_heard_ = r.get_i64();
-  probed_ = r.get_bool();
-  heartbeats_seen_ = r.get_u64();
-  gaps_.clear();
-  const std::uint64_t n = r.get_u64();
-  if (n > kWindow) throw ParseError("liveness: detector window overflow");
-  for (std::uint64_t i = 0; i < n; ++i) gaps_.push_back(r.get_i64());
-}
-
-void HoldLease::snapshot(WireWriter& w) const {
-  w.put_i64(job);
-  w.put_i64(peer);
-  w.put_i64(granted_at);
-  w.put_i64(expires_at);
-  w.put_u64(token);
-  w.put_u64(renewals);
-}
-
-HoldLease HoldLease::restore(WireReader& r) {
-  HoldLease l;
-  l.job = r.get_i64();
-  l.peer = static_cast<std::int32_t>(r.get_i64());
-  l.granted_at = r.get_i64();
-  l.expires_at = r.get_i64();
-  l.token = r.get_u64();
-  l.renewals = static_cast<std::uint32_t>(r.get_u64());
-  return l;
-}
-
 }  // namespace cosched

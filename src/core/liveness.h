@@ -22,13 +22,14 @@
 //
 // Everything here runs on simulated time and is purely deterministic: the
 // detector's state is a bounded window of observed inter-arrival gaps, and
-// both types snapshot/restore through the journal's wire codec.
+// both types are durable through their field lists (proto/durable.h).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 
-#include "proto/wire.h"
+#include "util/error.h"
+#include "util/fields.h"
 #include "util/types.h"
 
 namespace cosched {
@@ -82,10 +83,6 @@ class FailureDetector {
   /// Mean inter-arrival estimate over the window (simulated seconds).
   double mean_interval() const;
 
-  /// Snapshot/restore through the journal codec (deterministic recovery).
-  void snapshot(WireWriter& w) const;
-  void restore(WireReader& r);
-
  private:
   /// Gap window size: big enough to smooth jitter, small enough to adapt
   /// within a few minutes of simulated time at a 30 s period.
@@ -97,6 +94,13 @@ class FailureDetector {
   bool probed_ = false;              ///< mark_probe() has run
   std::uint64_t heartbeats_seen_ = 0;
   std::deque<Duration> gaps_;        ///< recent inter-arrival gaps
+
+  COSCHED_FIELDS(FailureDetector, expected_interval_, epoch_, last_heard_,
+                 probed_, heartbeats_seen_, gaps_)
+  friend void check_durable(const FailureDetector& d) {
+    if (d.gaps_.size() > kWindow)
+      throw ParseError("liveness: detector window overflow");
+  }
 };
 
 /// One granted hold lease: `job` occupies its assigned nodes waiting for
@@ -111,9 +115,9 @@ struct HoldLease {
   std::uint32_t renewals = 0;
 
   bool operator==(const HoldLease&) const = default;
-
-  void snapshot(WireWriter& w) const;
-  static HoldLease restore(WireReader& r);
+  COSCHED_FIELDS(HoldLease, job, peer, granted_at, expires_at, token, renewals)
+  /// The lease table is keyed by job, so it stores the leases alone.
+  friend JobId durable_key(const HoldLease& l) { return l.job; }
 };
 
 /// Fencing tokens order lease epochs across restarts: the incarnation (the

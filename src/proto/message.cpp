@@ -285,30 +285,4 @@ Message make_heartbeat_resp(std::uint64_t rid, const HeartbeatInfo& info) {
   return make_heartbeat(MsgType::kHeartbeatResp, rid, info);
 }
 
-void encode_job_spec(WireWriter& w, const JobSpec& spec) {
-  w.put_i64(spec.id);
-  w.put_i64(spec.submit);
-  w.put_i64(spec.runtime);
-  w.put_i64(spec.walltime);
-  w.put_i64(spec.nodes);
-  w.put_i64(spec.group);
-  w.put_i64(spec.after);
-  w.put_i64(spec.after_delay);
-  w.put_i64(spec.user);
-}
-
-JobSpec decode_job_spec(WireReader& r) {
-  JobSpec spec;
-  spec.id = r.get_i64();
-  spec.submit = r.get_i64();
-  spec.runtime = r.get_i64();
-  spec.walltime = r.get_i64();
-  spec.nodes = r.get_i64();
-  spec.group = r.get_i64();
-  spec.after = r.get_i64();
-  spec.after_delay = r.get_i64();
-  spec.user = static_cast<std::int32_t>(r.get_i64());
-  return spec;
-}
-
 }  // namespace cosched

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "proto/wire.h"
+#include "util/fields.h"
 #include "util/types.h"
 #include "workload/job.h"
 
@@ -163,14 +164,11 @@ struct HeartbeatInfo {
   double hold_fraction = 0.0;     ///< fraction of the sender's nodes held
 
   bool operator==(const HeartbeatInfo&) const = default;
+  COSCHED_FIELDS(HeartbeatInfo, incarnation, fence, queue_depth,
+                 hold_fraction)
 };
 
 Message make_heartbeat_req(std::uint64_t rid, const HeartbeatInfo& info);
 Message make_heartbeat_resp(std::uint64_t rid, const HeartbeatInfo& info);
-
-/// Canonical JobSpec codec, shared by the wire protocol layer and the
-/// crash-recovery snapshot/journal (core/journal.h).
-void encode_job_spec(WireWriter& w, const JobSpec& spec);
-JobSpec decode_job_spec(WireReader& r);
 
 }  // namespace cosched

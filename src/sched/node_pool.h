@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "sched/allocation.h"
+#include "util/fields.h"
 #include "util/types.h"
 
 namespace cosched {
@@ -73,6 +74,7 @@ class NodePool {
     Time last_update = 0;
     double busy_ns = 0.0;
     double held_ns = 0.0;
+    COSCHED_FIELDS(Accounting, busy, held, last_update, busy_ns, held_ns)
   };
   Accounting accounting() const {
     return {busy_, held_, last_update_, busy_ns_, held_ns_};

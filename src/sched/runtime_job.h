@@ -1,6 +1,8 @@
 // Runtime scheduling state of one job inside a scheduling domain.
 #pragma once
 
+#include "util/error.h"
+#include "util/fields.h"
 #include "util/types.h"
 #include "workload/job.h"
 
@@ -63,6 +65,14 @@ struct RuntimeJob {
   Duration sync_time() const {
     if (start == kNoTime || first_ready == kNoTime) return 0;
     return start - first_ready;
+  }
+
+  COSCHED_FIELDS(RuntimeJob, spec, state, start, end, first_ready, hold_since,
+                 allocated, yield_count, forced_releases, demoted,
+                 priority_boost)
+  friend void check_durable(const RuntimeJob& j) {
+    if (j.state > JobState::kFinished)
+      throw ParseError("snapshot: bad job state");
   }
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "proto/message.h"
+#include "proto/durable.h"
 #include "sched/profile.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -450,32 +450,14 @@ void Scheduler::erase_running_end(const RuntimeJob& job) {
 }
 
 void Scheduler::snapshot(WireWriter& w) const {
-  const NodePool::Accounting a = pool_.accounting();
-  w.put_i64(a.busy);
-  w.put_i64(a.held);
-  w.put_i64(a.last_update);
-  w.put_double(a.busy_ns);
-  w.put_double(a.held_ns);
+  put(w, pool_.accounting());
 
   // Both tables go out in ascending id order.
   const auto write_jobs =
       [&w](const std::unordered_map<JobId, RuntimeJob>& table,
            const std::vector<JobId>& ids) {
         w.put_u64(ids.size());
-        for (JobId id : ids) {
-          const RuntimeJob& j = table.at(id);
-          encode_job_spec(w, j.spec);
-          w.put_u8(static_cast<std::uint8_t>(j.state));
-          w.put_i64(j.start);
-          w.put_i64(j.end);
-          w.put_i64(j.first_ready);
-          w.put_i64(j.hold_since);
-          w.put_i64(j.allocated);
-          w.put_i64(j.yield_count);
-          w.put_i64(j.forced_releases);
-          w.put_bool(j.demoted);
-          w.put_double(j.priority_boost);
-        }
+        for (JobId id : ids) put(w, table.at(id));
       };
   write_jobs(jobs_, live_ids());
   write_jobs(archived_, archive_ids_);
@@ -489,11 +471,7 @@ void Scheduler::snapshot(WireWriter& w) const {
 
 void Scheduler::restore(WireReader& r) {
   NodePool::Accounting a;
-  a.busy = r.get_i64();
-  a.held = r.get_i64();
-  a.last_update = r.get_i64();
-  a.busy_ns = r.get_double();
-  a.held_ns = r.get_double();
+  get(r, a);
   pool_.restore(a);
 
   jobs_.clear();
@@ -504,30 +482,14 @@ void Scheduler::restore(WireReader& r) {
   running_ends_.clear();
   holding_.clear();
 
-  const auto read_job = [&r] {
-    RuntimeJob j;
-    j.spec = decode_job_spec(r);
-    const std::uint8_t s = r.get_u8();
-    COSCHED_CHECK_MSG(s <= static_cast<std::uint8_t>(JobState::kFinished),
-                      "snapshot: bad job state " << int(s));
-    j.state = static_cast<JobState>(s);
-    j.start = r.get_i64();
-    j.end = r.get_i64();
-    j.first_ready = r.get_i64();
-    j.hold_since = r.get_i64();
-    j.allocated = r.get_i64();
-    j.yield_count = static_cast<int>(r.get_i64());
-    j.forced_releases = static_cast<int>(r.get_i64());
-    j.demoted = r.get_bool();
-    j.priority_boost = r.get_double();
-    return j;
-  };
   for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    RuntimeJob j = read_job();
+    RuntimeJob j;
+    get(r, j);
     jobs_.emplace(j.spec.id, std::move(j));
   }
   for (std::uint64_t n = r.get_u64(); n > 0; --n) {
-    RuntimeJob j = read_job();
+    RuntimeJob j;
+    get(r, j);
     archive(j.spec.id, std::move(j));
   }
 
@@ -542,8 +504,7 @@ void Scheduler::restore(WireReader& r) {
       case JobState::kHolding: holding_.insert(id); break;
       case JobState::kRunning: ++running; break;
       case JobState::kFinished:
-        COSCHED_CHECK_MSG(false, "snapshot: finished job " << id
-                                                           << " in live table");
+        throw ParseError("snapshot: finished job in the live table");
     }
   }
   std::sort(qids.begin(), qids.end());
@@ -551,16 +512,17 @@ void Scheduler::restore(WireReader& r) {
     queue_pos_.emplace(id, queued_.size());
     queued_.push_back(id);
   }
-  const std::uint64_t nrun = r.get_u64();
-  COSCHED_CHECK_MSG(nrun == running, "snapshot: running-end index count "
-                                         << nrun << " != running jobs "
-                                         << running);
-  for (std::uint64_t i = 0; i < nrun; ++i) {
-    const JobId id = r.get_i64();
-    const RuntimeJob& j = jobs_.at(id);
-    COSCHED_CHECK_MSG(j.state == JobState::kRunning,
-                      "snapshot: job " << id << " in end index not running");
-    running_ends_.emplace(j.start + j.spec.walltime, id);
+  if (r.get_u64() != running)
+    throw ParseError("snapshot: running-end index count differs");
+  for (std::size_t i = 0; i < running; ++i) {
+    const auto it = jobs_.find(r.get_i64());
+    if (it == jobs_.end() || it->second.state != JobState::kRunning)
+      throw ParseError("snapshot: end index names a job not running");
+    Time end = 0;
+    if (__builtin_add_overflow(it->second.start, it->second.spec.walltime,
+                               &end))
+      throw ParseError("snapshot: running job ends past the time range");
+    running_ends_.emplace(end, it->first);
   }
   touch();
 }

@@ -204,7 +204,7 @@ class Scheduler {
   // pool accounting, running-end tie order) in a canonical order; capacity,
   // policy, config, and the allocation model are construction facts and are
   // not included — restore() must be called on a Scheduler built with the
-  // same ones.
+  // same ones.  restore() throws ParseError on malformed bytes.
 
   void snapshot(WireWriter& w) const;
   void restore(WireReader& r);

@@ -50,6 +50,8 @@ inline void check_ascending_index(const std::vector<JobId>& ids,
 /// A set of job ids with hash lookups and an ascending walk.
 class JobIdSet {
  public:
+  using value_type = JobId;
+
   /// Inserts `id`; true iff it was not already a member.
   bool insert(JobId id) {
     if (!members_.insert(id).second) return false;
@@ -57,6 +59,10 @@ class JobIdSet {
     return true;
   }
   bool contains(JobId id) const { return members_.count(id) > 0; }
+  void reserve(std::size_t n) {
+    members_.reserve(n);
+    ascending_.reserve(n);
+  }
   void clear() {
     members_.clear();
     ascending_.clear();
@@ -84,6 +90,7 @@ class JobIdSet {
 template <class T>
 class SortedDeque {
  public:
+  using value_type = T;
   using const_iterator = typename std::deque<T>::const_iterator;
 
   /// Inserts `v`; true iff it was not already a member.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/fields.h"
 #include "util/types.h"
 
 namespace cosched {
@@ -55,6 +56,11 @@ struct JobSpec {
 
   bool is_paired() const { return group != kNoGroup; }
   bool has_dependency() const { return after != kNoJob; }
+
+  COSCHED_FIELDS(JobSpec, id, submit, runtime, walltime, nodes, group, after,
+                 after_delay, user)
+  /// A table of specs is keyed by id, so it stores the specs alone.
+  friend JobId durable_key(const JobSpec& s) { return s.id; }
 };
 
 }  // namespace cosched

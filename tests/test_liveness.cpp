@@ -6,6 +6,7 @@
 
 #include "core/liveness.h"
 #include "core_test_util.h"
+#include "proto/durable.h"
 #include "util/error.h"
 
 namespace cosched {
@@ -80,11 +81,11 @@ TEST(FailureDetector, SnapshotRestoreRoundTrip) {
   d.mark_probe(40);
   for (Time t = 100; t <= 400; t += 25) d.record_heartbeat(t);
   WireWriter w;
-  d.snapshot(w);
+  put(w, d);
 
   FailureDetector back(99 * kSecond, 777);  // every field must be overwritten
   WireReader r(w.bytes());
-  back.restore(r);
+  get(r, back);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back.last_heard(), d.last_heard());
   EXPECT_EQ(back.heartbeats_seen(), d.heartbeats_seen());
@@ -101,9 +102,10 @@ TEST(FailureDetector, RestoreRejectsOversizedWindow) {
   w.put_bool(false);   // probed
   w.put_u64(0);        // heartbeats_seen
   w.put_u64(17);       // gap count > kWindow: corrupt snapshot
+  for (int i = 0; i < 17; ++i) w.put_i64(30);
   FailureDetector d(30 * kSecond, 0);
   WireReader r(w.bytes());
-  EXPECT_THROW(d.restore(r), ParseError);
+  EXPECT_THROW(get(r, d), ParseError);
 }
 
 // -- HoldLease and fencing tokens -------------------------------------------
@@ -117,9 +119,11 @@ TEST(HoldLease, SnapshotRoundTrip) {
   l.token = make_fence_token(3, 9);
   l.renewals = 5;
   WireWriter w;
-  l.snapshot(w);
+  put(w, l);
   WireReader r(w.bytes());
-  EXPECT_EQ(HoldLease::restore(r), l);
+  HoldLease back;
+  get(r, back);
+  EXPECT_EQ(back, l);
   EXPECT_TRUE(r.exhausted());
 }
 

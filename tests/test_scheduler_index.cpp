@@ -6,13 +6,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "proto/message.h"
+#include "proto/durable.h"
 #include "sched/policy.h"
 #include "sched/scheduler.h"
+#include "util/error.h"
 
 namespace cosched {
 namespace {
@@ -247,7 +249,11 @@ std::vector<std::uint8_t> reference_snapshot(const Scheduler& s) {
         w.put_u64(ids.size());
         for (JobId id : ids) {
           const RuntimeJob& j = table.at(id);
-          encode_job_spec(w, j.spec);
+          for (const std::int64_t v :
+               {j.spec.id, j.spec.submit, j.spec.runtime, j.spec.walltime,
+                j.spec.nodes, j.spec.group, j.spec.after, j.spec.after_delay,
+                std::int64_t{j.spec.user}})
+            w.put_i64(v);
           w.put_u8(static_cast<std::uint8_t>(j.state));
           w.put_i64(j.start);
           w.put_i64(j.end);
@@ -284,6 +290,36 @@ std::vector<JobId> archived_walk(const Scheduler& s) {
     if (j.state == JobState::kFinished) ids.push_back(id);
   });
   return ids;
+}
+
+TEST(SchedulerIndex, RestoreRejectsAnEndIndexTheTablesContradict) {
+  // The running-end index must name running jobs whose ends fit the time
+  // range; a snapshot that says otherwise is malformed input.
+  const auto image = [](JobState state, Time start, JobId indexed) {
+    WireWriter w;
+    put(w, NodePool::Accounting{});
+    RuntimeJob job;
+    job.spec = make_spec(1, 10, 100);
+    job.state = state;
+    job.start = start;
+    w.put_u64(1);  // live jobs
+    put(w, job);
+    w.put_u64(0);  // archived jobs
+    w.put_u64(1);  // running-end index
+    w.put_i64(indexed);
+    return w.take();
+  };
+  const auto restore = [](const std::vector<std::uint8_t>& bytes) {
+    Scheduler s(300, make_policy("fcfs"));
+    WireReader r(bytes);
+    s.restore(r);
+  };
+  EXPECT_NO_THROW(restore(image(JobState::kRunning, 50, 1)));
+  EXPECT_THROW(restore(image(JobState::kRunning, 50, 2)), ParseError);
+  EXPECT_THROW(restore(image(JobState::kQueued, 50, 1)), ParseError);
+  EXPECT_THROW(restore(image(JobState::kRunning,
+                             std::numeric_limits<Time>::max() - 10, 1)),
+               ParseError);
 }
 
 TEST(SchedulerIndex, ArchiveIndexSurvivesOutOfOrderEndsAndRestore) {

@@ -11,7 +11,7 @@ void Cluster::kill_job(JobId id) {
 }
 
 void Cluster::expire_lease(JobId job) {
-  leases_.erase(job);  // no record at all
+  lease_table_.leases.erase(job);  // no record at all
   ++fence_counter_;
 }
 
@@ -25,7 +25,7 @@ bool Cluster::grant_lease(JobId job) {
   WireWriter w;
   w.put_i64(job);
   journal_->append(JournalRecordKind::kLeaseGrant, w.bytes());
-  leases_[job] = HoldLease{};  // write-ahead, but not an apply
+  lease_table_.leases[job] = HoldLease{};  // write-ahead, but not an apply
   return true;
 }
 

@@ -1,6 +1,6 @@
 // journal-coverage bad fixture: kDeltaNote has a writer and a name but its
 // replay arm was deleted, and kGammaMark's replay arm rebuilds state that
-// never reaches the snapshot pair.
+// never reaches the snapshot field list.
 #pragma once
 
 enum class JournalRecordKind : std::uint8_t {
@@ -35,8 +35,7 @@ class LossyLedger {
     }
   }
 
-  void write_snapshot(Writer& w) { w.put(base_); }
-  void apply_snapshot(Reader& r) { base_ = r.get(); }
+  auto snapshot_fields() { return std::tie(base_); }
 
  private:
   Journal* journal_ = nullptr;

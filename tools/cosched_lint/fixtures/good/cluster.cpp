@@ -28,16 +28,16 @@ void Cluster::apply_record(const JournalRecord& rec) {
 
 void Cluster::apply_kill(JobId id, Time t) {
   sched_.kill(id, t);
-  leases_.erase(id);
+  lease_table_.leases.erase(id);
 }
 
 void Cluster::apply_lease_grant(const HoldLease& lease) {
-  leases_[lease.job] = lease;
+  lease_table_.leases[lease.job] = lease;
 }
 
 void Cluster::reset_leases_for_test() {
   // cosched-lint: allow(mutate-in-apply) test-only reset, never journaled
-  leases_.clear();
+  lease_table_.leases.clear();
 }
 
 }  // namespace cosched

@@ -37,14 +37,7 @@ class Ledger {
     }
   }
 
-  void write_snapshot(Writer& w) {
-    w.put(alpha_at_);
-    w.put(beta_count_);
-  }
-  void apply_snapshot(Reader& r) {
-    alpha_at_ = r.get();
-    beta_count_ = r.get();
-  }
+  auto snapshot_fields() { return std::tie(alpha_at_, beta_count_); }
 
  private:
   Journal* journal_ = nullptr;

@@ -555,7 +555,8 @@ void extract_file(ProjectIndex& index, int file) {
       f.calls.push_back(std::move(c));
     }
 
-    // Member mutations: bare (or this->) `_`-suffixed identifier written to.
+    // Member mutations: bare (or this->) `_`-suffixed identifier written to,
+    // directly or through a chain of its fields (`m_.a.b = v`).
     if (tok.kind == Token::kIdent && tok.text.size() > 1 &&
         tok.text.back() == '_') {
       bool other_object = false;
@@ -570,6 +571,10 @@ void extract_file(ProjectIndex& index, int file) {
         if (t >= 1 && (toks[t - 1].text == "++" || toks[t - 1].text == "--"))
           mutated = true;
         std::size_t j = t + 1;
+        while (j + 2 < toks.size() && toks[j].text == "." &&
+               toks[j + 1].kind == Token::kIdent && toks[j + 2].text != "(")
+          j += 2;
+        const std::size_t after_fields = j;
         if (!mutated && j < toks.size() && toks[j].text == "[") {
           const std::size_t close = match_forward(toks, j, "[", "]");
           if (close != std::string::npos) {
@@ -583,7 +588,7 @@ void extract_file(ProjectIndex& index, int file) {
           mutated = true;
           via_method = false;
         }
-        if (!mutated && j == t + 1 && j + 1 < toks.size() &&
+        if (!mutated && j == after_fields && j + 1 < toks.size() &&
             toks[j].text == "." && toks[j + 1].kind == Token::kIdent &&
             is_mutator_method(toks[j + 1].text) && j + 2 < toks.size() &&
             toks[j + 2].text == "(") {

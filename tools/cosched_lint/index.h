@@ -12,7 +12,8 @@
 //   - enum definitions and their enumerators (JournalRecordKind, MsgType),
 //   - cosched::MutexLock acquisition sites with block scopes, plus
 //     REQUIRES(...) thread-safety annotations (lock-order),
-//   - member mutations (`foo_ = / += / ++ ...`, optional one subscript),
+//   - member mutations (`foo_ = / += / ++ ...`, optional one subscript,
+//     directly or through a chain of fields: `foo_.a.b = ...`),
 //   - unordered-container declarations and accessor names (unordered-iter).
 //
 // The tokenizer is deliberately not a C++ parser: it is line-oriented on
@@ -62,7 +63,8 @@ struct LockSite {
 
 /// A write to a `_`-suffixed member through implicit/explicit `this`:
 /// an assignment/increment or a mutating method call (`m_.insert(...)`,
-/// `m_[k]`).
+/// `m_[k]`), made on the member itself or on one of its fields
+/// (`m_.a.insert(...)`, `++m_.a.b`).
 struct MutationSite {
   std::string member;
   int line = 0;

@@ -233,8 +233,9 @@ void rule_mutate_in_apply(const FileContext& ctx, const ProjectIndex& ix,
       "sched_.submit(",      "sched_.kill(",          "sched_.finish(",
       "sched_.release_hold(", "sched_.start_holding(", "sched_.start_queued(",
       "sched_.hold(",        "sched_.yield(",         "sched_.clear_demotions(",
-      "leases_[",            "leases_.emplace",       "leases_.try_emplace",
-      "leases_.insert",      "leases_.erase",         "leases_.clear",
+      "lease_table_.leases[",       "lease_table_.leases.emplace",
+      "lease_table_.leases.try_emplace", "lease_table_.leases.insert",
+      "lease_table_.leases.erase",  "lease_table_.leases.clear",
   };
 
   for (const FunctionInfo& f : ix.functions) {

@@ -11,7 +11,8 @@
 //   mutate-in-apply        no Cluster method outside the apply path
 //                          (apply_*, and restore_/wipe_/recover_/rearm_/
 //                          replay/write_/snapshot) calls a scheduler
-//                          mutator or writes the lease table (leases_):
+//                          mutator or writes the lease table
+//                          (lease_table_.leases):
 //                          every such change goes through the apply_*
 //                          method of its record kind, which journal replay
 //                          runs too, so live and replayed state cannot
@@ -32,12 +33,15 @@
 //                          site (append/commit/frame/encode_frame), a replay
 //                          arm in the journal apply switch (apply_record,
 //                          recover_from_journal, or the salvage/fallback
-//                          helpers), a to_string name arm, and the state its
-//                          replay arm writes, itself or through the methods
-//                          of its class it reaches (the applies), is
-//                          covered by write_snapshot/apply_snapshot — a kind
-//                          missing any of these silently loses state across
-//                          recovery/compaction.  Also: a function that rolls
+//                          helpers), a to_string name arm, and every member
+//                          its replay arm writes, itself or through the
+//                          methods of its class it reaches (the applies), is
+//                          named in the snapshot field list (snapshot_fields)
+//                          — a kind missing any of these silently loses
+//                          state across recovery/compaction.  (That the
+//                          snapshot's writer and reader agree, and that a
+//                          field list names every member of its type, the
+//                          compiler checks.)  Also: a function that rolls
 //                          a snapshot generation (write_snapshot + compact)
 //                          must commit the journal first, or buffered
 //                          records are spliced out of the durable image

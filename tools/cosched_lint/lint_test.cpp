@@ -93,7 +93,7 @@ TEST(CoschedLint, BadLeaseFindingsCatchTableWritesOutsideApply) {
   std::set<std::string> methods;
   for (const Finding& f : r.findings) {
     if (f.rule != "mutate-in-apply" ||
-        f.message.find("leases_") == std::string::npos)
+        f.message.find("lease_table_.leases") == std::string::npos)
       continue;
     if (f.message.find("expire_lease") != std::string::npos)
       methods.insert("expire_lease");
@@ -112,11 +112,13 @@ TEST(CoschedLint, MutationRuleExemptsTheApplyPath) {
         "  commit(JournalRecordKind::kLeaseExpire, &Cluster::apply_expire,",
         "         job);", "}",
         "void Cluster::apply_expire(JobId job) {",
-        "  leases_.erase(job);", "  sched_.release_hold(job, 0);", "}",
-        "void Cluster::wipe_for_recovery() {", "  leases_.clear();", "}"}}};
+        "  lease_table_.leases.erase(job);", "  sched_.release_hold(job, 0);",
+        "}", "void Cluster::wipe_for_recovery() {", "  lease_table_ = {};",
+        "}"}}};
   EXPECT_TRUE(run_lint(files).findings.empty());
   std::vector<SourceFile> live = files;
-  live[0].lines.insert(live[0].lines.begin() + 3, "  leases_.erase(job);");
+  live[0].lines.insert(live[0].lines.begin() + 3,
+                       "  lease_table_.leases.erase(job);");
   const Report r = run_lint(live);
   ASSERT_EQ(count_rule(r, "mutate-in-apply"), 1);
   EXPECT_NE(r.findings[0].message.find("expire_lease"), std::string::npos);
@@ -216,7 +218,7 @@ TEST(CoschedLint, AccessorIterationNeedsWaiver) {
 TEST(CoschedLint, BadJournalKindsMissReplayAndSnapshot) {
   const Report r = lint_dir("bad");
   // kDeltaNote's replay arm was deleted; kGammaMark's replay arm rebuilds
-  // gamma_seen_, which the snapshot pair never carries; snapshot_commit.h
+  // gamma_seen_, which the snapshot field list never names; snapshot_commit.h
   // adds the uncommitted-compaction hit (checked in its own test below).
   ASSERT_EQ(count_rule(r, "journal-coverage"), 3);
   std::set<std::string> hits;
@@ -290,19 +292,24 @@ TEST(CoschedLint, JournalCoverageFollowsArmsIntoApplies) {
       "}",
       "void Box::apply_one(long v) { count(v); }",
       "void Box::count(long v) { one_ += v; }",
-      "void Box::write_snapshot(Writer& w) const { w.put(base_); }",
-      "void Box::apply_snapshot(Reader& r) { base_ = r.get(); }"};
+      "auto Box::snapshot_fields() { return std::tie(base_); }"};
   const Report r = run_lint({{"fake/core/box.cpp", lines}});
   ASSERT_EQ(count_rule(r, "journal-coverage"), 1);
   EXPECT_NE(r.findings[0].message.find("'one_'"), std::string::npos);
   EXPECT_EQ(r.findings[0].line, 12);  // the write, two calls deep
 
   std::vector<std::string> covered = lines;
-  covered[12] = "void Box::write_snapshot(Writer& w) const { w.put(one_); }";
-  covered[13] = "void Box::apply_snapshot(Reader& r) { one_ = r.get(); }";
+  covered[12] = "auto Box::snapshot_fields() { return std::tie(base_, one_); }";
   EXPECT_EQ(count_rule(run_lint({{"fake/core/box.cpp", covered}}),
                        "journal-coverage"),
             0);
+
+  // A write to a field of a member is a write to the member.
+  std::vector<std::string> nested = lines;
+  nested[11] = "void Box::count(long v) { book_.tally.insert(v); }";
+  const Report rn = run_lint({{"fake/core/box.cpp", nested}});
+  ASSERT_EQ(count_rule(rn, "journal-coverage"), 1);
+  EXPECT_NE(rn.findings[0].message.find("'book_'"), std::string::npos);
 }
 
 TEST(CoschedLint, JournalReplayArmDeletionIsCaught) {

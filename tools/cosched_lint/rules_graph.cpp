@@ -49,9 +49,11 @@ std::set<int> reachable(const ProjectIndex& ix, int start) {
 // writer site, (b) a replay case in apply_record/recover_from_journal,
 // (c) a to_string name-table entry.  Additionally, any member a replay arm
 // mutates, itself or through the methods of its own class it reaches (the
-// applies the arms call), must appear in write_snapshot AND apply_snapshot
-// — otherwise the state the record re-creates is silently dropped across a
-// compaction.
+// applies the arms call), must appear in the class's snapshot field list
+// (snapshot_fields, which the snapshot writer and reader share) —
+// otherwise the state the record re-creates is silently dropped across a
+// compaction.  That the writer and the reader agree, and that a list names
+// every member of the types it holds, the compiler checks.
 // Each category is gated on at least one enumerator of the enum having a
 // site of that category, so a partially-modeled snippet set (unit-test
 // fragments without a to_string) is not drowned in noise while a single
@@ -85,8 +87,8 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
   }
 
   std::set<std::string> replay_arms, name_arms;
-  bool have_write_snapshot = false, have_apply_snapshot = false;
-  std::set<std::string> snapshot_tokens_write, snapshot_tokens_apply;
+  bool have_snapshot_fields = false;
+  std::set<std::string> snapshot_tokens;
   for (const FunctionInfo& f : ix.functions) {
     // The salvage/fallback helpers carved out of recover_from_journal are
     // replay context too: a kind they route (or deliberately skip) counts.
@@ -100,16 +102,12 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
       if (is_replay) replay_arms.insert(cs.enumerator);
       if (is_name) name_arms.insert(cs.enumerator);
     }
-    if (f.name == "write_snapshot" || f.name == "apply_snapshot") {
+    if (f.name == "snapshot_fields") {
       const std::vector<Token>& toks = ix.file_model[f.file].tokens;
-      std::set<std::string>& out = f.name == "write_snapshot"
-                                       ? snapshot_tokens_write
-                                       : snapshot_tokens_apply;
       for (std::size_t t = f.body_begin; t < f.body_end && t < toks.size();
            ++t)
-        if (toks[t].kind == Token::kIdent) out.insert(toks[t].text);
-      (f.name == "write_snapshot" ? have_write_snapshot
-                                  : have_apply_snapshot) = true;
+        if (toks[t].kind == Token::kIdent) snapshot_tokens.insert(toks[t].text);
+      have_snapshot_fields = true;
     }
   }
 
@@ -155,7 +153,7 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
 
   // Snapshot coverage of replay-arm state: the arm's own writes, and those
   // of every method of its class the arm reaches.
-  if (!have_write_snapshot || !have_apply_snapshot) return;
+  if (!have_snapshot_fields) return;
   std::set<std::tuple<int, int, std::string>> reported;  // (file, line, member)
   for (const FunctionInfo& f : ix.functions) {
     if (f.name != "apply_record") continue;
@@ -182,16 +180,14 @@ void rule_journal_coverage_impl(const ProjectIndex& ix, RuleSink& sink) {
           writes.emplace_back(ix.functions[r].file, &m);
       for (const auto& [file, site] : writes) {
         const MutationSite& m = *site;
-        if (snapshot_tokens_write.count(m.member) != 0 &&
-            snapshot_tokens_apply.count(m.member) != 0)
-          continue;
+        if (snapshot_tokens.count(m.member) != 0) continue;
         if (!reported.insert({file, m.line, m.member}).second) continue;
         sink.emit(file, m.line - 1, "journal-coverage",
                   "replay arm for '" + cs.enumerator + "' mutates '" +
                       m.member +
-                      "' which never appears in write_snapshot/"
-                      "apply_snapshot — state rebuilt during replay would be "
-                      "lost across a compaction; snapshot it or waive with "
+                      "' which never appears in snapshot_fields — state "
+                      "rebuilt during replay would be lost across a "
+                      "compaction; snapshot it or waive with "
                       "allow(journal-coverage)",
                   /*accepts_ordered=*/false);
       }
