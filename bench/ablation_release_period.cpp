@@ -3,6 +3,7 @@
 // Shorter periods bound the deadlock-wait but churn holders; longer periods
 // waste more node-hours per hold episode.
 #include <iostream>
+#include <vector>
 
 #include "common.h"
 #include "workload/pairing.h"
@@ -16,11 +17,17 @@ int main() {
   Table t({"release period", "intrepid wait (min)", "eureka wait (min)",
            "intrepid sync (min)", "intrepid loss (node-h)", "pairs synced"});
 
+  std::vector<SeriesSpec> specs;
   for (Duration period : {5 * kMinute, 10 * kMinute, 20 * kMinute,
                           40 * kMinute, 80 * kMinute}) {
     CoschedConfig tweak;
     tweak.hold_release_period = period;
-    const Series s = run_series(/*by_load=*/true, 0.50, kHH, true, tweak);
+    specs.push_back({/*by_load=*/true, 0.50, kHH, true, tweak});
+  }
+  const std::vector<Series> series = run_series(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const Duration period = specs[i].tweak.hold_release_period;
+    const Series& s = series[i];
     t.add_row({format_double(static_cast<double>(period) / kMinute, 0) + " min",
                format_double(s.intrepid_wait.mean()),
                format_double(s.eureka_wait.mean()),

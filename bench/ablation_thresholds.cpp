@@ -3,6 +3,9 @@
 // these optional for correctness; this table quantifies their effect on the
 // cost metrics.
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common.h"
 
@@ -12,50 +15,38 @@ using namespace cosched::bench;
 int main() {
   print_header("Ablation", "enhancement thresholds (load 0.50, ~7.5% paired)");
 
-  struct Config {
-    const char* label;
-    SchemeCombo combo;
-    CoschedConfig tweak;
+  std::vector<std::string> labels;
+  std::vector<SeriesSpec> specs;
+  const auto add = [&](std::string label, SchemeCombo combo,
+                       CoschedConfig tweak) {
+    labels.push_back(std::move(label));
+    specs.push_back({/*by_load=*/true, 0.50, combo, true, tweak});
   };
-  std::vector<Config> configs;
-  {
-    Config c{"HH, no caps", kHH, {}};
-    configs.push_back(c);
-  }
+  add("HH, no caps", kHH, {});
   for (double cap : {0.5, 0.2, 0.05}) {
-    Config c{nullptr, kHH, {}};
-    c.tweak.max_hold_fraction = cap;
-    static std::vector<std::string> labels;
-    labels.push_back("HH, hold cap " + format_percent(cap, 0));
-    c.label = labels.back().c_str();
-    configs.push_back(c);
+    CoschedConfig tweak;
+    tweak.max_hold_fraction = cap;
+    add("HH, hold cap " + format_percent(cap, 0), kHH, tweak);
   }
-  {
-    Config c{"YY, no escalation", kYY, {}};
-    configs.push_back(c);
-  }
+  add("YY, no escalation", kYY, {});
   for (int max_yield : {5, 20}) {
-    Config c{nullptr, kYY, {}};
-    c.tweak.max_yield_before_hold = max_yield;
-    static std::vector<std::string> labels;
-    labels.push_back("YY, hold after " + std::to_string(max_yield) +
-                     " yields");
-    c.label = labels.back().c_str();
-    configs.push_back(c);
+    CoschedConfig tweak;
+    tweak.max_yield_before_hold = max_yield;
+    add("YY, hold after " + std::to_string(max_yield) + " yields", kYY, tweak);
   }
   {
-    Config c{"YY, priority boost", kYY, {}};
-    c.tweak.yield_priority_boost = 1e6;  // strong boost per yield
-    configs.push_back(c);
+    CoschedConfig tweak;
+    tweak.yield_priority_boost = 1e6;  // strong boost per yield
+    add("YY, priority boost", kYY, tweak);
   }
 
   Table t({"configuration", "intrepid wait (min)", "intrepid sync (min)",
            "eureka sync (min)", "intrepid loss (node-h)",
            "eureka loss (node-h)", "pairs synced"});
-  for (const Config& c : configs) {
-    const Series s = run_series(/*by_load=*/true, 0.50, c.combo, true,
-                                c.tweak);
-    t.add_row({c.label, format_double(s.intrepid_wait.mean()),
+  const std::vector<Series> series = run_series(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const Series& s = series[i];
+    t.add_row({labels[i], format_double(s.intrepid_wait.mean()),
                format_double(s.intrepid_sync.mean()),
                format_double(s.eureka_sync.mean()),
                format_count(static_cast<long long>(s.intrepid_loss_nh.mean())),

@@ -13,8 +13,8 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 
+#include "util/csv.h"
 #include "util/error.h"
 #include "workload/pairing.h"
 #include "workload/scaling.h"
@@ -39,44 +39,12 @@ Trace make_intrepid(std::uint64_t seed) {
   return generate_trace(intrepid_model(), p);
 }
 
-// -- series cache -------------------------------------------------------
-//
-// prewarm_series fills this; run_series serves from it (or computes and
-// inserts serially on a miss); export_bench_json dumps it.  All access is
-// from the bench's main thread — the parallel workers only touch their own
-// result slots.
-
-std::string spec_key(const SeriesSpec& s) {
-  std::ostringstream o;
-  o << s.by_load << '|' << s.x << '|' << s.combo.label << '|' << s.enabled
-    << '|' << s.tweak.hold_release_period << '|' << s.tweak.max_hold_fraction
-    << '|' << s.tweak.max_yield_before_hold << '|'
-    << s.tweak.yield_priority_boost << '|' << s.tweak.yield_retry_period;
-  return o.str();
-}
-
-struct CacheEntry {
-  SeriesSpec spec;
-  Series series;
-};
-
-std::vector<CacheEntry>& cache() {
-  static std::vector<CacheEntry> v;
-  return v;
-}
-
-std::unordered_map<std::string, std::size_t>& cache_index() {
-  static std::unordered_map<std::string, std::size_t> m;
-  return m;
-}
-
 struct CaseResult {
   CaseMetrics metrics;
   double paired_fraction = 0.0;
 };
 
-CaseResult compute_one(const SeriesSpec& spec, int run) {
-  const auto seed = static_cast<std::uint64_t>(1000 * run + 1);
+CaseResult compute_one(const SeriesSpec& spec, std::uint64_t seed) {
   const CoupledWorkload w = spec.by_load
                                 ? make_load_workload(spec.x, seed)
                                 : make_proportion_workload(spec.x, seed);
@@ -295,58 +263,25 @@ std::string series_label(const SeriesSpec& s) {
   return label;
 }
 
-void prewarm_series(const std::vector<SeriesSpec>& specs) {
-  // Register (in declaration order) the specs not yet cached.
-  std::vector<std::size_t> todo;  // cache indices awaiting computation
-  for (const SeriesSpec& spec : specs) {
-    const std::string key = spec_key(spec);
-    if (cache_index().count(key)) continue;
-    cache_index().emplace(key, cache().size());
-    todo.push_back(cache().size());
-    cache().push_back(CacheEntry{spec, Series{}});
-  }
-  if (todo.empty()) return;
-
-  // Fan the (series x seed) grid out, then aggregate in seed order so the
-  // result is identical to a serial run.
-  const int per = runs();
-  std::vector<CaseResult> results(todo.size() * static_cast<std::size_t>(per));
+std::vector<Series> run_series(const std::vector<SeriesSpec>& specs) {
+  const auto per = static_cast<std::size_t>(runs());
+  std::vector<CaseResult> results(specs.size() * per);
   parallel_for(results.size(), [&](std::size_t i) {
-    const std::size_t si = i / static_cast<std::size_t>(per);
-    const int run = static_cast<int>(i % static_cast<std::size_t>(per));
-    results[i] = compute_one(cache()[todo[si]].spec, run);
-  });
-  for (std::size_t si = 0; si < todo.size(); ++si) {
-    Series& s = cache()[todo[si]].series;
-    for (int run = 0; run < per; ++run) {
-      const CaseResult& r = results[si * static_cast<std::size_t>(per) +
-                                    static_cast<std::size_t>(run)];
-      s.add(r.metrics, r.paired_fraction);
+    const SeriesSpec& spec = specs[i / per];
+    const auto seed = static_cast<std::uint64_t>(1000 * (i % per) + 1);
+    try {
+      results[i] = compute_one(spec, seed);
+    } catch (const Error& e) {
+      throw Error(series_label(spec) + " seed " + std::to_string(seed) +
+                  ": " + e.what());
     }
-  }
-}
-
-Series run_series(bool by_load, double x, SchemeCombo combo, bool enabled,
-                  const CoschedConfig& tweak) {
-  SeriesSpec spec;
-  spec.by_load = by_load;
-  spec.x = x;
-  spec.combo = combo;
-  spec.enabled = enabled;
-  spec.tweak = tweak;
-  const std::string key = spec_key(spec);
-  if (const auto it = cache_index().find(key); it != cache_index().end())
-    return cache()[it->second].series;
-
-  Series s;
-  for (int run = 0; run < runs(); ++run) {
-    const CaseResult r = compute_one(spec, run);
-    s.add(r.metrics, r.paired_fraction);
-  }
-  // Cache the serial computation too so export_bench_json covers it.
-  cache_index().emplace(key, cache().size());
-  cache().push_back(CacheEntry{spec, s});
-  return s;
+  });
+  // Adding up after the fan-out, in index order, keeps each series' runs in
+  // seed order whatever the thread count.
+  std::vector<Series> series(specs.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    series[i / per].add(results[i].metrics, results[i].paired_fraction);
+  return series;
 }
 
 // -- JSON emission ------------------------------------------------------
@@ -428,15 +363,17 @@ void BenchJsonFile::write() {
 
 BenchJsonFile::~BenchJsonFile() { write(); }
 
-void export_bench_json(const std::string& name) {
+void write_series_json(const std::string& name,
+                       const std::vector<SeriesSpec>& specs,
+                       const std::vector<Series>& series) {
   BenchJsonFile json(name);
-  for (const CacheEntry& e : cache()) {
-    const Series& s = e.series;
-    auto metric = [](const char* n, const RunningStats& st) {
-      return BenchJsonFile::Metric{n, st.mean(), st.stddev()};
-    };
+  const auto metric = [](const char* n, const RunningStats& st) {
+    return BenchJsonFile::Metric{n, st.mean(), st.stddev()};
+  };
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const Series& s = series[i];
     json.add_case(
-        series_label(e.spec), s.sim_wall_seconds, s.events,
+        series_label(specs[i]), s.sim_wall_seconds, s.events,
         {metric("intrepid_wait_min", s.intrepid_wait),
          metric("eureka_wait_min", s.eureka_wait),
          metric("intrepid_slowdown", s.intrepid_slow),
@@ -562,18 +499,13 @@ bool report_chaos(const ChaosFamily& family,
   return failures.empty();
 }
 
-std::unique_ptr<CsvWriter> bench_csv(const std::string& name) {
-  const char* dir = std::getenv("COSCHED_BENCH_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return nullptr;
-  return std::make_unique<CsvWriter>(std::string(dir) + "/" + name + ".csv");
-}
-
 void maybe_export_csv(const std::string& name, const Table& table) {
-  if (auto csv = bench_csv(name)) {
-    table.write_csv(*csv);
-    std::cout << "(series exported to $COSCHED_BENCH_CSV_DIR/" << name
-              << ".csv)\n";
-  }
+  const char* dir = std::getenv("COSCHED_BENCH_CSV_DIR");
+  if (dir == nullptr || *dir == '\0') return;
+  CsvWriter csv(std::string(dir) + "/" + name + ".csv");
+  table.write_csv(csv);
+  std::cout << "(series exported to $COSCHED_BENCH_CSV_DIR/" << name
+            << ".csv)\n";
 }
 
 void print_header(const std::string& figure, const std::string& what) {

@@ -12,24 +12,21 @@
 //  * Hold-release period 20 minutes; each case averaged over
 //    COSCHED_BENCH_RUNS seeds (default 3; the paper used 10).
 //
-// Execution model: each bench declares every series it needs up front
-// (prewarm_series), the harness fans the (series x seed) cases out over
-// COSCHED_BENCH_THREADS workers, and aggregation happens afterwards in
-// deterministic seed order — results are identical to a serial run.  Each
-// bench binary also emits a machine-readable BENCH_<name>.json (per-case
-// mean/stddev, wall seconds, simulated events/sec) for CI and regression
-// tracking.
+// Execution model: a bench declares every series it needs in one list, and
+// run_series fans the (series x seed) cases out over COSCHED_BENCH_THREADS
+// workers and adds the runs up afterwards in seed order — results are
+// identical to a serial run.  The figure runner also emits a machine-readable
+// BENCH_<name>.json per figure (per-case mean/stddev, wall seconds, simulated
+// events/sec) for CI and regression tracking.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/coupled_sim.h"
-#include "util/csv.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/trace.h"
@@ -129,17 +126,11 @@ struct SeriesSpec {
 /// Canonical case label, e.g. "load=0.50/HY" or "prop=5.0%/HH/base".
 std::string series_label(const SeriesSpec& spec);
 
-/// Computes every (series, seed) case of `specs` in parallel over threads()
-/// workers and caches the seed-order-aggregated Series.  Duplicate specs are
-/// computed once.  Subsequent run_series() calls with a matching spec return
-/// the cached result, so declaring the full set up front parallelizes a
-/// bench without restructuring its reporting loops.
-void prewarm_series(const std::vector<SeriesSpec>& specs);
-
-/// Runs a full case across seeds and aggregates (cache-aware: served from
-/// the prewarm_series cache when present, computed serially otherwise).
-Series run_series(bool by_load, double x, SchemeCombo combo, bool enabled,
-                  const CoschedConfig& tweak = {});
+/// Runs every (series, seed) case of `specs` on threads() workers and adds
+/// each series' runs up in seed order: one Series per spec, in input order.
+/// A case that throws Error (a stall, say) is rethrown as Error naming the
+/// series label and the seed.
+std::vector<Series> run_series(const std::vector<SeriesSpec>& specs);
 
 /// Machine-readable per-bench output: BENCH_<name>.json written into
 /// COSCHED_BENCH_JSON_DIR (default: current directory).  Schema:
@@ -180,9 +171,11 @@ class BenchJsonFile {
   bool written_ = false;
 };
 
-/// Writes BENCH_<name>.json covering every series cached so far (i.e. the
-/// bench's prewarmed + computed series, in declaration order).
-void export_bench_json(const std::string& name);
+/// Writes BENCH_<name>.json with one case per series, series[i] being the
+/// result for specs[i].
+void write_series_json(const std::string& name,
+                       const std::vector<SeriesSpec>& specs,
+                       const std::vector<Series>& series);
 
 // -- chaos families -------------------------------------------------------
 //
@@ -256,10 +249,6 @@ bool report_chaos(const ChaosFamily& family,
 
 /// Standard preamble: experiment title + configuration echo.
 void print_header(const std::string& figure, const std::string& what);
-
-/// When COSCHED_BENCH_CSV_DIR is set, opens <dir>/<name>.csv for the
-/// figure's series; returns nullptr otherwise.
-std::unique_ptr<CsvWriter> bench_csv(const std::string& name);
 
 /// Writes the table as <name>.csv if COSCHED_BENCH_CSV_DIR is set.
 void maybe_export_csv(const std::string& name, const Table& table);

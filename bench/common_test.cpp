@@ -1,6 +1,7 @@
 // The harness's environment settings (unset or empty keeps the default,
-// anything else must parse in full or the bench fails naming the variable)
-// and the chaos runner's shared aggregation and gate.
+// anything else must parse in full or the bench fails naming the variable),
+// the series runner's aggregation and stall report, and the chaos runner's
+// shared aggregation and gate.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -81,6 +82,71 @@ TEST(BenchSettings, AccessorsReadTheEnvironment) {
   setenv("COSCHED_BENCH_THREADS", "", 1);
   EXPECT_EQ(threads(), hardware_cpus());
   unsetenv("COSCHED_BENCH_THREADS");
+}
+
+/// The figures' smoke setting, about 5 ms per (series, seed) case, for the
+/// scope of one test.
+struct SmokeScale {
+  SmokeScale() {
+    setenv("COSCHED_BENCH_SCALE", "0.05", 1);
+    setenv("COSCHED_BENCH_RUNS", "2", 1);
+  }
+  ~SmokeScale() {
+    unsetenv("COSCHED_BENCH_SCALE");
+    unsetenv("COSCHED_BENCH_RUNS");
+    unsetenv("COSCHED_BENCH_THREADS");
+  }
+};
+
+void expect_same_series(const Series& a, const Series& b) {
+  for (RunningStats Series::*m :
+       {&Series::intrepid_wait, &Series::eureka_wait, &Series::intrepid_slow,
+        &Series::eureka_slow, &Series::intrepid_sync, &Series::eureka_sync,
+        &Series::intrepid_loss_nh, &Series::eureka_loss_nh,
+        &Series::intrepid_loss_frac, &Series::eureka_loss_frac,
+        &Series::paired_fraction}) {
+    EXPECT_EQ((a.*m).count(), (b.*m).count());
+    EXPECT_EQ((a.*m).mean(), (b.*m).mean());
+    EXPECT_EQ((a.*m).stddev(), (b.*m).stddev());
+  }
+  EXPECT_EQ(a.pairs_total, b.pairs_total);
+  EXPECT_EQ(a.pairs_synced, b.pairs_synced);
+  EXPECT_EQ(a.events, b.events);
+}
+
+TEST(RunSeries, OneSeriesPerSpecInInputOrderWhateverTheThreadCount) {
+  const SmokeScale smoke;
+  const std::vector<SeriesSpec> specs = {{true, 0.25, kHY, true},
+                                         {false, 0.05, kYY, true},
+                                         {true, 0.75, kHH, false},
+                                         {true, 0.25, kHY, true}};
+  setenv("COSCHED_BENCH_THREADS", "1", 1);
+  const std::vector<Series> serial = run_series(specs);
+  setenv("COSCHED_BENCH_THREADS", "4", 1);
+  const std::vector<Series> parallel = run_series(specs);
+
+  ASSERT_EQ(serial.size(), specs.size());
+  ASSERT_EQ(parallel.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(series_label(specs[i]));
+    EXPECT_EQ(parallel[i].intrepid_wait.count(), 2u);
+    expect_same_series(serial[i], parallel[i]);
+    // In input order: each series equals the one it gives on its own.
+    expect_same_series(run_series({specs[i]}).front(), parallel[i]);
+  }
+  EXPECT_NE(parallel[0].events, parallel[1].events);
+}
+
+TEST(RunSeries, AStalledCaseNamesItsSeriesAndSeed) {
+  // Hold-hold without the periodic release: seed 1 completes, seed 1001
+  // deadlocks.
+  const SmokeScale smoke;
+  SeriesSpec spec{false, 0.20, kHH, true};
+  spec.tweak.hold_release_period = 0;
+  const std::string what = rejection([&] { run_series({spec}); });
+  EXPECT_NE(what.find("prop=20.0%/HH/rel=0s"), std::string::npos) << what;
+  EXPECT_NE(what.find("seed 1001"), std::string::npos) << what;
+  EXPECT_EQ(what.find("seed 1:"), std::string::npos) << what;
 }
 
 /// Two cases, a sample `x`, a plain count and one family gate count.

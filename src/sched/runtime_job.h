@@ -73,6 +73,8 @@ struct RuntimeJob {
   friend void check_durable(const RuntimeJob& j) {
     if (j.state > JobState::kFinished)
       throw ParseError("snapshot: bad job state");
+    for (Time t : {j.start, j.end, j.first_ready, j.hold_since})
+      check_durable_time(t);
   }
 };
 

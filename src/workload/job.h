@@ -8,10 +8,18 @@
 #include <cstdint>
 #include <string>
 
+#include "util/error.h"
 #include "util/fields.h"
 #include "util/types.h"
 
 namespace cosched {
+
+/// Throws ParseError unless a decoded time or duration lies in
+/// [kNoTime, 2^62), so that the sum of any two fits in a Time.
+inline void check_durable_time(Time t) {
+  if (t < kNoTime || t >= Time{1} << 62)
+    throw ParseError("durable: time out of range");
+}
 
 /// Identifier of a coscheduling group.  Jobs sharing a group id (on different
 /// systems) are "associated" in the paper's sense and must start together.
@@ -61,6 +69,10 @@ struct JobSpec {
                  after_delay, user)
   /// A table of specs is keyed by id, so it stores the specs alone.
   friend JobId durable_key(const JobSpec& s) { return s.id; }
+  friend void check_durable(const JobSpec& s) {
+    for (Time t : {s.submit, s.runtime, s.walltime, s.after_delay})
+      check_durable_time(t);
+  }
 };
 
 }  // namespace cosched

@@ -695,7 +695,9 @@ Workload hold_ring() {
   Workload w;
   w.specs.resize(3);
   for (int i = 0; i < 3; ++i) {
-    w.specs[i].name = "d" + std::to_string(i);
+    std::string name = "d";
+    name += std::to_string(i);  // not "d" + ...: GCC 12's false -Wrestrict
+    w.specs[i].name = std::move(name);
     w.specs[i].capacity = 6;
     w.specs[i].policy = "fcfs";
     w.specs[i].cosched.scheme = Scheme::kHold;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -320,6 +321,45 @@ TEST(SchedulerIndex, RestoreRejectsAnEndIndexTheTablesContradict) {
   EXPECT_THROW(restore(image(JobState::kRunning,
                              std::numeric_limits<Time>::max() - 10, 1)),
                ParseError);
+}
+
+TEST(SchedulerIndex, DecodedTimesOutsideTheDurableRangeThrow) {
+  // Decoded times and durations lie in [kNoTime, 2^62), so restore's sums
+  // of two (start + runtime, a dependency's end + after_delay) fit.
+  constexpr Time kLimit = Time{1} << 62;
+  const auto decode = [](const auto& value) {
+    WireWriter w;
+    put(w, value);
+    const std::vector<std::uint8_t> bytes = w.take();
+    WireReader r(bytes);
+    std::remove_cvref_t<decltype(value)> out;
+    get(r, out);
+  };
+  for (Duration JobSpec::*field : {&JobSpec::submit, &JobSpec::runtime,
+                                   &JobSpec::walltime, &JobSpec::after_delay}) {
+    JobSpec spec = make_spec(1, 10, 100);
+    spec.*field = kLimit - 1;
+    EXPECT_NO_THROW(decode(spec));
+    spec.*field = kNoTime;
+    EXPECT_NO_THROW(decode(spec));
+    spec.*field = kLimit + 1;
+    EXPECT_THROW(decode(spec), ParseError);
+    spec.*field = kNoTime - 1;
+    EXPECT_THROW(decode(spec), ParseError);
+  }
+  for (Time RuntimeJob::*field : {&RuntimeJob::start, &RuntimeJob::end,
+                                  &RuntimeJob::first_ready,
+                                  &RuntimeJob::hold_since}) {
+    RuntimeJob job;
+    job.spec = make_spec(1, 10, 100);
+    EXPECT_NO_THROW(decode(job));
+    job.*field = kLimit - 1;
+    EXPECT_NO_THROW(decode(job));
+    job.*field = kLimit + 1;
+    EXPECT_THROW(decode(job), ParseError);
+    job.*field = kNoTime - 1;
+    EXPECT_THROW(decode(job), ParseError);
+  }
 }
 
 TEST(SchedulerIndex, ArchiveIndexSurvivesOutOfOrderEndsAndRestore) {
