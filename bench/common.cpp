@@ -109,18 +109,27 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  // Indices go out in order and no worker takes one after a failure, so
+  // every index below the lowest failure has run and that failure is the
+  // same whatever the thread count or timing.
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
   std::mutex err_mu;
+  std::size_t err_index = n;
   std::exception_ptr err;
   auto worker = [&] {
-    for (;;) {
+    while (!failed.load()) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) return;
       try {
         fn(i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
+        if (i < err_index) {
+          err_index = i;
+          err = std::current_exception();
+        }
+        failed.store(true);
       }
     }
   };

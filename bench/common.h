@@ -63,8 +63,10 @@ int hardware_cpus();
 int threads();
 
 /// Runs fn(i) for i in [0, n) on up to threads() workers (serially when
-/// threads() == 1).  Blocks until all tasks finish; rethrows the first
-/// task exception afterwards.
+/// threads() == 1), handing the indices out in order.  After a task throws
+/// no worker takes another index; once the running tasks finish, the
+/// exception of the lowest failed index is rethrown, so every index below
+/// it has run and the same failure is reported whatever the timing.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 struct CoupledWorkload {

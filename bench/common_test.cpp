@@ -1,11 +1,14 @@
 // The harness's environment settings (unset or empty keeps the default,
 // anything else must parse in full or the bench fails naming the variable),
-// the series runner's aggregation and stall report, and the chaos runner's
-// shared aggregation and gate.
+// the worker pool's failure report, the series runner's aggregation and
+// stall report, and the chaos runner's shared aggregation and gate.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -112,6 +115,32 @@ void expect_same_series(const Series& a, const Series& b) {
   EXPECT_EQ(a.pairs_total, b.pairs_total);
   EXPECT_EQ(a.pairs_synced, b.pairs_synced);
   EXPECT_EQ(a.events, b.events);
+}
+
+TEST(ParallelFor, StopsAtTheFirstFailureAndRethrowsTheLowestIndex) {
+  setenv("COSCHED_BENCH_THREADS", "4", 1);
+  // Indices 5 and 9 fail; the rest take 1 ms, so either failure can come
+  // first by time.  Index 5 goes out before 9, so it always runs and wins.
+  const auto task = [](std::size_t i) {
+    if (i == 5 || i == 9) throw Error("task " + std::to_string(i));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  for (int rep = 0; rep < 20; ++rep)
+    EXPECT_EQ(rejection([&] { parallel_for(64, task); }), "task 5") << rep;
+
+  // After index 0 fails, no worker takes another index: at most the three
+  // running beside it and one more each finish.
+  std::atomic<int> started{0};
+  const std::string what = rejection([&] {
+    parallel_for(64, [&started](std::size_t i) {
+      ++started;
+      if (i == 0) throw Error("task 0");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  });
+  unsetenv("COSCHED_BENCH_THREADS");
+  EXPECT_EQ(what, "task 0");
+  EXPECT_LE(started.load(), 8);
 }
 
 TEST(RunSeries, OneSeriesPerSpecInInputOrderWhateverTheThreadCount) {

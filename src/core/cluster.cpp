@@ -1,15 +1,15 @@
 #include "core/cluster.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
+#include <concepts>
 #include <cstddef>
-#include <memory_resource>
 #include <tuple>
 #include <utility>
 
 #include "proto/durable.h"
 #include "util/error.h"
+#include "util/inline_list.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -47,6 +47,16 @@ class CommitGuard {
   JobId id_;
 };
 
+/// Times, job ids, node counts and groups are all int64_t, and every one
+/// this program writes lies in the durable time range.  A record that
+/// passed its CRC with one outside it (crafted, or written by another
+/// program) would overflow the applies' arithmetic (`t + walltime`), so
+/// replay rejects it first.
+template <class T>
+void check_replayed(const T& v) {
+  if constexpr (std::same_as<T, std::int64_t>) check_durable_time(v);
+}
+
 }  // namespace
 
 template <class... Fields>
@@ -68,6 +78,7 @@ template <class... Params>
 void Cluster::replay(WireReader& r, void (Cluster::*apply)(Params...)) {
   std::tuple<std::remove_cvref_t<Params>...> fields;
   std::apply([&r](auto&... f) { (get(r, f), ...); }, fields);
+  std::apply([](const auto&... f) { (check_replayed(f), ...); }, fields);
   std::apply([this, apply](auto&... f) { (this->*apply)(f...); }, fields);
 }
 
@@ -306,16 +317,10 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context,
   // Line 2: locate the mate on each peer.  A peer that is down, or has no
   // member of this group, does not constrain the job (lines 30-31).
   using MateRef = GangMate;
-  // A yielding job re-runs this decision on every retry, so the mate lists
-  // below take their storage from a stack arena instead of the heap; past
-  // the buffer (dozens of peers) the arena falls back to the heap.  The
-  // buffer is only ever written before it is read.
-  std::array<std::byte, 1024> arena_buffer;
-  std::pmr::monotonic_buffer_resource arena(arena_buffer.data(),
-                                            arena_buffer.size());
+  // Up to 8 peers' mates fit inline: a retried decision allocates nothing.
+  using Mates = InlineList<MateRef, 8>;
   std::int32_t suspect_peer = -1;  // a suspected peer we could not consult
-  std::pmr::vector<MateRef> mates(&arena);
-  mates.reserve(peers_.size());
+  Mates mates;
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     // A confirmed-dead peer is not consulted: the detector already holds the
     // answer the transport would eventually fail its way to (§IV-C: remote
@@ -351,12 +356,9 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context,
   CommitGuard commit_marker(committing_, job.spec.id);
 
   // Lines 4-27: classify each mate.
-  std::pmr::vector<MateRef> holding(&arena);
-  std::pmr::vector<MateRef> not_ready(&arena);
-  std::pmr::vector<MateRef> suspected(&arena);
-  holding.reserve(mates.size());
-  not_ready.reserve(mates.size());
-  suspected.reserve(mates.size());
+  Mates holding;
+  Mates not_ready;
+  Mates suspected;
   std::int32_t unsubmitted_peer = -1;
   for (const MateRef& m : mates) {
     const auto status_reply = m.peer->get_mate_status(m.id);
@@ -419,8 +421,9 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context,
       blocking_peer_ = unsubmitted_peer;
       return scheme_decision(job, try_context);
     }
-    std::pmr::vector<MateRef> members(holding, &arena);
-    members.insert(members.end(), not_ready.begin(), not_ready.end());
+    Mates members;
+    for (const MateRef& m : holding) members.push_back(m);
+    for (const MateRef& m : not_ready) members.push_back(m);
     std::sort(members.begin(), members.end(),
               [](const MateRef& a, const MateRef& b) {
                 return a.peer_index < b.peer_index;
@@ -502,10 +505,8 @@ RunDecision Cluster::scheme_decision(RuntimeJob& job, bool try_context,
   job.priority_boost += cfg_.yield_priority_boost;
   append(JournalRecordKind::kYield, job.spec.id, engine_.now(),
          job.first_ready, job.priority_boost);
-  add_yield_retry(job.spec.id, engine_.now());
-  if (cfg_.yield_retry_period > 0)
-    arm_yield_retry_event(engine_.now() + cfg_.yield_retry_period,
-                          job.spec.id);
+  if (RetryQueue::Entry* retry = add_yield_retry(job.spec.id, engine_.now()))
+    retry->event = arm_yield_retry_event(retry->at, job.spec.id);
   log_event(JobEventKind::kYield, job);
   return RunDecision::kYield;
 }
@@ -565,7 +566,7 @@ RunDecision Cluster::gang_costart(RuntimeJob& job,
   const GroupId group = job.spec.group;
 
   // Phase 1 — prepare: place every member into a fenced leased hold.
-  std::vector<GangMate> prepared;
+  InlineList<GangMate, 8> prepared;
   std::int32_t failed_peer = -1;
   for (const GangMate& m : members) {
     const auto ok = m.peer->gang_prepare(m.id, group);
@@ -748,24 +749,25 @@ void Cluster::log_event(JobEventKind kind, const RuntimeJob& job) {
   event_log_->record(std::move(e));
 }
 
-void Cluster::arm_yield_retry_event(Time at, JobId id) {
+EventId Cluster::arm_yield_retry_event(Time at, JobId id) {
   // Untracked on purpose: the event survives a crash, and its body is fully
   // state-guarded, so a recovery re-arm at the same (at, id) coalesces: the
   // yield-retry entry is the ground truth, and whichever twin fires first
   // consumes it.  The body reads `at` back as its own firing time, keeping
   // the capture to two words so the handler fits std::function's inline
   // buffer.
-  engine_.schedule_at(at, EventPriority::kSchedule, [this, id] {
-    if (agent_.yield_retries.erase({engine_.now(), id}) == 0) return;
+  return engine_.schedule_at(at, EventPriority::kSchedule, [this, id] {
+    if (!agent_.yield_retries.erase(engine_.now(), id)) return;
     const RuntimeJob* j = sched_.find(id);
     if (!j || j->state != JobState::kQueued) return;
     request_iteration();
   });
 }
 
-void Cluster::add_yield_retry(JobId id, Time yielded_at) {
-  if (cfg_.yield_retry_period > 0)
-    agent_.yield_retries.insert({yielded_at + cfg_.yield_retry_period, id});
+RetryQueue::Entry* Cluster::add_yield_retry(JobId id, Time yielded_at) {
+  if (cfg_.yield_retry_period <= 0) return nullptr;
+  return &agent_.yield_retries.insert(yielded_at + cfg_.yield_retry_period,
+                                      id);
 }
 
 void Cluster::schedule_hold_release() {
@@ -1017,6 +1019,10 @@ void Cluster::apply_snapshot(WireReader& r) {
 void Cluster::validate_indices() const {
   agent_.ready_logged.validate("ready-logged");
   agent_.yield_retries.validate("yield-retry");
+  for (const RetryQueue::Entry& e : agent_.yield_retries)
+    COSCHED_CHECK_MSG(engine_.is_pending(e.event),
+                      name_ << ": yield retry of job " << e.id << " at "
+                            << e.at << " has no armed event");
   sched_.validate_indices();
 }
 
@@ -1523,10 +1529,11 @@ void Cluster::rearm_after_restore() {
     if (peer_state_[i].ever_heard)
       peers_[i]->set_fence_token(peer_state_[i].info.fence);
 
-  SortedDeque<std::pair<Time, JobId>>& retries = agent_.yield_retries;
+  RetryQueue& retries = agent_.yield_retries;
+  retries.sort_by_id();
   for (auto it = retries.begin(); it != retries.end();) {
-    const Time at = it->first;
-    const JobId id = it->second;
+    const Time at = it->at;
+    const JobId id = it->id;
     if (at < now || (at == now && replay_last_iterate_ == now)) {
       // Fired before the crash.  The at == now case is provable because a
       // retry at a timestamp is always armed earlier (at - period), so it
@@ -1538,7 +1545,7 @@ void Cluster::rearm_after_restore() {
       it = retries.erase(it);
       continue;
     }
-    arm_yield_retry_event(at, id);
+    it->event = arm_yield_retry_event(at, id);
     ++it;
   }
 

@@ -273,9 +273,10 @@ class Cluster final : public CoschedService {
   /// state at their absolute journaled times.  Idempotent per recovery.
   void rearm_after_restore();
 
-  /// Brute-force checks the ready-job index against the set it orders, then
-  /// the scheduler's indices; throws InvariantError on any mismatch
-  /// (test/debug hook).
+  /// Brute-force checks the ready-job index against the set it orders, the
+  /// yield retries' order and that each has a pending event, then the
+  /// scheduler's indices; throws InvariantError on any mismatch (test/debug
+  /// hook).
   void validate_indices() const;
 
  private:
@@ -353,8 +354,8 @@ class Cluster final : public CoschedService {
   void on_job_finished(JobId id);
   void schedule_hold_release();
   /// The yield-retry entry of a yield at `yielded_at` (kYield's Cluster
-  /// state).
-  void add_yield_retry(JobId id, Time yielded_at);
+  /// state); null when retries are off.  A live yield then arms its event.
+  RetryQueue::Entry* add_yield_retry(JobId id, Time yielded_at);
   void log_event(JobEventKind kind, const RuntimeJob& job);
 
   // Timer event bodies, named so recovery can re-arm them at absolute
@@ -362,7 +363,7 @@ class Cluster final : public CoschedService {
   void run_iteration_body();
   void hold_release_tick();
   void periodic_body();
-  void arm_yield_retry_event(Time at, JobId id);
+  EventId arm_yield_retry_event(Time at, JobId id);
 
   // -- liveness internals ------------------------------------------------
   bool liveness_on() const {
@@ -505,11 +506,13 @@ class Cluster final : public CoschedService {
     Time release_tick_at = kNoTime;  ///< absolute time of the armed tick
     bool periodic_armed = false;
     Time periodic_at = kNoTime;      ///< absolute time of the armed periodic
-    /// Pending yield-retry checks as (absolute time, job), ascending and
-    /// duplicate-free, so a fresh-process restore can re-arm them.  Live
-    /// retries are armed a constant period ahead, so they join at the back
-    /// and fire from the front.
-    SortedDeque<std::pair<Time, JobId>> yield_retries;
+    /// Pending yield-retry checks as (absolute time, job), one per armed
+    /// retry event, so a fresh-process restore can re-arm them.  Held in
+    /// the order their events fire: live retries are armed a constant
+    /// period ahead, so they join at the back and fire from the front.  A
+    /// snapshot writes each (time, job) once, in (time, id) order, the
+    /// order rearm_after_restore() re-arms them in.
+    RetryQueue yield_retries;
     COSCHED_FIELDS(Agent, incarnation, iterations_run, try_start_requests,
                    forced_releases, unknown_status_decisions, unsync_starts,
                    degraded_forced_releases, enospc_events,

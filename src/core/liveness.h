@@ -31,6 +31,7 @@
 #include "util/error.h"
 #include "util/fields.h"
 #include "util/types.h"
+#include "workload/job.h"
 
 namespace cosched {
 
@@ -116,6 +117,12 @@ struct HoldLease {
 
   bool operator==(const HoldLease&) const = default;
   COSCHED_FIELDS(HoldLease, job, peer, granted_at, expires_at, token, renewals)
+  /// Decoded lease times lie in the durable range, so the expiry checks'
+  /// differences cannot overflow.
+  friend void check_durable(const HoldLease& l) {
+    check_durable_time(l.granted_at);
+    check_durable_time(l.expires_at);
+  }
   /// The lease table is keyed by job, so it stores the leases alone.
   friend JobId durable_key(const HoldLease& l) { return l.job; }
 };

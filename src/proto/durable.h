@@ -12,7 +12,8 @@
 //   - a container is its size and then its elements in ascending order: an
 //     unordered one is sorted first, by key and then by value, and a map
 //     whose values carry their own key (durable_key) writes the values
-//     alone.
+//     alone.  A RetryQueue, held in firing order, writes its (time, id)
+//     keys sorted.
 // get() throws ParseError on malformed bytes whatever the type: a truncated
 // value, a count larger than the bytes left, an integer outside its field's
 // range, or a failed check_durable(v), a type's own check of a value it has
@@ -93,6 +94,8 @@ inline void put(WireWriter& w, const T& v) {
     if (v) put(w, *v);
   } else if constexpr (std::same_as<T, JobIdSet>) {
     put(w, v.ascending());
+  } else if constexpr (std::same_as<T, RetryQueue>) {
+    put(w, v.sorted_keys());
   } else if constexpr (Hashed<T> && Map<T>) {
     using V = typename T::mapped_type;
     std::vector<std::pair<typename T::key_type, const V*>> sorted;
@@ -145,6 +148,11 @@ inline void get(WireReader& r, T&& out) {
   } else if constexpr (Optional<U>) {
     v.reset();
     if (r.get_bool()) get(r, v.emplace());
+  } else if constexpr (std::same_as<U, RetryQueue>) {
+    std::vector<std::pair<Time, JobId>> keys;
+    get(r, keys);
+    v.clear();
+    for (const auto& [at, id] : keys) v.insert(at, id);
   } else if constexpr (Map<U>) {
     using V = typename U::mapped_type;
     v.clear();

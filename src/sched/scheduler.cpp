@@ -25,12 +25,10 @@ void Scheduler::submit(const JobSpec& spec, Time now) {
   COSCHED_CHECK_MSG(pool_.charged(spec.nodes) <= pool_.capacity(),
                     "job " << spec.id << " cannot fit the machine");
   (void)now;
-  RuntimeJob job;
+  RuntimeJob& job = jobs_[spec.id];
   job.spec = spec;
   job.state = JobState::kQueued;
-  jobs_.emplace(spec.id, job);
-  queue_pos_.emplace(spec.id, queued_.size());
-  queued_.push_back(spec.id);
+  enqueue(job);
   touch();
 }
 
@@ -43,30 +41,41 @@ bool Scheduler::eligible(const RuntimeJob& job, Time now) const {
   return now >= it->second.end + job.spec.after_delay;
 }
 
-const std::vector<JobId>& Scheduler::priority_order(Time now) const {
+std::vector<JobId> Scheduler::priority_order(Time now) const {
+  std::vector<JobId> ids;
+  for (const RuntimeJob* j : ordered(now)) ids.push_back(j->spec.id);
+  return ids;
+}
+
+std::vector<JobId> Scheduler::queued_ids() const {
+  std::vector<JobId> ids;
+  for (const RuntimeJob* j : queued_) ids.push_back(j->spec.id);
+  return ids;
+}
+
+const std::vector<RuntimeJob*>& Scheduler::ordered(Time now) const {
   if (order_time_ == now && order_epoch_ == epoch_) return order_cache_;
   struct Key {
-    JobId id;
+    RuntimeJob* job;
     bool demoted;
     double score;
     Time submit;
   };
   std::vector<Key> keys;
   keys.reserve(queued_.size());
-  for (JobId id : queued_) {
-    const RuntimeJob& j = jobs_.at(id);
-    if (!eligible(j, now)) continue;  // waiting on a dependency
-    keys.push_back(Key{id, j.demoted, policy_->score(j, now), j.spec.submit});
+  for (RuntimeJob* j : queued_) {
+    if (!eligible(*j, now)) continue;  // waiting on a dependency
+    keys.push_back(Key{j, j->demoted, policy_->score(*j, now), j->spec.submit});
   }
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
     if (a.demoted != b.demoted) return !a.demoted;  // demoted sort last
     if (a.score != b.score) return a.score > b.score;
     if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
+    return a.job->spec.id < b.job->spec.id;
   });
   order_cache_.clear();
   order_cache_.reserve(keys.size());
-  for (const Key& k : keys) order_cache_.push_back(k.id);
+  for (const Key& k : keys) order_cache_.push_back(k.job);
   order_time_ = now;
   order_epoch_ = epoch_;
   return order_cache_;
@@ -80,8 +89,8 @@ Scheduler::Shadow Scheduler::compute_shadow(const RuntimeJob& head,
   // Running jobs free their charged nodes no later than start + walltime;
   // the index is already ordered by that end.  Holding jobs have no bounded
   // end; they contribute nothing (conservative).
-  for (const auto& [t, id] : running_ends_) {
-    cum += jobs_.at(id).allocated;
+  for (const auto& [t, job] : running_ends_) {
+    cum += job->allocated;
     if (cum >= need) {
       s.time = std::max(t, now);
       s.extra = cum - need;
@@ -153,7 +162,7 @@ void Scheduler::hold(RuntimeJob& job, Time now, Time first_ready,
   job.state = JobState::kHolding;
   job.hold_since = now;
   remove_from_queue(job.spec.id);
-  holding_.insert(job.spec.id);
+  holding_.emplace(job.spec.id, &job);
   touch();
 }
 
@@ -171,10 +180,9 @@ void Scheduler::yield(RuntimeJob& job, Time first_ready, double boost) {
 
 void Scheduler::clear_demotions() {
   bool any = false;
-  for (JobId id : queued_) {
-    RuntimeJob& j = jobs_.at(id);
-    if (j.demoted) {
-      j.demoted = false;
+  for (RuntimeJob* j : queued_) {
+    if (j->demoted) {
+      j->demoted = false;
       any = true;
     }
   }
@@ -188,7 +196,7 @@ void Scheduler::do_start(RuntimeJob& job, Time now) {
   job.hold_since = kNoTime;
   job.demoted = false;
   remove_from_queue(job.spec.id);
-  running_ends_.emplace(now + job.spec.walltime, job.spec.id);
+  running_ends_.emplace(now + job.spec.walltime, &job);
   touch();
   if (on_start_) on_start_(job);
 }
@@ -201,18 +209,18 @@ std::vector<JobId> Scheduler::iterate_conservative(Time now,
   // nodes out to the planning horizon.
   constexpr Duration kHorizon = 10LL * 365 * kDay;
   TimelineProfile profile(pool_.capacity());
-  for (const auto& [end, id] : running_ends_) {
-    if (end > now) profile.reserve(now, end - now, jobs_.at(id).allocated);
+  for (const auto& [end, job] : running_ends_) {
+    if (end > now) profile.reserve(now, end - now, job->allocated);
   }
-  for (JobId id : holding_)
-    profile.reserve(now, kHorizon, jobs_.at(id).allocated);
+  for (const auto& [id, job] : holding_)
+    profile.reserve(now, kHorizon, job->allocated);
 
-  // A copy: a hook may re-enter priority_order and refill the cache.
-  const std::vector<JobId> order = priority_order(now);
-  for (JobId id : order) {
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) continue;
-    RuntimeJob& job = it->second;
+  // A copy: a hook may re-enter ordered() and refill the cache.  A job a
+  // hook finished or killed keeps its address in the archive, so the state
+  // check below skips it.
+  const std::vector<RuntimeJob*> order = ordered(now);
+  for (RuntimeJob* jp : order) {
+    RuntimeJob& job = *jp;
     if (job.state != JobState::kQueued) continue;
     const NodeCount charged = pool_.charged(job.spec.nodes);
     const Time planned = profile.earliest_fit(now, job.spec.walltime, charged);
@@ -224,7 +232,7 @@ std::vector<JobId> Scheduler::iterate_conservative(Time now,
     const RunDecision d = decide(job, charged, now, hook);
     switch (d) {
       case RunDecision::kStart:
-        started.push_back(id);
+        started.push_back(job.spec.id);
         profile.reserve(now, job.spec.walltime, charged);
         break;
       case RunDecision::kHold:
@@ -243,16 +251,17 @@ std::vector<JobId> Scheduler::iterate(Time now, const RunJobHook& hook) {
   if (config_.backfill && config_.conservative)
     return iterate_conservative(now, hook);
   std::vector<JobId> started;
-  // A copy: a hook may re-enter priority_order and refill the cache.
-  const std::vector<JobId> order = priority_order(now);
+  // A copy: a hook may re-enter ordered() and refill the cache.  A job a
+  // hook finished or killed keeps its address in the archive, so the state
+  // check below skips it.
+  const std::vector<RuntimeJob*> order = ordered(now);
 
   bool blocked = false;
   Shadow shadow;
-  for (JobId id : order) {
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) continue;
-    RuntimeJob& job = it->second;
+  for (RuntimeJob* jp : order) {
+    RuntimeJob& job = *jp;
     if (job.state != JobState::kQueued) continue;  // held/started via hook side effects
+    const JobId id = job.spec.id;
 
     const NodeCount charged = pool_.charged(job.spec.nodes);
     const bool fits = pool_.can_allocate(charged);
@@ -303,9 +312,9 @@ bool Scheduler::try_start_specific(JobId id, Time now, const RunJobHook& hook) {
   if (config_.backfill && config_.respect_reservation_on_try) {
     // Find the blocked queue head; starting `id` must not delay it.  No
     // hook runs inside this loop, so it reads the cached order in place.
-    for (JobId hid : priority_order(now)) {
-      if (hid == id) break;  // `id` outranks everything unfitting before it
-      const RuntimeJob& head = jobs_.at(hid);
+    for (const RuntimeJob* hp : ordered(now)) {
+      if (hp == &job) break;  // `id` outranks everything unfitting before it
+      const RuntimeJob& head = *hp;
       if (head.state != JobState::kQueued) continue;
       if (pool_.can_allocate(pool_.charged(head.spec.nodes))) continue;
       const Shadow shadow = compute_shadow(head, now);
@@ -345,8 +354,7 @@ void Scheduler::release_hold(JobId id, Time now) {
   job.demoted = true;  // lowest priority for the next iteration
   ++job.forced_releases;
   holding_.erase(id);
-  queue_pos_.emplace(id, queued_.size());
-  queued_.push_back(id);
+  enqueue(job);
   touch();
 }
 
@@ -360,8 +368,7 @@ void Scheduler::finish(JobId id, Time now) {
   erase_running_end(job);
   job.state = JobState::kFinished;
   job.end = now;
-  archive(id, std::move(job));
-  jobs_.erase(it);
+  archive(it);
   touch();  // archived dependencies may unblock queued jobs
 }
 
@@ -386,8 +393,7 @@ void Scheduler::kill(JobId id, Time now) {
   }
   job.state = JobState::kFinished;
   job.end = now;
-  archive(id, std::move(job));
-  jobs_.erase(it);
+  archive(it);
   touch();
 }
 
@@ -406,7 +412,15 @@ RuntimeJob* Scheduler::find_mut(JobId id) {
 }
 
 std::vector<JobId> Scheduler::holding_ids() const {
-  return std::vector<JobId>(holding_.begin(), holding_.end());
+  std::vector<JobId> ids;
+  ids.reserve(holding_.size());
+  for (const auto& [id, job] : holding_) ids.push_back(id);
+  return ids;
+}
+
+void Scheduler::enqueue(RuntimeJob& job) {
+  queue_pos_.emplace(job.spec.id, queued_.size());
+  queued_.push_back(&job);
 }
 
 void Scheduler::remove_from_queue(JobId id) {
@@ -414,16 +428,17 @@ void Scheduler::remove_from_queue(JobId id) {
   if (it == queue_pos_.end()) return;
   const std::size_t pos = it->second;
   queue_pos_.erase(it);
-  const JobId last = queued_.back();
+  RuntimeJob* const last = queued_.back();
   queued_.pop_back();
-  if (last != id) {
+  if (last->spec.id != id) {
     queued_[pos] = last;
-    queue_pos_[last] = pos;
+    queue_pos_[last->spec.id] = pos;
   }
 }
 
-void Scheduler::archive(JobId id, RuntimeJob&& job) {
-  archived_.emplace(id, std::move(job));
+void Scheduler::archive(std::unordered_map<JobId, RuntimeJob>::iterator it) {
+  const JobId id = it->first;
+  archived_.insert(jobs_.extract(it));
   insert_ascending(archive_ids_, id);
 }
 
@@ -440,7 +455,7 @@ void Scheduler::erase_running_end(const RuntimeJob& job) {
   const Time key = job.start + job.spec.walltime;
   auto [lo, hi] = running_ends_.equal_range(key);
   for (auto it = lo; it != hi; ++it) {
-    if (it->second == job.spec.id) {
+    if (it->second == &job) {
       running_ends_.erase(it);
       return;
     }
@@ -466,7 +481,7 @@ void Scheduler::snapshot(WireWriter& w) const {
   // multimap insertion (= start) order, which the shadow/profile scans
   // depend on for determinism.
   w.put_u64(running_ends_.size());
-  for (const auto& [end, id] : running_ends_) w.put_i64(id);
+  for (const auto& [end, job] : running_ends_) w.put_i64(job->spec.id);
 }
 
 void Scheduler::restore(WireReader& r) {
@@ -490,7 +505,9 @@ void Scheduler::restore(WireReader& r) {
   for (std::uint64_t n = r.get_u64(); n > 0; --n) {
     RuntimeJob j;
     get(r, j);
-    archive(j.spec.id, std::move(j));
+    const JobId id = j.spec.id;
+    archived_.emplace(id, std::move(j));
+    insert_ascending(archive_ids_, id);
   }
 
   // Rebuild indices.  Queue order is behaviorally irrelevant (priority_order
@@ -498,20 +515,17 @@ void Scheduler::restore(WireReader& r) {
   std::vector<JobId> qids;
   std::size_t running = 0;
   // cosched-lint: ordered(qids are sorted below; index inserts are keyed)
-  for (const auto& [id, j] : jobs_) {
+  for (auto& [id, j] : jobs_) {
     switch (j.state) {
       case JobState::kQueued: qids.push_back(id); break;
-      case JobState::kHolding: holding_.insert(id); break;
+      case JobState::kHolding: holding_.emplace(id, &j); break;
       case JobState::kRunning: ++running; break;
       case JobState::kFinished:
         throw ParseError("snapshot: finished job in the live table");
     }
   }
   std::sort(qids.begin(), qids.end());
-  for (JobId id : qids) {
-    queue_pos_.emplace(id, queued_.size());
-    queued_.push_back(id);
-  }
+  for (JobId id : qids) enqueue(jobs_.at(id));
   if (r.get_u64() != running)
     throw ParseError("snapshot: running-end index count differs");
   for (std::size_t i = 0; i < running; ++i) {
@@ -520,7 +534,7 @@ void Scheduler::restore(WireReader& r) {
       throw ParseError("snapshot: end index names a job not running");
     // Decoded times lie in [kNoTime, 2^62) (check_durable), so this fits.
     running_ends_.emplace(it->second.start + it->second.spec.walltime,
-                          it->first);
+                          &it->second);
   }
   touch();
 }
@@ -534,20 +548,22 @@ void Scheduler::validate_indices() const {
         ++queued;
         auto it = queue_pos_.find(id);
         COSCHED_CHECK_MSG(it != queue_pos_.end() &&
-                              queued_.at(it->second) == id,
+                              queued_.at(it->second) == &j,
                           "queued job " << id << " missing from queue index");
         break;
       }
-      case JobState::kHolding:
+      case JobState::kHolding: {
         ++holding;
-        COSCHED_CHECK_MSG(holding_.count(id),
+        const auto it = holding_.find(id);
+        COSCHED_CHECK_MSG(it != holding_.end() && it->second == &j,
                           "holding job " << id << " missing from hold index");
         break;
+      }
       case JobState::kRunning: {
         ++running;
         bool found = false;
         auto [lo, hi] = running_ends_.equal_range(j.start + j.spec.walltime);
-        for (auto it = lo; it != hi; ++it) found |= it->second == id;
+        for (auto it = lo; it != hi; ++it) found |= it->second == &j;
         COSCHED_CHECK_MSG(found,
                           "running job " << id << " missing from end index");
         break;

@@ -8,20 +8,23 @@
 // coscheduling agent (core/agent.h) supplies Algorithm 1 as the hook — the
 // same separation the authors used between Cobalt and their extension.
 //
-// Hot-path design: every scheduling iteration touches only *live* jobs.
-// Finished jobs move to an archive map (with an ascending id index, so
-// snapshots walk it without sorting), running jobs are indexed by their
-// walltime end (the shadow/profile scans walk that index instead of the
-// whole job table), holding jobs are indexed in a sorted set, and the
-// priority order is cached per (time, state-epoch) so the repeated
+// Hot-path design: every scheduling iteration touches only *live* jobs, and
+// never through the id hash.  A job keeps one address for its whole life:
+// the job tables are node-based maps, and finishing or killing a job moves
+// its node from the live table to the archive (with an ascending id index,
+// so snapshots walk it without sorting) instead of copying it.  The
+// maintained indices therefore hold RuntimeJob pointers: the queue, the
+// running jobs keyed by walltime end (the shadow/profile scans walk that
+// index instead of the whole job table), the holding jobs in id order, and
+// the priority order, cached per (time, state-epoch) so the repeated
 // tryStartMate calls arriving within one event timestamp reuse one
-// score-and-sort.
+// score-and-sort.  The id hash is read only by calls that take an id: find()
+// and the by-id transitions.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -119,11 +122,8 @@ class Scheduler {
   bool eligible(const RuntimeJob& job, Time now) const;
 
   /// Queue order for one iteration: demoted jobs last, then score desc,
-  /// submit asc, id asc.  Cached per (now, state epoch): repeated calls at
-  /// one timestamp with no intervening state change skip the re-score/sort.
-  /// The reference is to the cache itself, which the next call at another
-  /// time or epoch overwrites: copy it before running a hook.
-  const std::vector<JobId>& priority_order(Time now) const;
+  /// submit asc, id asc (the ids of ordered(), for tests and tools).
+  std::vector<JobId> priority_order(Time now) const;
 
   // -- introspection ---------------------------------------------------
 
@@ -144,7 +144,7 @@ class Scheduler {
                                 : 0.0;
   }
   /// Queued job ids in unspecified order (removal is swap-and-pop).
-  const std::vector<JobId>& queued_ids() const { return queued_; }
+  std::vector<JobId> queued_ids() const;
   std::vector<JobId> holding_ids() const;
   std::size_t holding_count() const { return holding_.size(); }
   std::size_t running_count() const { return running_ends_.size(); }
@@ -217,6 +217,13 @@ class Scheduler {
   };
   Shadow compute_shadow(const RuntimeJob& head, Time now) const;
 
+  /// priority_order()'s jobs, cached per (now, state epoch): repeated calls
+  /// at one timestamp with no intervening state change skip the
+  /// re-score/sort.  The reference is to the cache itself, which the next
+  /// call at another time or epoch overwrites: copy it before running a
+  /// hook.
+  const std::vector<RuntimeJob*>& ordered(Time now) const;
+
   // Conservative-backfill iteration (config_.conservative).
   std::vector<JobId> iterate_conservative(Time now, const RunJobHook& hook);
 
@@ -236,8 +243,10 @@ class Scheduler {
   void yield(RuntimeJob& job, Time first_ready, double boost);
 
   void do_start(RuntimeJob& job, Time now);
+  void enqueue(RuntimeJob& job);
   void remove_from_queue(JobId id);
-  void archive(JobId id, RuntimeJob&& job);
+  /// Moves a finished live job's node to the archive; its address stays.
+  void archive(std::unordered_map<JobId, RuntimeJob>::iterator it);
   void erase_running_end(const RuntimeJob& job);
 
   // Any state change that can alter priority order, eligibility, or the
@@ -256,19 +265,19 @@ class Scheduler {
   std::vector<JobId> archive_ids_;
 
   // -- maintained indices over the live table --------------------------
-  std::vector<JobId> queued_;
+  std::vector<RuntimeJob*> queued_;
   std::unordered_map<JobId, std::size_t> queue_pos_;
   /// Running jobs keyed by walltime end (start + walltime); the shadow and
   /// profile scans walk this instead of the job table.  Ties preserve start
   /// order (multimap insertion order), keeping scans deterministic.
-  std::multimap<Time, JobId> running_ends_;
-  std::set<JobId> holding_;
+  std::multimap<Time, RuntimeJob*> running_ends_;
+  std::map<JobId, RuntimeJob*> holding_;
 
   // -- priority-order cache ---------------------------------------------
   std::uint64_t epoch_ = 1;
   mutable std::uint64_t order_epoch_ = 0;
   mutable Time order_time_ = kNoTime;
-  mutable std::vector<JobId> order_cache_;
+  mutable std::vector<RuntimeJob*> order_cache_;
 };
 
 }  // namespace cosched

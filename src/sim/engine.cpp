@@ -19,8 +19,19 @@ EventId Engine::schedule_at(Time t, int priority, Handler fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  heap_.push_back(Entry{t, priority, next_seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry e{t, priority, next_seq_++, slot, s.gen};
+  // The run takes the entry iff it keeps the run sorted: its seq is the
+  // newest, so a time no earlier than the tail's is enough.
+  const std::uint32_t r = run_for(priority);
+  Run& run = runs_[r];
+  if (run.empty() || run.entries.back().time <= t) {
+    s.queue = r;
+    run.entries.push_back(e);
+  } else {
+    s.queue = kHeap;
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
   ++scheduled_;
   ++armed_;
   peak_pending_ = std::max(peak_pending_, armed_ - batch_armed_);
@@ -55,26 +66,43 @@ bool Engine::cancel(EventId id) {
   Slot& s = slots_[slot];
   if (s.gen != gen || !s.fn) return false;
   s.fn = nullptr;
-  ++s.gen;  // the heap entry, now stale, is skipped as a tombstone
+  ++s.gen;  // the queued entry, now stale, is skipped as a tombstone
   free_.push_back(slot);
-  ++dead_;
+  if (s.queue == kHeap)
+    ++dead_;
+  else
+    ++runs_[s.queue].dead;
   --armed_;
   ++cancelled_;
-  maybe_compact();
+  maybe_compact(s.queue);
   return true;
 }
 
-void Engine::maybe_compact() {
-  if (heap_.size() < kCompactMinHeap || dead_ * 2 <= heap_.size()) return;
-  const auto live_end =
-      std::remove_if(heap_.begin(), heap_.end(), [this](const Entry& e) {
-        return slots_[e.slot].gen != e.gen;
-      });
-  const auto removed =
-      static_cast<std::uint64_t>(std::distance(live_end, heap_.end()));
-  heap_.erase(live_end, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  dead_ -= removed;
+std::uint32_t Engine::run_for(int priority) {
+  for (std::uint32_t i = 0; i < runs_.size(); ++i)
+    if (runs_[i].priority == priority) return i;
+  runs_.push_back(Run{priority, {}, 0, 0});
+  return static_cast<std::uint32_t>(runs_.size() - 1);
+}
+
+void Engine::maybe_compact(std::uint32_t queue) {
+  const auto dead = [this](const Entry& e) { return !live(e); };
+  std::size_t removed = 0;
+  if (queue == kHeap) {
+    if (heap_.size() < kCompactMinSize || dead_ * 2 <= heap_.size()) return;
+    removed = static_cast<std::size_t>(std::erase_if(heap_, dead));
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    dead_ -= removed;
+  } else {
+    Run& r = runs_[queue];
+    if (r.size() < kCompactMinSize || r.dead * 2 <= r.size()) return;
+    // Dropping the popped prefix too keeps the survivors' order.
+    r.entries.erase(r.entries.begin(),
+                    r.entries.begin() + static_cast<std::ptrdiff_t>(r.head));
+    r.head = 0;
+    removed = static_cast<std::size_t>(std::erase_if(r.entries, dead));
+    r.dead -= removed;
+  }
   tombstones_ += removed;
   ++compactions_;
 }
@@ -82,7 +110,7 @@ void Engine::maybe_compact() {
 const Engine::Entry* Engine::peek_live() {
   while (!heap_.empty()) {
     const Entry& e = heap_.front();
-    if (slots_[e.slot].gen == e.gen) return &e;
+    if (live(e)) return &e;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     --dead_;
@@ -91,21 +119,58 @@ const Engine::Entry* Engine::peek_live() {
   return nullptr;
 }
 
-std::optional<Engine::Next> Engine::peek_next() {
-  Batch* first = nullptr;
-  for (const auto& b : batches_)
-    if (first == nullptr || Later{}(first->head(), b->head())) first = b.get();
-  const Entry* top = peek_live();
-  if (first != nullptr && (top == nullptr || Later{}(*top, first->head())))
-    return Next{first->times[first->next], first};
-  if (top == nullptr) return std::nullopt;
-  return Next{top->time, nullptr};
+bool Engine::peek_live(Run& r) {
+  while (!r.empty()) {
+    if (live(r.front())) return true;
+    r.pop_front();
+    --r.dead;
+    ++tombstones_;
+  }
+  return false;
 }
 
-void Engine::exec_top() {
-  const Entry e = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+std::optional<Engine::Next> Engine::peek_next() {
+  // The least entry so far and where it waits.
+  const Entry* best = peek_live();
+  Next n{0};
+  Entry head{};
+  for (Run& r : runs_) {
+    if (!peek_live(r)) continue;
+    if (best == nullptr || Later{}(*best, r.front())) {
+      best = &r.front();
+      n.run = &r;
+    }
+  }
+  for (const auto& b : batches_) {
+    if (best != nullptr && !Later{}(*best, b->head())) continue;
+    head = b->head();
+    best = &head;
+    n.run = nullptr;
+    n.batch = b.get();
+  }
+  if (best == nullptr) return std::nullopt;
+  n.time = best->time;
+  return n;
+}
+
+void Engine::exec(const Next& n) {
+  if (n.batch != nullptr) {
+    exec_batch(*n.batch);
+    return;
+  }
+  Entry e;
+  if (n.run != nullptr) {
+    e = n.run->front();
+    n.run->pop_front();
+  } else {
+    e = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+  exec_entry(e);
+}
+
+void Engine::exec_entry(const Entry& e) {
   Slot& s = slots_[e.slot];
   Handler fn = std::move(s.fn);
   s.fn = nullptr;

@@ -14,23 +14,31 @@
 //  * Handlers may schedule further events at >= now.
 //
 // Storage: handlers live in generation-tagged slots recycled through a free
-// list, so steady-state scheduling allocates nothing beyond the heap entry.
-// cancel() detaches the slot in O(1); the heap entry becomes a tombstone
-// drained through one shared path (peek_live), and a heap that is more than
-// half tombstones is compacted in one O(n) rebuild instead of draining
+// list, so steady-state scheduling allocates nothing beyond the queue entry.
+// cancel() detaches the slot in O(1); the queued entry becomes a tombstone
+// drained when it reaches the front of its queue, and a queue that is more
+// than half tombstones is compacted in one O(n) pass instead of draining
 // lazily one-by-one.
 //
-// Batches beside the heap: a run's trace arrivals are known up front and
-// already in time order, so schedule_batch() keeps them out of the heap.  A
-// batch reserves one sequence number per entry when it is scheduled and
+// Runs beside the heap: many events are armed a fixed delay ahead (yield
+// retries, periodic ticks), so at their priority they arrive in time order
+// and need no sift.  An event whose time is not earlier than the last event
+// queued in its priority's run goes to the back of that FIFO run; any other
+// event goes to the binary heap.  A run is therefore sorted under the same
+// (time, priority, seq) order as the heap, and popping its head is O(1).
+//
+// Batches beside the heap: a simulation's trace arrivals are known up front
+// and already in time order, so schedule_batch() keeps them out of the heap.
+// A batch reserves one sequence number per entry when it is scheduled and
 // holds only the entries' times (8 bytes each); entry i's sequence number is
-// the batch's base plus i.  Every step runs whichever comes first under the
-// same (time, priority, seq) order: the live heap top or the earliest batch
-// head.  The event order is therefore exactly the one a schedule_at() per
-// entry would give, while each heap pop sifts only the events that
-// handlers schedule as the run goes.  pending() and the event counters
-// count batch entries like any other event; peak_pending() is the heap's
-// own high-water mark.
+// the batch's base plus i.
+//
+// Every step runs the least of the live heap top, the run heads and the
+// batch heads under that one (time, priority, seq) order, so the event
+// order is exactly the one a single heap holding every event would give.
+// pending() and the event counters count run and batch entries like any
+// other event; peak_pending() is the high-water mark of live events in the
+// heap and the runs together, batch entries excluded.
 #pragma once
 
 #include <cstddef>
@@ -132,15 +140,25 @@ class Engine {
   /// Total events cancelled before running.
   std::uint64_t cancelled_total() const { return cancelled_; }
 
-  /// High-water mark of live events in the heap, batch entries excluded:
-  /// the heap's depth is what sets the cost of each pop.
+  /// High-water mark of live schedule_at() events, whether they wait in
+  /// the heap or in a run; batch entries are excluded.
   std::size_t peak_pending() const { return peak_pending_; }
 
-  /// Cancelled heap entries dropped while popping or compacting.
+  /// Cancelled entries dropped while popping or compacting.
   std::uint64_t tombstones_skipped() const { return tombstones_; }
 
-  /// Whole-heap tombstone compactions (lazy drain replaced by one rebuild).
+  /// One-pass tombstone compactions of the heap or of a run (lazy drain
+  /// replaced by one rebuild).
   std::uint64_t heap_compactions() const { return compactions_; }
+
+  /// True iff `id` names an event that is scheduled and has neither run
+  /// nor been cancelled (test/debug hook).
+  bool is_pending(EventId id) const {
+    const auto slot = static_cast<std::uint32_t>(id);
+    return slot < slots_.size() &&
+           slots_[slot].gen == static_cast<std::uint32_t>(id >> 32) &&
+           slots_[slot].fn != nullptr;
+  }
 
   // No-ops for the benchmark's frozen wiring; see SourceId above.
   void add_dependency(SourceId, SourceId) {}
@@ -148,7 +166,8 @@ class Engine {
 
  private:
   struct Slot {
-    std::uint32_t gen = 1;  ///< bumped on cancel/execute; 0 is never issued
+    std::uint32_t gen = 1;    ///< bumped on cancel/execute; 0 is never issued
+    std::uint32_t queue = 0;  ///< where the entry waits: kHeap or a run index
     Handler fn;
   };
   struct Entry {
@@ -174,29 +193,60 @@ class Engine {
     /// The next entry, ordered like a heap entry (slot and gen unused).
     Entry head() const { return {times[next], priority, base + next, 0, 0}; }
   };
-  /// The event to run next; `batch` is null when it is the heap top.
+  /// One priority's FIFO run: entries in (time, seq) order from `head`.
+  struct Run {
+    int priority = 0;
+    std::vector<Entry> entries;  ///< [head, size) are queued
+    std::size_t head = 0;
+    std::size_t dead = 0;  ///< tombstones among the queued entries
+    bool empty() const { return head == entries.size(); }
+    std::size_t size() const { return entries.size() - head; }
+    const Entry& front() const { return entries[head]; }
+    /// Drops the head; reclaims the popped prefix once it outgrows the
+    /// queued entries, so a steady run reuses its storage.
+    void pop_front() {
+      if (++head == entries.size()) {
+        entries.clear();
+        head = 0;
+      } else if (head >= entries.size() - head) {
+        entries.erase(entries.begin(),
+                      entries.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
+  };
+  /// The event to run next: a batch head, a run head or the heap top.
   struct Next {
     Time time;
-    Batch* batch;
+    Batch* batch = nullptr;
+    Run* run = nullptr;
   };
 
-  /// Minimum heap size before tombstone compaction is considered.
-  static constexpr std::size_t kCompactMinHeap = 64;
+  /// Slot::queue of an entry that waits in the heap.
+  static constexpr std::uint32_t kHeap = UINT32_MAX;
+  /// Minimum queue size before tombstone compaction is considered.
+  static constexpr std::size_t kCompactMinSize = 64;
 
+  bool live(const Entry& e) const { return slots_[e.slot].gen == e.gen; }
+  /// The run for `priority`, created on first use.
+  std::uint32_t run_for(int priority);
   /// Drains cancelled entries off the heap top; returns the next live entry
-  /// or nullptr when the queue is empty.
+  /// or nullptr when the heap is empty.
   const Entry* peek_live();
-  /// Compacts the heap when more than half its entries are tombstones.
-  void maybe_compact();
-  /// The earlier of the live heap top and the earliest batch head, or
-  /// nothing when no event is pending.
+  /// Drains cancelled entries off `r`'s head; true iff a live one is left.
+  bool peek_live(Run& r);
+  /// Compacts the queue `queue` (kHeap or a run index) when more than half
+  /// its entries are tombstones.
+  void maybe_compact(std::uint32_t queue);
+  /// The least of the live heap top, the live run heads and the batch
+  /// heads, or nothing when no event is pending.
   std::optional<Next> peek_next();
-  /// Pops and executes the (live) heap top.
-  void exec_top();
+  /// Runs a popped heap or run entry.
+  void exec_entry(const Entry& e);
   /// Executes `b`'s next entry, releasing the batch after its last one.
   void exec_batch(Batch& b);
   /// Executes the event peek_next() returned.
-  void exec(const Next& n) { n.batch ? exec_batch(*n.batch) : exec_top(); }
+  void exec(const Next& n);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -205,16 +255,19 @@ class Engine {
   std::uint64_t cancelled_ = 0;
   std::uint64_t tombstones_ = 0;
   std::uint64_t compactions_ = 0;
-  std::size_t armed_ = 0;        ///< live heap events + unfired batch entries
+  std::size_t armed_ = 0;        ///< live queued events + unfired batch entries
   std::size_t batch_armed_ = 0;  ///< unfired batch entries
   std::size_t peak_pending_ = 0;
   std::vector<Entry> heap_;  ///< binary heap via std::push_heap/pop_heap
+  /// One FIFO run per priority seen, in first-use order.  Indexed, never
+  /// held by reference across a handler, which may add a run.
+  std::vector<Run> runs_;
   /// Batches with unfired entries, in scheduling order.  Held by pointer so
   /// a handler that schedules a batch cannot move the one that is running.
   std::vector<std::unique_ptr<Batch>> batches_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  std::uint64_t dead_ = 0;  ///< tombstones currently in heap_
+  std::size_t dead_ = 0;  ///< tombstones currently in heap_
 };
 
 }  // namespace cosched

@@ -7,14 +7,15 @@
 // snapshot made each compaction cost the history accumulated so far; these
 // helpers keep the ascending order as ids arrive instead.  Jobs finish and
 // become ready in roughly id order, so an insert lands at or near the back
-// and moves few ids.  SortedDeque applies the same idea to timers keyed by
-// (time, id): they are armed in time order and fire from the front.
+// and moves few ids.  RetryQueue keeps timers keyed by (time, id) in the
+// order their events fire instead, and sorts only when it is written.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -22,18 +23,16 @@
 
 namespace cosched {
 
-/// Inserts `v` into the ascending, duplicate-free sequence `seq` (a vector
-/// or a deque) unless it is already there.  Returns true iff it was
-/// inserted.
-template <class Seq>
-bool insert_ascending(Seq& seq, const typename Seq::value_type& v) {
-  if (seq.empty() || seq.back() < v) {
-    seq.push_back(v);
+/// Inserts `id` into the ascending, duplicate-free `ids` unless it is
+/// already there.  Returns true iff it was inserted.
+inline bool insert_ascending(std::vector<JobId>& ids, JobId id) {
+  if (ids.empty() || ids.back() < id) {
+    ids.push_back(id);
     return true;
   }
-  const auto it = std::lower_bound(seq.begin(), seq.end(), v);
-  if (*it == v) return false;
-  seq.insert(it, v);
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (*it == id) return false;
+  ids.insert(it, id);
   return true;
 }
 
@@ -82,45 +81,94 @@ class JobIdSet {
   std::vector<JobId> ascending_;
 };
 
-/// An ascending, duplicate-free deque with std::set's order and its insert
-/// and erase by value, for keys that almost always arrive at the back and
-/// leave from the front.  insert() tries the back and erase() the front
-/// before falling back to a binary search, so a key out of that order
-/// behaves exactly as it would in a set.
-template <class T>
-class SortedDeque {
+/// Timers keyed by (time, job id), one entry per armed event, held in the
+/// order the events fire: times non-decreasing, and one time's entries in
+/// the order they were added, which is the order of their events' sequence
+/// numbers.  The owner arms every timer a constant period ahead, so an
+/// insert appends and a firing event finds its entry at the front; a key out
+/// of that order (the first period after a restore, whose entries are in
+/// (time, id) order) is found by a scan of its time's entries.  A key armed
+/// twice has two entries, and a snapshot writes each key once.  Each entry
+/// also carries the handle of its event: process-local, so it is not
+/// written, and the owner's validation can ask whether it is still pending.
+class RetryQueue {
  public:
-  using value_type = T;
-  using const_iterator = typename std::deque<T>::const_iterator;
+  struct Entry {
+    Time at = 0;
+    JobId id = kNoJob;
+    std::uint64_t event = 0;  ///< the armed event's handle; 0 = none yet
+  };
+  using iterator = std::deque<Entry>::iterator;
+  using const_iterator = std::deque<Entry>::const_iterator;
 
-  /// Inserts `v`; true iff it was not already a member.
-  bool insert(const T& v) { return insert_ascending(items_, v); }
-  /// Erases `v`; returns the number of entries erased (0 or 1).
-  std::size_t erase(const T& v) {
-    if (!items_.empty() && items_.front() == v) {
-      items_.pop_front();
-      return 1;
-    }
-    const auto it = std::lower_bound(items_.begin(), items_.end(), v);
-    if (it == items_.end() || *it != v) return 0;
-    items_.erase(it);
-    return 1;
+  /// Adds an entry for (at, id) behind every entry of its time.
+  Entry& insert(Time at, JobId id) {
+    if (items_.empty() || items_.back().at <= at)
+      return items_.emplace_back(Entry{at, id});
+    return *items_.insert(same_time(at).second, Entry{at, id});
   }
-  const_iterator erase(const_iterator it) { return items_.erase(it); }
+  /// Removes the first entry for (at, id); true iff there was one.
+  bool erase(Time at, JobId id) {
+    if (!items_.empty() && items_.front().at == at &&
+        items_.front().id == id) {
+      items_.pop_front();
+      return true;
+    }
+    const auto [lo, hi] = same_time(at);
+    const auto it =
+        std::find_if(lo, hi, [id](const Entry& e) { return e.id == id; });
+    if (it == hi) return false;
+    items_.erase(it);
+    return true;
+  }
+  iterator erase(iterator it) { return items_.erase(it); }
   void clear() { items_.clear(); }
   std::size_t size() const { return items_.size(); }
+  iterator begin() { return items_.begin(); }
+  iterator end() { return items_.end(); }
   const_iterator begin() const { return items_.begin(); }
   const_iterator end() const { return items_.end(); }
-  /// Throws InvariantError unless the entries are strictly ascending
-  /// (test/debug hook; `what` names the deque in the message).
+
+  /// Orders each time's entries by id: the order a restore re-arms them in.
+  void sort_by_id() {
+    std::stable_sort(items_.begin(), items_.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.at != b.at ? a.at < b.at : a.id < b.id;
+                     });
+  }
+  /// The distinct keys in ascending (time, id) order, as a snapshot writes
+  /// them.
+  std::vector<std::pair<Time, JobId>> sorted_keys() const {
+    std::vector<std::pair<Time, JobId>> keys;
+    keys.reserve(items_.size());
+    for (const Entry& e : items_) keys.emplace_back(e.at, e.id);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+  }
+  /// Throws InvariantError unless the times are non-decreasing (test/debug
+  /// hook; `what` names the queue in the message).
   void validate(const char* what) const {
-    const auto bad = std::adjacent_find(items_.begin(), items_.end(),
-                                        std::greater_equal<>{});
-    COSCHED_CHECK_MSG(bad == items_.end(), what << " is not ascending");
+    const auto later = [](const Entry& a, const Entry& b) {
+      return a.at > b.at;
+    };
+    COSCHED_CHECK_MSG(std::adjacent_find(items_.begin(), items_.end(),
+                                         later) == items_.end(),
+                      what << " is not in time order");
   }
 
  private:
-  std::deque<T> items_;
+  /// The entries whose time is `at`.
+  std::pair<iterator, iterator> same_time(Time at) {
+    const auto lo = std::partition_point(
+        items_.begin(), items_.end(),
+        [at](const Entry& e) { return e.at < at; });
+    const auto hi = std::partition_point(
+        lo, items_.end(), [at](const Entry& e) { return e.at == at; });
+    return {lo, hi};
+  }
+
+  std::deque<Entry> items_;
 };
 
 }  // namespace cosched

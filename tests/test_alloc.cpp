@@ -20,6 +20,7 @@
 #include "proto/peer.h"
 #include "sched/scheduler.h"
 #include "sim/engine.h"
+#include "util/inline_list.h"
 
 namespace {
 
@@ -189,6 +190,23 @@ TEST(Allocations, BatchedEventsAllocateOnlyWhenScheduled) {
   EXPECT_EQ(fired, 10000u);
   EXPECT_EQ(e.pending(), 0u);
   EXPECT_EQ(allocations, 0u);
+}
+
+TEST(Allocations, InlineListAllocatesOnlyPastItsCapacity) {
+  struct Mate {
+    void* peer = nullptr;
+    int index = -1;
+    long id = -1;
+  };
+  const auto fill = [](std::size_t n) {
+    return allocations_in([n] {
+      InlineList<Mate, 8> list;
+      for (std::size_t i = 0; i < n; ++i)
+        list.push_back(Mate{nullptr, static_cast<int>(i), 0});
+    });
+  };
+  EXPECT_EQ(fill(8), 0u);
+  EXPECT_GT(fill(9), 0u);
 }
 
 }  // namespace

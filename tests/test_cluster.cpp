@@ -199,7 +199,8 @@ TEST(Cluster, SameInstantYieldRetriesKeepOneEntryEachInTimeIdOrder) {
   ASSERT_EQ(yielded, (std::vector<JobId>{5, 4, 3, 5, 4, 3}));
   alpha.validate_indices();
 
-  // One entry per (at, id), ascending: the bytes a std::set would encode.
+  // The snapshot writes one entry per (at, id), ascending: the bytes a
+  // std::set would encode.
   const Time at = 1000 + cfg.yield_retry_period;
   WireWriter expect;
   expect.put_u64(3);
@@ -213,8 +214,8 @@ TEST(Cluster, SameInstantYieldRetriesKeepOneEntryEachInTimeIdOrder) {
   const std::vector<std::uint8_t> bytes = snap.take();
   EXPECT_FALSE(std::ranges::search(bytes, section).empty());
 
-  // The retries fire in arming order (5, 4, 3, then the three twins), so
-  // the first two are found by binary search rather than at the front;
+  // The retries fire in arming order (5, 4, 3, then the three twins), the
+  // order the queue holds them in, so each finds its entry at the front;
   // every job still coschedules with its mate.
   engine.run();
   alpha.validate_indices();

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -153,6 +157,41 @@ TEST(Engine, TombstoneHeavyHeapIsCompactedInOneRebuild) {
   EXPECT_EQ(e.pending(), 0u);
 }
 
+TEST(Engine, TombstoneHeavyHeapAndRunAreEachCompacted) {
+  // Descending times: each event is earlier than the tail of priority 1's
+  // run, so all but the first wait in the heap.  Ascending times at
+  // priority 2 all join that priority's run.
+  Engine e;
+  std::vector<EventId> heap_ids, run_ids;
+  std::vector<std::pair<Time, int>> ran;
+  for (int i = 0; i < 200; ++i) {
+    heap_ids.push_back(e.schedule_at(3000 - i, 1, [&] {
+      ran.emplace_back(e.now(), 1);
+    }));
+    run_ids.push_back(e.schedule_at(2800 + i, 2, [&] {
+      ran.emplace_back(e.now(), 2);
+    }));
+  }
+  for (int i = 0; i < 200; ++i)
+    if (i % 4 != 0) e.cancel(heap_ids[i]);
+  const std::uint64_t after_heap = e.heap_compactions();
+  EXPECT_GE(after_heap, 1u);
+  for (int i = 0; i < 200; ++i)
+    if (i % 4 != 0) e.cancel(run_ids[i]);
+  EXPECT_GT(e.heap_compactions(), after_heap);
+  EXPECT_EQ(e.pending(), 100u);
+  EXPECT_EQ(e.peak_pending(), 400u);  // heap and run entries alike
+  e.run();
+  std::vector<std::pair<Time, int>> expect;
+  for (int i = 0; i < 200; i += 4) {
+    expect.emplace_back(3000 - i, 1);
+    expect.emplace_back(2800 + i, 2);
+  }
+  std::sort(expect.begin(), expect.end());  // (time, priority) order
+  EXPECT_EQ(ran, expect);
+  EXPECT_EQ(e.tombstones_skipped(), e.cancelled_total());
+}
+
 TEST(Engine, ManyEventsStressOrdering) {
   Engine e;
   Time last = -1;
@@ -200,13 +239,106 @@ TEST(Engine, BatchRejectsUnsortedOrPastTimes) {
   EXPECT_EQ(e.scheduled_total(), 0u);
 }
 
+/// The order the engine must reproduce, built the simplest way: every
+/// event, batch entries included, in one list, and each step runs the least
+/// (time, priority, seq) found by a linear scan.
+class ReferenceEngine {
+ public:
+  Time now() const { return now_; }
+
+  EventId schedule_at(Time t, int priority, std::function<void()> fn) {
+    COSCHED_CHECK(t >= now_);
+    events_.push_back({t, priority, seq_++, ++last_id_, false, std::move(fn)});
+    ++scheduled_;
+    const auto live = static_cast<std::size_t>(std::ranges::count_if(
+        events_, [](const Event& e) { return !e.batch; }));
+    peak_pending_ = std::max(peak_pending_, live);
+    return last_id_;
+  }
+
+  void schedule_batch(std::span<const Time> times, int priority,
+                      std::function<void(std::size_t)> fire) {
+    for (std::size_t i = 0; i < times.size(); ++i)
+      events_.push_back(
+          {times[i], priority, seq_++, 0, true, [fire, i] { fire(i); }});
+    scheduled_ += times.size();
+  }
+
+  bool cancel(EventId id) {
+    const auto it = std::ranges::find_if(
+        events_, [id](const Event& e) { return !e.batch && e.id == id; });
+    if (it == events_.end()) return false;
+    events_.erase(it);
+    ++cancelled_;
+    return true;
+  }
+
+  bool step() {
+    if (events_.empty()) return false;
+    const auto it = first();
+    Event e = std::move(*it);
+    events_.erase(it);
+    now_ = e.time;
+    ++executed_;
+    e.fn();
+    return true;
+  }
+
+  void run() {
+    while (step()) {
+    }
+  }
+
+  void run_until(Time t) {
+    while (!events_.empty() && first()->time <= t) step();
+    now_ = t;
+  }
+
+  std::size_t pending() const { return events_.size(); }
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t scheduled_total() const { return scheduled_; }
+  std::uint64_t cancelled_total() const { return cancelled_; }
+  std::size_t peak_pending() const { return peak_pending_; }
+
+ private:
+  struct Event {
+    Time time;
+    int priority;
+    std::uint64_t seq;
+    EventId id;
+    bool batch;
+    std::function<void()> fn;
+  };
+
+  std::vector<Event>::iterator first() {
+    return std::ranges::min_element(
+        events_, [](const Event& a, const Event& b) {
+          return std::tie(a.time, a.priority, a.seq) <
+                 std::tie(b.time, b.priority, b.seq);
+        });
+  }
+
+  Time now_ = 0;
+  std::uint64_t seq_ = 0;
+  EventId last_id_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t executed_ = 0;
+  std::size_t peak_pending_ = 0;
+  std::vector<Event> events_;
+};
+
 /// A random script of schedule_at events, batches, cancels, run_until
-/// boundaries and steps, run with real batches or, as the reference, with
-/// one schedule_at per batch entry at the same point.  Every decision is
-/// drawn from (seed, label of the running event), so two runs that execute
-/// the same events in the same order make the same decisions.  Times and
-/// priorities come from small ranges, so most events tie on (time,
-/// priority) with another one.
+/// boundaries and steps, run on engine type E, with real batches or, as a
+/// reference, with one schedule_at per batch entry at the same point.
+/// Every decision is drawn from (seed, label of the running event), so two
+/// runs that execute the same events in the same order make the same
+/// decisions.  Times and priorities come from small ranges, so most events
+/// tie on (time, priority) with another one, and many are earlier than the
+/// last event queued at their priority.  Bursts of 70 events at one
+/// priority, in ascending or descending time, with three in four cancelled,
+/// make whole queues mostly tombstones.
+template <class E>
 class EngineScript {
  public:
   EngineScript(std::uint64_t seed, bool batched)
@@ -216,21 +348,28 @@ class EngineScript {
   std::vector<std::string> run() {
     Rng rng(seed_);
     for (int op = 0; op < 40; ++op) {
-      switch (rng.uniform_int(0, 4)) {
+      switch (rng.uniform_int(0, 9)) {
         case 0:
+        case 1:
           add_event(e_.now() + rng.uniform_int(0, 30), priority(rng));
           break;
-        case 1:
+        case 2:
+        case 3:
           add_batch(rng);
           break;
-        case 2:
+        case 4:
+        case 5:
           e_.run_until(e_.now() + rng.uniform_int(0, 15));
           break;
-        case 3:
+        case 6:
+        case 7:
           for (auto n = rng.uniform_int(0, 3); n > 0; --n) e_.step();
           break;
-        default:
+        case 8:
           cancel_one(rng);
+          break;
+        default:
+          burst(rng);
           break;
       }
       checkpoint("op" + std::to_string(op));
@@ -239,6 +378,11 @@ class EngineScript {
     checkpoint("end");
     return log_;
   }
+
+  /// peak_pending() at each checkpoint (it counts batch entries only when
+  /// they were scheduled one by one, so it is kept out of the log).
+  const std::vector<std::size_t>& peaks() const { return peaks_; }
+  const E& engine() const { return e_; }
 
  private:
   static int priority(Rng& rng) {
@@ -274,9 +418,22 @@ class EngineScript {
   void cancel_one(Rng& rng) {
     if (cancellable_.empty()) return;
     const auto last = static_cast<std::int64_t>(cancellable_.size()) - 1;
-    const auto k = static_cast<std::size_t>(rng.uniform_int(0, last));
+    cancel(static_cast<std::size_t>(rng.uniform_int(0, last)));
+  }
+
+  void cancel(std::size_t k) {
     const bool ok = e_.cancel(cancellable_[k]);
     log_.push_back("cancel " + std::to_string(k) + (ok ? " ok" : " no-op"));
+  }
+
+  void burst(Rng& rng) {
+    const int prio = priority(rng);
+    const bool ascending = rng.uniform_int(0, 1) == 0;
+    const std::size_t first = cancellable_.size();
+    for (int i = 0; i < 70; ++i)
+      add_event(e_.now() + 20 + (ascending ? i : 70 - i), prio);
+    for (std::size_t k = first; k < cancellable_.size(); ++k)
+      if (rng.uniform_int(0, 3) != 0) cancel(k);
   }
 
   /// Runs event `label`: logs it, then may schedule at now or later, add a
@@ -284,7 +441,7 @@ class EngineScript {
   void body(int label) {
     log_.push_back(std::to_string(label) + "@" + std::to_string(e_.now()));
     Rng rng(seed_ * 1000003 + static_cast<std::uint64_t>(label));
-    if (next_label_ > 300) return;
+    if (next_label_ > 600) return;
     switch (rng.uniform_int(0, 7)) {
       case 0:
       case 1:
@@ -309,21 +466,40 @@ class EngineScript {
     log_.push_back("executed=" + std::to_string(e_.executed()));
     log_.push_back("scheduled=" + std::to_string(e_.scheduled_total()));
     log_.push_back("pending=" + std::to_string(e_.pending()));
+    log_.push_back("cancelled=" + std::to_string(e_.cancelled_total()));
+    peaks_.push_back(e_.peak_pending());
   }
 
   std::uint64_t seed_;
   bool batched_;
-  Engine e_;
+  E e_;
   int next_label_ = 0;
   std::vector<EventId> cancellable_;  ///< schedule_at events, in order
   std::vector<std::string> log_;
+  std::vector<std::size_t> peaks_;
 };
+
+TEST(Engine, RunsHeapAndBatchesMatchOneSortedList) {
+  std::size_t log_lines = 0;
+  std::uint64_t compactions = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    EngineScript<Engine> engine(seed, true);
+    EngineScript<ReferenceEngine> reference(seed, true);
+    const std::vector<std::string> log = engine.run();
+    ASSERT_EQ(log, reference.run()) << "seed " << seed;
+    ASSERT_EQ(engine.peaks(), reference.peaks()) << "seed " << seed;
+    log_lines += log.size();
+    compactions += engine.engine().heap_compactions();
+  }
+  EXPECT_GT(log_lines, 10000u);  // the scripts did real work
+  EXPECT_GT(compactions, 0u);     // and made queues mostly tombstones
+}
 
 TEST(Engine, BatchesRunExactlyWhereOneEventPerEntryWould) {
   std::size_t log_lines = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const auto batched = EngineScript(seed, true).run();
-    const auto reference = EngineScript(seed, false).run();
+    const auto batched = EngineScript<Engine>(seed, true).run();
+    const auto reference = EngineScript<Engine>(seed, false).run();
     ASSERT_EQ(batched, reference) << "seed " << seed;
     log_lines += batched.size();
   }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -288,6 +290,22 @@ struct EnhanceParam {
   std::uint64_t seed;
 };
 
+// Prints the fields, so ctest's "GetParam() = ..." suffix is the same in
+// every build (the default prints the raw bytes, padding included).
+void PrintTo(const EnhanceParam& p, std::ostream* os) {
+  *os << "{max_hold_fraction " << p.max_hold_fraction
+      << ", max_yield_before_hold " << p.max_yield_before_hold
+      << ", yield_boost " << p.yield_boost << ", seed " << p.seed << "}";
+}
+
+std::string enhance_name(const ::testing::TestParamInfo<EnhanceParam>& info) {
+  const auto& p = info.param;
+  return "hold" + std::to_string(static_cast<int>(p.max_hold_fraction * 100)) +
+         "_yields" + std::to_string(p.max_yield_before_hold) + "_boost" +
+         std::to_string(static_cast<int>(p.yield_boost)) + "_seed" +
+         std::to_string(p.seed);
+}
+
 class EnhancementSweep : public ::testing::TestWithParam<EnhanceParam> {};
 
 TEST_P(EnhancementSweep, GuaranteeHoldsUnderThresholds) {
@@ -330,7 +348,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EnhanceParam{0.2, 0, 0.0, 3},
                       EnhanceParam{1.0, 3, 0.0, 4},
                       EnhanceParam{1.0, 0, 10.0, 5},
-                      EnhanceParam{0.5, 5, 5.0, 6}));
+                      EnhanceParam{0.5, 5, 5.0, 6}),
+    enhance_name);
 
 }  // namespace
 }  // namespace cosched

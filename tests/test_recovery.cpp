@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -20,6 +21,7 @@
 
 #include "core_test_util.h"
 #include "net/rpc.h"
+#include "proto/durable.h"
 #include "util/error.h"
 #include "workload/pairing.h"
 #include "workload/synth.h"
@@ -960,6 +962,123 @@ TEST(ReplayEqualsLive, RecoveredSnapshotMatchesTheLiveDomain) {
       << mismatches.size() << " of " << compared
       << " recovered snapshots differ from the live domain; first: "
       << mismatches.front();
+}
+
+// -- replayed record bounds ---------------------------------------------------
+
+TEST(ReplayBounds, AStartNearTheTimeLimitThrowsParseError) {
+  // A CRC-valid kStart for a queued job whose time is near INT64_MAX, on
+  // nodes that are free: its running-end key (t + walltime) would overflow
+  // during replay, so the decoder rejects it first.
+  Workload w = crash_workload(kYY);
+  CoupledSim sim(w.specs, w.traces);
+  sim.enable_journaling();
+  sim.engine().run_until(10 * kMinute);
+  const std::vector<JobId> queued = sim.cluster(0).scheduler().queued_ids();
+  ASSERT_FALSE(queued.empty());
+  WireWriter payload;
+  put(payload, queued.front());
+  put(payload, Time{std::numeric_limits<Time>::max() - 1});  // t
+  put(payload, Time{10 * kMinute});                          // first_ready
+  put(payload, sim.cluster(0).scheduler().pool().free());    // allocated
+  put(payload, false);                                       // from_hold
+  put(payload, false);                                       // was_unsync
+  Journal& journal = sim.journal(0);
+  journal.append(JournalRecordKind::kStart, payload.bytes());
+  journal.commit();
+  EXPECT_THROW(sim.cluster(0).recover_from_journal(journal), ParseError);
+}
+
+// -- yield retries in firing order -------------------------------------------
+
+/// Jobs 5, 4 and 3 on alpha become ready together at t=1000, when job 1
+/// frees the machine, and yield in FCFS order (not id order): their mates
+/// reach beta at t=2000.  A second iteration at t=1000 makes each yield
+/// again, so every retry at t=1300 is armed twice.
+std::unique_ptr<CoupledSim> same_instant_yields() {
+  Workload w;
+  w.specs = two_domains(kYY);
+  Trace a, b;
+  a.add(job(1, 0, 1000, 100));
+  for (const JobId id : {5, 4, 3}) {
+    a.add(job(id, 6 - id, 600, 30, id));
+    b.add(job(10 + id, 2000, 600, 10, id));
+  }
+  w.traces = {a, b};
+  auto sim = std::make_unique<CoupledSim>(w.specs, w.traces);
+  CoupledSim* s = sim.get();
+  s->engine().schedule_at(1000, EventPriority::kStats,
+                          [s] { s->cluster(0).request_iteration(); });
+  s->enable_journaling();
+  return sim;
+}
+
+TEST(YieldRetries, SameInstantRetriesSurviveACrashAtTheirInstant) {
+  auto reference = same_instant_yields();
+  ASSERT_TRUE(reference->run(10 * kDay).completed);
+  const std::uint64_t fp = determinism_fingerprint(*reference);
+  const Time at = 1000 + reference->cluster(0).config().yield_retry_period;
+  ASSERT_EQ(at, 1300);
+
+  // The snapshot holds each (time, id) once, in (time, id) order, although
+  // the queue holds six entries in the order 5, 4, 3, 5, 4, 3.
+  {
+    auto sim = same_instant_yields();
+    sim->engine().run_until(1000);
+    sim->cluster(0).validate_indices();
+    WireWriter expect;
+    expect.put_u64(3);
+    for (const JobId id : {3, 4, 5}) {
+      expect.put_i64(at);
+      expect.put_i64(id);
+    }
+    const std::vector<std::uint8_t> section = expect.take();
+    WireWriter snap;
+    sim->cluster(0).write_snapshot(snap);
+    const std::vector<std::uint8_t> bytes = snap.take();
+    const auto found = std::ranges::search(bytes, section);
+    ASSERT_FALSE(found.empty());
+    EXPECT_TRUE(std::ranges::search(std::ranges::subrange(found.end(),
+                                                          bytes.end()),
+                                    section)
+                    .empty());
+  }
+
+  // Recovered after the yield instant and after the retry instant: the
+  // recovered domain equals the live one, every retry left has an armed
+  // event, and the run ends as the uncrashed one.
+  for (const Time t : {Time{1000}, at}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    auto sim = same_instant_yields();
+    sim->engine().run_until(t);
+    Cluster& alpha = sim->cluster(0);
+    const ComparableSnapshot live = comparable_snapshot(alpha);
+    alpha.recover_from_journal(sim->journal(0));
+    const ComparableSnapshot replayed = comparable_snapshot(alpha);
+    EXPECT_EQ(live.iterations_run, replayed.iterations_run);
+    EXPECT_EQ(live.rest, replayed.rest);
+    alpha.validate_indices();
+    ASSERT_TRUE(sim->run(10 * kDay).completed);
+    EXPECT_EQ(determinism_fingerprint(*sim), fp);
+  }
+
+  // A crash between any two of the retry instant's events: the pre-crash
+  // events still fire, the recovered entries are in (time, id) order with
+  // re-armed twins, and the run still ends as the uncrashed one.
+  int crash_points = 0;
+  for (int k = 0;; ++k) {
+    auto sim = same_instant_yields();
+    sim->engine().run_until(at - 1);
+    for (int i = 0; i < k; ++i) sim->engine().step();
+    if (sim->engine().now() > at) break;  // every event at `at` ran
+    SCOPED_TRACE("after " + std::to_string(k) + " events at t=1300");
+    sim->cluster(0).recover_from_journal(sim->journal(0));
+    sim->cluster(0).validate_indices();
+    ASSERT_TRUE(sim->run(10 * kDay).completed);
+    EXPECT_EQ(determinism_fingerprint(*sim), fp);
+    ++crash_points;
+  }
+  EXPECT_GE(crash_points, 8);  // six retries and an iteration at t=1300
 }
 
 TEST(SnapshotIndexes, StaySortedThroughKillsRecoveryAndRestore) {

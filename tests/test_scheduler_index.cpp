@@ -156,6 +156,29 @@ TEST(SchedulerIndex, PriorityOrderMatchesBruteForceAndCacheInvalidates) {
   EXPECT_NO_THROW(s.validate_indices());
 }
 
+TEST(SchedulerIndex, AJobKilledInsideAHookIsSkippedAndKeepsItsAddress) {
+  // The iteration walks a copy of the priority order, which holds job
+  // addresses: a job a hook kills must be skipped, and stay readable at
+  // the address the copy holds.
+  Scheduler s(100, make_policy("fcfs"));
+  for (JobId id : {1, 2, 3}) s.submit(make_spec(id, 10, 100, id), id);
+  const RuntimeJob* victim = s.find(3);
+  std::vector<JobId> decided;
+  const std::vector<JobId> started = s.iterate(5, [&](RuntimeJob& job) {
+    decided.push_back(job.spec.id);
+    if (job.spec.id == 1) s.kill(3, 5);
+    return RunDecision::kStart;
+  });
+  EXPECT_EQ(decided, (std::vector<JobId>{1, 2}));
+  EXPECT_EQ(started, (std::vector<JobId>{1, 2}));
+  EXPECT_EQ(s.find(3), victim);
+  EXPECT_EQ(s.archived().count(3), 1u);
+  EXPECT_EQ(&s.archived().at(3), victim);
+  EXPECT_EQ(victim->state, JobState::kFinished);
+  EXPECT_EQ(victim->end, 5);
+  EXPECT_NO_THROW(s.validate_indices());
+}
+
 TEST(SchedulerIndex, ValidateIndicesAfterLifecycleChurn) {
   Scheduler s(256, make_policy("wfp"));
   int flip = 0;
@@ -449,6 +472,43 @@ TEST(JobIdSet, KeepsMembersAscendingUnderOutOfOrderInserts) {
   for (JobId id : {8, 5}) EXPECT_TRUE(set.insert(id));
   EXPECT_EQ(set.ascending(), (std::vector<JobId>{5, 8}));
   EXPECT_NO_THROW(set.validate("test"));
+}
+
+/// The queue's keys in held order.
+std::vector<std::pair<Time, JobId>> held(const RetryQueue& q) {
+  std::vector<std::pair<Time, JobId>> keys;
+  for (const RetryQueue::Entry& e : q) keys.emplace_back(e.at, e.id);
+  return keys;
+}
+
+TEST(RetryQueue, HoldsFiringOrderAndWritesDistinctSortedKeys) {
+  using Keys = std::vector<std::pair<Time, JobId>>;
+  RetryQueue q;
+  // One instant's retries arrive out of id order, one job twice.
+  for (JobId id : {5, 4, 3, 5}) q.insert(100, id).event = 7;
+  q.insert(200, 1);
+  q.insert(100, 9);  // a time out of order joins behind its time's entries
+  EXPECT_EQ(held(q), (Keys{{100, 5}, {100, 4}, {100, 3}, {100, 5}, {100, 9},
+                           {200, 1}}));
+  EXPECT_EQ(q.begin()->event, 7u);
+  EXPECT_NO_THROW(q.validate("test"));
+  EXPECT_EQ(q.sorted_keys(), (Keys{{100, 3}, {100, 4}, {100, 5}, {100, 9},
+                                   {200, 1}}));
+
+  // Events fire in held order and find their entry at the front; a key
+  // held elsewhere in its time is found there; an absent key is not.
+  EXPECT_TRUE(q.erase(100, 5));
+  EXPECT_FALSE(q.erase(100, 8));
+  EXPECT_FALSE(q.erase(200, 4));
+  EXPECT_TRUE(q.erase(100, 3));
+  EXPECT_EQ(held(q), (Keys{{100, 4}, {100, 5}, {100, 9}, {200, 1}}));
+
+  // A restore re-arms in (time, id) order.
+  q.insert(200, 0);
+  q.sort_by_id();
+  EXPECT_EQ(held(q), (Keys{{100, 4}, {100, 5}, {100, 9}, {200, 0}, {200, 1}}));
+  q.clear();
+  EXPECT_EQ(q.size(), 0u);
 }
 
 }  // namespace

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/dedup_journal.h"
 #include "core/journal.h"
 #include "core_test_util.h"
+#include "proto/durable.h"
 #include "util/error.h"
 
 namespace cosched {
@@ -718,6 +721,51 @@ TEST(SnapshotBitFlips, EveryFlipParsesOrThrowsParseErrorAndRecoveryFallsBack) {
   // Not vacuous: some flips must have failed to parse and fallen back.
   EXPECT_GT(parse_errors, 0u);
   EXPECT_GT(fallbacks, 0u);
+}
+
+TEST(SnapshotBounds, ALeaseExpiringBeforeTimeBeganFallsBackAGeneration) {
+  // The lease-expiry checks subtract a lease's expiry from the clock, so a
+  // decoded lease time must lie in the durable range like a job's.
+  Workload w = crash_workload(kHH);
+  for (DomainSpec& s : w.specs) s.cosched.liveness.enabled = true;
+  CoupledSim live(w.specs, w.traces);
+  live.engine().run_until(30 * kMinute);
+  WireWriter older;
+  live.cluster(0).write_snapshot(older);
+  const std::vector<std::uint8_t> older_frame =
+      v1_frame(1, JournalRecordKind::kSnapshot, older.bytes());
+  live.engine().run_until(35 * kMinute);
+  ASSERT_FALSE(live.cluster(0).leases().empty());
+  HoldLease lease = live.cluster(0).leases().begin()->second;
+  WireWriter state_writer;
+  live.cluster(0).write_snapshot(state_writer);
+  std::vector<std::uint8_t> state = state_writer.take();
+
+  // Splice a copy of the lease whose expiry is INT64_MIN into the state.
+  WireWriter was, now;
+  put(was, lease);
+  lease.expires_at = std::numeric_limits<Time>::min();
+  put(now, lease);
+  const std::vector<std::uint8_t> old_bytes = was.take();
+  const std::vector<std::uint8_t> new_bytes = now.take();
+  const auto at = std::ranges::search(state, old_bytes).begin();
+  ASSERT_NE(at, state.end());
+  const auto offset = at - state.begin();
+  state.erase(at, at + static_cast<std::ptrdiff_t>(old_bytes.size()));
+  state.insert(state.begin() + offset, new_bytes.begin(), new_bytes.end());
+
+  std::vector<std::uint8_t> image = older_frame;
+  const std::vector<std::uint8_t> newer =
+      v1_frame(2, JournalRecordKind::kSnapshot, state);
+  image.insert(image.end(), newer.begin(), newer.end());
+  auto sink = std::make_unique<MemoryJournalSink>();
+  sink->reset(std::move(image));
+  Journal journal(std::move(sink));
+  journal.reopen();
+  CoupledSim fresh(w.specs, w.traces);
+  Cluster::RecoveryStats stats;
+  ASSERT_NO_THROW(stats = fresh.cluster(0).recover_from_journal(journal));
+  EXPECT_TRUE(stats.snapshot_fallback);
 }
 
 // -- ENOSPC degradation ladder --------------------------------------------
