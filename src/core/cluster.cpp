@@ -242,10 +242,11 @@ bool Cluster::try_start_mate(JobId job) {
   if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
   ++agent_.try_start_requests;
-  if (!sched_.find(job)) return false;  // unsubmitted or unknown: cannot start
+  RuntimeJob* j = sched_.find_mut(job);
+  if (!j) return false;  // unsubmitted or unknown: cannot start
   const bool started =
-      sched_.try_start_specific(job, engine_.now(), [this](RuntimeJob& j) {
-        return run_job_hook(j, /*try_context=*/true);
+      sched_.try_start_specific(*j, engine_.now(), [this](RuntimeJob& rj) {
+        return run_job_hook(rj, /*try_context=*/true);
       });
   journal_commit();
   return started;
@@ -256,13 +257,13 @@ bool Cluster::start_job(JobId job) {
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (!j || j->state != JobState::kHolding) return false;
-  start_held(job);
+  start_held(*j);
   journal_commit();
   return true;
 }
 
-void Cluster::start_held(JobId id) {
-  const RuntimeJob& j = *sched_.find(id);
+void Cluster::start_held(const RuntimeJob& j) {
+  const JobId id = j.spec.id;
   // The start's own callback, on_job_started, journals kStart with these
   // fields; the flag tells it the job held.
   starting_from_hold_ = true;
@@ -654,7 +655,7 @@ bool Cluster::gang_commit(JobId job, GroupId group) {
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
   commit_gang_commit(job, group, /*coordinator=*/false);
-  start_held(job);
+  start_held(*j);
   journal_commit();
   return true;
 }

@@ -349,7 +349,7 @@ class Cluster final : public CoschedService {
   void advance_fence();
   void begin_iteration();
   /// Starts a holding job (its mates are ready) through kStart's apply.
-  void start_held(JobId id);
+  void start_held(const RuntimeJob& j);
   void on_job_started(const RuntimeJob& job);
   void on_job_finished(JobId id);
   void schedule_hold_release();

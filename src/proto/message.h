@@ -116,8 +116,18 @@ struct Message {
   /// The same bytes in a vector of their own.
   std::vector<std::uint8_t> encode() const;
 
-  /// Parses a wire message.  Throws ParseError on malformed input.
-  static Message decode(std::span<const std::uint8_t> data);
+  /// Parses a wire message into `out`, assigning every field: those its
+  /// type carries from the wire, the rest their defaults, so `out` ends
+  /// equal to a fresh decode whatever it held (an error string keeps its
+  /// buffer).  Throws ParseError on malformed input, leaving `out` partly
+  /// overwritten.
+  static void decode(std::span<const std::uint8_t> data, Message& out);
+  /// The same into a Message of its own.
+  static Message decode(std::span<const std::uint8_t> data) {
+    Message m;
+    decode(data, m);
+    return m;
+  }
 
   bool operator==(const Message&) const = default;
 };
@@ -128,33 +138,103 @@ constexpr MsgType response_type(MsgType req) {
   return static_cast<MsgType>(static_cast<std::uint8_t>(req) + 1);
 }
 
-// Convenience constructors for each call.
-Message make_get_mate_job_req(std::uint64_t rid, GroupId group, JobId asking);
-Message make_get_mate_job_resp(std::uint64_t rid, std::optional<JobId> mate);
-Message make_get_mate_status_req(std::uint64_t rid, JobId mate);
-Message make_get_mate_status_resp(std::uint64_t rid, MateStatus status);
-Message make_try_start_mate_req(std::uint64_t rid, JobId mate);
-Message make_try_start_mate_resp(std::uint64_t rid, bool started);
-Message make_start_job_req(std::uint64_t rid, JobId job);
-Message make_start_job_resp(std::uint64_t rid, bool ok);
-Message make_hello_req(std::uint64_t rid, std::uint64_t client_incarnation);
-Message make_hello_resp(std::uint64_t rid, std::uint64_t server_incarnation);
-Message make_error_resp(std::uint64_t rid, std::string error);
+// Convenience constructors for each call.  The request and response
+// builders are inline: every simulated call runs one of each.
+
+namespace detail {
+/// A request naming a job (and, for the gang calls, its group).
+inline Message make_job_req(MsgType type, std::uint64_t rid, JobId job,
+                            GroupId group = kNoGroup) {
+  Message m;
+  m.type = type;
+  m.request_id = rid;
+  m.job = job;
+  m.group = group;
+  return m;
+}
+}  // namespace detail
+
 /// The reply to any of the six side-effecting requests (tryStartMate,
 /// startJob and the four gang calls) of type `req`: its response_type,
 /// carrying the verdict `ok`.
-Message make_verdict_resp(MsgType req, std::uint64_t rid, bool ok);
+inline Message make_verdict_resp(MsgType req, std::uint64_t rid, bool ok) {
+  Message m;
+  m.type = response_type(req);
+  m.request_id = rid;
+  m.ok = ok;
+  return m;
+}
+
+inline Message make_get_mate_job_req(std::uint64_t rid, GroupId group,
+                                     JobId asking) {
+  return detail::make_job_req(MsgType::kGetMateJobReq, rid, asking, group);
+}
+inline Message make_get_mate_job_resp(std::uint64_t rid,
+                                      std::optional<JobId> mate) {
+  Message m;
+  m.type = MsgType::kGetMateJobResp;
+  m.request_id = rid;
+  m.found = mate.has_value();
+  m.job = mate.value_or(kNoJob);
+  return m;
+}
+inline Message make_get_mate_status_req(std::uint64_t rid, JobId mate) {
+  return detail::make_job_req(MsgType::kGetMateStatusReq, rid, mate);
+}
+inline Message make_get_mate_status_resp(std::uint64_t rid,
+                                         MateStatus status) {
+  Message m;
+  m.type = MsgType::kGetMateStatusResp;
+  m.request_id = rid;
+  m.status = status;
+  return m;
+}
+inline Message make_try_start_mate_req(std::uint64_t rid, JobId mate) {
+  return detail::make_job_req(MsgType::kTryStartMateReq, rid, mate);
+}
+inline Message make_try_start_mate_resp(std::uint64_t rid, bool started) {
+  return make_verdict_resp(MsgType::kTryStartMateReq, rid, started);
+}
+inline Message make_start_job_req(std::uint64_t rid, JobId job) {
+  return detail::make_job_req(MsgType::kStartJobReq, rid, job);
+}
+inline Message make_start_job_resp(std::uint64_t rid, bool ok) {
+  return make_verdict_resp(MsgType::kStartJobReq, rid, ok);
+}
+Message make_hello_req(std::uint64_t rid, std::uint64_t client_incarnation);
+Message make_hello_resp(std::uint64_t rid, std::uint64_t server_incarnation);
+Message make_error_resp(std::uint64_t rid, std::string error);
 
 // Gang costart calls.  Requests carry (job, fence, group); responses carry
 // the boolean outcome.
-Message make_gang_prepare_req(std::uint64_t rid, JobId job, GroupId group);
-Message make_gang_prepare_resp(std::uint64_t rid, bool ok);
-Message make_gang_commit_req(std::uint64_t rid, JobId job, GroupId group);
-Message make_gang_commit_resp(std::uint64_t rid, bool ok);
-Message make_gang_abort_req(std::uint64_t rid, JobId job, GroupId group);
-Message make_gang_abort_resp(std::uint64_t rid, bool ok);
-Message make_gang_victim_req(std::uint64_t rid, JobId job, GroupId group);
-Message make_gang_victim_resp(std::uint64_t rid, bool ok);
+inline Message make_gang_prepare_req(std::uint64_t rid, JobId job,
+                                     GroupId group) {
+  return detail::make_job_req(MsgType::kGangPrepareReq, rid, job, group);
+}
+inline Message make_gang_prepare_resp(std::uint64_t rid, bool ok) {
+  return make_verdict_resp(MsgType::kGangPrepareReq, rid, ok);
+}
+inline Message make_gang_commit_req(std::uint64_t rid, JobId job,
+                                    GroupId group) {
+  return detail::make_job_req(MsgType::kGangCommitReq, rid, job, group);
+}
+inline Message make_gang_commit_resp(std::uint64_t rid, bool ok) {
+  return make_verdict_resp(MsgType::kGangCommitReq, rid, ok);
+}
+inline Message make_gang_abort_req(std::uint64_t rid, JobId job,
+                                   GroupId group) {
+  return detail::make_job_req(MsgType::kGangAbortReq, rid, job, group);
+}
+inline Message make_gang_abort_resp(std::uint64_t rid, bool ok) {
+  return make_verdict_resp(MsgType::kGangAbortReq, rid, ok);
+}
+inline Message make_gang_victim_req(std::uint64_t rid, JobId job,
+                                    GroupId group) {
+  return detail::make_job_req(MsgType::kGangVictimReq, rid, job, group);
+}
+inline Message make_gang_victim_resp(std::uint64_t rid, bool ok) {
+  return make_verdict_resp(MsgType::kGangVictimReq, rid, ok);
+}
 
 /// Liveness payload exchanged in both directions of a heartbeat.
 struct HeartbeatInfo {

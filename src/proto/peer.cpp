@@ -87,7 +87,7 @@ bool LoopbackPeer::exchange(Message& req, Message& reply) {
   dispatcher_.dispatch(request_.bytes(), reply_);
   response_bytes_ += reply_.bytes().size();
   try {
-    reply = Message::decode(reply_.bytes());
+    Message::decode(reply_.bytes(), reply);
   } catch (const ParseError& e) {
     COSCHED_LOG(kError) << "loopback peer: bad response: " << e.what();
     return false;

@@ -25,7 +25,7 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
     resp.encode(out);
   };
   try {
-    req = Message::decode(request);
+    Message::decode(request, req);
   } catch (const ParseError& e) {
     COSCHED_LOG(kWarn) << "dispatcher: malformed request: " << e.what();
     return finish(make_error_resp(0, e.what()));

@@ -29,17 +29,6 @@ std::vector<std::uint8_t> WireWriter::take() {
   return out;
 }
 
-void WireReader::fail(std::size_t pos, const char* what) {
-  pos_ = pos;
-  throw ParseError(what);
-}
-
-std::string WireReader::get_string() {
-  const std::uint64_t n = get_u64();
-  if (n > remaining()) throw ParseError("wire: truncated string");
-  std::string s(reinterpret_cast<const char*>(data_.data()) + pos_, n);
-  pos_ += n;
-  return s;
-}
+void WireReader::error(const char* what) { throw ParseError(what); }
 
 }  // namespace cosched

@@ -101,6 +101,10 @@ class Scheduler {
   /// head's backfill reservation, and the hook agrees.  Returns true iff
   /// the job started.
   bool try_start_specific(JobId id, Time now, const RunJobHook& hook = nullptr);
+  /// The same for a job already found (live or archived, as find_mut()
+  /// returns it), so a caller that has looked the job up reads no hash again.
+  bool try_start_specific(RuntimeJob& job, Time now,
+                          const RunJobHook& hook = nullptr);
 
   /// Starts a holding job (its mate became ready): held -> busy.
   void start_holding(JobId id, Time now);

@@ -140,16 +140,29 @@ TEST_P(CoschedSweep, SyncTimeZeroForUnpairedJobs) {
 // changes a start time somewhere and breaks the hash.
 
 TEST(DeterminismGuard, FixedSeedResultsMatchPreOptimizationFingerprints) {
+  // The protocol traffic a run sends over its loopback links: round trips
+  // and encoded bytes, and the calls the fault injectors saw and passed on.
+  struct Traffic {
+    std::uint64_t calls;
+    std::uint64_t request_bytes;
+    std::uint64_t response_bytes;
+    std::uint64_t fault_calls;
+    std::uint64_t delivered;
+    bool operator==(const Traffic&) const = default;
+  };
   struct Pinned {
     SchemeCombo combo;
     std::uint64_t expect;
+    Traffic traffic;
   };
-  // Recorded from the pre-optimization (full-rescan) implementation.
+  // The fingerprints were recorded from the pre-optimization (full-rescan)
+  // implementation; the traffic from the codec before its in-place decode,
+  // so any codec change that alters a byte or a call shows here.
   const Pinned pinned[] = {
-      {kHH, 0x1b674b6d199ed7c0ULL},
-      {kHY, 0x4becedf2dca9e57bULL},
-      {kYH, 0xd33b7fd83c6bce0aULL},
-      {kYY, 0x9db813ffb767cb65ULL},
+      {kHH, 0x1b674b6d199ed7c0ULL, {297, 1862, 1474, 297, 297}},
+      {kHY, 0x4becedf2dca9e57bULL, {437, 2842, 2272, 437, 437}},
+      {kYH, 0xd33b7fd83c6bce0aULL, {608, 4115, 3377, 608, 608}},
+      {kYY, 0x9db813ffb767cb65ULL, {769, 5242, 4296, 769, 769}},
   };
   for (const Pinned& p : pinned) {
     SystemModel compute;
@@ -183,6 +196,16 @@ TEST(DeterminismGuard, FixedSeedResultsMatchPreOptimizationFingerprints) {
         << "simulation results diverged from the pre-optimization "
            "implementation for combo "
         << p.combo.label;
+    const auto proto = sim.protocol_stats();
+    const FaultStats faults = sim.fault_stats();
+    const Traffic traffic{proto.calls, proto.request_bytes,
+                          proto.response_bytes, faults.calls,
+                          faults.delivered};
+    EXPECT_EQ(traffic, p.traffic)
+        << "protocol traffic changed for combo " << p.combo.label << ": {"
+        << traffic.calls << ", " << traffic.request_bytes << ", "
+        << traffic.response_bytes << ", " << traffic.fault_calls << ", "
+        << traffic.delivered << "}";
   }
 }
 
