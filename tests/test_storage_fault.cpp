@@ -768,6 +768,51 @@ TEST(SnapshotBounds, ALeaseExpiringBeforeTimeBeganFallsBackAGeneration) {
   EXPECT_TRUE(stats.snapshot_fallback);
 }
 
+TEST(SnapshotBounds, AnUnfinishedJobInTheArchiveFallsBackAGeneration) {
+  // A remote tryStartMate finds a job live or archived and refuses it by its
+  // state, so a restored archive must hold finished jobs only.
+  Workload w = crash_workload(kHH);
+  CoupledSim live(w.specs, w.traces);
+  live.engine().run_until(30 * kMinute);
+  WireWriter older;
+  live.cluster(0).write_snapshot(older);
+  const std::vector<std::uint8_t> older_frame =
+      v1_frame(1, JournalRecordKind::kSnapshot, older.bytes());
+  live.engine().run_until(35 * kMinute);
+  const Scheduler& sched = live.cluster(0).scheduler();
+  ASSERT_FALSE(sched.archived().empty());
+  RuntimeJob job = sched.archived().begin()->second;
+  WireWriter state_writer;
+  live.cluster(0).write_snapshot(state_writer);
+  std::vector<std::uint8_t> state = state_writer.take();
+
+  // Splice a copy of the archived job marked queued into the state.
+  WireWriter was, now;
+  put(was, job);
+  job.state = JobState::kQueued;
+  put(now, job);
+  const std::vector<std::uint8_t> old_bytes = was.take();
+  const std::vector<std::uint8_t> new_bytes = now.take();
+  const auto at = std::ranges::search(state, old_bytes).begin();
+  ASSERT_NE(at, state.end());
+  const auto offset = at - state.begin();
+  state.erase(at, at + static_cast<std::ptrdiff_t>(old_bytes.size()));
+  state.insert(state.begin() + offset, new_bytes.begin(), new_bytes.end());
+
+  std::vector<std::uint8_t> image = older_frame;
+  const std::vector<std::uint8_t> newer =
+      v1_frame(2, JournalRecordKind::kSnapshot, state);
+  image.insert(image.end(), newer.begin(), newer.end());
+  auto sink = std::make_unique<MemoryJournalSink>();
+  sink->reset(std::move(image));
+  Journal journal(std::move(sink));
+  journal.reopen();
+  CoupledSim fresh(w.specs, w.traces);
+  Cluster::RecoveryStats stats;
+  ASSERT_NO_THROW(stats = fresh.cluster(0).recover_from_journal(journal));
+  EXPECT_TRUE(stats.snapshot_fallback);
+}
+
 // -- ENOSPC degradation ladder --------------------------------------------
 
 TEST(Enospc, LadderKeepsTheSimulationAliveAndCountsEveryRung) {
