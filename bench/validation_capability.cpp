@@ -3,6 +3,7 @@
 // paired jobs must start at the same time as their mates.  Additionally,
 // hold-hold *without* the release enhancement must deadlock on spans over
 // ~10 days, and never with it.
+#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -95,7 +96,10 @@ int main() {
         with_release ? 20 * kMinute : Duration{0});
     for (auto& s : specs) s.policy = "wfp";
     CoupledSim sim(specs, {w.intrepid, w.eureka});
+    const auto t0 = std::chrono::steady_clock::now();
     const SimResult r = sim.run(24 * 30 * kDay);
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - t0;
     const bool cycle =
         has_hold_wait_cycle({&sim.cluster(0), &sim.cluster(1)});
     dl.add_row({with_release ? "20 min" : "disabled",
@@ -103,7 +107,7 @@ int main() {
                 cycle ? "YES" : "no"});
     json.add_case(std::string("deadlock_study/release=") +
                       (with_release ? "20min" : "off"),
-                  0.0, sim.engine().executed(),
+                  wall.count(), sim.engine().executed(),
                   {{"completed", r.completed ? 1.0 : 0.0, 0.0},
                    {"hold_wait_cycle", cycle ? 1.0 : 0.0, 0.0}});
     if (with_release && !r.completed) ++failures;

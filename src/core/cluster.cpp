@@ -68,18 +68,18 @@ void Cluster::append(JournalRecordKind kind, const Fields&... fields) {
 }
 
 template <class... Params>
-void Cluster::commit(JournalRecordKind kind, void (Cluster::*apply)(Params...),
+void Cluster::commit(JournalRecordKind kind, void (Durable::*apply)(Params...),
                      std::type_identity_t<Params>... fields) {
   append(kind, fields...);
-  (this->*apply)(fields...);
+  (durable_.*apply)(fields...);
 }
 
 template <class... Params>
-void Cluster::replay(WireReader& r, void (Cluster::*apply)(Params...)) {
+void Cluster::replay(WireReader& r, void (Durable::*apply)(Params...)) {
   std::tuple<std::remove_cvref_t<Params>...> fields;
   std::apply([&r](auto&... f) { (get(r, f), ...); }, fields);
   std::apply([](const auto&... f) { (check_replayed(f), ...); }, fields);
-  std::apply([this, apply](auto&... f) { (this->*apply)(f...); }, fields);
+  std::apply([this, apply](auto&... f) { (durable_.*apply)(f...); }, fields);
 }
 
 Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
@@ -90,23 +90,24 @@ Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
       name_(std::move(name)),
       cfg_(cosched),
       sched_cfg_(sched_config),
-      sched_(capacity, std::move(policy), sched_config, std::move(alloc)) {
+      sched_(capacity, std::move(policy), sched_config, std::move(alloc)),
+      durable_(sched_, cfg_.yield_retry_period) {
   sched_.set_on_start([this](const RuntimeJob& job) { on_job_started(job); });
 }
 
 void Cluster::arm_periodic_iteration() {
-  if (sched_cfg_.iteration_period <= 0 || agent_.periodic_armed) return;
-  commit(JournalRecordKind::kPeriodicArmed, &Cluster::apply_periodic_armed,
+  if (sched_cfg_.iteration_period <= 0 || durable_.agent.periodic_armed) return;
+  commit(JournalRecordKind::kPeriodicArmed, &Durable::apply_periodic_armed,
          engine_.now() + sched_cfg_.iteration_period);
   periodic_event_ =
-      engine_.schedule_at(agent_.periodic_at, EventPriority::kStats,
+      engine_.schedule_at(durable_.agent.periodic_at, EventPriority::kStats,
                           [this] { periodic_body(); });
 }
 
 void Cluster::periodic_body() {
   periodic_event_.reset();
-  agent_.periodic_armed = false;
-  agent_.periodic_at = kNoTime;
+  durable_.agent.periodic_armed = false;
+  durable_.agent.periodic_at = kNoTime;
   const bool work_left = sched_.queue_length() > 0 ||
                          sched_.running_count() > 0 ||
                          sched_.holding_count() > 0;
@@ -118,18 +119,19 @@ void Cluster::periodic_body() {
 
 void Cluster::add_peer(PeerClient& peer) {
   peers_.push_back(&peer);
-  peer_state_.push_back(PeerState{
+  durable_.peer_state.push_back(PeerState{
       FailureDetector(cfg_.liveness.heartbeat_period, engine_.now()),
       HeartbeatInfo{}, false});
 }
 
 void Cluster::register_expected(const JobSpec& spec) {
   COSCHED_CHECK(spec.is_paired());
-  const auto it = agent_.group_to_job.find(spec.group);
-  COSCHED_CHECK_MSG(it == agent_.group_to_job.end() || it->second == spec.id,
-                    "group " << spec.group << " already has local member "
-                             << it->second << " on " << name_);
-  commit(JournalRecordKind::kExpected, &Cluster::apply_expected, spec);
+  const auto it = durable_.agent.group_to_job.find(spec.group);
+  COSCHED_CHECK_MSG(
+      it == durable_.agent.group_to_job.end() || it->second == spec.id,
+      "group " << spec.group << " already has local member " << it->second
+               << " on " << name_);
+  commit(JournalRecordKind::kExpected, &Durable::apply_expected, spec);
   journal_commit();
 }
 
@@ -137,7 +139,7 @@ void Cluster::do_submit(const JobSpec& spec) {
   // The timers' records precede kSubmit in the journal.
   arm_periodic_iteration();
   arm_liveness_tick();
-  commit(JournalRecordKind::kSubmit, &Cluster::apply_submit, spec,
+  commit(JournalRecordKind::kSubmit, &Durable::apply_submit, spec,
          engine_.now());
   track_dependency(spec);
   log_event(JobEventKind::kSubmit, *sched_.find(spec.id));
@@ -171,7 +173,7 @@ void Cluster::submit_now(const JobSpec& spec) {
 void Cluster::kill_job(JobId id) {
   const RuntimeJob* j = sched_.find(id);
   if (j == nullptr || j->state == JobState::kFinished) return;
-  commit(JournalRecordKind::kKill, &Cluster::apply_kill, id, engine_.now());
+  commit(JournalRecordKind::kKill, &Durable::apply_kill, id, engine_.now());
   // The stale completion event stays armed (its body is state-guarded) so
   // the engine's drain time matches a run without the kill; only the
   // tracking entry goes.
@@ -182,8 +184,8 @@ void Cluster::kill_job(JobId id) {
 }
 
 void Cluster::request_iteration() {
-  if (agent_.iteration_pending) return;
-  commit(JournalRecordKind::kIterArmed, &Cluster::apply_iteration_armed,
+  if (durable_.agent.iteration_pending) return;
+  commit(JournalRecordKind::kIterArmed, &Durable::apply_iteration_armed,
          engine_.now());
   // Committed immediately: this can be the only record of an entry point
   // (e.g. a transport retry listener), and losing it would silently drop
@@ -193,17 +195,12 @@ void Cluster::request_iteration() {
       engine_.now(), EventPriority::kSchedule, [this] { run_iteration_body(); });
 }
 
-void Cluster::begin_iteration() {
-  agent_.iteration_pending = false;
-  ++agent_.iterations_run;
-}
-
 void Cluster::run_iteration_body() {
   iteration_event_.reset();
   // kIterate's effect is split around the iteration it records: the
   // pending flag clears before it, so a request made during the iteration
   // arms the next one, and the scheduler ends the demotions after it.
-  begin_iteration();
+  durable_.begin_iteration();
   sched_.iterate(engine_.now(), [this](RuntimeJob& job) {
     return run_job_hook(job, /*try_context=*/false);
   });
@@ -215,8 +212,8 @@ void Cluster::run_iteration_body() {
 
 std::optional<JobId> Cluster::get_mate_job(GroupId group, JobId asking) {
   (void)asking;
-  auto it = agent_.group_to_job.find(group);
-  if (it == agent_.group_to_job.end()) return std::nullopt;
+  auto it = durable_.agent.group_to_job.find(group);
+  if (it == durable_.agent.group_to_job.end()) return std::nullopt;
   return it->second;
 }
 
@@ -225,8 +222,8 @@ MateStatus Cluster::get_mate_status(JobId job) {
     return MateStatus::kStarting;
   const RuntimeJob* j = sched_.find(job);
   if (!j)
-    return agent_.expected.count(job) ? MateStatus::kUnsubmitted
-                                : MateStatus::kUnknown;
+    return durable_.agent.expected.count(job) ? MateStatus::kUnsubmitted
+                                              : MateStatus::kUnknown;
   switch (j->state) {
     case JobState::kQueued: return MateStatus::kQueuing;
     case JobState::kHolding: return MateStatus::kHolding;
@@ -239,9 +236,9 @@ MateStatus Cluster::get_mate_status(JobId job) {
 bool Cluster::try_start_mate(JobId job) {
   // Tripwire behind the no-start-with-stale-fence invariant: the dispatcher
   // must not reach this method after admit_fence() said "stale".
-  if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
+  if (job == pending_stale_fence_) ++durable_.lease_table.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
-  ++agent_.try_start_requests;
+  ++durable_.agent.try_start_requests;
   RuntimeJob* j = sched_.find_mut(job);
   if (!j) return false;  // unsubmitted or unknown: cannot start
   const bool started =
@@ -253,7 +250,7 @@ bool Cluster::try_start_mate(JobId job) {
 }
 
 bool Cluster::start_job(JobId job) {
-  if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
+  if (job == pending_stale_fence_) ++durable_.lease_table.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (!j || j->state != JobState::kHolding) return false;
@@ -267,16 +264,17 @@ void Cluster::start_held(const RuntimeJob& j) {
   // The start's own callback, on_job_started, journals kStart with these
   // fields; the flag tells it the job held.
   starting_from_hold_ = true;
-  apply_start(id, engine_.now(), j.first_ready, j.allocated,
-              /*from_hold=*/true, agent_.unsync_pending.count(id) > 0);
+  durable_.apply_start(id, engine_.now(), j.first_ready, j.allocated,
+                       /*from_hold=*/true,
+                       durable_.agent.unsync_pending.count(id) > 0);
   starting_from_hold_ = false;
 }
 
 // -- Algorithm 1 --------------------------------------------------------------
 
 void Cluster::note_ready(const RuntimeJob& job) {
-  if (agent_.ready_logged.contains(job.spec.id)) return;
-  commit(JournalRecordKind::kReady, &Cluster::apply_ready, job.spec.id,
+  if (durable_.agent.ready_logged.contains(job.spec.id)) return;
+  commit(JournalRecordKind::kReady, &Durable::apply_ready, job.spec.id,
          job.first_ready);
   log_event(JobEventKind::kReady, job);
 }
@@ -290,11 +288,11 @@ RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
   if (deg.unknown == 0 && deg.suspected == 0 && !deg.fault_seen && !deg.unsync)
     return d;
   const JobId id = job.spec.id;
-  const bool had_fault = agent_.fault_seen.count(id) > 0;
-  const bool had_unsync = agent_.unsync_pending.count(id) > 0;
+  const bool had_fault = durable_.agent.fault_seen.count(id) > 0;
+  const bool had_unsync = durable_.agent.unsync_pending.count(id) > 0;
   if (deg.unknown != 0 || deg.suspected != 0 ||
       (deg.fault_seen && !had_fault) || (deg.unsync && !had_unsync))
-    commit(JournalRecordKind::kDegraded, &Cluster::apply_degraded, id,
+    commit(JournalRecordKind::kDegraded, &Durable::apply_degraded, id,
            deg.unknown, deg.fault_seen || had_fault, deg.unsync || had_unsync,
            deg.suspected);
   return d;
@@ -310,8 +308,9 @@ RunDecision Cluster::run_job_decision(RuntimeJob& job, bool try_context,
   // A gang job inside its re-prepare backoff window yields without touching
   // peers (jittered backoff after an aborted round or a victim order).
   if (gang_on()) {
-    const auto bo = gang_book_.backoff_until.find(job.spec.id);
-    if (bo != gang_book_.backoff_until.end() && engine_.now() < bo->second)
+    const auto bo = durable_.gang_book.backoff_until.find(job.spec.id);
+    if (bo != durable_.gang_book.backoff_until.end() &&
+        engine_.now() < bo->second)
       return scheme_decision(job, try_context, Scheme::kYield);
   }
 
@@ -506,7 +505,8 @@ RunDecision Cluster::scheme_decision(RuntimeJob& job, bool try_context,
   job.priority_boost += cfg_.yield_priority_boost;
   append(JournalRecordKind::kYield, job.spec.id, engine_.now(),
          job.first_ready, job.priority_boost);
-  if (RetryQueue::Entry* retry = add_yield_retry(job.spec.id, engine_.now()))
+  if (RetryQueue::Entry* retry =
+          durable_.add_yield_retry(job.spec.id, engine_.now()))
     retry->event = arm_yield_retry_event(retry->at, job.spec.id);
   log_event(JobEventKind::kYield, job);
   return RunDecision::kYield;
@@ -551,13 +551,13 @@ RunDecision Cluster::gang_hold_hook(RuntimeJob& job) {
 }
 
 void Cluster::commit_gang_commit(JobId id, GroupId group, bool coordinator) {
-  commit(JournalRecordKind::kGangCommit, &Cluster::apply_gang_commit, id,
+  commit(JournalRecordKind::kGangCommit, &Durable::apply_gang_commit, id,
          group, engine_.now(), coordinator, 0, kNoTime);
 }
 
 void Cluster::commit_gang_abort(JobId id, GroupId group, bool coordinator,
                                 std::uint64_t attempt, Time until) {
-  commit(JournalRecordKind::kGangAbort, &Cluster::apply_gang_abort, id, group,
+  commit(JournalRecordKind::kGangAbort, &Durable::apply_gang_abort, id, group,
          engine_.now(), coordinator, attempt, until);
 }
 
@@ -589,9 +589,9 @@ RunDecision Cluster::gang_costart(RuntimeJob& job,
       // guarantee.
       if (!m.peer->gang_abort(m.id, group)) deg.peer_call_failed();
     }
-    const auto ait = gang_book_.attempts.find(job.spec.id);
+    const auto ait = durable_.gang_book.attempts.find(job.spec.id);
     const std::uint32_t attempt =
-        (ait == gang_book_.attempts.end() ? 0u : ait->second) + 1;
+        (ait == durable_.gang_book.attempts.end() ? 0u : ait->second) + 1;
     commit_gang_abort(job.spec.id, group, /*coordinator=*/true, attempt,
                       engine_.now() + gang_backoff(job.spec.id, attempt));
     if (deg.transport_fault) deg.fault_seen = true;
@@ -639,8 +639,8 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
       return false;
     }
   }
-  if (!was_holding || gang_book_.prepared.count(job) == 0)
-    commit(JournalRecordKind::kGangPrepare, &Cluster::apply_gang_prepare, job,
+  if (!was_holding || durable_.gang_book.prepared.count(job) == 0)
+    commit(JournalRecordKind::kGangPrepare, &Durable::apply_gang_prepare, job,
            group, engine_.now());
   if (was_holding && liveness_on()) grant_lease(job, /*peer=*/-1);
   journal_commit();
@@ -650,7 +650,7 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
 bool Cluster::gang_commit(JobId job, GroupId group) {
   // Tripwire parity with start_job: the dispatcher must not reach a gang
   // start after admit_fence() said "stale".
-  if (job == pending_stale_fence_) ++lease_table_.stale_fence_starts;
+  if (job == pending_stale_fence_) ++durable_.lease_table.stale_fence_starts;
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
@@ -662,10 +662,11 @@ bool Cluster::gang_commit(JobId job, GroupId group) {
 
 bool Cluster::gang_abort(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
-  if (gang_book_.prepared.count(job) == 0) return false;
+  if (durable_.gang_book.prepared.count(job) == 0) return false;
   // Abort advances the fencing epoch just like a lease expiry: any
   // in-flight commit stamped under the prepared epoch is now stale.
-  const bool fenced = liveness_on() && lease_table_.leases.count(job) > 0;
+  const bool fenced =
+      liveness_on() && durable_.lease_table.leases.count(job) > 0;
   const RuntimeJob* j = sched_.find(job);
   const bool holding = j != nullptr && j->state == JobState::kHolding;
   commit_gang_abort(job, group, /*coordinator=*/false);
@@ -682,11 +683,12 @@ bool Cluster::gang_victim(JobId job, GroupId group) {
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
-  const auto ait = gang_book_.attempts.find(job);
+  const auto ait = durable_.gang_book.attempts.find(job);
   const std::uint32_t attempt =
-      (ait == gang_book_.attempts.end() ? 0u : ait->second) + 1;
-  const bool fenced = liveness_on() && lease_table_.leases.count(job) > 0;
-  commit(JournalRecordKind::kGangVictim, &Cluster::apply_gang_victim, job,
+      (ait == durable_.gang_book.attempts.end() ? 0u : ait->second) + 1;
+  const bool fenced =
+      liveness_on() && durable_.lease_table.leases.count(job) > 0;
+  commit(JournalRecordKind::kGangVictim, &Durable::apply_gang_victim, job,
          group, engine_.now(), attempt,
          engine_.now() + gang_backoff(job, attempt));
   if (fenced) advance_fence();
@@ -703,10 +705,10 @@ void Cluster::on_job_started(const RuntimeJob& job) {
   // one journals kStart, and a replayed one came from apply_start().  Both
   // then run the Cluster side of the start.
   const JobId id = job.spec.id;
-  const bool was_unsync = agent_.unsync_pending.count(id) > 0;
+  const bool was_unsync = durable_.agent.unsync_pending.count(id) > 0;
   append(JournalRecordKind::kStart, id, engine_.now(), job.first_ready,
          job.allocated, starting_from_hold_, was_unsync);
-  apply_started(id);
+  durable_.apply_started(id);
   if (replaying_) return;  // recovery re-arms the completion itself
   log_event(JobEventKind::kStart, job);
   if (was_unsync) log_event(JobEventKind::kUnsyncStart, job);
@@ -724,14 +726,14 @@ void Cluster::on_job_finished(JobId id) {
   // Dependents gated by a think-time delay become eligible later than this
   // finish-triggered iteration; wake the scheduler when the gap elapses.
   // Armed before the finish's apply drops the dependency links.
-  auto [begin, end] = agent_.dependents.equal_range(id);
+  auto [begin, end] = durable_.agent.dependents.equal_range(id);
   for (auto it = begin; it != end; ++it) {
     const Duration delay = it->second.second;
     if (delay > 0)
       engine_.schedule_in(delay, EventPriority::kSchedule,
                           [this] { request_iteration(); });
   }
-  commit(JournalRecordKind::kFinish, &Cluster::apply_finish, id,
+  commit(JournalRecordKind::kFinish, &Durable::apply_finish, id,
          engine_.now());
   log_event(JobEventKind::kFinish, *sched_.find(id));
   request_iteration();
@@ -758,65 +760,60 @@ EventId Cluster::arm_yield_retry_event(Time at, JobId id) {
   // the capture to two words so the handler fits std::function's inline
   // buffer.
   return engine_.schedule_at(at, EventPriority::kSchedule, [this, id] {
-    if (!agent_.yield_retries.erase(engine_.now(), id)) return;
+    if (!durable_.agent.yield_retries.erase(engine_.now(), id)) return;
     const RuntimeJob* j = sched_.find(id);
     if (!j || j->state != JobState::kQueued) return;
     request_iteration();
   });
 }
 
-RetryQueue::Entry* Cluster::add_yield_retry(JobId id, Time yielded_at) {
-  if (cfg_.yield_retry_period <= 0) return nullptr;
-  return &agent_.yield_retries.insert(yielded_at + cfg_.yield_retry_period,
-                                      id);
-}
-
 void Cluster::schedule_hold_release() {
   if (cfg_.hold_release_period <= 0) return;  // deadlock breaker disabled
-  if (agent_.release_tick_pending) return;
+  if (durable_.agent.release_tick_pending) return;
   // One synchronized tick per domain, not per-job timers: the paper's
   // enhancement "force[s] the holding jobs to release their resources
   // periodically".  Releasing all holders at the same instant matters —
   // with staggered per-job releases, a blocked job larger than any single
   // hold can never see enough simultaneous free nodes, and every released
   // holder immediately re-holds (cross-machine livelock).
-  commit(JournalRecordKind::kTickArmed, &Cluster::apply_tick_armed,
+  commit(JournalRecordKind::kTickArmed, &Durable::apply_tick_armed,
          engine_.now() + cfg_.hold_release_period);
-  tick_event_ = engine_.schedule_at(agent_.release_tick_at,
+  tick_event_ = engine_.schedule_at(durable_.agent.release_tick_at,
                                     EventPriority::kHoldRelease,
                                     [this] { hold_release_tick(); });
 }
 
 void Cluster::hold_release_tick() {
   tick_event_.reset();
-  commit(JournalRecordKind::kTickFired, &Cluster::apply_tick_fired,
+  commit(JournalRecordKind::kTickFired, &Durable::apply_tick_fired,
          engine_.now());
   const std::vector<JobId> holders = sched_.holding_ids();
   if (holders.empty()) {
     journal_commit();
     return;
   }
-  for (JobId h : holders) force_release(h, agent_.fault_seen.count(h) > 0);
+  for (JobId h : holders)
+    force_release(h, durable_.agent.fault_seen.count(h) > 0);
   request_iteration();
   journal_commit();
 }
 
 void Cluster::force_release(JobId id, bool degraded) {
-  commit(JournalRecordKind::kHoldRelease, &Cluster::apply_hold_release, id,
+  commit(JournalRecordKind::kHoldRelease, &Durable::apply_hold_release, id,
          engine_.now(), degraded);
   log_event(JobEventKind::kHoldRelease, *sched_.find(id));
 }
 
 void Cluster::advance_fence() {
-  commit(JournalRecordKind::kLeaseFence, &Cluster::apply_lease_fence,
-         std::uint64_t{lease_table_.fence_counter} + 1);
+  commit(JournalRecordKind::kLeaseFence, &Durable::apply_lease_fence,
+         std::uint64_t{durable_.lease_table.fence_counter} + 1);
 }
 
 // -- liveness layer -----------------------------------------------------------
 
 HeartbeatInfo Cluster::liveness_info() const {
   HeartbeatInfo info;
-  info.incarnation = agent_.incarnation;
+  info.incarnation = durable_.agent.incarnation;
   info.fence = fence_epoch();
   info.queue_depth = sched_.queue_length();
   info.hold_fraction = sched_.hold_fraction();
@@ -825,9 +822,9 @@ HeartbeatInfo Cluster::liveness_info() const {
 
 PeerHealth Cluster::peer_health(std::size_t i) const {
   if (!cfg_.liveness.enabled) return PeerHealth::kAlive;
-  return peer_state_[i].detector.health(engine_.now(),
-                                        cfg_.liveness.phi_suspect,
-                                        cfg_.liveness.phi_confirm);
+  return durable_.peer_state[i].detector.health(engine_.now(),
+                                                cfg_.liveness.phi_suspect,
+                                                cfg_.liveness.phi_confirm);
 }
 
 std::optional<HeartbeatInfo> Cluster::heartbeat(const HeartbeatInfo& from) {
@@ -845,7 +842,7 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
   // The caller learned this token before our last lease expiry (or before a
   // restart bumped the incarnation): its view of our holds is stale, and
   // acting on it could double-start the group.
-  ++lease_table_.stale_fence_rejections;
+  ++durable_.lease_table.stale_fence_rejections;
   pending_stale_fence_ = job;
   if (const RuntimeJob* j = sched_.find(job))
     log_event(JobEventKind::kFenceReject, *j);
@@ -855,7 +852,7 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
 std::uint64_t Cluster::lease_expiry_violations(Time now) const {
   const Duration grace = 2 * cfg_.liveness.heartbeat_period;
   std::uint64_t violations = 0;
-  for (const auto& [id, lease] : lease_table_.leases) {
+  for (const auto& [id, lease] : durable_.lease_table.leases) {
     if (now - lease.expires_at <= grace) continue;
     const RuntimeJob* j = sched_.find(id);
     if (j != nullptr && j->state == JobState::kHolding) ++violations;
@@ -864,24 +861,24 @@ std::uint64_t Cluster::lease_expiry_violations(Time now) const {
 }
 
 void Cluster::arm_liveness_tick() {
-  if (!liveness_on() || lease_table_.liveness_armed) return;
-  commit(JournalRecordKind::kLivenessArmed, &Cluster::apply_liveness_armed,
+  if (!liveness_on() || durable_.lease_table.liveness_armed) return;
+  commit(JournalRecordKind::kLivenessArmed, &Durable::apply_liveness_armed,
          engine_.now() + cfg_.liveness.heartbeat_period);
-  liveness_event_ =
-      engine_.schedule_at(lease_table_.liveness_at, EventPriority::kStats,
-                          [this] { liveness_body(); });
+  liveness_event_ = engine_.schedule_at(durable_.lease_table.liveness_at,
+                                        EventPriority::kStats,
+                                        [this] { liveness_body(); });
 }
 
 void Cluster::liveness_body() {
   liveness_event_.reset();
-  lease_table_.liveness_armed = false;
-  lease_table_.liveness_at = kNoTime;
+  durable_.lease_table.liveness_armed = false;
+  durable_.lease_table.liveness_at = kNoTime;
   if (!liveness_on()) return;
   const bool work_left = sched_.queue_length() > 0 ||
                          sched_.running_count() > 0 ||
                          sched_.holding_count() > 0;
   // Quiescent fire journals nothing (mirrors periodic_body); submits re-arm.
-  if (!work_left && lease_table_.leases.empty()) return;
+  if (!work_left && durable_.lease_table.leases.empty()) return;
 
   const Time now = engine_.now();
   const HeartbeatInfo mine = liveness_info();
@@ -890,7 +887,7 @@ void Cluster::liveness_body() {
   std::vector<std::optional<HeartbeatInfo>> acks(peers_.size());
   for (std::size_t i = 0; i < peers_.size(); ++i)
     acks[i] = peers_[i]->heartbeat(mine);
-  commit(JournalRecordKind::kHeartbeat, &Cluster::apply_heartbeat, now, acks);
+  commit(JournalRecordKind::kHeartbeat, &Durable::apply_heartbeat, now, acks);
   // Learn each peer's fencing epoch: every later side-effecting call to it
   // carries this token, so the peer can spot us going stale.
   for (std::size_t i = 0; i < peers_.size(); ++i)
@@ -900,12 +897,12 @@ void Cluster::liveness_body() {
   // peer *this round*; a lease whose peer stayed silent past the expiry
   // auto-expires.  The lease table is ordered, so the scan is deterministic.
   std::vector<std::pair<JobId, bool>> to_expire;  // (job, mate confirmed dead)
-  for (const auto& [job, lease] : lease_table_.leases) {
+  for (const auto& [job, lease] : durable_.lease_table.leases) {
     const bool peer_ok = lease.peer >= 0 &&
                          static_cast<std::size_t>(lease.peer) < acks.size() &&
                          acks[static_cast<std::size_t>(lease.peer)];
     if (peer_ok) {
-      commit(JournalRecordKind::kLeaseRenew, &Cluster::apply_lease_renew, job,
+      commit(JournalRecordKind::kLeaseRenew, &Durable::apply_lease_renew, job,
              now + cfg_.liveness.lease_duration);
       continue;
     }
@@ -929,22 +926,22 @@ void Cluster::grant_lease(JobId job, std::int32_t peer) {
   lease.granted_at = engine_.now();
   lease.expires_at = engine_.now() + cfg_.liveness.lease_duration;
   lease.token = fence_epoch();
-  commit(JournalRecordKind::kLeaseGrant, &Cluster::apply_lease_grant, lease);
+  commit(JournalRecordKind::kLeaseGrant, &Durable::apply_lease_grant, lease);
   arm_liveness_tick();
 }
 
 void Cluster::expire_lease(JobId job, bool mate_dead) {
-  if (lease_table_.leases.count(job) == 0) return;
+  if (durable_.lease_table.leases.count(job) == 0) return;
   // The fencing epoch advances with the expiry: any in-flight call stamped
   // under the old epoch is stale from this instant, which is exactly what
   // closes the partitioned-then-healed double-start window.
-  commit(JournalRecordKind::kLeaseExpire, &Cluster::apply_lease_expire, job,
+  commit(JournalRecordKind::kLeaseExpire, &Durable::apply_lease_expire, job,
          engine_.now(), mate_dead);
   advance_fence();
   const RuntimeJob* j = sched_.find(job);
   if (j != nullptr) log_event(JobEventKind::kLeaseExpire, *j);
   if (j != nullptr && j->state == JobState::kHolding) {
-    force_release(job, mate_dead || agent_.fault_seen.count(job) > 0);
+    force_release(job, mate_dead || durable_.agent.fault_seen.count(job) > 0);
     // The requeued job decides afresh next iteration: a confirmed-dead mate
     // then takes the §IV-C unknown path and starts unsynchronized.
     request_iteration();
@@ -990,14 +987,14 @@ void Cluster::journal_commit() {
 }
 
 void Cluster::emergency_compact() {
-  ++agent_.enospc_events;
+  ++durable_.agent.enospc_events;
   WireWriter snap;
   write_snapshot(snap);
   try {
     // Rung 2: collapse the whole log into one snapshot frame, freeing every
     // byte the tail occupied.
     journal_->compact(snap.bytes(), /*retain_previous=*/false);
-    ++agent_.emergency_compactions;
+    ++durable_.agent.emergency_compactions;
   } catch (const Error&) {
     // Rung 3: even a single snapshot does not fit (or the old image cannot
     // be read back) — keep journaling in memory so in-process recovery and
@@ -1008,19 +1005,19 @@ void Cluster::emergency_compact() {
 }
 
 void Cluster::write_snapshot(WireWriter& w) const {
-  put(w, snapshot_fields(*this));
+  put(w, Durable::snapshot_fields(durable_));
   sched_.snapshot(w);
 }
 
 void Cluster::apply_snapshot(WireReader& r) {
-  get(r, snapshot_fields(*this));
+  get(r, Durable::snapshot_fields(durable_));
   sched_.restore(r);
 }
 
 void Cluster::validate_indices() const {
-  agent_.ready_logged.validate("ready-logged");
-  agent_.yield_retries.validate("yield-retry");
-  for (const RetryQueue::Entry& e : agent_.yield_retries)
+  durable_.agent.ready_logged.validate("ready-logged");
+  durable_.agent.yield_retries.validate("yield-retry");
+  for (const RetryQueue::Entry& e : durable_.agent.yield_retries)
     COSCHED_CHECK_MSG(engine_.is_pending(e.event),
                       name_ << ": yield retry of job " << e.id << " at "
                             << e.at << " has no armed event");
@@ -1036,11 +1033,11 @@ void Cluster::wipe_for_recovery() {
     if (*ev) engine_.cancel(**ev);
     ev->reset();
   }
-  agent_ = {};
-  lease_table_ = {};
-  gang_book_ = {};
-  // peer_state_ keeps its size: the snapshot applied next overwrites every
-  // entry.  The rest is process-local.
+  durable_.agent = {};
+  durable_.lease_table = {};
+  durable_.gang_book = {};
+  // The peer states keep their size: the snapshot applied next overwrites
+  // every entry.  The rest is process-local.
   committing_.clear();
   pending_stale_fence_ = kNoJob;
   blocking_peer_ = -1;
@@ -1068,74 +1065,89 @@ void Cluster::apply_record(const JournalRecord& rec) {
     case JournalRecordKind::kDedup:
       break;  // owned by the RPC layer, not scheduler state
     case JournalRecordKind::kIncarnation:
-      return replay(r, &Cluster::apply_incarnation);
+      return replay(r, &Durable::apply_incarnation);
     case JournalRecordKind::kExpected:
-      return replay(r, &Cluster::apply_expected);
+      return replay(r, &Durable::apply_expected);
     case JournalRecordKind::kSubmit:
-      return replay(r, &Cluster::apply_submit);
+      return replay(r, &Durable::apply_submit);
     case JournalRecordKind::kReady:
-      return replay(r, &Cluster::apply_ready);
+      return replay(r, &Durable::apply_ready);
     case JournalRecordKind::kStart:
-      return replay(r, &Cluster::apply_start);
+      return replay(r, &Durable::apply_start);
     case JournalRecordKind::kHold:
-      return replay(r, &Cluster::apply_hold);
+      return replay(r, &Durable::apply_hold);
     case JournalRecordKind::kHoldRelease:
-      return replay(r, &Cluster::apply_hold_release);
+      return replay(r, &Durable::apply_hold_release);
     case JournalRecordKind::kYield:
-      return replay(r, &Cluster::apply_yield);
+      return replay(r, &Durable::apply_yield);
     case JournalRecordKind::kFinish:
-      return replay(r, &Cluster::apply_finish);
+      return replay(r, &Durable::apply_finish);
     case JournalRecordKind::kKill:
-      return replay(r, &Cluster::apply_kill);
+      return replay(r, &Durable::apply_kill);
     case JournalRecordKind::kIterate:
-      return replay(r, &Cluster::apply_iterate);
+      // Replay-only scratch for rearm_after_restore(): the newest
+      // iteration time replayed.
+      get(r, replay_last_iterate_);
+      check_replayed(replay_last_iterate_);
+      return durable_.apply_iterate(replay_last_iterate_);
     case JournalRecordKind::kTickArmed:
-      return replay(r, &Cluster::apply_tick_armed);
+      return replay(r, &Durable::apply_tick_armed);
     case JournalRecordKind::kTickFired:
-      return replay(r, &Cluster::apply_tick_fired);
+      return replay(r, &Durable::apply_tick_fired);
     case JournalRecordKind::kIterArmed:
-      return replay(r, &Cluster::apply_iteration_armed);
+      return replay(r, &Durable::apply_iteration_armed);
     case JournalRecordKind::kPeriodicArmed:
-      return replay(r, &Cluster::apply_periodic_armed);
+      return replay(r, &Durable::apply_periodic_armed);
     case JournalRecordKind::kDegraded:
-      return replay(r, &Cluster::apply_degraded);
+      return replay(r, &Durable::apply_degraded);
     case JournalRecordKind::kLeaseGrant:
-      return replay(r, &Cluster::apply_lease_grant);
+      return replay(r, &Durable::apply_lease_grant);
     case JournalRecordKind::kLeaseRenew:
-      return replay(r, &Cluster::apply_lease_renew);
+      return replay(r, &Durable::apply_lease_renew);
     case JournalRecordKind::kLeaseExpire:
-      return replay(r, &Cluster::apply_lease_expire);
+      return replay(r, &Durable::apply_lease_expire);
     case JournalRecordKind::kLeaseFence:
-      return replay(r, &Cluster::apply_lease_fence);
+      return replay(r, &Durable::apply_lease_fence);
     case JournalRecordKind::kHeartbeat:
-      return replay(r, &Cluster::apply_heartbeat);
+      return replay(r, &Durable::apply_heartbeat);
     case JournalRecordKind::kLivenessArmed:
-      return replay(r, &Cluster::apply_liveness_armed);
+      return replay(r, &Durable::apply_liveness_armed);
     case JournalRecordKind::kGangPrepare:
-      return replay(r, &Cluster::apply_gang_prepare);
+      return replay(r, &Durable::apply_gang_prepare);
     case JournalRecordKind::kGangCommit:
-      return replay(r, &Cluster::apply_gang_commit);
+      return replay(r, &Durable::apply_gang_commit);
     case JournalRecordKind::kGangAbort:
-      return replay(r, &Cluster::apply_gang_abort);
+      return replay(r, &Durable::apply_gang_abort);
     case JournalRecordKind::kGangVictim:
-      return replay(r, &Cluster::apply_gang_victim);
+      return replay(r, &Durable::apply_gang_victim);
   }
 }
 
 // -- applies: one per record kind --------------------------------------------
 
-void Cluster::apply_incarnation(std::uint64_t incarnation) {
-  agent_.incarnation = incarnation;
+void Cluster::Durable::begin_iteration() {
+  agent.iteration_pending = false;
+  ++agent.iterations_run;
 }
 
-void Cluster::apply_expected(const JobSpec& spec) {
-  agent_.group_to_job.try_emplace(spec.group, spec.id);
-  agent_.expected.try_emplace(spec.id, spec);
+RetryQueue::Entry* Cluster::Durable::add_yield_retry(JobId id,
+                                                     Time yielded_at) {
+  if (yield_retry_period_ <= 0) return nullptr;
+  return &agent.yield_retries.insert(yielded_at + yield_retry_period_, id);
 }
 
-void Cluster::apply_submit(const JobSpec& spec, Time t) {
-  if (spec.is_paired()) agent_.group_to_job.try_emplace(spec.group, spec.id);
-  agent_.expected.erase(spec.id);
+void Cluster::Durable::apply_incarnation(std::uint64_t incarnation) {
+  agent.incarnation = incarnation;
+}
+
+void Cluster::Durable::apply_expected(const JobSpec& spec) {
+  agent.group_to_job.try_emplace(spec.group, spec.id);
+  agent.expected.try_emplace(spec.id, spec);
+}
+
+void Cluster::Durable::apply_submit(const JobSpec& spec, Time t) {
+  if (spec.is_paired()) agent.group_to_job.try_emplace(spec.group, spec.id);
+  agent.expected.erase(spec.id);
   sched_.submit(spec, t);
   // Link the dependency only while it can still fire; a dependency that
   // already finished gets a direct wake (track_dependency, or
@@ -1143,138 +1155,139 @@ void Cluster::apply_submit(const JobSpec& spec, Time t) {
   if (!spec.has_dependency()) return;
   const RuntimeJob* dep = sched_.find(spec.after);
   if (dep == nullptr || dep->state != JobState::kFinished)
-    agent_.dependents.emplace(spec.after,
-                              std::make_pair(spec.id, spec.after_delay));
+    agent.dependents.emplace(spec.after,
+                             std::make_pair(spec.id, spec.after_delay));
 }
 
-void Cluster::apply_ready(JobId id, Time first_ready) {
-  agent_.ready_logged.insert(id);
+void Cluster::Durable::apply_ready(JobId id, Time first_ready) {
+  agent.ready_logged.insert(id);
   // A live decision set first_ready already; a replayed one may not reach
   // another record that carries it.
   if (RuntimeJob* j = sched_.find_mut(id))
     if (j->first_ready == kNoTime) j->first_ready = first_ready;
 }
 
-void Cluster::apply_start(JobId id, Time t, Time first_ready,
-                          NodeCount allocated, bool from_hold,
-                          bool /*was_unsync: kDegraded state re-derives it*/) {
+void Cluster::Durable::apply_start(
+    JobId id, Time t, Time first_ready, NodeCount allocated, bool from_hold,
+    bool /*was_unsync: kDegraded state re-derives it*/) {
   if (from_hold)
     sched_.start_holding(id, t);
   else
     sched_.start_queued(id, t, first_ready, allocated);
 }
 
-void Cluster::apply_started(JobId id) {
-  if (agent_.unsync_pending.erase(id) > 0) ++agent_.unsync_starts;
-  agent_.fault_seen.erase(id);
-  // The gang bookkeeping retires (gang_book_.started stays: it witnesses the
+void Cluster::Durable::apply_started(JobId id) {
+  if (agent.unsync_pending.erase(id) > 0) ++agent.unsync_starts;
+  agent.fault_seen.erase(id);
+  // The gang bookkeeping retires (gang_book.started stays: it witnesses the
   // atomicity invariant), and so does the hold's lease.
-  gang_book_.prepared.erase(id);
-  gang_book_.backoff_until.erase(id);
-  gang_book_.attempts.erase(id);
-  lease_table_.leases.erase(id);
+  gang_book.prepared.erase(id);
+  gang_book.backoff_until.erase(id);
+  gang_book.attempts.erase(id);
+  lease_table.leases.erase(id);
 }
 
-void Cluster::apply_hold(JobId id, Time t, Time first_ready,
-                         NodeCount allocated) {
+void Cluster::Durable::apply_hold(JobId id, Time t, Time first_ready,
+                                  NodeCount allocated) {
   sched_.hold(id, t, first_ready, allocated);
 }
 
-void Cluster::apply_hold_release(JobId id, Time t, bool degraded) {
+void Cluster::Durable::apply_hold_release(JobId id, Time t, bool degraded) {
   sched_.release_hold(id, t);
-  ++agent_.forced_releases;
-  if (degraded) ++agent_.degraded_forced_releases;
-  lease_table_.leases.erase(id);  // the release supersedes the lease
+  ++agent.forced_releases;
+  if (degraded) ++agent.degraded_forced_releases;
+  lease_table.leases.erase(id);  // the release supersedes the lease
 }
 
-void Cluster::apply_yield(JobId id, Time t, Time first_ready, double boost) {
+void Cluster::Durable::apply_yield(JobId id, Time t, Time first_ready,
+                                   double boost) {
   sched_.yield(id, first_ready, boost);
   add_yield_retry(id, t);
 }
 
-void Cluster::apply_finish(JobId id, Time t) {
+void Cluster::Durable::apply_finish(JobId id, Time t) {
   sched_.finish(id, t);
-  agent_.dependents.erase(id);
+  agent.dependents.erase(id);
 }
 
-void Cluster::apply_kill(JobId id, Time t) {
+void Cluster::Durable::apply_kill(JobId id, Time t) {
   sched_.kill(id, t);
-  lease_table_.leases.erase(id);
-  gang_book_.prepared.erase(id);
-  gang_book_.backoff_until.erase(id);
-  gang_book_.attempts.erase(id);
+  lease_table.leases.erase(id);
+  gang_book.prepared.erase(id);
+  gang_book.backoff_until.erase(id);
+  gang_book.attempts.erase(id);
 }
 
-void Cluster::apply_iterate(Time t) {
-  // cosched-lint: allow(journal-coverage) replay-scoped scratch (kNoTime outside recovery), consumed by rearm_after_restore in the same pass
-  replay_last_iterate_ = t;
+void Cluster::Durable::apply_iterate(Time /*t*/) {
   begin_iteration();
   sched_.clear_demotions();
 }
 
-void Cluster::apply_tick_armed(Time at) {
-  agent_.release_tick_pending = true;
-  agent_.release_tick_at = at;
+void Cluster::Durable::apply_tick_armed(Time at) {
+  agent.release_tick_pending = true;
+  agent.release_tick_at = at;
 }
 
-void Cluster::apply_tick_fired(Time /*fired_at*/) {
-  agent_.release_tick_pending = false;
-  agent_.release_tick_at = kNoTime;
+void Cluster::Durable::apply_tick_fired(Time /*fired_at*/) {
+  agent.release_tick_pending = false;
+  agent.release_tick_at = kNoTime;
 }
 
-void Cluster::apply_iteration_armed(Time /*armed_at*/) {
-  agent_.iteration_pending = true;
+void Cluster::Durable::apply_iteration_armed(Time /*armed_at*/) {
+  agent.iteration_pending = true;
 }
 
-void Cluster::apply_periodic_armed(Time at) {
-  agent_.periodic_armed = true;
-  agent_.periodic_at = at;
+void Cluster::Durable::apply_periodic_armed(Time at) {
+  agent.periodic_armed = true;
+  agent.periodic_at = at;
 }
 
-void Cluster::apply_degraded(JobId id, std::uint64_t unknown, bool fault_seen,
-                             bool unsync_pending, std::uint64_t suspected) {
-  agent_.unknown_status_decisions += unknown;
-  lease_table_.suspected_status_decisions += suspected;
+void Cluster::Durable::apply_degraded(JobId id, std::uint64_t unknown,
+                                      bool fault_seen, bool unsync_pending,
+                                      std::uint64_t suspected) {
+  agent.unknown_status_decisions += unknown;
+  lease_table.suspected_status_decisions += suspected;
   if (fault_seen)
-    agent_.fault_seen.insert(id);
+    agent.fault_seen.insert(id);
   else
-    agent_.fault_seen.erase(id);
+    agent.fault_seen.erase(id);
   if (unsync_pending)
-    agent_.unsync_pending.insert(id);
+    agent.unsync_pending.insert(id);
   else
-    agent_.unsync_pending.erase(id);
+    agent.unsync_pending.erase(id);
 }
 
-void Cluster::apply_lease_grant(const HoldLease& lease) {
-  lease_table_.leases[lease.job] = lease;
-  ++lease_table_.lease_grants;
+void Cluster::Durable::apply_lease_grant(const HoldLease& lease) {
+  lease_table.leases[lease.job] = lease;
+  ++lease_table.lease_grants;
 }
 
-void Cluster::apply_lease_renew(JobId id, Time expires_at) {
-  const auto it = lease_table_.leases.find(id);
-  if (it != lease_table_.leases.end()) {
+void Cluster::Durable::apply_lease_renew(JobId id, Time expires_at) {
+  const auto it = lease_table.leases.find(id);
+  if (it != lease_table.leases.end()) {
     it->second.expires_at = expires_at;
     ++it->second.renewals;
   }
-  ++lease_table_.lease_renewals;
+  ++lease_table.lease_renewals;
 }
 
-void Cluster::apply_lease_expire(JobId id, Time /*t*/, bool /*mate_dead*/) {
-  lease_table_.leases.erase(id);
-  ++lease_table_.lease_expiries;
+void Cluster::Durable::apply_lease_expire(JobId id, Time /*t*/,
+                                          bool /*mate_dead*/) {
+  lease_table.leases.erase(id);
+  ++lease_table.lease_expiries;
 }
 
-void Cluster::apply_lease_fence(std::uint64_t counter) {
-  lease_table_.fence_counter = static_cast<std::uint32_t>(counter);
+void Cluster::Durable::apply_lease_fence(std::uint64_t counter) {
+  lease_table.fence_counter = static_cast<std::uint32_t>(counter);
 }
 
-void Cluster::apply_heartbeat(
+void Cluster::Durable::apply_heartbeat(
     Time t, const std::vector<std::optional<HeartbeatInfo>>& acks) {
-  lease_table_.heartbeats_sent += acks.size();
+  lease_table.heartbeats_sent += acks.size();
   for (std::size_t i = 0; i < acks.size(); ++i) {
-    if (acks[i]) ++lease_table_.heartbeats_acked;
-    if (i >= peer_state_.size()) continue;
-    PeerState& ps = peer_state_[i];
+    if (acks[i]) ++lease_table.heartbeats_acked;
+    if (i >= peer_state.size()) continue;
+    PeerState& ps = peer_state[i];
     ps.detector.mark_probe(t);
     if (!acks[i]) continue;
     ps.detector.record_heartbeat(t);
@@ -1283,51 +1296,54 @@ void Cluster::apply_heartbeat(
   }
 }
 
-void Cluster::apply_liveness_armed(Time at) {
-  lease_table_.liveness_armed = true;
-  lease_table_.liveness_at = at;
+void Cluster::Durable::apply_liveness_armed(Time at) {
+  lease_table.liveness_armed = true;
+  lease_table.liveness_at = at;
 }
 
-void Cluster::apply_gang_prepare(JobId id, GroupId /*group*/, Time /*t*/) {
-  gang_book_.prepared.insert(id);
-  ++gang_book_.gangs_prepared;
+void Cluster::Durable::apply_gang_prepare(JobId id, GroupId /*group*/,
+                                          Time /*t*/) {
+  gang_book.prepared.insert(id);
+  ++gang_book.gangs_prepared;
 }
 
-void Cluster::apply_gang_commit(JobId id, GroupId /*group*/, Time /*t*/,
-                                bool coordinator, std::uint64_t /*attempt*/,
-                                Time /*until*/) {
-  gang_book_.prepared.erase(id);
-  gang_book_.started.insert(id);
-  if (coordinator) ++gang_book_.gangs_committed;
+void Cluster::Durable::apply_gang_commit(
+    JobId id, GroupId /*group*/, Time /*t*/, bool coordinator,
+    std::uint64_t /*attempt*/, Time /*until*/) {
+  gang_book.prepared.erase(id);
+  gang_book.started.insert(id);
+  if (coordinator) ++gang_book.gangs_committed;
   // The start itself is its own kStart record.
 }
 
-void Cluster::apply_gang_abort(JobId id, GroupId /*group*/, Time t,
-                               bool coordinator, std::uint64_t attempt,
-                               Time until) {
+void Cluster::Durable::apply_gang_abort(JobId id, GroupId /*group*/, Time t,
+                                        bool coordinator,
+                                        std::uint64_t attempt, Time until) {
   if (coordinator) {
     // The round failed: back off before re-preparing.
-    gang_book_.attempts[id] = static_cast<std::uint32_t>(attempt);
-    gang_book_.backoff_until[id] = until;
-    ++gang_book_.gangs_aborted;
+    gang_book.attempts[id] = static_cast<std::uint32_t>(attempt);
+    gang_book.backoff_until[id] = until;
+    ++gang_book.gangs_aborted;
     return;
   }
   // A member releases its prepared hold.
-  gang_book_.prepared.erase(id);
-  lease_table_.leases.erase(id);
+  gang_book.prepared.erase(id);
+  lease_table.leases.erase(id);
   const RuntimeJob* j = sched_.find(id);
-  if (j != nullptr && j->state == JobState::kHolding) sched_.release_hold(id, t);
+  if (j != nullptr && j->state == JobState::kHolding)
+    sched_.release_hold(id, t);
 }
 
-void Cluster::apply_gang_victim(JobId id, GroupId /*group*/, Time t,
-                                std::uint64_t attempt, Time until) {
-  gang_book_.attempts[id] = static_cast<std::uint32_t>(attempt);
-  gang_book_.backoff_until[id] = until;
-  gang_book_.prepared.erase(id);
-  ++gang_book_.gangs_victimized;
-  lease_table_.leases.erase(id);
+void Cluster::Durable::apply_gang_victim(JobId id, GroupId /*group*/, Time t,
+                                         std::uint64_t attempt, Time until) {
+  gang_book.attempts[id] = static_cast<std::uint32_t>(attempt);
+  gang_book.backoff_until[id] = until;
+  gang_book.prepared.erase(id);
+  ++gang_book.gangs_victimized;
+  lease_table.leases.erase(id);
   const RuntimeJob* j = sched_.find(id);
-  if (j != nullptr && j->state == JobState::kHolding) sched_.release_hold(id, t);
+  if (j != nullptr && j->state == JobState::kHolding)
+    sched_.release_hold(id, t);
 }
 
 std::size_t Cluster::apply_verified_snapshot(
@@ -1438,11 +1454,11 @@ Cluster::RecoveryStats Cluster::recover_from_journal(Journal& journal) {
   // New life: bump the incarnation and make it durable so peers (and the
   // RPC dedup cache) can tell pre-crash requests from post-crash ones.
   journal_ = &journal;
-  commit(JournalRecordKind::kIncarnation, &Cluster::apply_incarnation,
-         agent_.incarnation + 1);
+  commit(JournalRecordKind::kIncarnation, &Durable::apply_incarnation,
+         durable_.agent.incarnation + 1);
   journal_->commit();
 
-  stats.incarnation = agent_.incarnation;
+  stats.incarnation = durable_.agent.incarnation;
   stats.replay_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1477,60 +1493,61 @@ void Cluster::rearm_after_restore() {
                             [this, id] { on_job_finished(id); });
   }
 
-  if (agent_.release_tick_pending) {
-    if (agent_.release_tick_at >= now) {
-      tick_event_ = engine_.schedule_at(agent_.release_tick_at,
+  if (durable_.agent.release_tick_pending) {
+    if (durable_.agent.release_tick_at >= now) {
+      tick_event_ = engine_.schedule_at(durable_.agent.release_tick_at,
                                         EventPriority::kHoldRelease,
                                         [this] { hold_release_tick(); });
     } else {
       // The tick fired before the crash but its kTickFired never committed
       // together with a state change we kept — treat it as spent.
-      agent_.release_tick_pending = false;
-      agent_.release_tick_at = kNoTime;
+      durable_.agent.release_tick_pending = false;
+      durable_.agent.release_tick_at = kNoTime;
     }
   }
 
-  if (agent_.periodic_armed) {
-    if (agent_.periodic_at >= now) {
+  if (durable_.agent.periodic_armed) {
+    if (durable_.agent.periodic_at >= now) {
       periodic_event_ =
-          engine_.schedule_at(agent_.periodic_at, EventPriority::kStats,
+          engine_.schedule_at(durable_.agent.periodic_at, EventPriority::kStats,
                               [this] { periodic_body(); });
     } else {
       // A quiescent periodic fire journals nothing; an armed-in-the-past
       // timer therefore means it already fired and found no work.
-      agent_.periodic_armed = false;
-      agent_.periodic_at = kNoTime;
+      durable_.agent.periodic_armed = false;
+      durable_.agent.periodic_at = kNoTime;
     }
   }
 
-  if (lease_table_.liveness_armed) {
-    if (lease_table_.liveness_at >= now) {
-      liveness_event_ =
-          engine_.schedule_at(lease_table_.liveness_at, EventPriority::kStats,
-                              [this] { liveness_body(); });
+  if (durable_.lease_table.liveness_armed) {
+    if (durable_.lease_table.liveness_at >= now) {
+      liveness_event_ = engine_.schedule_at(durable_.lease_table.liveness_at,
+                                            EventPriority::kStats,
+                                            [this] { liveness_body(); });
     } else {
       // Same quiescence rule as the periodic timer: a liveness fire with
       // work (or leases) always journals a kHeartbeat, so armed-in-the-past
       // means it fired and found nothing to do.
-      lease_table_.liveness_armed = false;
-      lease_table_.liveness_at = kNoTime;
+      durable_.lease_table.liveness_armed = false;
+      durable_.lease_table.liveness_at = kNoTime;
     }
   }
   // Defensive: leases must never sit without a renewal/expiry driver.  In
   // any consistent journal state leases imply an armed tick, so this only
   // fires if that invariant was already broken — and it re-derives the same
   // way on a second recovery, so it needs no record of its own.
-  if (!lease_table_.liveness_armed && liveness_on() &&
-      !lease_table_.leases.empty())
+  if (!durable_.lease_table.liveness_armed && liveness_on() &&
+      !durable_.lease_table.leases.empty())
     arm_liveness_tick();
 
   // Re-teach peers the fencing tokens learned before the crash: the stubs'
   // stamps are process state, not journal state.
-  for (std::size_t i = 0; i < peers_.size() && i < peer_state_.size(); ++i)
-    if (peer_state_[i].ever_heard)
-      peers_[i]->set_fence_token(peer_state_[i].info.fence);
+  for (std::size_t i = 0;
+       i < peers_.size() && i < durable_.peer_state.size(); ++i)
+    if (durable_.peer_state[i].ever_heard)
+      peers_[i]->set_fence_token(durable_.peer_state[i].info.fence);
 
-  RetryQueue& retries = agent_.yield_retries;
+  RetryQueue& retries = durable_.agent.yield_retries;
   retries.sort_by_id();
   for (auto it = retries.begin(); it != retries.end();) {
     const Time at = it->at;
@@ -1572,7 +1589,7 @@ void Cluster::rearm_after_restore() {
   // order at the crash instant: a retry firing after the iteration would
   // schedule a second iteration at the same time, yielding paired jobs once
   // more than the uncrashed run.
-  if (agent_.iteration_pending)
+  if (durable_.agent.iteration_pending)
     iteration_event_ = engine_.schedule_at(now, EventPriority::kSchedule,
                                            [this] { run_iteration_body(); });
 }

@@ -97,29 +97,37 @@ class Cluster final : public CoschedService {
   const CoschedConfig& config() const { return cfg_; }
   void set_config(const CoschedConfig& cfg) { cfg_ = cfg; }
 
-  std::uint64_t iterations_run() const { return agent_.iterations_run; }
-  std::uint64_t try_start_requests() const { return agent_.try_start_requests; }
-  std::uint64_t forced_releases() const { return agent_.forced_releases; }
+  std::uint64_t iterations_run() const {
+    return durable_.agent.iterations_run;
+  }
+  std::uint64_t try_start_requests() const {
+    return durable_.agent.try_start_requests;
+  }
+  std::uint64_t forced_releases() const {
+    return durable_.agent.forced_releases;
+  }
 
   // -- degraded-mode counters (§IV-C fault rule firing) ------------------
   /// Peer calls that failed in a decision path (mate treated as unknown).
   std::uint64_t unknown_status_decisions() const {
-    return agent_.unknown_status_decisions;
+    return durable_.agent.unknown_status_decisions;
   }
   /// Paired jobs started without mate confirmation.
-  std::uint64_t unsync_starts() const { return agent_.unsync_starts; }
+  std::uint64_t unsync_starts() const { return durable_.agent.unsync_starts; }
   /// Forced releases of jobs whose decision saw a transport fault.
   std::uint64_t degraded_forced_releases() const {
-    return agent_.degraded_forced_releases;
+    return durable_.agent.degraded_forced_releases;
   }
 
   // -- storage alarm counters (journal ENOSPC ladder) --------------------
   /// Commits that found the journal out of space (each triggers the
   /// emergency-compaction → degrade-to-memory ladder).
-  std::uint64_t storage_enospc_events() const { return agent_.enospc_events; }
+  std::uint64_t storage_enospc_events() const {
+    return durable_.agent.enospc_events;
+  }
   /// Emergency compactions that freed enough space to stay durable.
   std::uint64_t storage_emergency_compactions() const {
-    return agent_.emergency_compactions;
+    return durable_.agent.emergency_compactions;
   }
   /// The attached journal fell back to an in-memory sink (durability lost
   /// until an operator intervenes).
@@ -135,7 +143,8 @@ class Cluster final : public CoschedService {
   /// Current fencing epoch: side-effecting calls stamped with an older
   /// nonzero token are rejected by admit_fence().
   std::uint64_t fence_epoch() const {
-    return make_fence_token(agent_.incarnation, lease_table_.fence_counter);
+    return make_fence_token(durable_.agent.incarnation,
+                            durable_.lease_table.fence_counter);
   }
 
   /// Detector health of peer `i` at the current engine time (kAlive when
@@ -144,36 +153,44 @@ class Cluster final : public CoschedService {
 
   /// Last payload heard from peer `i` (all-zero before the first ack).
   const HeartbeatInfo& peer_info(std::size_t i) const {
-    return peer_state_[i].info;
+    return durable_.peer_state[i].info;
   }
 
   /// Active hold leases by job id (empty when liveness is disabled).
   const std::map<JobId, HoldLease>& leases() const {
-    return lease_table_.leases;
+    return durable_.lease_table.leases;
   }
 
-  std::uint64_t heartbeats_sent() const { return lease_table_.heartbeats_sent; }
-  std::uint64_t heartbeats_acked() const {
-    return lease_table_.heartbeats_acked;
+  std::uint64_t heartbeats_sent() const {
+    return durable_.lease_table.heartbeats_sent;
   }
-  std::uint64_t lease_grants() const { return lease_table_.lease_grants; }
-  std::uint64_t lease_renewals() const { return lease_table_.lease_renewals; }
-  std::uint64_t lease_expiries() const { return lease_table_.lease_expiries; }
+  std::uint64_t heartbeats_acked() const {
+    return durable_.lease_table.heartbeats_acked;
+  }
+  std::uint64_t lease_grants() const {
+    return durable_.lease_table.lease_grants;
+  }
+  std::uint64_t lease_renewals() const {
+    return durable_.lease_table.lease_renewals;
+  }
+  std::uint64_t lease_expiries() const {
+    return durable_.lease_table.lease_expiries;
+  }
   /// Side-effecting calls rejected for carrying a stale fencing token.
   std::uint64_t stale_fence_rejections() const {
-    return lease_table_.stale_fence_rejections;
+    return durable_.lease_table.stale_fence_rejections;
   }
   /// Starts that executed despite a stale fence — the runtime tripwire
   /// behind the no-start-with-stale-fence invariant; always 0 unless the
   /// dispatcher gate is bypassed.
   std::uint64_t stale_fence_starts() const {
-    return lease_table_.stale_fence_starts;
+    return durable_.lease_table.stale_fence_starts;
   }
   /// Decision paths that classified a mate as `suspected` (detector phase
   /// between alive and confirmed-dead): the job held/yielded instead of
   /// starting unsynchronized.
   std::uint64_t suspected_status_decisions() const {
-    return lease_table_.suspected_status_decisions;
+    return durable_.lease_table.suspected_status_decisions;
   }
   /// Leases whose expiry is more than two heartbeat periods overdue while
   /// their job still holds nodes — the lease-expiry-respected invariant.
@@ -181,21 +198,29 @@ class Cluster final : public CoschedService {
 
   // -- gang costart layer (two-phase k-of-N starts) ----------------------
   /// Members this domain placed into a fenced prepared hold.
-  std::uint64_t gangs_prepared() const { return gang_book_.gangs_prepared; }
+  std::uint64_t gangs_prepared() const {
+    return durable_.gang_book.gangs_prepared;
+  }
   /// Coordinator-side: gang rounds that committed (one per gang start).
-  std::uint64_t gangs_committed() const { return gang_book_.gangs_committed; }
+  std::uint64_t gangs_committed() const {
+    return durable_.gang_book.gangs_committed;
+  }
   /// Coordinator-side: prepare rounds aborted (holds released, backoff).
-  std::uint64_t gangs_aborted() const { return gang_book_.gangs_aborted; }
+  std::uint64_t gangs_aborted() const {
+    return durable_.gang_book.gangs_aborted;
+  }
   /// Victim-side: holds force-yielded by a deadlock-resolution order.
-  std::uint64_t gangs_victimized() const { return gang_book_.gangs_victimized; }
+  std::uint64_t gangs_victimized() const {
+    return durable_.gang_book.gangs_victimized;
+  }
   /// Jobs on this domain that started through a gang commit — the basis of
   /// the gang-atomicity invariant (a committed gang must fully start).
   const std::set<JobId>& gang_started_jobs() const {
-    return gang_book_.started;
+    return durable_.gang_book.started;
   }
   /// Jobs currently sitting in a prepared (fenced, leased) hold.
   const std::set<JobId>& gang_prepared_jobs() const {
-    return gang_book_.prepared;
+    return durable_.gang_book.prepared;
   }
 
   /// Attaches a lifecycle event log (not owned; may be shared across
@@ -251,7 +276,7 @@ class Cluster final : public CoschedService {
   Journal* journal() { return journal_; }
 
   /// Daemon incarnation: starts at 1, bumped by every recovery.
-  std::uint64_t incarnation() const { return agent_.incarnation; }
+  std::uint64_t incarnation() const { return durable_.agent.incarnation; }
 
   /// Full crash recovery on this object: cancels tracked timers, wipes all
   /// mutable state, applies the journal's snapshot, replays the tail
@@ -347,15 +372,11 @@ class Cluster final : public CoschedService {
   void force_release(JobId id, bool degraded);
   /// Advances the fencing epoch, journaled.
   void advance_fence();
-  void begin_iteration();
   /// Starts a holding job (its mates are ready) through kStart's apply.
   void start_held(const RuntimeJob& j);
   void on_job_started(const RuntimeJob& job);
   void on_job_finished(JobId id);
   void schedule_hold_release();
-  /// The yield-retry entry of a yield at `yielded_at` (kYield's Cluster
-  /// state); null when retries are off.  A live yield then arms its event.
-  RetryQueue::Entry* add_yield_retry(JobId id, Time yielded_at);
   void log_event(JobEventKind kind, const RuntimeJob& job);
 
   // Timer event bodies, named so recovery can re-arm them at absolute
@@ -380,63 +401,6 @@ class Cluster final : public CoschedService {
   /// and requeues the job (a confirmed-dead mate then starts it
   /// unsynchronized at the next iteration).
   void expire_lease(JobId job, bool mate_dead);
-
-  // -- journaled changes --------------------------------------------------
-  //
-  // Every durable change is one record kind with one apply_* method, and a
-  // record's payload is its apply's parameters in order.  A live change
-  // commits its record: commit() encodes and appends it when journaling,
-  // then calls the apply; timers, EventLog entries, RPCs and fence-token
-  // pushes follow on the live path.  apply_record() decodes the same fields
-  // and calls the same apply through replay().
-  //
-  // kHold and kYield record a Run_Job decision: the hook appends them and
-  // Scheduler::decide() applies the transition when the hook returns.
-  // kStart is appended by the scheduler's start callback (on_job_started),
-  // whatever started the job.  Their applies run the same scheduler
-  // transitions.
-  template <class... Fields>
-  void append(JournalRecordKind kind, const Fields&... fields);
-  template <class... Params>
-  void commit(JournalRecordKind kind, void (Cluster::*apply)(Params...),
-              std::type_identity_t<Params>... fields);
-  template <class... Params>
-  void replay(WireReader& r, void (Cluster::*apply)(Params...));
-
-  void apply_incarnation(std::uint64_t incarnation);
-  void apply_expected(const JobSpec& spec);
-  void apply_submit(const JobSpec& spec, Time t);
-  void apply_ready(JobId id, Time first_ready);
-  void apply_start(JobId id, Time t, Time first_ready, NodeCount allocated,
-                   bool from_hold, bool was_unsync);
-  /// The Cluster side of every start, live or replayed (on_job_started).
-  void apply_started(JobId id);
-  void apply_hold(JobId id, Time t, Time first_ready, NodeCount allocated);
-  void apply_hold_release(JobId id, Time t, bool degraded);
-  void apply_yield(JobId id, Time t, Time first_ready, double boost);
-  void apply_finish(JobId id, Time t);
-  void apply_kill(JobId id, Time t);
-  void apply_iterate(Time t);
-  void apply_tick_armed(Time at);
-  void apply_tick_fired(Time t);
-  void apply_iteration_armed(Time t);
-  void apply_periodic_armed(Time at);
-  void apply_degraded(JobId id, std::uint64_t unknown, bool fault_seen,
-                      bool unsync_pending, std::uint64_t suspected);
-  void apply_lease_grant(const HoldLease& lease);
-  void apply_lease_renew(JobId id, Time expires_at);
-  void apply_lease_expire(JobId id, Time t, bool mate_dead);
-  void apply_lease_fence(std::uint64_t counter);
-  void apply_heartbeat(Time t,
-                       const std::vector<std::optional<HeartbeatInfo>>& acks);
-  void apply_liveness_armed(Time at);
-  void apply_gang_prepare(JobId id, GroupId group, Time t);
-  void apply_gang_commit(JobId id, GroupId group, Time t, bool coordinator,
-                         std::uint64_t attempt, Time until);
-  void apply_gang_abort(JobId id, GroupId group, Time t, bool coordinator,
-                        std::uint64_t attempt, Time until);
-  void apply_gang_victim(JobId id, GroupId group, Time t,
-                         std::uint64_t attempt, Time until);
 
   // -- journaling internals ----------------------------------------------
   bool journaling() const { return journal_ != nullptr && !replaying_; }
@@ -576,20 +540,106 @@ class Cluster final : public CoschedService {
                    attempts)
   };
 
-  Agent agent_;
-  LeaseTable lease_table_;
-  /// One entry per peer, parallel to peers_: add_peer() sizes it, so it is
-  /// not wiped, and a snapshot must carry exactly as many entries.
-  std::vector<PeerState> peer_state_;
-  GangBook gang_book_;
+  // -- journaled changes --------------------------------------------------
+  //
+  // Every durable change is one record kind with one apply_* method, and a
+  // record's payload is its apply's parameters in order.  A live change
+  // commits its record: commit() encodes and appends it when journaling,
+  // then calls the apply; timers, EventLog entries, RPCs and fence-token
+  // pushes follow on the live path.  apply_record() decodes the same fields
+  // and calls the same apply through replay().
+  //
+  // kHold and kYield record a Run_Job decision: the hook appends them and
+  // Scheduler::decide() applies the transition when the hook returns.
+  // kStart is appended by the scheduler's start callback (on_job_started),
+  // whatever started the job.  Their applies run the same scheduler
+  // transitions.
+  //
+  // The applies are Durable's, and Durable holds nothing but the snapshot's
+  // aggregates, the scheduler and the yield-retry period.  So an apply
+  // cannot write Cluster state that a snapshot leaves out: such a write
+  // does not compile.
 
-  /// The snapshot's field list: what write_snapshot() writes and
-  /// apply_snapshot() reads, in order, ahead of the scheduler's state.
-  template <class Self>
-  static auto snapshot_fields(Self& self) {
-    return std::tie(self.agent_, self.lease_table_, self.peer_state_,
-                    self.gang_book_);
-  }
+  /// The durable state and the applies that change it.
+  class Durable {
+   public:
+    Durable(Scheduler& sched, const Duration& yield_retry_period)
+        : sched_(sched), yield_retry_period_(yield_retry_period) {}
+
+    Agent agent;
+    LeaseTable lease_table;
+    /// One entry per peer, parallel to peers_: add_peer() sizes it, so it
+    /// is not wiped, and a snapshot must carry exactly as many entries.
+    std::vector<PeerState> peer_state;
+    GangBook gang_book;
+
+    /// The snapshot's field list: what write_snapshot() writes and
+    /// apply_snapshot() reads, in order, ahead of the scheduler's state.
+    /// The binding names every member, so a member added to Durable
+    /// without a decision here does not compile.
+    template <class Self>
+    static auto snapshot_fields(Self& self) {
+      auto& [agent, lease_table, peer_state, gang_book, sched, period] = self;
+      return std::tie(agent, lease_table, peer_state, gang_book);
+    }
+
+    void apply_incarnation(std::uint64_t incarnation);
+    void apply_expected(const JobSpec& spec);
+    void apply_submit(const JobSpec& spec, Time t);
+    void apply_ready(JobId id, Time first_ready);
+    void apply_start(JobId id, Time t, Time first_ready, NodeCount allocated,
+                     bool from_hold, bool was_unsync);
+    /// The durable side of every start, live or replayed (on_job_started).
+    void apply_started(JobId id);
+    void apply_hold(JobId id, Time t, Time first_ready, NodeCount allocated);
+    void apply_hold_release(JobId id, Time t, bool degraded);
+    void apply_yield(JobId id, Time t, Time first_ready, double boost);
+    void apply_finish(JobId id, Time t);
+    void apply_kill(JobId id, Time t);
+    void apply_iterate(Time t);
+    void apply_tick_armed(Time at);
+    void apply_tick_fired(Time t);
+    void apply_iteration_armed(Time t);
+    void apply_periodic_armed(Time at);
+    void apply_degraded(JobId id, std::uint64_t unknown, bool fault_seen,
+                        bool unsync_pending, std::uint64_t suspected);
+    void apply_lease_grant(const HoldLease& lease);
+    void apply_lease_renew(JobId id, Time expires_at);
+    void apply_lease_expire(JobId id, Time t, bool mate_dead);
+    void apply_lease_fence(std::uint64_t counter);
+    void apply_heartbeat(
+        Time t, const std::vector<std::optional<HeartbeatInfo>>& acks);
+    void apply_liveness_armed(Time at);
+    void apply_gang_prepare(JobId id, GroupId group, Time t);
+    void apply_gang_commit(JobId id, GroupId group, Time t, bool coordinator,
+                           std::uint64_t attempt, Time until);
+    void apply_gang_abort(JobId id, GroupId group, Time t, bool coordinator,
+                          std::uint64_t attempt, Time until);
+    void apply_gang_victim(JobId id, GroupId group, Time t,
+                           std::uint64_t attempt, Time until);
+
+    /// kIterate's first half: a live iteration runs it before the pass it
+    /// records (a request made during the pass arms the next one).
+    void begin_iteration();
+    /// The yield-retry entry of a yield at `yielded_at` (kYield's durable
+    /// state); null when retries are off.  A live yield then arms its
+    /// event.
+    RetryQueue::Entry* add_yield_retry(JobId id, Time yielded_at);
+
+   private:
+    Scheduler& sched_;
+    const Duration& yield_retry_period_;  ///< the Cluster's config
+  };
+
+  Durable durable_;
+
+  template <class... Fields>
+  void append(JournalRecordKind kind, const Fields&... fields);
+  template <class... Params>
+  void commit(JournalRecordKind kind, void (Durable::*apply)(Params...),
+              std::type_identity_t<Params>... fields);
+  template <class... Params>
+  void replay(WireReader& r, void (Durable::*apply)(Params...));
 
   // -- process-local state ----------------------------------------------------
   std::vector<JobId> committing_;  ///< report kStarting
@@ -613,10 +663,11 @@ class Cluster final : public CoschedService {
   std::optional<EventId> tick_event_;
   std::optional<EventId> periodic_event_;
   std::optional<EventId> liveness_event_;
-  /// Timestamp of the newest kIterate record seen during replay; kNoTime
-  /// outside recovery.  Lets rearm_after_restore() drop yield retries at the
-  /// crash instant that provably fired before the crash (retries at a
-  /// timestamp always run before the iteration armed there).
+  /// Replay-only scratch: the time of the newest kIterate record replayed,
+  /// which apply_record() sets; kNoTime outside recovery.  Lets
+  /// rearm_after_restore() drop yield retries at the crash instant that
+  /// provably fired before the crash (retries at a timestamp always run
+  /// before the iteration armed there).
   Time replay_last_iterate_ = kNoTime;
 };
 

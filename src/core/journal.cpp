@@ -605,6 +605,10 @@ void Journal::reopen() {
 
 void Journal::compact(std::span<const std::uint8_t> snapshot_payload,
                       bool retain_previous) {
+  // The image is rewritten from the sink's durable bytes: records appended
+  // since the last commit would be spliced out of it.
+  COSCHED_CHECK_MSG(!retain_previous || !dirty_,
+                    "journal: compaction with uncommitted records");
   // What the new image keeps of the old one: the newest intact snapshot and
   // every intact frame after it (the fallback generation), with every
   // header and body CRC checked by the same walk salvage_scan makes.  An

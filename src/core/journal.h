@@ -255,9 +255,12 @@ class Journal {
   /// retained frame's header and body CRCs are verified first; intact v2
   /// frames are then copied verbatim and only v1 frames are re-framed (as
   /// v2), so rot that crept in between them is scrubbed either way.  An
-  /// image with no intact snapshot keeps nothing.
+  /// image with no intact snapshot keeps nothing.  The kept frames are
+  /// read back from the sink, so while appended records are uncommitted it
+  /// refuses (InvariantError): commit() first.
   /// With retain_previous = false the image collapses to the single new
-  /// snapshot frame (initial attach, emergency ENOSPC compaction).
+  /// snapshot frame (initial attach, emergency ENOSPC compaction), whose
+  /// state covers any uncommitted record it drops.
   /// Durable on return.  Sequence numbers keep counting.
   void compact(std::span<const std::uint8_t> snapshot_payload,
                bool retain_previous = true);

@@ -76,9 +76,26 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
             case MsgType::kGangAbortReq:
               ok = service_.gang_abort(req.job, req.group);
               break;
-            default:
+            case MsgType::kGangVictimReq:
               ok = service_.gang_victim(req.job, req.group);
               break;
+            // The enclosing arm admits only the six requests above.
+            case MsgType::kGetMateJobReq:
+            case MsgType::kGetMateJobResp:
+            case MsgType::kGetMateStatusReq:
+            case MsgType::kGetMateStatusResp:
+            case MsgType::kTryStartMateResp:
+            case MsgType::kStartJobResp:
+            case MsgType::kHelloReq:
+            case MsgType::kHelloResp:
+            case MsgType::kHeartbeatReq:
+            case MsgType::kHeartbeatResp:
+            case MsgType::kGangPrepareResp:
+            case MsgType::kErrorResp:
+            case MsgType::kGangCommitResp:
+            case MsgType::kGangAbortResp:
+            case MsgType::kGangVictimResp:
+              COSCHED_CHECK_MSG(false, "not a side-effecting request");
           }
           if (dedupable)
             config_.dedup->record(req.incarnation, req.request_id, req.type,
@@ -101,10 +118,21 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
         return finish(
             make_error_resp(req.request_id, "liveness not supported"));
       }
-      default:
-        return finish(
-            make_error_resp(req.request_id, "unexpected message type"));
+      // A response sent as a request.
+      case MsgType::kGetMateJobResp:
+      case MsgType::kGetMateStatusResp:
+      case MsgType::kTryStartMateResp:
+      case MsgType::kStartJobResp:
+      case MsgType::kHelloResp:
+      case MsgType::kHeartbeatResp:
+      case MsgType::kGangPrepareResp:
+      case MsgType::kErrorResp:
+      case MsgType::kGangCommitResp:
+      case MsgType::kGangAbortResp:
+      case MsgType::kGangVictimResp:
+        break;
     }
+    return finish(make_error_resp(req.request_id, "unexpected message type"));
   } catch (const std::exception& e) {
     COSCHED_LOG(kError) << "dispatcher: service error: " << e.what();
     return finish(make_error_resp(req.request_id, e.what()));

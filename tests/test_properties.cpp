@@ -24,6 +24,14 @@ struct SweepParam {
   std::uint64_t seed;
 };
 
+// Prints the fields, so ctest's "GetParam() = ..." suffix is the same in
+// every build (the default prints the raw bytes, the label pointer
+// included).
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "{combo " << p.combo.label << ", load " << p.load << ", proportion "
+      << p.proportion << ", seed " << p.seed << "}";
+}
+
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   const auto& p = info.param;
   return std::string(p.combo.label) + "_load" +

@@ -1,6 +1,6 @@
-// Known-bad fixture: Cluster methods that change replayed state outside an
-// apply_* method — the mutate-in-apply rule must flag every mutation line,
-// journaled or not.  (Never compiled; parsed by cosched_lint_test only.)
+// Known-bad fixture: Cluster methods that change replayed state outside
+// Cluster::Durable's applies — the mutate-in-apply rule must flag every
+// mutation line, journaled or not.  (Never compiled; parsed by cosched_lint_test only.)
 #include "core/cluster.h"
 
 namespace cosched {
@@ -11,7 +11,7 @@ void Cluster::kill_job(JobId id) {
 }
 
 void Cluster::expire_lease(JobId job) {
-  lease_table_.leases.erase(job);  // no record at all
+  durable_.lease_table.leases.erase(job);  // no record at all
   ++fence_counter_;
 }
 
@@ -25,7 +25,7 @@ bool Cluster::grant_lease(JobId job) {
   WireWriter w;
   w.put_i64(job);
   journal_->append(JournalRecordKind::kLeaseGrant, w.bytes());
-  lease_table_.leases[job] = HoldLease{};  // write-ahead, but not an apply
+  durable_.lease_table.leases[job] = HoldLease{};  // write-ahead, but not an apply
   return true;
 }
 

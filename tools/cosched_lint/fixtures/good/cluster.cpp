@@ -1,18 +1,18 @@
-// Known-good fixture: live methods commit records whose apply_* methods make
-// the changes, the replay arms call the same applies, and an explicit
-// allow() waiver covers a test-only reset.  (Never compiled.)
+// Known-good fixture: live methods commit records whose Durable::apply_*
+// methods make the changes, the replay arms call the same applies, and an
+// explicit allow() waiver covers a test-only reset.  (Never compiled.)
 #include "core/cluster.h"
 
 namespace cosched {
 
 void Cluster::kill_job(JobId id) {
-  commit(JournalRecordKind::kKill, &Cluster::apply_kill, id, engine_.now());
+  commit(JournalRecordKind::kKill, &Durable::apply_kill, id, engine_.now());
   request_iteration();
   journal_commit();
 }
 
 void Cluster::grant_lease(JobId job, const HoldLease& lease) {
-  commit(JournalRecordKind::kLeaseGrant, &Cluster::apply_lease_grant, lease);
+  commit(JournalRecordKind::kLeaseGrant, &Durable::apply_lease_grant, lease);
   arm_liveness_tick();
 }
 
@@ -20,24 +20,24 @@ void Cluster::apply_record(const JournalRecord& rec) {
   WireReader r(rec.payload);
   switch (rec.kind) {
     case JournalRecordKind::kKill:
-      return replay(r, &Cluster::apply_kill);
+      return replay(r, &Durable::apply_kill);
     case JournalRecordKind::kLeaseGrant:
-      return replay(r, &Cluster::apply_lease_grant);
+      return replay(r, &Durable::apply_lease_grant);
   }
 }
 
-void Cluster::apply_kill(JobId id, Time t) {
+void Cluster::Durable::apply_kill(JobId id, Time t) {
   sched_.kill(id, t);
-  lease_table_.leases.erase(id);
+  lease_table.leases.erase(id);
 }
 
-void Cluster::apply_lease_grant(const HoldLease& lease) {
-  lease_table_.leases[lease.job] = lease;
+void Cluster::Durable::apply_lease_grant(const HoldLease& lease) {
+  lease_table.leases[lease.job] = lease;
 }
 
 void Cluster::reset_leases_for_test() {
   // cosched-lint: allow(mutate-in-apply) test-only reset, never journaled
-  lease_table_.leases.clear();
+  durable_.lease_table.leases.clear();
 }
 
 }  // namespace cosched

@@ -16,13 +16,9 @@ bool is_digit(char c) {
   return std::isdigit(static_cast<unsigned char>(c)) != 0;
 }
 
-/// Multi-character punctuators the extractors care about.  Everything else
-/// lexes as a single character.
-const char* kPuncts[] = {
-    "<<=", ">>=", "::", "->", "++", "--", "+=", "-=", "*=", "/=",
-    "%=",  "|=",  "&=", "^=", "==", "!=", "<=", ">=", "&&", "||",
-    "<<",  ">>",
-};
+/// Multi-character punctuators the extractors care about (qualified
+/// names).  Everything else lexes as a single character.
+const char* kPuncts[] = {"::", "->"};
 
 bool is_keyword(const std::string& s) {
   static const std::set<std::string> kw = {
@@ -82,7 +78,6 @@ void tokenize_file(const std::vector<std::string>& code,
         t.kind = is_digit(c) ? Token::kNumber : Token::kIdent;
         t.text = line.substr(b, i - b);
         t.line = static_cast<int>(li + 1);
-        t.col = static_cast<int>(b);
         out.push_back(std::move(t));
         continue;
       }
@@ -98,7 +93,6 @@ void tokenize_file(const std::vector<std::string>& code,
       t.kind = Token::kPunct;
       t.text = text;
       t.line = static_cast<int>(li + 1);
-      t.col = static_cast<int>(i);
       out.push_back(std::move(t));
       i += text.size();
     }
@@ -115,21 +109,10 @@ std::size_t match_back(const std::vector<Token>& toks, std::size_t close) {
   return std::string::npos;
 }
 
-std::size_t match_forward(const std::vector<Token>& toks, std::size_t open,
-                          const char* o, const char* c) {
-  int depth = 0;
-  for (std::size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].text == o) ++depth;
-    if (toks[i].text == c && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
 struct BraceInfo {
-  enum Kind { kNamespace, kClass, kEnum, kFunction, kOther } kind = kOther;
-  std::string name;  // class/enum/function name
+  enum Kind { kNamespace, kClass, kFunction, kOther } kind = kOther;
+  std::string name;  // class/function name
   std::string cls;   // explicit A::B qualifier on a function definition
-  int name_line = 0;
 };
 
 /// Classifies the '{' at token index `t` given the statement context.  Only
@@ -151,17 +134,6 @@ BraceInfo classify_brace(const std::vector<Token>& toks, std::size_t t) {
       info.kind = BraceInfo::kNamespace;
       return info;
     }
-    if (toks[i].text == "enum") {
-      info.kind = BraceInfo::kEnum;
-      for (std::size_t j = i + 1; j < t; ++j) {
-        if (toks[j].kind != Token::kIdent) break;
-        if (toks[j].text == "class" || toks[j].text == "struct") continue;
-        info.name = toks[j].text;
-        info.name_line = toks[j].line;
-        break;
-      }
-      return info;
-    }
   }
 
   // Class/struct definition: the keyword is present and no parameter list
@@ -175,10 +147,8 @@ BraceInfo classify_brace(const std::vector<Token>& toks, std::size_t t) {
     }
     if (kw != std::string::npos && !has_paren) {
       info.kind = BraceInfo::kClass;
-      if (kw + 1 < t && toks[kw + 1].kind == Token::kIdent) {
+      if (kw + 1 < t && toks[kw + 1].kind == Token::kIdent)
         info.name = toks[kw + 1].text;
-        info.name_line = toks[kw + 1].line;
-      }
       return info;
     }
   }
@@ -238,37 +208,10 @@ BraceInfo classify_brace(const std::vector<Token>& toks, std::size_t t) {
     info.kind = BraceInfo::kFunction;
     info.name = before.text;
     info.cls = cls;
-    info.name_line = before.line;
     return info;
   }
   return info;
 }
-
-/// Mutating container/method calls that count as member writes for the
-/// snapshot-coverage analysis.
-bool is_mutator_method(const std::string& s) {
-  static const std::set<std::string> m = {
-      "insert",     "erase",      "clear",    "emplace", "emplace_back",
-      "push_back",  "pop_back",   "push",     "pop",     "push_front",
-      "pop_front",  "assign",     "resize",   "reset",   "emplace_hint",
-      "insert_or_assign", "try_emplace",
-  };
-  return m.count(s) != 0;
-}
-
-bool is_assign_op(const std::string& s) {
-  static const std::set<std::string> ops = {"=",  "+=", "-=",  "*=",  "/=",
-                                            "%=", "|=", "&=",  "^=",  "<<=",
-                                            ">>=", "++", "--"};
-  return ops.count(s) != 0;
-}
-
-struct Scope {
-  BraceInfo::Kind kind = BraceInfo::kOther;
-  std::string name;
-  std::size_t open = 0;
-  int func = -1;  // index into index.functions for kFunction scopes
-};
 
 void scan_container_decls(const std::vector<std::string>& code,
                           const char* const* types, std::size_t n_types,
@@ -330,29 +273,27 @@ std::string file_stem(const std::string& path) {
   return std::filesystem::path(path).stem().string();
 }
 
-/// Extracts functions, enums, locks, calls, mutations and case labels from
-/// one file's token stream.
+struct Scope {
+  BraceInfo::Kind kind = BraceInfo::kOther;
+  std::string name;
+  int func = -1;  // index into index.functions for a function's own body
+};
+
+/// Extracts the function definitions from one file's token stream.
 void extract_file(ProjectIndex& index, int file) {
   const std::vector<Token>& toks = index.file_model[file].tokens;
   std::vector<Scope> stack;
-  struct PendingLock {
-    int func = -1;
-    std::size_t lock_idx = 0;  // index into functions[func].locks
-    std::size_t block_open = 0;
-  };
-  std::vector<PendingLock> pending_locks;
-  std::vector<std::size_t> open_blocks;  // '{' token indices inside a function
 
-  const auto current_func = [&]() -> int {
+  const auto in_function = [&stack] {
     for (std::size_t i = stack.size(); i-- > 0;) {
-      if (stack[i].kind == BraceInfo::kFunction) return stack[i].func;
+      if (stack[i].kind == BraceInfo::kFunction) return true;
       if (stack[i].kind == BraceInfo::kClass ||
           stack[i].kind == BraceInfo::kNamespace)
-        return -1;
+        return false;
     }
-    return -1;
+    return false;
   };
-  const auto enclosing_class = [&]() -> std::string {
+  const auto enclosing_class = [&stack]() -> std::string {
     for (std::size_t i = stack.size(); i-- > 0;)
       if (stack[i].kind == BraceInfo::kClass) return stack[i].name;
     return "";
@@ -360,279 +301,33 @@ void extract_file(ProjectIndex& index, int file) {
 
   for (std::size_t t = 0; t < toks.size(); ++t) {
     const Token& tok = toks[t];
-    const int fn = current_func();
-
     if (tok.text == "{") {
-      if (fn >= 0) {
-        Scope s;
-        s.kind = BraceInfo::kOther;
-        s.open = t;
-        s.func = fn;
-        stack.push_back(s);
-        open_blocks.push_back(t);
-        continue;
-      }
-      BraceInfo info = classify_brace(toks, t);
+      // Braces inside a function body are plain blocks.
       Scope s;
-      s.kind = info.kind;
-      s.open = t;
-      if (info.kind == BraceInfo::kFunction) {
-        FunctionInfo f;
-        f.cls = !info.cls.empty() ? info.cls : enclosing_class();
-        f.name = info.name;
-        f.file = file;
-        f.line = info.name_line;
-        f.body_first_line = tok.line;
-        f.body_begin = t;
-        index.functions.push_back(std::move(f));
-        s.func = static_cast<int>(index.functions.size() - 1);
-        open_blocks.push_back(t);
-      } else if (info.kind == BraceInfo::kClass) {
+      if (!in_function()) {
+        const BraceInfo info = classify_brace(toks, t);
+        s.kind = info.kind;
         s.name = info.name;
-      } else if (info.kind == BraceInfo::kEnum) {
-        EnumInfo e;
-        e.name = info.name;
-        e.file = file;
-        e.line = info.name_line;
-        index.enums.push_back(std::move(e));
-        s.name = info.name;
+        if (info.kind == BraceInfo::kFunction) {
+          FunctionInfo f;
+          f.cls = !info.cls.empty() ? info.cls : enclosing_class();
+          f.name = info.name;
+          f.file = file;
+          f.body_first_line = tok.line;
+          index.functions.push_back(std::move(f));
+          s.func = static_cast<int>(index.functions.size() - 1);
+        }
       }
-      stack.push_back(s);
-      continue;
-    }
-
-    if (tok.text == "}") {
-      if (stack.empty()) continue;
-      Scope s = stack.back();
+      stack.push_back(std::move(s));
+    } else if (tok.text == "}" && !stack.empty()) {
+      if (stack.back().func >= 0)
+        index.functions[stack.back().func].body_last_line = tok.line;
       stack.pop_back();
-      if (s.kind == BraceInfo::kFunction && s.func >= 0) {
-        FunctionInfo& f = index.functions[s.func];
-        f.body_end = t;
-        f.body_last_line = tok.line;
-      }
-      if (!open_blocks.empty() && open_blocks.back() == s.open) {
-        open_blocks.pop_back();
-        for (PendingLock& pl : pending_locks) {
-          if (pl.block_open == s.open && pl.func >= 0) {
-            LockSite& l = index.functions[pl.func].locks[pl.lock_idx];
-            if (l.scope_end == 0) l.scope_end = t;
-          }
-        }
-      }
-      continue;
-    }
-
-    // Enum body: enumerators are identifiers right after '{' or ','.
-    if (!stack.empty() && stack.back().kind == BraceInfo::kEnum &&
-        tok.kind == Token::kIdent && t > 0 &&
-        (toks[t - 1].text == "{" || toks[t - 1].text == ",")) {
-      if (!index.enums.empty())
-        index.enums.back().enumerators.push_back({tok.text, tok.line});
-      continue;
-    }
-
-    // REQUIRES on a declaration (header) or definition: remember which
-    // function it belongs to and which mutex it names.
-    if (tok.kind == Token::kIdent && tok.text == "REQUIRES" &&
-        t + 1 < toks.size() && toks[t + 1].text == "(") {
-      const std::size_t close = match_forward(toks, t + 1, "(", ")");
-      std::string mutex;
-      if (close != std::string::npos)
-        for (std::size_t m = t + 2; m < close; ++m) mutex += toks[m].text;
-      // The annotated function's name: the identifier before the preceding
-      // parameter list.
-      if (t >= 1 && toks[t - 1].text == ")") {
-        const std::size_t open = match_back(toks, t - 1);
-        if (open != std::string::npos && open > 0 &&
-            toks[open - 1].kind == Token::kIdent) {
-          std::string cls = enclosing_class();
-          std::string name = toks[open - 1].text;
-          if (open >= 3 && toks[open - 2].text == "::" &&
-              toks[open - 3].kind == Token::kIdent)
-            cls = toks[open - 3].text;
-          const std::string q = cls.empty() ? name : cls + "::" + name;
-          if (!mutex.empty()) {
-            const std::string qm =
-                (mutex.find(':') == std::string::npos &&
-                 mutex.find('.') == std::string::npos &&
-                 mutex.rfind("g_", 0) != 0 && !cls.empty())
-                    ? cls + "::" + mutex
-                    : mutex;
-            index.requires_mutexes.emplace(q, qm);
-          }
-        }
-      }
-    }
-
-    if (fn < 0) continue;
-    FunctionInfo& f = index.functions[fn];
-
-    // case Enum::kX: labels.
-    if (tok.kind == Token::kIdent &&
-        (tok.text == "case" || tok.text == "default")) {
-      CaseSite cs;
-      cs.token = t;
-      cs.line = tok.line;
-      if (tok.text == "default") {
-        cs.enumerator = "default";
-      } else {
-        std::size_t j = t + 1;
-        std::vector<std::string> chain;
-        while (j < toks.size() && toks[j].kind == Token::kIdent) {
-          chain.push_back(toks[j].text);
-          if (j + 1 < toks.size() && toks[j + 1].text == "::")
-            j += 2;
-          else
-            break;
-        }
-        if (!chain.empty()) {
-          cs.enumerator = chain.back();
-          if (chain.size() >= 2) cs.enum_name = chain[chain.size() - 2];
-        }
-      }
-      if (!cs.enumerator.empty()) f.cases.push_back(std::move(cs));
-      continue;
-    }
-
-    // MutexLock acquisitions.
-    if (tok.kind == Token::kIdent && tok.text == "MutexLock" &&
-        t + 2 < toks.size() && toks[t + 1].kind == Token::kIdent &&
-        toks[t + 2].text == "(") {
-      const std::size_t close = match_forward(toks, t + 2, "(", ")");
-      if (close != std::string::npos) {
-        std::string raw;
-        for (std::size_t m = t + 3; m < close; ++m) raw += toks[m].text;
-        LockSite l;
-        l.line = tok.line;
-        l.token = t;
-        const bool plain = raw.find(':') == std::string::npos &&
-                           raw.find('.') == std::string::npos &&
-                           raw.find("->") == std::string::npos &&
-                           raw.rfind("g_", 0) != 0;
-        l.mutex = (plain && !f.cls.empty()) ? f.cls + "::" + raw : raw;
-        f.locks.push_back(std::move(l));
-        PendingLock pl;
-        pl.func = fn;
-        pl.lock_idx = f.locks.size() - 1;
-        pl.block_open = open_blocks.empty() ? f.body_begin : open_blocks.back();
-        pending_locks.push_back(pl);
-      }
-      continue;
-    }
-
-    // Call sites: ident '(' with a non-keyword name.
-    if (tok.kind == Token::kIdent && !is_keyword(tok.text) &&
-        t + 1 < toks.size() && toks[t + 1].text == "(") {
-      CallSite c;
-      c.name = tok.text;
-      c.line = tok.line;
-      c.token = t;
-      std::size_t b = t;
-      std::string recv;
-      while (b >= 2 &&
-             (toks[b - 1].text == "." || toks[b - 1].text == "->" ||
-              toks[b - 1].text == "::") &&
-             toks[b - 2].kind == Token::kIdent) {
-        recv = toks[b - 2].text + toks[b - 1].text + recv;
-        b -= 2;
-      }
-      if (!recv.empty()) recv.erase(recv.find_last_not_of(":>-.") + 1);
-      // recv currently ends with the separator; strip back to the chain.
-      c.receiver = recv;
-      f.calls.push_back(std::move(c));
-    }
-
-    // Member-function references (`&Cls::name` with no call): whatever the
-    // pointer is handed to calls it, so the reference is a call edge too.
-    if (tok.kind == Token::kIdent && t >= 3 && toks[t - 1].text == "::" &&
-        toks[t - 2].kind == Token::kIdent && toks[t - 3].text == "&" &&
-        (t + 1 >= toks.size() || toks[t + 1].text != "(")) {
-      CallSite c;
-      c.name = tok.text;
-      c.receiver = toks[t - 2].text;
-      c.line = tok.line;
-      c.token = t;
-      f.calls.push_back(std::move(c));
-    }
-
-    // Member mutations: bare (or this->) `_`-suffixed identifier written to,
-    // directly or through a chain of its fields (`m_.a.b = v`).
-    if (tok.kind == Token::kIdent && tok.text.size() > 1 &&
-        tok.text.back() == '_') {
-      bool other_object = false;
-      if (t >= 1 && (toks[t - 1].text == "." || toks[t - 1].text == "->" ||
-                     toks[t - 1].text == "::")) {
-        other_object =
-            !(t >= 2 && toks[t - 1].text == "->" && toks[t - 2].text == "this");
-      }
-      if (!other_object) {
-        bool mutated = false;
-        bool via_method = false;
-        if (t >= 1 && (toks[t - 1].text == "++" || toks[t - 1].text == "--"))
-          mutated = true;
-        std::size_t j = t + 1;
-        while (j + 2 < toks.size() && toks[j].text == "." &&
-               toks[j + 1].kind == Token::kIdent && toks[j + 2].text != "(")
-          j += 2;
-        const std::size_t after_fields = j;
-        if (!mutated && j < toks.size() && toks[j].text == "[") {
-          const std::size_t close = match_forward(toks, j, "[", "]");
-          if (close != std::string::npos) {
-            j = close + 1;
-            // `m_[k]` alone counts as a table write for snapshot coverage
-            // even without an assignment op (operator[] inserts).
-            via_method = true;
-          }
-        }
-        if (!mutated && j < toks.size() && is_assign_op(toks[j].text)) {
-          mutated = true;
-          via_method = false;
-        }
-        if (!mutated && j == after_fields && j + 1 < toks.size() &&
-            toks[j].text == "." && toks[j + 1].kind == Token::kIdent &&
-            is_mutator_method(toks[j + 1].text) && j + 2 < toks.size() &&
-            toks[j + 2].text == "(") {
-          mutated = true;
-          via_method = true;
-        }
-        if (!mutated && via_method && j < toks.size() && toks[j].text != "=")
-          mutated = true;  // bare m_[k] without assignment: still an insert
-        if (mutated) {
-          MutationSite m;
-          m.member = tok.text;
-          m.line = tok.line;
-          m.token = t;
-          f.mutations.push_back(std::move(m));
-        }
-      }
     }
   }
-
-  // Force-close any scopes left open by lexing imprecision.
-  while (!stack.empty()) {
-    Scope s = stack.back();
-    stack.pop_back();
-    if (s.kind == BraceInfo::kFunction && s.func >= 0 &&
-        index.functions[s.func].body_end == 0) {
-      index.functions[s.func].body_end = toks.size();
-      index.functions[s.func].body_last_line =
-          toks.empty() ? 0 : toks.back().line;
-    }
-  }
-  for (PendingLock& pl : pending_locks) {
-    if (pl.func < 0) continue;
-    LockSite& l = index.functions[pl.func].locks[pl.lock_idx];
-    if (l.scope_end == 0) l.scope_end = toks.size();
-  }
-}
-
-void finish_case_arms(ProjectIndex& index) {
-  for (FunctionInfo& f : index.functions) {
-    for (std::size_t i = 0; i < f.cases.size(); ++i) {
-      f.cases[i].arm_end =
-          (i + 1 < f.cases.size()) ? f.cases[i + 1].token : f.body_end;
-    }
-  }
+  // Functions left open by lexing imprecision end at the last token.
+  for (const Scope& s : stack)
+    if (s.func >= 0) index.functions[s.func].body_last_line = toks.back().line;
 }
 
 }  // namespace
@@ -691,7 +386,6 @@ std::string code_view(const std::string& raw) {
 
 ProjectIndex build_index(const std::vector<SourceFile>& files) {
   ProjectIndex index;
-  index.files = &files;
   index.file_model.resize(files.size());
 
   for (std::size_t i = 0; i < files.size(); ++i) {
@@ -701,14 +395,8 @@ ProjectIndex build_index(const std::vector<SourceFile>& files) {
     tokenize_file(fm.code, fm.tokens);
   }
 
-  for (std::size_t i = 0; i < files.size(); ++i) {
+  for (std::size_t i = 0; i < files.size(); ++i)
     extract_file(index, static_cast<int>(i));
-  }
-  finish_case_arms(index);
-
-  for (std::size_t i = 0; i < index.functions.size(); ++i)
-    index.functions_by_name.emplace(index.functions[i].name,
-                                    static_cast<int>(i));
 
   // Unordered-container declaration context (v1 semantics): a .cpp sees its
   // own declarations plus those of any file sharing its stem; accessor
@@ -728,35 +416,6 @@ ProjectIndex build_index(const std::vector<SourceFile>& files) {
     index.global_decls.accessors.erase(name);
 
   return index;
-}
-
-int resolve_call(const ProjectIndex& index, const std::string& name,
-                 const std::string& prefer_class,
-                 const std::string& receiver) {
-  auto [lo, hi] = index.functions_by_name.equal_range(name);
-  if (lo == hi) return -1;
-  // A receiver other than `this` (or an explicit Class:: qualification)
-  // means the target is a method of the *receiver's* class — never of the
-  // caller's own class.  Without this, `order_.size()` inside RpcDedup
-  // would resolve to RpcDedup::size() and fabricate lock edges.
-  const bool this_call =
-      receiver.empty() || receiver == "this" || receiver == prefer_class;
-  int same_class = -1, same_class_count = 0;
-  int any = -1, any_count = 0;
-  for (auto it = lo; it != hi; ++it) {
-    const FunctionInfo& f = index.functions[it->second];
-    if (!this_call && f.cls == prefer_class) continue;
-    if (this_call && !prefer_class.empty() && f.cls == prefer_class) {
-      same_class = it->second;
-      ++same_class_count;
-    }
-    any = it->second;
-    ++any_count;
-  }
-  if (same_class_count == 1) return same_class;
-  if (same_class_count > 1) return -1;
-  if (any_count == 1) return any;
-  return -1;
 }
 
 }  // namespace cosched::lint

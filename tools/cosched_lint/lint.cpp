@@ -1,7 +1,6 @@
-// cosched_lint v2 driver: loads the tree, builds the whole-project index
-// (index.cpp), runs the per-line rules here and the cross-file analyses in
-// rules_graph.cpp through one waiver-aware sink, and renders text/JSON
-// reports.
+// cosched_lint driver: loads the tree, builds the project index
+// (index.cpp), runs the rules through one waiver-aware sink, and renders
+// text/JSON reports.
 #include "lint.h"
 
 #include <algorithm>
@@ -15,11 +14,32 @@
 #include <tuple>
 
 #include "index.h"
-#include "rules.h"
 
 namespace cosched::lint {
 
 namespace {
+
+/// One waiver comment found in the tree.  `used` flips when a finding is
+/// suppressed by it; the driver reports the leftovers so stale waivers are
+/// visible (the ordered()-audit workflow).
+struct WaiverRecord {
+  int file = 0;
+  int line0 = 0;  ///< 0-based line holding the comment
+  bool ordered = false;
+  std::string rule;  ///< for allow(<rule>) waivers
+  bool used = false;
+};
+
+/// Central finding sink: applies waiver lookup (same line or line above,
+/// v1 semantics), splits findings/waived, and marks consumed waivers.
+struct RuleSink {
+  const std::vector<SourceFile>* files = nullptr;
+  Report* report = nullptr;
+  std::vector<WaiverRecord>* waivers = nullptr;
+
+  void emit(int file, int line0, const std::string& rule, std::string message,
+            bool accepts_ordered);
+};
 
 std::string trim(const std::string& s) {
   std::size_t b = 0, e = s.size();
@@ -214,32 +234,41 @@ void rule_unordered_iter(const FileContext& ctx, RuleSink& sink) {
 
 // -- rule: mutate-in-apply ---------------------------------------------------
 
-/// Cluster methods that may change replayed state directly: the apply_*
-/// methods journal replay runs, and the snapshot/recovery path.
-bool apply_path_method(const std::string& name) {
-  static const char* kPrefixes[] = {"apply_",  "restore_", "wipe_",
-                                    "recover_", "rearm_",   "replay",
-                                    "write_",  "snapshot"};
+/// Cluster methods that may change replayed state directly: the snapshot
+/// and recovery path.  (The applies are Cluster::Durable's, not Cluster's.)
+bool recovery_path_method(const std::string& name) {
+  static const char* kPrefixes[] = {"restore_", "wipe_",  "recover_", "rearm_",
+                                    "replay",   "write_", "snapshot"};
   return std::any_of(std::begin(kPrefixes), std::end(kPrefixes),
                      [&](const char* p) { return name.rfind(p, 0) == 0; });
 }
 
 /// A scheduler transition or lease-table write in a Cluster method outside
-/// the apply path is a change the journal replay never makes.
+/// the recovery path is a change the journal replay never makes.
 void rule_mutate_in_apply(const FileContext& ctx, const ProjectIndex& ix,
                           RuleSink& sink) {
   if (file_stem(ctx.src->path) != "cluster") return;
   static const char* kMutators[] = {
-      "sched_.submit(",      "sched_.kill(",          "sched_.finish(",
-      "sched_.release_hold(", "sched_.start_holding(", "sched_.start_queued(",
-      "sched_.hold(",        "sched_.yield(",         "sched_.clear_demotions(",
-      "lease_table_.leases[",       "lease_table_.leases.emplace",
-      "lease_table_.leases.try_emplace", "lease_table_.leases.insert",
-      "lease_table_.leases.erase",  "lease_table_.leases.clear",
+      "sched_.submit(",
+      "sched_.kill(",
+      "sched_.finish(",
+      "sched_.release_hold(",
+      "sched_.start_holding(",
+      "sched_.start_queued(",
+      "sched_.hold(",
+      "sched_.yield(",
+      "sched_.clear_demotions(",
+      "durable_.lease_table.leases[",
+      "durable_.lease_table.leases.emplace",
+      "durable_.lease_table.leases.try_emplace",
+      "durable_.lease_table.leases.insert",
+      "durable_.lease_table.leases.erase",
+      "durable_.lease_table.leases.clear",
   };
 
   for (const FunctionInfo& f : ix.functions) {
-    if (f.file != ctx.file || f.cls != "Cluster" || apply_path_method(f.name))
+    if (f.file != ctx.file || f.cls != "Cluster" ||
+        recovery_path_method(f.name))
       continue;
     if (f.body_first_line <= 0 || f.body_last_line < f.body_first_line)
       continue;
@@ -253,9 +282,10 @@ void rule_mutate_in_apply(const FileContext& ctx, const ProjectIndex& ix,
         if (token.back() == '(' || token.back() == '[') token.pop_back();
         sink.emit(ctx.file, static_cast<int>(i), "mutate-in-apply",
                   "Cluster::" + f.name + " changes replayed state (" + token +
-                      ") outside an apply_* method, so journal replay would "
-                      "not reproduce it; commit a record whose apply makes "
-                      "the change, or waive with allow(mutate-in-apply)",
+                      ") outside Cluster::Durable's applies, so journal "
+                      "replay would not reproduce it; commit a record whose "
+                      "apply makes the change, or waive with "
+                      "allow(mutate-in-apply)",
                   /*accepts_ordered=*/false);
       }
     }
@@ -328,8 +358,6 @@ void json_findings(std::ostringstream& os, const char* key,
   os << (v.empty() ? "]" : "\n  ]");
 }
 
-}  // namespace
-
 void RuleSink::emit(int file, int line0, const std::string& rule,
                     std::string message, bool accepts_ordered) {
   const std::vector<std::string>& raw = (*files)[file].lines;
@@ -369,6 +397,8 @@ void RuleSink::emit(int file, int line0, const std::string& rule,
     }
   }
 }
+
+}  // namespace
 
 std::vector<std::string> split_lines(const std::string& contents) {
   std::vector<std::string> lines;
@@ -416,10 +446,6 @@ Report run_lint(const std::vector<SourceFile>& files) {
     rule_mutate_in_apply(ctx, index, sink);
     rule_dedup_before_reply(ctx, sink);
   }
-
-  rule_journal_coverage(index, sink);
-  rule_dispatch_exhaustiveness(index, sink);
-  rule_lock_order(index, sink);
 
   for (const WaiverRecord& w : waivers) {
     if (w.used) continue;
@@ -491,10 +517,10 @@ std::string to_json(const Report& r) {
   // Per-rule tallies over a stable rule list (plus anything else seen), so
   // CI tables have fixed rows run over run.
   static const char* kKnownRules[] = {
-      "banned-call",          "dedup-before-reply",
-      "dispatch-exhaustiveness",
-      "journal-coverage",     "lock-order",
-      "mutate-in-apply",      "unordered-iter",
+      "banned-call",
+      "dedup-before-reply",
+      "mutate-in-apply",
+      "unordered-iter",
   };
   std::map<std::string, std::pair<int, int>> rules;  // rule -> (findings, waived)
   for (const char* k : kKnownRules) rules[k] = {0, 0};

@@ -1,22 +1,19 @@
 // cosched-lint: domain-rule static checks the compiler cannot express.
 //
-// v2: every file is parsed once by a lightweight tokenizer into a shared
-// project index (index.h) — functions, enums, case arms, lock sites,
-// annotations — and the rules run over that index.  The per-line rules keep
-// their v1 behavior; three cross-file analyses walk the whole-project model.
-// The rules enforce the invariants the runtime defenses (TSan, invariant
-// reports, kill-anywhere recovery) only catch when a test happens to hit
-// them:
+// Every file is parsed once by a lightweight tokenizer into a shared project
+// index (index.h): code views, function definitions and unordered-container
+// declarations; the rules run over that index.  They enforce the invariants
+// the runtime defenses (TSan, invariant reports, kill-anywhere recovery)
+// only catch when a test happens to hit them:
 //
-//   mutate-in-apply        no Cluster method outside the apply path
-//                          (apply_*, and restore_/wipe_/recover_/rearm_/
-//                          replay/write_/snapshot) calls a scheduler
-//                          mutator or writes the lease table
-//                          (lease_table_.leases):
-//                          every such change goes through the apply_*
-//                          method of its record kind, which journal replay
-//                          runs too, so live and replayed state cannot
-//                          drift apart
+//   mutate-in-apply        no Cluster method outside the recovery path
+//                          (restore_/wipe_/recover_/rearm_/replay/write_/
+//                          snapshot) calls a scheduler mutator or writes the
+//                          lease table (durable_.lease_table.leases): every
+//                          such change goes through the apply_* method of
+//                          its record kind on Cluster::Durable, which journal
+//                          replay runs too, so live and replayed state
+//                          cannot drift apart
 //   dedup-before-reply     RpcDedup verdicts are recorded (and thereby
 //                          journaled durable) before the dispatcher builds
 //                          the reply
@@ -29,33 +26,13 @@
 //                          waiver — hash order leaking into fingerprints,
 //                          metrics, or wire output is the classic silent
 //                          determinism bug
-//   journal-coverage       every JournalRecordKind enumerator has a writer
-//                          site (append/commit/frame/encode_frame), a replay
-//                          arm in the journal apply switch (apply_record,
-//                          recover_from_journal, or the salvage/fallback
-//                          helpers), a to_string name arm, and every member
-//                          its replay arm writes, itself or through the
-//                          methods of its class it reaches (the applies), is
-//                          named in the snapshot field list (snapshot_fields)
-//                          — a kind missing any of these silently loses
-//                          state across recovery/compaction.  (That the
-//                          snapshot's writer and reader agree, and that a
-//                          field list names every member of its type, the
-//                          compiler checks.)  Also: a function that rolls
-//                          a snapshot generation (write_snapshot + compact)
-//                          must commit the journal first, or buffered
-//                          records are spliced out of the durable image
-//                          (set_journal and emergency_compact are exempt)
-//   dispatch-exhaustiveness  every MsgType request enumerator has a dispatch
-//                          arm, and every arm whose effects run through a
-//                          helper still records a dedup verdict before the
-//                          reply (the whole-dispatch-graph generalization of
-//                          dedup-before-reply)
-//   lock-order             the project-wide mutex acquisition graph (nested
-//                          MutexLock scopes, calls made under a lock,
-//                          REQUIRES-held edges) must be acyclic — a cycle is
-//                          a latent ABBA deadlock even if no test interleaves
-//                          it
+//
+// What the compiler or a test checks instead: -Werror=switch makes the
+// journal replay, the record names and the RPC dispatcher name every
+// record kind and message type; an apply is a method of Cluster::Durable,
+// which holds only snapshotted state; Journal::compact refuses to splice
+// out uncommitted records; the JournalFormatGuard tests write every named
+// record kind.  docs/STATIC_ANALYSIS.md has the table.
 //
 // Escape hatches (same line or the line above the finding):
 //   // cosched-lint: ordered(<why hash order cannot leak>)   unordered-iter

@@ -58,9 +58,7 @@ TEST(CoschedLint, GoodFixturesCountWaivers) {
 TEST(CoschedLint, BadFixturesAreAllFlagged) {
   const Report r = lint_dir("bad");
   const std::set<std::string> expected = {
-      "mutate-in-apply",         "dedup-before-reply", "banned-call",
-      "unordered-iter",          "journal-coverage",
-      "dispatch-exhaustiveness", "lock-order"};
+      "mutate-in-apply", "dedup-before-reply", "banned-call", "unordered-iter"};
   EXPECT_EQ(rules_hit(r), expected);
 }
 
@@ -93,7 +91,7 @@ TEST(CoschedLint, BadLeaseFindingsCatchTableWritesOutsideApply) {
   std::set<std::string> methods;
   for (const Finding& f : r.findings) {
     if (f.rule != "mutate-in-apply" ||
-        f.message.find("lease_table_.leases") == std::string::npos)
+        f.message.find("lease_table.leases") == std::string::npos)
       continue;
     if (f.message.find("expire_lease") != std::string::npos)
       methods.insert("expire_lease");
@@ -109,16 +107,16 @@ TEST(CoschedLint, MutationRuleExemptsTheApplyPath) {
   const std::vector<SourceFile> files = {
       {"fake/core/cluster.cpp",
        {"void Cluster::expire_lease(JobId job) {",
-        "  commit(JournalRecordKind::kLeaseExpire, &Cluster::apply_expire,",
+        "  commit(JournalRecordKind::kLeaseExpire, &Durable::apply_expire,",
         "         job);", "}",
-        "void Cluster::apply_expire(JobId job) {",
-        "  lease_table_.leases.erase(job);", "  sched_.release_hold(job, 0);",
-        "}", "void Cluster::wipe_for_recovery() {", "  lease_table_ = {};",
-        "}"}}};
+        "void Cluster::Durable::apply_expire(JobId job) {",
+        "  lease_table.leases.erase(job);", "  sched_.release_hold(job, 0);",
+        "}", "void Cluster::wipe_for_recovery() {",
+        "  durable_.lease_table.leases.clear();", "}"}}};
   EXPECT_TRUE(run_lint(files).findings.empty());
   std::vector<SourceFile> live = files;
   live[0].lines.insert(live[0].lines.begin() + 3,
-                       "  lease_table_.leases.erase(job);");
+                       "  durable_.lease_table.leases.erase(job);");
   const Report r = run_lint(live);
   ASSERT_EQ(count_rule(r, "mutate-in-apply"), 1);
   EXPECT_NE(r.findings[0].message.find("expire_lease"), std::string::npos);
@@ -213,176 +211,6 @@ TEST(CoschedLint, AccessorIterationNeedsWaiver) {
   EXPECT_EQ(r.findings[0].rule, "unordered-iter");
 }
 
-// -- cross-file analyses (v2) ------------------------------------------------
-
-TEST(CoschedLint, BadJournalKindsMissReplayAndSnapshot) {
-  const Report r = lint_dir("bad");
-  // kDeltaNote's replay arm was deleted; kGammaMark's replay arm rebuilds
-  // gamma_seen_, which the snapshot field list never names; snapshot_commit.h
-  // adds the uncommitted-compaction hit (checked in its own test below).
-  ASSERT_EQ(count_rule(r, "journal-coverage"), 3);
-  std::set<std::string> hits;
-  for (const Finding& f : r.findings) {
-    if (f.rule != "journal-coverage") continue;
-    if (f.file.find("snapshot_commit.h") != std::string::npos) continue;
-    EXPECT_NE(f.file.find("journal_kinds.h"), std::string::npos);
-    if (f.message.find("'kDeltaNote'") != std::string::npos &&
-        f.message.find("no replay case") != std::string::npos)
-      hits.insert("missing-replay");
-    if (f.message.find("'gamma_seen_'") != std::string::npos)
-      hits.insert("missing-snapshot");
-  }
-  EXPECT_EQ(hits,
-            (std::set<std::string>{"missing-replay", "missing-snapshot"}));
-}
-
-TEST(CoschedLint, BadSnapshotGenerationWithoutCommitIsFlagged) {
-  const Report r = lint_dir("bad");
-  // roll_generation compacts around a fresh snapshot with no commit first —
-  // buffered records would be spliced out of the durable image.
-  bool found = false;
-  for (const Finding& f : r.findings) {
-    if (f.rule != "journal-coverage" ||
-        f.file.find("snapshot_commit.h") == std::string::npos)
-      continue;
-    found = true;
-    EXPECT_NE(f.message.find("roll_generation"), std::string::npos);
-    EXPECT_NE(f.message.find("without committing"), std::string::npos);
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(CoschedLint, CommitBeforeCompactAndLadderShapesPass) {
-  // Commit-before-compact is the good shape; set_journal (initial attach)
-  // and emergency_compact (the ENOSPC ladder) are exempt by name.
-  const std::vector<SourceFile> files = {
-      {"fake/core/keeper.cpp",
-       {"void Keeper::journal_commit() {",
-        "  journal_->commit();",
-        "  WireWriter snap;",
-        "  write_snapshot(snap);",
-        "  journal_->compact(snap.bytes());",
-        "}",
-        "void Keeper::set_journal(Journal* j) {",
-        "  WireWriter snap;",
-        "  write_snapshot(snap);",
-        "  journal_->compact(snap.bytes());",
-        "}",
-        "void Keeper::emergency_compact() {",
-        "  WireWriter snap;",
-        "  write_snapshot(snap);",
-        "  journal_->compact(snap.bytes());",
-        "}"}}};
-  EXPECT_EQ(count_rule(run_lint(files), "journal-coverage"), 0);
-}
-
-TEST(CoschedLint, JournalCoverageFollowsArmsIntoApplies) {
-  // A replay arm that hands the record to an apply must have that apply's
-  // state snapshotted, as if the arm wrote it itself.
-  const std::vector<std::string> lines = {
-      "enum class JournalRecordKind { kOneMark = 1 };",
-      "void Box::save() {",
-      "  commit(JournalRecordKind::kOneMark, &Box::apply_one, 1);",
-      "}",
-      "void Box::apply_record(const Record& rec) {",
-      "  switch (rec.kind) {",
-      "    case JournalRecordKind::kOneMark:",
-      "      return replay(r, &Box::apply_one);",
-      "  }",
-      "}",
-      "void Box::apply_one(long v) { count(v); }",
-      "void Box::count(long v) { one_ += v; }",
-      "auto Box::snapshot_fields() { return std::tie(base_); }"};
-  const Report r = run_lint({{"fake/core/box.cpp", lines}});
-  ASSERT_EQ(count_rule(r, "journal-coverage"), 1);
-  EXPECT_NE(r.findings[0].message.find("'one_'"), std::string::npos);
-  EXPECT_EQ(r.findings[0].line, 12);  // the write, two calls deep
-
-  std::vector<std::string> covered = lines;
-  covered[12] = "auto Box::snapshot_fields() { return std::tie(base_, one_); }";
-  EXPECT_EQ(count_rule(run_lint({{"fake/core/box.cpp", covered}}),
-                       "journal-coverage"),
-            0);
-
-  // A write to a field of a member is a write to the member.
-  std::vector<std::string> nested = lines;
-  nested[11] = "void Box::count(long v) { book_.tally.insert(v); }";
-  const Report rn = run_lint({{"fake/core/box.cpp", nested}});
-  ASSERT_EQ(count_rule(rn, "journal-coverage"), 1);
-  EXPECT_NE(rn.findings[0].message.find("'book_'"), std::string::npos);
-}
-
-TEST(CoschedLint, JournalReplayArmDeletionIsCaught) {
-  // Full coverage passes; removing exactly one replay arm must fail.
-  const std::vector<std::string> full = {
-      "enum class JournalRecordKind { kOneMark = 1, kTwoMark = 2 };",
-      "void Box::save() {",
-      "  journal_->append(JournalRecordKind::kOneMark, b);",
-      "  journal_->append(JournalRecordKind::kTwoMark, b);",
-      "}",
-      "void Box::apply_record(const Record& r) {",
-      "  switch (r.kind) {",
-      "    case JournalRecordKind::kOneMark: break;",
-      "    case JournalRecordKind::kTwoMark: break;",
-      "  }",
-      "}"};
-  EXPECT_EQ(count_rule(run_lint({{"fake/core/box.cpp", full}}),
-                       "journal-coverage"),
-            0);
-  std::vector<std::string> missing = full;
-  missing.erase(missing.begin() + 8);  // drop the kTwoMark replay arm
-  const Report r = run_lint({{"fake/core/box.cpp", missing}});
-  ASSERT_EQ(count_rule(r, "journal-coverage"), 1);
-  EXPECT_NE(r.findings[0].message.find("'kTwoMark'"), std::string::npos);
-}
-
-TEST(CoschedLint, BadDispatchLeakFindsMissingArmAndUnrecordedHelper) {
-  const Report r = lint_dir("bad");
-  ASSERT_EQ(count_rule(r, "dispatch-exhaustiveness"), 2);
-  std::set<std::string> hits;
-  for (const Finding& f : r.findings) {
-    if (f.rule != "dispatch-exhaustiveness") continue;
-    EXPECT_NE(f.file.find("dispatch_leak.h"), std::string::npos);
-    if (f.message.find("'kProdReq'") != std::string::npos)
-      hits.insert("missing-arm");
-    if (f.message.find("'handle_zap'") != std::string::npos)
-      hits.insert("unrecorded-helper");
-  }
-  EXPECT_EQ(hits,
-            (std::set<std::string>{"missing-arm", "unrecorded-helper"}));
-}
-
-TEST(CoschedLint, DispatchArmDeletionIsCaught) {
-  // Both request arms present passes; removing exactly one must fail.
-  const std::vector<std::string> full = {
-      "enum class MsgType { kAReq = 1, kAResp = 2, kBReq = 3, kBResp = 4 };",
-      "Bytes Hub::dispatch(const Message& m) {",
-      "  switch (m.type) {",
-      "    case MsgType::kAReq: return reply_a(m);",
-      "    case MsgType::kBReq: return reply_b(m);",
-      "  }",
-      "}"};
-  EXPECT_EQ(count_rule(run_lint({{"fake/proto/hub.cpp", full}}),
-                       "dispatch-exhaustiveness"),
-            0);
-  std::vector<std::string> missing = full;
-  missing.erase(missing.begin() + 4);  // drop the kBReq arm
-  const Report r = run_lint({{"fake/proto/hub.cpp", missing}});
-  ASSERT_EQ(count_rule(r, "dispatch-exhaustiveness"), 1);
-  EXPECT_NE(r.findings[0].message.find("'kBReq'"), std::string::npos);
-}
-
-TEST(CoschedLint, BadLockInversionIsACycle) {
-  const Report r = lint_dir("bad");
-  ASSERT_EQ(count_rule(r, "lock-order"), 1);
-  for (const Finding& f : r.findings) {
-    if (f.rule != "lock-order") continue;
-    EXPECT_NE(f.file.find("locks_inverted.h"), std::string::npos);
-    EXPECT_NE(f.message.find("Inverted::head_mu_"), std::string::npos);
-    EXPECT_NE(f.message.find("Inverted::tail_mu_"), std::string::npos);
-  }
-}
-
 TEST(CoschedLint, JsonReportParsesAndIsStable) {
   const Report r = lint_dir("bad");
   const std::string a = to_json(r);
@@ -390,8 +218,7 @@ TEST(CoschedLint, JsonReportParsesAndIsStable) {
   EXPECT_EQ(a, b);  // byte-stable across identical runs
   for (const char* key :
        {"\"files_scanned\"", "\"findings\"", "\"waived\"",
-        "\"unused_waivers\"", "\"rules\"", "\"lock-order\"",
-        "\"journal-coverage\"", "\"dispatch-exhaustiveness\""})
+        "\"unused_waivers\"", "\"rules\"", "\"mutate-in-apply\""})
     EXPECT_NE(a.find(key), std::string::npos) << key;
   // Balanced braces/brackets outside strings — cheap structural parse.
   int depth = 0;
