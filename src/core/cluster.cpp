@@ -90,10 +90,9 @@ Cluster::Cluster(Engine& engine, std::string name, NodeCount capacity,
       name_(std::move(name)),
       cfg_(cosched),
       sched_cfg_(sched_config),
-      sched_(capacity, std::move(policy), sched_config, std::move(alloc)),
-      durable_(sched_, cfg_.yield_retry_period) {
-  sched_.set_on_start([this](const RuntimeJob& job) { on_job_started(job); });
-}
+      durable_(capacity, std::move(policy), sched_config, std::move(alloc),
+               [this](const RuntimeJob& job) { on_job_started(job); },
+               cfg_.yield_retry_period) {}
 
 void Cluster::arm_periodic_iteration() {
   if (sched_cfg_.iteration_period <= 0 || durable_.agent.periodic_armed) return;
@@ -191,8 +190,9 @@ void Cluster::request_iteration() {
   // (e.g. a transport retry listener), and losing it would silently drop
   // the armed iteration on recovery.
   if (journaling()) journal_->commit();
-  iteration_event_ = engine_.schedule_at(
-      engine_.now(), EventPriority::kSchedule, [this] { run_iteration_body(); });
+  iteration_event_ =
+      engine_.schedule_at(engine_.now(), EventPriority::kSchedule,
+                          [this] { run_iteration_body(); });
 }
 
 void Cluster::run_iteration_body() {
@@ -201,7 +201,7 @@ void Cluster::run_iteration_body() {
   // pending flag clears before it, so a request made during the iteration
   // arms the next one, and the scheduler ends the demotions after it.
   durable_.begin_iteration();
-  sched_.iterate(engine_.now(), [this](RuntimeJob& job) {
+  durable_.iterate(engine_.now(), [this](RuntimeJob& job) {
     return run_job_hook(job, /*try_context=*/false);
   });
   append(JournalRecordKind::kIterate, engine_.now());
@@ -236,21 +236,20 @@ MateStatus Cluster::get_mate_status(JobId job) {
 bool Cluster::try_start_mate(JobId job) {
   // Tripwire behind the no-start-with-stale-fence invariant: the dispatcher
   // must not reach this method after admit_fence() said "stale".
-  if (job == pending_stale_fence_) ++durable_.lease_table.stale_fence_starts;
+  if (job == pending_stale_fence_) durable_.count_stale_fence_start();
   pending_stale_fence_ = kNoJob;
   ++durable_.agent.try_start_requests;
-  RuntimeJob* j = sched_.find_mut(job);
-  if (!j) return false;  // unsubmitted or unknown: cannot start
-  const bool started =
-      sched_.try_start_specific(*j, engine_.now(), [this](RuntimeJob& rj) {
+  const std::optional<bool> started =
+      durable_.try_start_specific(job, engine_.now(), [this](RuntimeJob& rj) {
         return run_job_hook(rj, /*try_context=*/true);
       });
+  if (!started) return false;  // unsubmitted or unknown: cannot start
   journal_commit();
-  return started;
+  return *started;
 }
 
 bool Cluster::start_job(JobId job) {
-  if (job == pending_stale_fence_) ++durable_.lease_table.stale_fence_starts;
+  if (job == pending_stale_fence_) durable_.count_stale_fence_start();
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (!j || j->state != JobState::kHolding) return false;
@@ -628,7 +627,7 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
   const bool was_holding = j->state == JobState::kHolding;
   if (!was_holding) {
     if (j->state != JobState::kQueued) return false;
-    sched_.try_start_specific(job, engine_.now(), [this](RuntimeJob& jj) {
+    durable_.try_start_specific(job, engine_.now(), [this](RuntimeJob& jj) {
       return gang_hold_hook(jj);
     });
     const RuntimeJob* after = sched_.find(job);
@@ -650,7 +649,7 @@ bool Cluster::gang_prepare(JobId job, GroupId group) {
 bool Cluster::gang_commit(JobId job, GroupId group) {
   // Tripwire parity with start_job: the dispatcher must not reach a gang
   // start after admit_fence() said "stale".
-  if (job == pending_stale_fence_) ++durable_.lease_table.stale_fence_starts;
+  if (job == pending_stale_fence_) durable_.count_stale_fence_start();
   pending_stale_fence_ = kNoJob;
   const RuntimeJob* j = sched_.find(job);
   if (j == nullptr || j->state != JobState::kHolding) return false;
@@ -665,8 +664,7 @@ bool Cluster::gang_abort(JobId job, GroupId group) {
   if (durable_.gang_book.prepared.count(job) == 0) return false;
   // Abort advances the fencing epoch just like a lease expiry: any
   // in-flight commit stamped under the prepared epoch is now stale.
-  const bool fenced =
-      liveness_on() && durable_.lease_table.leases.count(job) > 0;
+  const bool fenced = liveness_on() && leases().count(job) > 0;
   const RuntimeJob* j = sched_.find(job);
   const bool holding = j != nullptr && j->state == JobState::kHolding;
   commit_gang_abort(job, group, /*coordinator=*/false);
@@ -686,8 +684,7 @@ bool Cluster::gang_victim(JobId job, GroupId group) {
   const auto ait = durable_.gang_book.attempts.find(job);
   const std::uint32_t attempt =
       (ait == durable_.gang_book.attempts.end() ? 0u : ait->second) + 1;
-  const bool fenced =
-      liveness_on() && durable_.lease_table.leases.count(job) > 0;
+  const bool fenced = liveness_on() && leases().count(job) > 0;
   commit(JournalRecordKind::kGangVictim, &Durable::apply_gang_victim, job,
          group, engine_.now(), attempt,
          engine_.now() + gang_backoff(job, attempt));
@@ -806,7 +803,7 @@ void Cluster::force_release(JobId id, bool degraded) {
 
 void Cluster::advance_fence() {
   commit(JournalRecordKind::kLeaseFence, &Durable::apply_lease_fence,
-         std::uint64_t{durable_.lease_table.fence_counter} + 1);
+         std::uint64_t{durable_.leases().fence_counter} + 1);
 }
 
 // -- liveness layer -----------------------------------------------------------
@@ -842,7 +839,7 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
   // The caller learned this token before our last lease expiry (or before a
   // restart bumped the incarnation): its view of our holds is stale, and
   // acting on it could double-start the group.
-  ++durable_.lease_table.stale_fence_rejections;
+  durable_.count_stale_fence_rejection();
   pending_stale_fence_ = job;
   if (const RuntimeJob* j = sched_.find(job))
     log_event(JobEventKind::kFenceReject, *j);
@@ -852,7 +849,7 @@ bool Cluster::admit_fence(JobId job, std::uint64_t fence) {
 std::uint64_t Cluster::lease_expiry_violations(Time now) const {
   const Duration grace = 2 * cfg_.liveness.heartbeat_period;
   std::uint64_t violations = 0;
-  for (const auto& [id, lease] : durable_.lease_table.leases) {
+  for (const auto& [id, lease] : leases()) {
     if (now - lease.expires_at <= grace) continue;
     const RuntimeJob* j = sched_.find(id);
     if (j != nullptr && j->state == JobState::kHolding) ++violations;
@@ -861,24 +858,23 @@ std::uint64_t Cluster::lease_expiry_violations(Time now) const {
 }
 
 void Cluster::arm_liveness_tick() {
-  if (!liveness_on() || durable_.lease_table.liveness_armed) return;
+  if (!liveness_on() || durable_.leases().liveness_armed) return;
   commit(JournalRecordKind::kLivenessArmed, &Durable::apply_liveness_armed,
          engine_.now() + cfg_.liveness.heartbeat_period);
-  liveness_event_ = engine_.schedule_at(durable_.lease_table.liveness_at,
+  liveness_event_ = engine_.schedule_at(durable_.leases().liveness_at,
                                         EventPriority::kStats,
                                         [this] { liveness_body(); });
 }
 
 void Cluster::liveness_body() {
   liveness_event_.reset();
-  durable_.lease_table.liveness_armed = false;
-  durable_.lease_table.liveness_at = kNoTime;
+  durable_.disarm_liveness();
   if (!liveness_on()) return;
   const bool work_left = sched_.queue_length() > 0 ||
                          sched_.running_count() > 0 ||
                          sched_.holding_count() > 0;
   // Quiescent fire journals nothing (mirrors periodic_body); submits re-arm.
-  if (!work_left && durable_.lease_table.leases.empty()) return;
+  if (!work_left && leases().empty()) return;
 
   const Time now = engine_.now();
   const HeartbeatInfo mine = liveness_info();
@@ -897,7 +893,7 @@ void Cluster::liveness_body() {
   // peer *this round*; a lease whose peer stayed silent past the expiry
   // auto-expires.  The lease table is ordered, so the scan is deterministic.
   std::vector<std::pair<JobId, bool>> to_expire;  // (job, mate confirmed dead)
-  for (const auto& [job, lease] : durable_.lease_table.leases) {
+  for (const auto& [job, lease] : leases()) {
     const bool peer_ok = lease.peer >= 0 &&
                          static_cast<std::size_t>(lease.peer) < acks.size() &&
                          acks[static_cast<std::size_t>(lease.peer)];
@@ -909,7 +905,8 @@ void Cluster::liveness_body() {
     if (lease.expires_at <= now) {
       const bool dead =
           lease.peer >= 0 &&
-          peer_health(static_cast<std::size_t>(lease.peer)) == PeerHealth::kDead;
+          peer_health(static_cast<std::size_t>(lease.peer)) ==
+              PeerHealth::kDead;
       to_expire.emplace_back(job, dead);
     }
   }
@@ -931,7 +928,7 @@ void Cluster::grant_lease(JobId job, std::int32_t peer) {
 }
 
 void Cluster::expire_lease(JobId job, bool mate_dead) {
-  if (durable_.lease_table.leases.count(job) == 0) return;
+  if (leases().count(job) == 0) return;
   // The fencing epoch advances with the expiry: any in-flight call stamped
   // under the old epoch is stale from this instant, which is exactly what
   // closes the partitioned-then-healed double-start window.
@@ -1004,15 +1001,7 @@ void Cluster::emergency_compact() {
   }
 }
 
-void Cluster::write_snapshot(WireWriter& w) const {
-  put(w, Durable::snapshot_fields(durable_));
-  sched_.snapshot(w);
-}
-
-void Cluster::apply_snapshot(WireReader& r) {
-  get(r, Durable::snapshot_fields(durable_));
-  sched_.restore(r);
-}
+void Cluster::write_snapshot(WireWriter& w) const { durable_.snapshot(w); }
 
 void Cluster::validate_indices() const {
   durable_.agent.ready_logged.validate("ready-logged");
@@ -1033,11 +1022,8 @@ void Cluster::wipe_for_recovery() {
     if (*ev) engine_.cancel(**ev);
     ev->reset();
   }
-  durable_.agent = {};
-  durable_.lease_table = {};
-  durable_.gang_book = {};
-  // The peer states keep their size: the snapshot applied next overwrites
-  // every entry.  The rest is process-local.
+  durable_.wipe();
+  // The rest is process-local.
   committing_.clear();
   pending_stale_fence_ = kNoJob;
   blocking_peer_ = -1;
@@ -1049,7 +1035,7 @@ void Cluster::restore_snapshot(WireReader& r) {
   journal_ = nullptr;  // a restore does not adopt a journal by itself
   wipe_for_recovery();
   replaying_ = true;
-  apply_snapshot(r);
+  durable_.restore(r);
   replaying_ = false;
 }
 
@@ -1123,6 +1109,40 @@ void Cluster::apply_record(const JournalRecord& rec) {
   }
 }
 
+// -- Durable: the state, the scheduler and what changes them ---------------
+
+Cluster::Durable::Durable(NodeCount capacity,
+                          std::unique_ptr<PriorityPolicy> policy,
+                          const SchedulerConfig& sched_config,
+                          std::shared_ptr<const AllocationModel> alloc,
+                          std::function<void(const RuntimeJob&)> on_start,
+                          const Duration& yield_retry_period)
+    : sched_(capacity, std::move(policy), sched_config, std::move(alloc)),
+      yield_retry_period_(yield_retry_period) {
+  sched_.set_on_start(std::move(on_start));
+}
+
+void Cluster::Durable::snapshot(WireWriter& w) const {
+  put(w, snapshot_fields(*this));
+  sched_.snapshot(w);
+}
+
+void Cluster::Durable::restore(WireReader& r) {
+  get(r, snapshot_fields(*this));
+  sched_.restore(r);
+}
+
+void Cluster::Durable::disarm_liveness() {
+  lease_table_.liveness_armed = false;
+  lease_table_.liveness_at = kNoTime;
+}
+
+void Cluster::Durable::wipe() {
+  agent = {};
+  lease_table_ = {};
+  gang_book = {};
+}
+
 // -- applies: one per record kind --------------------------------------------
 
 void Cluster::Durable::begin_iteration() {
@@ -1184,7 +1204,7 @@ void Cluster::Durable::apply_started(JobId id) {
   gang_book.prepared.erase(id);
   gang_book.backoff_until.erase(id);
   gang_book.attempts.erase(id);
-  lease_table.leases.erase(id);
+  lease_table_.leases.erase(id);
 }
 
 void Cluster::Durable::apply_hold(JobId id, Time t, Time first_ready,
@@ -1196,7 +1216,7 @@ void Cluster::Durable::apply_hold_release(JobId id, Time t, bool degraded) {
   sched_.release_hold(id, t);
   ++agent.forced_releases;
   if (degraded) ++agent.degraded_forced_releases;
-  lease_table.leases.erase(id);  // the release supersedes the lease
+  lease_table_.leases.erase(id);  // the release supersedes the lease
 }
 
 void Cluster::Durable::apply_yield(JobId id, Time t, Time first_ready,
@@ -1212,7 +1232,7 @@ void Cluster::Durable::apply_finish(JobId id, Time t) {
 
 void Cluster::Durable::apply_kill(JobId id, Time t) {
   sched_.kill(id, t);
-  lease_table.leases.erase(id);
+  lease_table_.leases.erase(id);
   gang_book.prepared.erase(id);
   gang_book.backoff_until.erase(id);
   gang_book.attempts.erase(id);
@@ -1246,7 +1266,7 @@ void Cluster::Durable::apply_degraded(JobId id, std::uint64_t unknown,
                                       bool fault_seen, bool unsync_pending,
                                       std::uint64_t suspected) {
   agent.unknown_status_decisions += unknown;
-  lease_table.suspected_status_decisions += suspected;
+  lease_table_.suspected_status_decisions += suspected;
   if (fault_seen)
     agent.fault_seen.insert(id);
   else
@@ -1258,34 +1278,34 @@ void Cluster::Durable::apply_degraded(JobId id, std::uint64_t unknown,
 }
 
 void Cluster::Durable::apply_lease_grant(const HoldLease& lease) {
-  lease_table.leases[lease.job] = lease;
-  ++lease_table.lease_grants;
+  lease_table_.leases[lease.job] = lease;
+  ++lease_table_.lease_grants;
 }
 
 void Cluster::Durable::apply_lease_renew(JobId id, Time expires_at) {
-  const auto it = lease_table.leases.find(id);
-  if (it != lease_table.leases.end()) {
+  const auto it = lease_table_.leases.find(id);
+  if (it != lease_table_.leases.end()) {
     it->second.expires_at = expires_at;
     ++it->second.renewals;
   }
-  ++lease_table.lease_renewals;
+  ++lease_table_.lease_renewals;
 }
 
 void Cluster::Durable::apply_lease_expire(JobId id, Time /*t*/,
                                           bool /*mate_dead*/) {
-  lease_table.leases.erase(id);
-  ++lease_table.lease_expiries;
+  lease_table_.leases.erase(id);
+  ++lease_table_.lease_expiries;
 }
 
 void Cluster::Durable::apply_lease_fence(std::uint64_t counter) {
-  lease_table.fence_counter = static_cast<std::uint32_t>(counter);
+  lease_table_.fence_counter = static_cast<std::uint32_t>(counter);
 }
 
 void Cluster::Durable::apply_heartbeat(
     Time t, const std::vector<std::optional<HeartbeatInfo>>& acks) {
-  lease_table.heartbeats_sent += acks.size();
+  lease_table_.heartbeats_sent += acks.size();
   for (std::size_t i = 0; i < acks.size(); ++i) {
-    if (acks[i]) ++lease_table.heartbeats_acked;
+    if (acks[i]) ++lease_table_.heartbeats_acked;
     if (i >= peer_state.size()) continue;
     PeerState& ps = peer_state[i];
     ps.detector.mark_probe(t);
@@ -1297,8 +1317,8 @@ void Cluster::Durable::apply_heartbeat(
 }
 
 void Cluster::Durable::apply_liveness_armed(Time at) {
-  lease_table.liveness_armed = true;
-  lease_table.liveness_at = at;
+  lease_table_.liveness_armed = true;
+  lease_table_.liveness_at = at;
 }
 
 void Cluster::Durable::apply_gang_prepare(JobId id, GroupId /*group*/,
@@ -1328,7 +1348,7 @@ void Cluster::Durable::apply_gang_abort(JobId id, GroupId /*group*/, Time t,
   }
   // A member releases its prepared hold.
   gang_book.prepared.erase(id);
-  lease_table.leases.erase(id);
+  lease_table_.leases.erase(id);
   const RuntimeJob* j = sched_.find(id);
   if (j != nullptr && j->state == JobState::kHolding)
     sched_.release_hold(id, t);
@@ -1340,7 +1360,7 @@ void Cluster::Durable::apply_gang_victim(JobId id, GroupId /*group*/, Time t,
   gang_book.backoff_until[id] = until;
   gang_book.prepared.erase(id);
   ++gang_book.gangs_victimized;
-  lease_table.leases.erase(id);
+  lease_table_.leases.erase(id);
   const RuntimeJob* j = sched_.find(id);
   if (j != nullptr && j->state == JobState::kHolding)
     sched_.release_hold(id, t);
@@ -1367,7 +1387,7 @@ std::size_t Cluster::apply_verified_snapshot(
     wipe_for_recovery();
     try {
       WireReader sr(view.state);
-      apply_snapshot(sr);
+      durable_.restore(sr);
     } catch (const ParseError&) {
       // A v1 snapshot carries no checksum, so rot surfaces here instead; a
       // clean wipe makes the next (older) candidate start from scratch.
@@ -1519,25 +1539,24 @@ void Cluster::rearm_after_restore() {
     }
   }
 
-  if (durable_.lease_table.liveness_armed) {
-    if (durable_.lease_table.liveness_at >= now) {
-      liveness_event_ = engine_.schedule_at(durable_.lease_table.liveness_at,
+  if (durable_.leases().liveness_armed) {
+    if (durable_.leases().liveness_at >= now) {
+      liveness_event_ = engine_.schedule_at(durable_.leases().liveness_at,
                                             EventPriority::kStats,
                                             [this] { liveness_body(); });
     } else {
       // Same quiescence rule as the periodic timer: a liveness fire with
       // work (or leases) always journals a kHeartbeat, so armed-in-the-past
       // means it fired and found nothing to do.
-      durable_.lease_table.liveness_armed = false;
-      durable_.lease_table.liveness_at = kNoTime;
+      durable_.disarm_liveness();
     }
   }
   // Defensive: leases must never sit without a renewal/expiry driver.  In
   // any consistent journal state leases imply an armed tick, so this only
   // fires if that invariant was already broken — and it re-derives the same
   // way on a second recovery, so it needs no record of its own.
-  if (!durable_.lease_table.liveness_armed && liveness_on() &&
-      !durable_.lease_table.leases.empty())
+  if (!durable_.leases().liveness_armed && liveness_on() &&
+      !leases().empty())
     arm_liveness_tick();
 
   // Re-teach peers the fencing tokens learned before the crash: the stubs'

@@ -14,6 +14,7 @@
 // two domains this reduces exactly to the published algorithm.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -88,7 +89,7 @@ class Cluster final : public CoschedService {
   bool gang_victim(JobId job, GroupId group) override;
 
   // -- accessors ---------------------------------------------------------
-  Scheduler& scheduler() { return sched_; }
+  /// Read-only: only Cluster::Durable changes the scheduler.
   const Scheduler& scheduler() const { return sched_; }
   Engine& engine() { return engine_; }
   const std::string& name() const { return name_; }
@@ -144,7 +145,7 @@ class Cluster final : public CoschedService {
   /// nonzero token are rejected by admit_fence().
   std::uint64_t fence_epoch() const {
     return make_fence_token(durable_.agent.incarnation,
-                            durable_.lease_table.fence_counter);
+                            durable_.leases().fence_counter);
   }
 
   /// Detector health of peer `i` at the current engine time (kAlive when
@@ -158,39 +159,39 @@ class Cluster final : public CoschedService {
 
   /// Active hold leases by job id (empty when liveness is disabled).
   const std::map<JobId, HoldLease>& leases() const {
-    return durable_.lease_table.leases;
+    return durable_.leases().leases;
   }
 
   std::uint64_t heartbeats_sent() const {
-    return durable_.lease_table.heartbeats_sent;
+    return durable_.leases().heartbeats_sent;
   }
   std::uint64_t heartbeats_acked() const {
-    return durable_.lease_table.heartbeats_acked;
+    return durable_.leases().heartbeats_acked;
   }
   std::uint64_t lease_grants() const {
-    return durable_.lease_table.lease_grants;
+    return durable_.leases().lease_grants;
   }
   std::uint64_t lease_renewals() const {
-    return durable_.lease_table.lease_renewals;
+    return durable_.leases().lease_renewals;
   }
   std::uint64_t lease_expiries() const {
-    return durable_.lease_table.lease_expiries;
+    return durable_.leases().lease_expiries;
   }
   /// Side-effecting calls rejected for carrying a stale fencing token.
   std::uint64_t stale_fence_rejections() const {
-    return durable_.lease_table.stale_fence_rejections;
+    return durable_.leases().stale_fence_rejections;
   }
   /// Starts that executed despite a stale fence — the runtime tripwire
   /// behind the no-start-with-stale-fence invariant; always 0 unless the
   /// dispatcher gate is bypassed.
   std::uint64_t stale_fence_starts() const {
-    return durable_.lease_table.stale_fence_starts;
+    return durable_.leases().stale_fence_starts;
   }
   /// Decision paths that classified a mate as `suspected` (detector phase
   /// between alive and confirmed-dead): the job held/yielded instead of
   /// starting unsynchronized.
   std::uint64_t suspected_status_decisions() const {
-    return durable_.lease_table.suspected_status_decisions;
+    return durable_.leases().suspected_status_decisions;
   }
   /// Leases whose expiry is more than two heartbeat periods overdue while
   /// their job still holds nodes — the lease-expiry-respected invariant.
@@ -411,7 +412,6 @@ class Cluster final : public CoschedService {
   /// quota); if even that does not fit, degrade the journal to memory.
   void emergency_compact();
   void wipe_for_recovery();
-  void apply_snapshot(WireReader& r);
   void apply_record(const JournalRecord& rec);
   /// Picks the newest snapshot record that verifies (checksum + parse) and
   /// applies it, walking back a generation per failure.  Returns the index
@@ -429,7 +429,6 @@ class Cluster final : public CoschedService {
   std::string name_;
   CoschedConfig cfg_;
   SchedulerConfig sched_cfg_;
-  Scheduler sched_;
   std::vector<PeerClient*> peers_;
   EventLog* event_log_ = nullptr;
 
@@ -558,30 +557,42 @@ class Cluster final : public CoschedService {
   // The applies are Durable's, and Durable holds nothing but the snapshot's
   // aggregates, the scheduler and the yield-retry period.  So an apply
   // cannot write Cluster state that a snapshot leaves out: such a write
-  // does not compile.
+  // does not compile.  Durable also owns the Scheduler and the lease table,
+  // and Cluster sees both const, so a live scheduler transition or lease
+  // write outside Durable does not compile either.  The live decision
+  // paths reach the scheduler through iterate() and try_start_specific(),
+  // whose hook journals the decision; the lease table's writes that carry
+  // no record are named methods.
 
-  /// The durable state and the applies that change it.
+  /// The durable state, the scheduler, and the only code that changes them.
   class Durable {
    public:
-    Durable(Scheduler& sched, const Duration& yield_retry_period)
-        : sched_(sched), yield_retry_period_(yield_retry_period) {}
+    Durable(NodeCount capacity, std::unique_ptr<PriorityPolicy> policy,
+            const SchedulerConfig& sched_config,
+            std::shared_ptr<const AllocationModel> alloc,
+            std::function<void(const RuntimeJob&)> on_start,
+            const Duration& yield_retry_period);
 
     Agent agent;
-    LeaseTable lease_table;
+
+   private:
+    // Declared between agent and peer_state: snapshot_fields() binds the
+    // members in declaration order.
+    LeaseTable lease_table_;
+
+   public:
     /// One entry per peer, parallel to peers_: add_peer() sizes it, so it
     /// is not wiped, and a snapshot must carry exactly as many entries.
     std::vector<PeerState> peer_state;
     GangBook gang_book;
 
-    /// The snapshot's field list: what write_snapshot() writes and
-    /// apply_snapshot() reads, in order, ahead of the scheduler's state.
-    /// The binding names every member, so a member added to Durable
-    /// without a decision here does not compile.
-    template <class Self>
-    static auto snapshot_fields(Self& self) {
-      auto& [agent, lease_table, peer_state, gang_book, sched, period] = self;
-      return std::tie(agent, lease_table, peer_state, gang_book);
-    }
+    const Scheduler& scheduler() const { return sched_; }
+    const LeaseTable& leases() const { return lease_table_; }
+
+    /// Writes the snapshot: snapshot_fields(), then the scheduler's state.
+    void snapshot(WireWriter& w) const;
+    /// Reads what snapshot() wrote over the current state.
+    void restore(WireReader& r);
 
     void apply_incarnation(std::uint64_t incarnation);
     void apply_expected(const JobSpec& spec);
@@ -626,12 +637,53 @@ class Cluster final : public CoschedService {
     /// event.
     RetryQueue::Entry* add_yield_retry(JobId id, Time yielded_at);
 
+    // -- the live decision paths -------------------------------------------
+    /// One scheduling pass.  `hook` journals each decision (kHold, kYield;
+    /// kStart through the start callback) and the pass applies it.
+    void iterate(Time now, const RunJobHook& hook) {
+      sched_.iterate(now, hook);
+    }
+    /// A targeted start of the job `id` names, live or archived, looked up
+    /// once; nullopt when the scheduler has no such job.
+    std::optional<bool> try_start_specific(JobId id, Time now,
+                                           const RunJobHook& hook) {
+      RuntimeJob* job = sched_.find_mut(id);
+      if (job == nullptr) return std::nullopt;
+      return sched_.try_start_specific(*job, now, hook);
+    }
+
+    // -- writes with no record (docs/RECOVERY.md) --------------------------
+    /// Counters a recovery rolls back to the last snapshot.
+    void count_stale_fence_rejection() {
+      ++lease_table_.stale_fence_rejections;
+    }
+    void count_stale_fence_start() { ++lease_table_.stale_fence_starts; }
+    /// The liveness timer fired (or, after a restore, was due in the past):
+    /// a quiescent fire journals nothing, so recovery re-derives this.
+    void disarm_liveness();
+    /// Recovery's wipe: the agent, the lease table and the gang book go
+    /// back to their initializers; the peer states keep their size, since
+    /// the snapshot applied next overwrites every entry.
+    void wipe();
+
    private:
-    Scheduler& sched_;
+    /// The snapshot's field list: what snapshot() writes and restore()
+    /// reads, in order, ahead of the scheduler's state.  The binding names
+    /// every member, so a member added to Durable without a decision here
+    /// does not compile.
+    template <class Self>
+    static auto snapshot_fields(Self& self) {
+      auto& [agent, lease_table, peer_state, gang_book, sched, period] = self;
+      return std::tie(agent, lease_table, peer_state, gang_book);
+    }
+
+    Scheduler sched_;
     const Duration& yield_retry_period_;  ///< the Cluster's config
   };
 
   Durable durable_;
+  /// Every read of the scheduler goes through this view.
+  const Scheduler& sched_ = durable_.scheduler();
 
   template <class... Fields>
   void append(JournalRecordKind kind, const Fields&... fields);

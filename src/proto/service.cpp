@@ -31,6 +31,29 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
     return finish(make_error_resp(0, e.what()));
   }
 
+  // The one path of the six side-effecting requests.  A retry from an
+  // incarnated client is answered from the dedup cache instead of
+  // re-executing.  The fence check comes after the dedup lookup: a retried
+  // call that already executed keeps its recorded verdict even if the epoch
+  // has since advanced.  A rejection is NOT recorded — the caller may
+  // legitimately retry with a refreshed token.  An executed call's verdict
+  // is recorded, and the cache's persist hook journals it, before the reply
+  // is built.
+  const auto exactly_once = [this, &req, &finish](auto call) {
+    const bool dedupable = config_.dedup != nullptr && req.incarnation != 0;
+    if (dedupable) {
+      if (auto hit = config_.dedup->lookup(req.incarnation, req.request_id))
+        return finish(
+            make_verdict_resp(req.type, req.request_id, hit->verdict));
+    }
+    if (!service_.admit_fence(req.job, req.fence))
+      return finish(make_verdict_resp(req.type, req.request_id, false));
+    const bool ok = call();
+    if (dedupable)
+      config_.dedup->record(req.incarnation, req.request_id, req.type, ok);
+    return finish(make_verdict_resp(req.type, req.request_id, ok));
+  };
+
   try {
     switch (req.type) {
       case MsgType::kGetMateJobReq:
@@ -40,69 +63,21 @@ void ServiceDispatcher::dispatch(std::span<const std::uint8_t> request,
         return finish(make_get_mate_status_resp(
             req.request_id, service_.get_mate_status(req.job)));
       case MsgType::kTryStartMateReq:
+        return exactly_once([&] { return service_.try_start_mate(req.job); });
       case MsgType::kStartJobReq:
+        return exactly_once([&] { return service_.start_job(req.job); });
       case MsgType::kGangPrepareReq:
+        return exactly_once(
+            [&] { return service_.gang_prepare(req.job, req.group); });
       case MsgType::kGangCommitReq:
+        return exactly_once(
+            [&] { return service_.gang_commit(req.job, req.group); });
       case MsgType::kGangAbortReq:
-      case MsgType::kGangVictimReq: {
-        // Exactly-once: a retry from an incarnated client is answered from
-        // the dedup cache instead of re-executing.
-        const bool dedupable = config_.dedup != nullptr && req.incarnation != 0;
-        if (dedupable) {
-          if (auto hit = config_.dedup->lookup(req.incarnation, req.request_id))
-            return finish(
-                make_verdict_resp(req.type, req.request_id, hit->verdict));
-        }
-        // Fence check after the dedup lookup: a retried call that already
-        // executed must keep its recorded verdict even if the epoch has
-        // since advanced.  A rejection is NOT recorded — the caller may
-        // legitimately retry with a refreshed token.
-        const bool admitted = service_.admit_fence(req.job, req.fence);
-        bool ok = false;
-        if (admitted) {
-          switch (req.type) {
-            case MsgType::kTryStartMateReq:
-              ok = service_.try_start_mate(req.job);
-              break;
-            case MsgType::kStartJobReq:
-              ok = service_.start_job(req.job);
-              break;
-            case MsgType::kGangPrepareReq:
-              ok = service_.gang_prepare(req.job, req.group);
-              break;
-            case MsgType::kGangCommitReq:
-              ok = service_.gang_commit(req.job, req.group);
-              break;
-            case MsgType::kGangAbortReq:
-              ok = service_.gang_abort(req.job, req.group);
-              break;
-            case MsgType::kGangVictimReq:
-              ok = service_.gang_victim(req.job, req.group);
-              break;
-            // The enclosing arm admits only the six requests above.
-            case MsgType::kGetMateJobReq:
-            case MsgType::kGetMateJobResp:
-            case MsgType::kGetMateStatusReq:
-            case MsgType::kGetMateStatusResp:
-            case MsgType::kTryStartMateResp:
-            case MsgType::kStartJobResp:
-            case MsgType::kHelloReq:
-            case MsgType::kHelloResp:
-            case MsgType::kHeartbeatReq:
-            case MsgType::kHeartbeatResp:
-            case MsgType::kGangPrepareResp:
-            case MsgType::kErrorResp:
-            case MsgType::kGangCommitResp:
-            case MsgType::kGangAbortResp:
-            case MsgType::kGangVictimResp:
-              COSCHED_CHECK_MSG(false, "not a side-effecting request");
-          }
-          if (dedupable)
-            config_.dedup->record(req.incarnation, req.request_id, req.type,
-                                  ok);
-        }
-        return finish(make_verdict_resp(req.type, req.request_id, ok));
-      }
+        return exactly_once(
+            [&] { return service_.gang_abort(req.job, req.group); });
+      case MsgType::kGangVictimReq:
+        return exactly_once(
+            [&] { return service_.gang_victim(req.job, req.group); });
       case MsgType::kHelloReq:
         if (config_.dedup && req.incarnation != 0)
           config_.dedup->on_hello(req.incarnation);

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core_test_util.h"
@@ -10,6 +13,13 @@ namespace cosched {
 namespace {
 
 using testutil::job;
+
+// Only Cluster::Durable changes the scheduler and the lease table: even a
+// non-const Cluster hands out neither mutably.
+static_assert(std::is_same_v<decltype(std::declval<Cluster&>().scheduler()),
+                             const Scheduler&>);
+static_assert(std::is_same_v<decltype(std::declval<Cluster&>().leases()),
+                             const std::map<JobId, HoldLease>&>);
 
 struct Rig {
   Engine engine;

@@ -74,9 +74,8 @@ TEST(Fault, MateKilledUnblocksHolder) {
   // Kill the mate right after its submission event (priority kMessage runs
   // between the submit and the scheduling iteration at t=50), so it dies
   // while queued and never starts.
-  sim.engine().schedule_at(50, EventPriority::kMessage, [&] {
-    sim.cluster(1).scheduler().kill(10, sim.engine().now());
-  });
+  sim.engine().schedule_at(50, EventPriority::kMessage,
+                           [&] { sim.cluster(1).kill_job(10); });
   const SimResult r = sim.run(30 * kDay);
   // Job 1 finishes despite its mate never running: at the first forced
   // release the mate's status reads `finished`, which does not block.

@@ -1,5 +1,6 @@
-// cosched_lint driver: loads the tree, builds the project index
-// (index.cpp), runs the rules through one waiver-aware sink, and renders
+// cosched_lint driver: blanks each file's comments and strings into a code
+// view, gathers the unordered-container declarations the rules resolve
+// names against, runs the rules through one waiver-aware sink, and renders
 // text/JSON reports.
 #include "lint.h"
 
@@ -13,11 +14,132 @@
 #include <sstream>
 #include <tuple>
 
-#include "index.h"
-
 namespace cosched::lint {
 
 namespace {
+
+bool is_space(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+bool is_ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// Blanks // comments and string/char literal contents: rules must never
+/// fire on prose.
+std::string code_view(const std::string& raw) {
+  std::string out = raw;
+  bool in_str = false, in_chr = false;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const char c = out[i];
+    if (in_str) {
+      if (c == '\\') {
+        if (i + 1 < out.size()) out[i + 1] = ' ';
+        out[i] = ' ';
+        ++i;
+      } else if (c == '"') {
+        in_str = false;
+      } else {
+        out[i] = ' ';
+      }
+    } else if (in_chr) {
+      if (c == '\\') {
+        if (i + 1 < out.size()) out[i + 1] = ' ';
+        out[i] = ' ';
+        ++i;
+      } else if (c == '\'') {
+        in_chr = false;
+      } else {
+        out[i] = ' ';
+      }
+    } else if (c == '"') {
+      in_str = true;
+    } else if (c == '\'' && i > 0 && !is_ident_char(out[i - 1])) {
+      in_chr = true;
+    } else if (c == '/' && i + 1 < out.size() && out[i + 1] == '/') {
+      out.resize(i);
+      break;
+    } else if (c == '/' && i + 1 < out.size() && out[i + 1] == '*') {
+      // Blank a same-line /*...*/ span, so an inline argument comment does
+      // not hide the rest of the line; an unterminated block comment
+      // truncates it.
+      const std::size_t close = out.find("*/", i + 2);
+      if (close == std::string::npos) {
+        out.resize(i);
+        break;
+      }
+      for (std::size_t k = i; k < close + 2; ++k) out[k] = ' ';
+      i = close + 1;
+    }
+  }
+  return out;
+}
+
+/// Names of variables declared with an unordered container type, and names
+/// of accessor functions returning references to one (or, for
+/// `ordered_accessors`, to an ordered container).
+struct UnorderedDecls {
+  std::set<std::string> vars;
+  std::set<std::string> accessors;
+  std::set<std::string> ordered_accessors;
+};
+
+void scan_container_decls(const std::vector<std::string>& code,
+                          const char* const* types, std::size_t n_types,
+                          std::set<std::string>* vars,
+                          std::set<std::string>* accessors) {
+  for (const std::string& codeline : code) {
+    for (std::size_t t = 0; t < n_types; ++t) {
+      const char* type = types[t];
+      std::size_t pos = 0;
+      while ((pos = codeline.find(type, pos)) != std::string::npos) {
+        // Identifier boundary so "map" never matches inside "unordered_map".
+        if (pos > 0 && is_ident_char(codeline[pos - 1])) {
+          pos += 1;
+          continue;
+        }
+        std::size_t i = pos + std::string(type).size();
+        pos = i;
+        if (i >= codeline.size() || codeline[i] != '<') continue;
+        int depth = 0;
+        for (; i < codeline.size(); ++i) {
+          if (codeline[i] == '<') ++depth;
+          if (codeline[i] == '>' && --depth == 0) break;
+        }
+        if (i >= codeline.size()) continue;  // args continue on the next line
+        ++i;
+        while (i < codeline.size() &&
+               (is_space(codeline[i]) || codeline[i] == '&' ||
+                codeline[i] == '*'))
+          ++i;
+        std::size_t name_begin = i;
+        while (i < codeline.size() && is_ident_char(codeline[i])) ++i;
+        if (i == name_begin) continue;  // e.g. "#include <unordered_map>"
+        const std::string name = codeline.substr(name_begin, i - name_begin);
+        while (i < codeline.size() && is_space(codeline[i])) ++i;
+        if (i < codeline.size() && codeline[i] == '(') {
+          if (accessors != nullptr) accessors->insert(name);
+        } else {
+          if (vars != nullptr) vars->insert(name);
+        }
+      }
+    }
+  }
+}
+
+void scan_unordered_decls(const std::vector<std::string>& code,
+                          UnorderedDecls& out) {
+  static const char* kUnordered[] = {"unordered_map", "unordered_set",
+                                     "unordered_multimap",
+                                     "unordered_multiset"};
+  static const char* kOrdered[] = {"vector",   "map",   "set",   "multimap",
+                                   "multiset", "deque", "array", "list"};
+  scan_container_decls(code, kUnordered, std::size(kUnordered), &out.vars,
+                       &out.accessors);
+  scan_container_decls(code, kOrdered, std::size(kOrdered), nullptr,
+                       &out.ordered_accessors);
+}
 
 /// One waiver comment found in the tree.  `used` flips when a finding is
 /// suppressed by it; the driver reports the leftovers so stale waivers are
@@ -30,8 +152,8 @@ struct WaiverRecord {
   bool used = false;
 };
 
-/// Central finding sink: applies waiver lookup (same line or line above,
-/// v1 semantics), splits findings/waived, and marks consumed waivers.
+/// Central finding sink: applies waiver lookup (same line or line above),
+/// splits findings/waived, and marks consumed waivers.
 struct RuleSink {
   const std::vector<SourceFile>* files = nullptr;
   Report* report = nullptr;
@@ -43,8 +165,8 @@ struct RuleSink {
 
 std::string trim(const std::string& s) {
   std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -70,8 +192,8 @@ bool has_component(const std::string& path, const std::string& dir) {
 }
 
 /// Scans the tree for waiver comments up front, so the sink can both apply
-/// them (v1 semantics: finding line or the line directly above) and report
-/// the ones nothing consumed.
+/// them (finding line or the line directly above) and report the ones
+/// nothing consumed.
 std::vector<WaiverRecord> scan_waivers(const std::vector<SourceFile>& files) {
   std::vector<WaiverRecord> out;
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
@@ -145,7 +267,10 @@ struct FileContext {
   int file = 0;
   const SourceFile* src = nullptr;
   const std::vector<std::string>* code = nullptr;  ///< code_view lines
-  UnorderedDecls decls;
+  /// Unordered variables declared in any file sharing this one's stem.
+  const std::set<std::string>* vars = nullptr;
+  /// Accessors returning an unordered container, from every file.
+  const std::set<std::string>* accessors = nullptr;
 };
 
 // -- rule: banned-call -------------------------------------------------------
@@ -200,11 +325,11 @@ void rule_unordered_iter(const FileContext& ctx, RuleSink& sink) {
     if (!seq.empty()) {
       bool hit = false;
       if (std::all_of(seq.begin(), seq.end(), is_ident_char) &&
-          ctx.decls.vars.count(seq)) {
+          ctx.vars->count(seq)) {
         hit = true;
       } else {
         const std::string call = trailing_call_name(seq);
-        if (!call.empty() && ctx.decls.accessors.count(call)) hit = true;
+        if (!call.empty() && ctx.accessors->count(call)) hit = true;
       }
       if (hit)
         sink.emit(ctx.file, static_cast<int>(i), "unordered-iter",
@@ -214,7 +339,7 @@ void rule_unordered_iter(const FileContext& ctx, RuleSink& sink) {
                   /*accepts_ordered=*/true);
     }
 
-    for (const std::string& var : ctx.decls.vars) {
+    for (const std::string& var : *ctx.vars) {
       const std::string pat = var + ".begin(";
       std::size_t pos = 0;
       bool flagged = false;
@@ -229,97 +354,6 @@ void rule_unordered_iter(const FileContext& ctx, RuleSink& sink) {
         pos += 1;
       }
     }
-  }
-}
-
-// -- rule: mutate-in-apply ---------------------------------------------------
-
-/// Cluster methods that may change replayed state directly: the snapshot
-/// and recovery path.  (The applies are Cluster::Durable's, not Cluster's.)
-bool recovery_path_method(const std::string& name) {
-  static const char* kPrefixes[] = {"restore_", "wipe_",  "recover_", "rearm_",
-                                    "replay",   "write_", "snapshot"};
-  return std::any_of(std::begin(kPrefixes), std::end(kPrefixes),
-                     [&](const char* p) { return name.rfind(p, 0) == 0; });
-}
-
-/// A scheduler transition or lease-table write in a Cluster method outside
-/// the recovery path is a change the journal replay never makes.
-void rule_mutate_in_apply(const FileContext& ctx, const ProjectIndex& ix,
-                          RuleSink& sink) {
-  if (file_stem(ctx.src->path) != "cluster") return;
-  static const char* kMutators[] = {
-      "sched_.submit(",
-      "sched_.kill(",
-      "sched_.finish(",
-      "sched_.release_hold(",
-      "sched_.start_holding(",
-      "sched_.start_queued(",
-      "sched_.hold(",
-      "sched_.yield(",
-      "sched_.clear_demotions(",
-      "durable_.lease_table.leases[",
-      "durable_.lease_table.leases.emplace",
-      "durable_.lease_table.leases.try_emplace",
-      "durable_.lease_table.leases.insert",
-      "durable_.lease_table.leases.erase",
-      "durable_.lease_table.leases.clear",
-  };
-
-  for (const FunctionInfo& f : ix.functions) {
-    if (f.file != ctx.file || f.cls != "Cluster" ||
-        recovery_path_method(f.name))
-      continue;
-    if (f.body_first_line <= 0 || f.body_last_line < f.body_first_line)
-      continue;
-    const std::size_t first = static_cast<std::size_t>(f.body_first_line - 1);
-    const std::size_t last = std::min(
-        static_cast<std::size_t>(f.body_last_line - 1), ctx.code->size() - 1);
-    for (std::size_t i = first; i <= last; ++i) {
-      for (const char* m : kMutators) {
-        if ((*ctx.code)[i].find(m) == std::string::npos) continue;
-        std::string token(m);
-        if (token.back() == '(' || token.back() == '[') token.pop_back();
-        sink.emit(ctx.file, static_cast<int>(i), "mutate-in-apply",
-                  "Cluster::" + f.name + " changes replayed state (" + token +
-                      ") outside Cluster::Durable's applies, so journal "
-                      "replay would not reproduce it; commit a record whose "
-                      "apply makes the change, or waive with "
-                      "allow(mutate-in-apply)",
-                  /*accepts_ordered=*/false);
-      }
-    }
-  }
-}
-
-// -- rule: dedup-before-reply ------------------------------------------------
-
-void rule_dedup_before_reply(const FileContext& ctx, RuleSink& sink) {
-  if (file_stem(ctx.src->path) != "service") return;
-  for (std::size_t i = 0; i < ctx.code->size(); ++i) {
-    const std::string& code = (*ctx.code)[i];
-    const bool effectful = code.find("service_.try_start_mate(") !=
-                               std::string::npos ||
-                           code.find("service_.start_job(") !=
-                               std::string::npos ||
-                           code.find("service_.gang_") != std::string::npos;
-    if (!effectful) continue;
-    // The verdict must reach the dedup cache (whose persist hook journals
-    // and commits it) before the reply for this call is built.
-    bool recorded = false;
-    std::size_t j = i;
-    for (; j < ctx.code->size(); ++j) {
-      if ((*ctx.code)[j].find("->record(") != std::string::npos ||
-          (*ctx.code)[j].find(".record(") != std::string::npos)
-        recorded = true;
-      if ((*ctx.code)[j].find("return") != std::string::npos) break;
-    }
-    if (!recorded)
-      sink.emit(ctx.file, static_cast<int>(i), "dedup-before-reply",
-                "side-effecting service call replies without recording the "
-                "verdict in RpcDedup (durable-before-reply); record it or "
-                "waive with allow(dedup-before-reply)",
-                /*accepts_ordered=*/false);
   }
 }
 
@@ -419,7 +453,27 @@ Report run_lint(const std::vector<SourceFile>& files) {
   Report report;
   report.files_scanned = files.size();
 
-  const ProjectIndex index = build_index(files);
+  // Each file's code view and its unordered-container declarations.  The
+  // variables are merged by file stem (a .cpp sees its header's members);
+  // accessor names apply to every file, except those some file also
+  // declares returning an ordered container, which a textual matcher
+  // cannot tell apart.
+  std::vector<std::vector<std::string>> code(files.size());
+  std::map<std::string, std::set<std::string>> vars_by_stem;
+  UnorderedDecls all;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    code[i].reserve(files[i].lines.size());
+    for (const std::string& l : files[i].lines) code[i].push_back(code_view(l));
+    UnorderedDecls d;
+    scan_unordered_decls(code[i], d);
+    vars_by_stem[file_stem(files[i].path)].insert(d.vars.begin(),
+                                                  d.vars.end());
+    all.accessors.insert(d.accessors.begin(), d.accessors.end());
+    all.ordered_accessors.insert(d.ordered_accessors.begin(),
+                                 d.ordered_accessors.end());
+  }
+  for (const std::string& name : all.ordered_accessors)
+    all.accessors.erase(name);
   std::vector<WaiverRecord> waivers = scan_waivers(files);
 
   RuleSink sink;
@@ -431,20 +485,12 @@ Report run_lint(const std::vector<SourceFile>& files) {
     FileContext ctx;
     ctx.file = static_cast<int>(i);
     ctx.src = &files[i];
-    ctx.code = &index.file_model[i].code;
-    // v1 declaration-context merge: own stem's vars + global accessors,
-    // minus the ordered/unordered-ambiguous names.
-    const auto it = index.decls_by_stem.find(file_stem(files[i].path));
-    if (it != index.decls_by_stem.end()) ctx.decls = it->second;
-    ctx.decls.accessors.insert(index.global_decls.accessors.begin(),
-                               index.global_decls.accessors.end());
-    for (const std::string& name : index.global_decls.ordered_accessors)
-      ctx.decls.accessors.erase(name);
+    ctx.code = &code[i];
+    ctx.vars = &vars_by_stem[file_stem(files[i].path)];
+    ctx.accessors = &all.accessors;
 
     rule_banned_call(ctx, sink);
     rule_unordered_iter(ctx, sink);
-    rule_mutate_in_apply(ctx, index, sink);
-    rule_dedup_before_reply(ctx, sink);
   }
 
   for (const WaiverRecord& w : waivers) {
@@ -516,13 +562,9 @@ std::string to_string(const Finding& f) {
 std::string to_json(const Report& r) {
   // Per-rule tallies over a stable rule list (plus anything else seen), so
   // CI tables have fixed rows run over run.
-  static const char* kKnownRules[] = {
-      "banned-call",
-      "dedup-before-reply",
-      "mutate-in-apply",
-      "unordered-iter",
-  };
-  std::map<std::string, std::pair<int, int>> rules;  // rule -> (findings, waived)
+  static const char* kKnownRules[] = {"banned-call", "unordered-iter"};
+  // rule -> (findings, waived)
+  std::map<std::string, std::pair<int, int>> rules;
   for (const char* k : kKnownRules) rules[k] = {0, 0};
   for (const Finding& f : r.findings) ++rules[f.rule].first;
   for (const Finding& f : r.waived) ++rules[f.rule].second;

@@ -1,22 +1,9 @@
-// cosched-lint: domain-rule static checks the compiler cannot express.
+// cosched-lint: determinism checks the compiler cannot express.
 //
-// Every file is parsed once by a lightweight tokenizer into a shared project
-// index (index.h): code views, function definitions and unordered-container
-// declarations; the rules run over that index.  They enforce the invariants
-// the runtime defenses (TSan, invariant reports, kill-anywhere recovery)
-// only catch when a test happens to hit them:
+// Each file's comments and strings are blanked into a code view, and the
+// rules run over those lines.  They enforce the determinism contract that
+// the fingerprint tests only catch when a seeded run happens to hit it:
 //
-//   mutate-in-apply        no Cluster method outside the recovery path
-//                          (restore_/wipe_/recover_/rearm_/replay/write_/
-//                          snapshot) calls a scheduler mutator or writes the
-//                          lease table (durable_.lease_table.leases): every
-//                          such change goes through the apply_* method of
-//                          its record kind on Cluster::Durable, which journal
-//                          replay runs too, so live and replayed state
-//                          cannot drift apart
-//   dedup-before-reply     RpcDedup verdicts are recorded (and thereby
-//                          journaled durable) before the dispatcher builds
-//                          the reply
 //   banned-call            no rand()/srand()/system_clock/argless time() in
 //                          the deterministic core (core, sched, sim,
 //                          workload) — wall clocks and libc PRNGs break
@@ -30,9 +17,11 @@
 // What the compiler or a test checks instead: -Werror=switch makes the
 // journal replay, the record names and the RPC dispatcher name every
 // record kind and message type; an apply is a method of Cluster::Durable,
-// which holds only snapshotted state; Journal::compact refuses to splice
-// out uncommitted records; the JournalFormatGuard tests write every named
-// record kind.  docs/STATIC_ANALYSIS.md has the table.
+// which holds only snapshotted state and is the only holder of a mutable
+// Scheduler and lease table; the dispatcher runs every side-effecting
+// request through one exactly-once path; Journal::compact refuses to
+// splice out uncommitted records; the JournalFormatGuard tests write every
+// named record kind.  docs/STATIC_ANALYSIS.md has the table.
 //
 // Escape hatches (same line or the line above the finding):
 //   // cosched-lint: ordered(<why hash order cannot leak>)   unordered-iter
