@@ -67,7 +67,8 @@ int main() {
                format_count(static_cast<long long>(
                    m.groups.groups_started_together)) +
                    " / " +
-                   format_count(static_cast<long long>(m.groups.groups_total))});
+                   format_count(
+                       static_cast<long long>(m.groups.groups_total))});
   }
 
   // Co-reservation baseline (conservative, walltime-based, no backfill over

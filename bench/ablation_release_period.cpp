@@ -37,6 +37,7 @@ int main() {
   }
   t.print(std::cout);
   std::cout << "\nExpectation: synchronization still perfect at every period;"
-               "\n  node-hour loss and waits shift moderately with the period.\n";
+               "\n  node-hour loss and waits shift moderately with the "
+               "period.\n";
   return 0;
 }

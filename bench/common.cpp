@@ -518,14 +518,16 @@ void maybe_export_csv(const std::string& name, const Table& table) {
 }
 
 void print_header(const std::string& figure, const std::string& what) {
-  std::cout << "==============================================================\n"
+  const char* const rule =
+      "==============================================================\n";
+  std::cout << rule
             << figure << " — " << what << "\n"
             << "Tang et al., \"Job Coscheduling on Coupled High-End Computing"
                " Systems\" (ICPP'11)\n"
             << "runs/case=" << runs() << " (paper: 10), scale=" << scale()
             << ", threads=" << threads()
             << ", schedulers: WFP + EASY backfill, hold release = 20 min\n"
-            << "==============================================================\n";
+            << rule;
 }
 
 }  // namespace cosched::bench

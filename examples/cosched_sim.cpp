@@ -36,7 +36,8 @@ using namespace cosched;
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.define("max-days", "0", "abort after this many simulated days (0 = off)");
+  flags.define("max-days", "0",
+               "abort after this many simulated days (0 = off)");
   flags.define("event-log", "", "write the per-job lifecycle log to this file");
   flags.define("csv", "", "write per-domain metrics as CSV to this file");
   flags.define("pair-proportion", "0",

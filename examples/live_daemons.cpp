@@ -119,7 +119,8 @@ class LiveDaemon : public CoschedService {
     const RuntimeJob* j = sched_.find(job);
     if (!j || j->state != JobState::kHolding) return false;
     sched_.start_holding(job, now());
-    say(name_, "holding job " + std::to_string(job) + " started (woken by mate)");
+    say(name_,
+        "holding job " + std::to_string(job) + " started (woken by mate)");
     return true;
   }
 

@@ -1182,7 +1182,8 @@ void Cluster::Durable::apply_submit(const JobSpec& spec, Time t) {
 void Cluster::Durable::apply_ready(JobId id, Time first_ready) {
   agent.ready_logged.insert(id);
   // A live decision set first_ready already; a replayed one may not reach
-  // another record that carries it.
+  // another record that carries it.  The job is live: a journal holds a
+  // job's kReady before its kFinish or kKill.
   if (RuntimeJob* j = sched_.find_mut(id))
     if (j->first_ready == kNoTime) j->first_ready = first_ready;
 }

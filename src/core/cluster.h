@@ -643,13 +643,15 @@ class Cluster final : public CoschedService {
     void iterate(Time now, const RunJobHook& hook) {
       sched_.iterate(now, hook);
     }
-    /// A targeted start of the job `id` names, live or archived, looked up
-    /// once; nullopt when the scheduler has no such job.
+    /// A targeted start of the job `id` names, a live one looked up once;
+    /// false for an archived one, which is finished and read only const;
+    /// nullopt when the scheduler has no such job.
     std::optional<bool> try_start_specific(JobId id, Time now,
                                            const RunJobHook& hook) {
-      RuntimeJob* job = sched_.find_mut(id);
-      if (job == nullptr) return std::nullopt;
-      return sched_.try_start_specific(*job, now, hook);
+      if (RuntimeJob* job = sched_.find_mut(id))
+        return sched_.try_start_specific(*job, now, hook);
+      if (sched_.find(id) != nullptr) return false;
+      return std::nullopt;
     }
 
     // -- writes with no record (docs/RECOVERY.md) --------------------------

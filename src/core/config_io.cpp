@@ -161,7 +161,8 @@ Trace load_trace_source(const std::string& source, const DomainSpec& spec) {
     return read_swf_file(source, spec.name);
 
   // synth:<model>?key=value&key=value
-  std::string body = source.substr(std::char_traits<char>::length(kSynthPrefix));
+  std::string body =
+      source.substr(std::char_traits<char>::length(kSynthPrefix));
   std::string model_name = body;
   std::map<std::string, std::string> params;
   if (const auto q = body.find('?'); q != std::string::npos) {

@@ -116,7 +116,8 @@ void CoupledSim::gang_resolution_body() {
     const WaitCycle cycle = find_hold_wait_cycle(view);
     if (!cycle.empty()) {
       const WaitEdge victim = choose_victim(cycle, [&](const WaitEdge& e) {
-        const RuntimeJob* j = clusters_[e.from]->scheduler().find(e.holding_job);
+        const RuntimeJob* j =
+            clusters_[e.from]->scheduler().find(e.holding_job);
         return j != nullptr ? j->spec.submit : kNoTime;
       });
       // The domain blocked *on* the victim issues the yield order over its

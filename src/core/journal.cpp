@@ -198,16 +198,17 @@ JournalRecord to_record(const FrameView& f) {
 /// inside a pure-v1 region cannot be resynced past); `reason` is why its
 /// first frame failed.  A region that runs to the end of the image and
 /// began with a frame cut short by the end is a torn tail (`torn`, the
-/// normal crash artifact) rather than rot.
+/// normal crash artifact) rather than rot.  The walk starts at `from`,
+/// which must be 0 or the end of an intact frame the caller has walked.
 template <class OnFrame, class OnGap>
-void walk_frames(std::span<const std::uint8_t> bytes, OnFrame&& on_frame,
-                 OnGap&& on_gap) {
+void walk_frames(std::span<const std::uint8_t> bytes, std::size_t from,
+                 OnFrame&& on_frame, OnGap&& on_gap) {
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   const std::size_t n = bytes.size();
   std::size_t bad = kNone;  // start of the unreadable region being skipped
   FrameStatus bad_status = FrameStatus::kOk;
   const char* bad_reason = "";
-  std::size_t pos = 0;
+  std::size_t pos = from;
   while (pos < n) {
     if (bad != kNone) {
       // Resync: only a v2 magic with a whole header behind it can start
@@ -621,35 +622,51 @@ void Journal::compact(std::span<const std::uint8_t> snapshot_payload,
   if (retain_previous) {
     old = sink_->contents();
     bool anchored = false;
-    walk_frames(
-        old,
-        [&](const FrameView& f) {
-          if (f.kind == JournalRecordKind::kSnapshot) {
-            anchored = true;
-            kept.clear();
-            kept_bytes = 0;
-          }
-          if (!anchored) return;
-          if (f.version == 1) {
-            // Once its frame says v2, readers expect a snapshot's payload
-            // in the generation envelope, so a v1 snapshot's raw state is
-            // wrapped (generation 0 = pre-generation legacy).
-            std::size_t payload = f.payload.size();
-            if (f.kind == JournalRecordKind::kSnapshot)
-              payload += kSnapshotEnvelopeSize;
-            kept_bytes += frame_size(f.seq, payload);
-            kept.push_back(f);
-            return;
-          }
-          kept_bytes += f.size;
-          FrameView* run = kept.empty() ? nullptr : &kept.back();
-          if (run != nullptr && run->version == 2 &&
-              run->offset + run->size == f.offset)
-            run->size += f.size;
-          else
-            kept.push_back(f);
-        },
-        [](std::size_t, std::size_t, const char*, bool) {});
+    const auto keep = [&](const FrameView& f) {
+      if (f.kind == JournalRecordKind::kSnapshot) {
+        anchored = true;
+        kept.clear();
+        kept_bytes = 0;
+      }
+      if (!anchored) return;
+      if (f.version == 1) {
+        // Once its frame says v2, readers expect a snapshot's payload in
+        // the generation envelope, so a v1 snapshot's raw state is wrapped
+        // (generation 0 = pre-generation legacy).
+        std::size_t payload = f.payload.size();
+        if (f.kind == JournalRecordKind::kSnapshot)
+          payload += kSnapshotEnvelopeSize;
+        kept_bytes += frame_size(f.seq, payload);
+        kept.push_back(f);
+        return;
+      }
+      kept_bytes += f.size;
+      FrameView* run = kept.empty() ? nullptr : &kept.back();
+      if (run != nullptr && run->version == 2 &&
+          run->offset + run->size == f.offset)
+        run->size += f.size;
+      else
+        kept.push_back(f);
+    };
+    // Start at the snapshot frame the last compact() wrote when it is
+    // still there, intact, with its seq.  A walk from byte 0 lands on that
+    // frame too (only a frame across it that passed both its CRCs would
+    // step over it) and anchors there, so the frames before it, the
+    // generation this image drops, change nothing kept.  Otherwise the
+    // image was damaged or replaced since, and the walk starts at 0.
+    std::size_t from = 0;
+    FrameView snap;
+    const char* reason = "";
+    if (last_snapshot_seq_ != 0 && last_snapshot_offset_ < old.size() &&
+        parse_frame_at(old, last_snapshot_offset_, snap, reason) ==
+            FrameStatus::kOk &&
+        snap.version == 2 && snap.kind == JournalRecordKind::kSnapshot &&
+        snap.seq == last_snapshot_seq_) {
+      keep(snap);
+      from = snap.offset + snap.size;
+    }
+    walk_frames(old, from, keep,
+                [](std::size_t, std::size_t, const char*, bool) {});
   }
 
   const std::uint64_t seq = next_seq_++;
@@ -669,9 +686,12 @@ void Journal::compact(std::span<const std::uint8_t> snapshot_payload,
       encode_frame(image, k.seq, k.kind, k.payload);
     }
   }
+  const std::size_t snapshot_offset = image.size();
   encode_frame(image, seq, JournalRecordKind::kSnapshot, envelope,
                snapshot_payload);
   sink_->reset(std::move(image));
+  last_snapshot_offset_ = snapshot_offset;
+  last_snapshot_seq_ = seq;
   last_appended_seq_ = seq;
   last_committed_seq_ = seq;
   records_since_compaction_ = 0;
@@ -714,7 +734,7 @@ SalvageReport salvage_scan(std::span<const std::uint8_t> bytes) {
   SalvageReport out;
   out.bytes_scanned = bytes.size();
   walk_frames(
-      bytes,
+      bytes, 0,
       [&out](const FrameView& f) { out.records.push_back(to_record(f)); },
       [&out](std::size_t offset, std::size_t length, const char* reason,
              bool torn) {

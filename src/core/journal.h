@@ -255,9 +255,12 @@ class Journal {
   /// retained frame's header and body CRCs are verified first; intact v2
   /// frames are then copied verbatim and only v1 frames are re-framed (as
   /// v2), so rot that crept in between them is scrubbed either way.  An
-  /// image with no intact snapshot keeps nothing.  The kept frames are
-  /// read back from the sink, so while appended records are uncommitted it
-  /// refuses (InvariantError): commit() first.
+  /// image with no intact snapshot keeps nothing.  The walk starts at the
+  /// snapshot frame the previous compact() wrote when it is still intact
+  /// there with its seq, and at byte 0 otherwise; either way the image is
+  /// the same.  The kept frames are read back from the sink, so while
+  /// appended records are uncommitted it refuses (InvariantError): commit()
+  /// first.
   /// With retain_previous = false the image collapses to the single new
   /// snapshot frame (initial attach, emergency ENOSPC compaction), whose
   /// state covers any uncommitted record it drops.
@@ -306,6 +309,10 @@ class Journal {
   std::uint64_t last_committed_seq_ = 0;
   std::uint64_t records_since_compaction_ = 0;
   std::uint64_t snapshot_generation_ = 0;
+  /// Where the snapshot frame the last compact() wrote starts in the image,
+  /// and its seq (0: none written), so the next compact() walks from it.
+  std::size_t last_snapshot_offset_ = 0;
+  std::uint64_t last_snapshot_seq_ = 0;
   bool dirty_ = false;
   bool no_space_ = false;
   bool degraded_ = false;

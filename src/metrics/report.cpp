@@ -26,7 +26,8 @@ SystemMetrics collect_metrics(const Scheduler& sched, Time end_time,
 
     const auto wait = static_cast<double>(job.wait_time());
     wait_sum += wait;
-    m.max_wait_minutes = std::max(m.max_wait_minutes, to_minutes(job.wait_time()));
+    m.max_wait_minutes =
+        std::max(m.max_wait_minutes, to_minutes(job.wait_time()));
 
     slow_sum += job.slowdown();
     const double resp = static_cast<double>(job.response_time());

@@ -39,7 +39,9 @@ class FramedChannel {
   std::optional<std::vector<std::uint8_t>> read_frame();
 
   /// Bounds every subsequent read_frame (milliseconds; 0 = block forever).
-  void set_read_deadline_ms(int deadline_ms) { read_deadline_ms_ = deadline_ms; }
+  void set_read_deadline_ms(int deadline_ms) {
+    read_deadline_ms_ = deadline_ms;
+  }
   int read_deadline_ms() const { return read_deadline_ms_; }
 
   /// Bounds every subsequent write_frame (milliseconds; 0 = block forever).

@@ -105,8 +105,8 @@ void WirePeer::record_failure() {
     // Probe failed: back to open for another cooldown.
     state_ = BreakerState::kOpen;
     ++stats_.breaker_opens;
-    open_until_ =
-        Clock::now() + std::chrono::milliseconds(config_.breaker.open_cooldown_ms);
+    open_until_ = Clock::now() +
+                  std::chrono::milliseconds(config_.breaker.open_cooldown_ms);
     return;
   }
   ++consecutive_failures_;
@@ -117,8 +117,8 @@ void WirePeer::record_failure() {
       unrecoverable) {
     state_ = BreakerState::kOpen;
     ++stats_.breaker_opens;
-    open_until_ =
-        Clock::now() + std::chrono::milliseconds(config_.breaker.open_cooldown_ms);
+    open_until_ = Clock::now() +
+                  std::chrono::milliseconds(config_.breaker.open_cooldown_ms);
   }
 }
 

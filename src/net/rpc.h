@@ -57,7 +57,11 @@ struct WirePeerConfig {
   std::uint64_t incarnation = 1;
 };
 
-enum class BreakerState : std::uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
+enum class BreakerState : std::uint8_t {
+  kClosed = 0,
+  kOpen = 1,
+  kHalfOpen = 2
+};
 
 const char* to_string(BreakerState s);
 

@@ -21,6 +21,12 @@ void WireWriter::put_string(const std::string& s) {
   pos_ += s.size();
 }
 
+void WireWriter::put_bytes(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return;  // memcpy's source must not be null
+  std::memcpy(room(bytes.size()), bytes.data(), bytes.size());
+  pos_ += bytes.size();
+}
+
 std::vector<std::uint8_t> WireWriter::take() {
   std::vector<std::uint8_t> out;
   out.swap(buf_);

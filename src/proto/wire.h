@@ -50,6 +50,9 @@ class WireWriter {
   /// codec and the heartbeat's hold fraction use them).
   void put_double(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
   void put_string(const std::string& s);
+  /// Raw bytes, written as they are: no length prefix (the reader must know
+  /// where they end).
+  void put_bytes(std::span<const std::uint8_t> bytes);
 
   /// The bytes written so far; invalidated by the next put, clear() or take().
   std::span<const std::uint8_t> bytes() const { return {buf_.data(), pos_}; }

@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "proto/durable.h"
 #include "sched/profile.h"
@@ -260,7 +261,8 @@ std::vector<JobId> Scheduler::iterate(Time now, const RunJobHook& hook) {
   Shadow shadow;
   for (RuntimeJob* jp : order) {
     RuntimeJob& job = *jp;
-    if (job.state != JobState::kQueued) continue;  // held/started via hook side effects
+    // Held or started through a hook's side effects.
+    if (job.state != JobState::kQueued) continue;
     const JobId id = job.spec.id;
 
     const NodeCount charged = pool_.charged(job.spec.nodes);
@@ -306,8 +308,6 @@ bool Scheduler::try_start_specific(JobId id, Time now, const RunJobHook& hook) {
 
 bool Scheduler::try_start_specific(RuntimeJob& job, Time now,
                                    const RunJobHook& hook) {
-  // An archived job is kFinished (restore() admits no other), so it is
-  // refused here like a running one.
   if (job.state != JobState::kQueued) return false;
   if (!eligible(job, now)) return false;
 
@@ -411,9 +411,7 @@ const RuntimeJob* Scheduler::find(JobId id) const {
 
 RuntimeJob* Scheduler::find_mut(JobId id) {
   auto it = jobs_.find(id);
-  if (it != jobs_.end()) return &it->second;
-  auto ar = archived_.find(id);
-  return ar == archived_.end() ? nullptr : &ar->second;
+  return it == jobs_.end() ? nullptr : &it->second;
 }
 
 std::vector<JobId> Scheduler::holding_ids() const {
@@ -441,10 +439,60 @@ void Scheduler::remove_from_queue(JobId id) {
   }
 }
 
+namespace {
+
+/// The encoded archive's offsets are 32-bit.  Each lies below the bytes'
+/// size, so they fit while `size` does.
+void check_archive_size(std::size_t size) {
+  COSCHED_CHECK_MSG(size <= std::numeric_limits<std::uint32_t>::max(),
+                    "encoded archive exceeds 4 GiB");
+}
+
+}  // namespace
+
 void Scheduler::archive(std::unordered_map<JobId, RuntimeJob>::iterator it) {
   const JobId id = it->first;
+  const RuntimeJob& job = it->second;  // the node moves; the job stays put
   archived_.insert(jobs_.extract(it));
-  insert_ascending(archive_ids_, id);
+  const auto at =
+      std::lower_bound(archive_ids_.begin(), archive_ids_.end(), id);
+  const auto i = static_cast<std::size_t>(at - archive_ids_.begin());
+  archive_ids_.insert(at, id);
+  if (!archive_encoded_) return;
+  // Splice the job's encoding in at its id's place; the entries after it
+  // move up by its size.
+  job_bytes_.clear();
+  put(job_bytes_, job);
+  const std::span<const std::uint8_t> enc = job_bytes_.bytes();
+  check_archive_size(archive_bytes_.size() + enc.size());
+  const auto start = i < archive_offsets_.size()
+                         ? archive_offsets_[i]
+                         : static_cast<std::uint32_t>(archive_bytes_.size());
+  archive_bytes_.insert(archive_bytes_.begin() + start, enc.begin(), enc.end());
+  archive_offsets_.insert(archive_offsets_.begin() + i, start);
+  for (std::size_t k = i + 1; k < archive_offsets_.size(); ++k)
+    archive_offsets_[k] += static_cast<std::uint32_t>(enc.size());
+}
+
+std::span<const std::uint8_t> Scheduler::encoded_archive() const {
+  if (!archive_encoded_) {
+    encode_archive(archive_bytes_, archive_offsets_);
+    archive_encoded_ = true;
+  }
+  return archive_bytes_;
+}
+
+void Scheduler::encode_archive(std::vector<std::uint8_t>& bytes,
+                               std::vector<std::uint32_t>& offsets) const {
+  WireWriter w;
+  offsets.clear();
+  offsets.reserve(archive_ids_.size());
+  for (JobId id : archive_ids_) {
+    offsets.push_back(static_cast<std::uint32_t>(w.bytes().size()));
+    put(w, archived_.at(id));
+  }
+  check_archive_size(w.bytes().size());
+  bytes = w.take();
 }
 
 std::vector<JobId> Scheduler::live_ids() const {
@@ -472,15 +520,13 @@ void Scheduler::erase_running_end(const RuntimeJob& job) {
 void Scheduler::snapshot(WireWriter& w) const {
   put(w, pool_.accounting());
 
-  // Both tables go out in ascending id order.
-  const auto write_jobs =
-      [&w](const std::unordered_map<JobId, RuntimeJob>& table,
-           const std::vector<JobId>& ids) {
-        w.put_u64(ids.size());
-        for (JobId id : ids) put(w, table.at(id));
-      };
-  write_jobs(jobs_, live_ids());
-  write_jobs(archived_, archive_ids_);
+  // Both tables go out in ascending id order: the live one encoded now, the
+  // archive as the bytes it keeps.
+  const std::vector<JobId> live = live_ids();
+  w.put_u64(live.size());
+  for (JobId id : live) put(w, jobs_.at(id));
+  w.put_u64(archive_ids_.size());
+  w.put_bytes(encoded_archive());
 
   // The running-end index in iteration order: equal walltime-end keys keep
   // multimap insertion (= start) order, which the shadow/profile scans
@@ -497,24 +543,31 @@ void Scheduler::restore(WireReader& r) {
   jobs_.clear();
   archived_.clear();
   archive_ids_.clear();
+  archive_bytes_.clear();
+  archive_offsets_.clear();
+  archive_encoded_ = false;
   queued_.clear();
   queue_pos_.clear();
   running_ends_.clear();
   holding_.clear();
 
+  // Each job is in one table, once: the encoded archive is built from
+  // archived_, and a job must not be both live and finished.
   for (std::uint64_t n = r.get_u64(); n > 0; --n) {
     RuntimeJob j;
     get(r, j);
-    jobs_.emplace(j.spec.id, std::move(j));
+    const JobId id = j.spec.id;
+    if (!jobs_.emplace(id, std::move(j)).second)
+      throw ParseError("snapshot: duplicate job id");
   }
   for (std::uint64_t n = r.get_u64(); n > 0; --n) {
     RuntimeJob j;
     get(r, j);
-    // try_start_specific(RuntimeJob&) refuses an archived job by its state.
     if (j.state != JobState::kFinished)
       throw ParseError("snapshot: unfinished job in the archive");
     const JobId id = j.spec.id;
-    archived_.emplace(id, std::move(j));
+    if (jobs_.count(id) > 0 || !archived_.emplace(id, std::move(j)).second)
+      throw ParseError("snapshot: duplicate job id");
     insert_ascending(archive_ids_, id);
   }
 
@@ -594,6 +647,13 @@ void Scheduler::validate_indices() const {
     archived_ids.push_back(id);
   }
   check_ascending_index(archive_ids_, std::move(archived_ids), "archive");
+  if (archive_encoded_) {
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint32_t> offsets;
+    encode_archive(bytes, offsets);
+    COSCHED_CHECK_MSG(bytes == archive_bytes_ && offsets == archive_offsets_,
+                      "encoded archive differs from its jobs' encoding");
+  }
 }
 
 }  // namespace cosched

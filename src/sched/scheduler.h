@@ -22,9 +22,11 @@
 // and the by-id transitions.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -101,8 +103,8 @@ class Scheduler {
   /// head's backfill reservation, and the hook agrees.  Returns true iff
   /// the job started.
   bool try_start_specific(JobId id, Time now, const RunJobHook& hook = nullptr);
-  /// The same for a job already found (live or archived, as find_mut()
-  /// returns it), so a caller that has looked the job up reads no hash again.
+  /// The same for a live job already found (as find_mut() returns it), so
+  /// a caller that has looked the job up reads no hash again.
   bool try_start_specific(RuntimeJob& job, Time now,
                           const RunJobHook& hook = nullptr);
 
@@ -133,6 +135,8 @@ class Scheduler {
 
   /// Looks up a job by id, live or archived.
   const RuntimeJob* find(JobId id) const;
+  /// Looks up a live job by id; null for an archived one too.  A finished
+  /// job never changes, so snapshot() encodes each once.
   RuntimeJob* find_mut(JobId id);
 
   NodePool& pool() { return pool_; }
@@ -178,8 +182,8 @@ class Scheduler {
   std::size_t total_jobs() const { return jobs_.size() + archived_.size(); }
 
   /// Brute-force recomputes every maintained index (the archive's id index
-  /// included) from the job tables and throws InvariantError on any
-  /// mismatch (test/debug hook).
+  /// and its encoded bytes included) from the job tables and throws
+  /// InvariantError on any mismatch (test/debug hook).
   void validate_indices() const;
 
   const PriorityPolicy& policy() const { return *policy_; }
@@ -208,7 +212,8 @@ class Scheduler {
   // pool accounting, running-end tie order) in a canonical order; capacity,
   // policy, config, and the allocation model are construction facts and are
   // not included — restore() must be called on a Scheduler built with the
-  // same ones.  restore() throws ParseError on malformed bytes.
+  // same ones.  restore() throws ParseError on malformed bytes, a job id
+  // read twice included.
 
   void snapshot(WireWriter& w) const;
   void restore(WireReader& r);
@@ -216,8 +221,10 @@ class Scheduler {
  private:
   // EASY reservation for a blocked head job.
   struct Shadow {
-    Time time = kNoTime;      // when the head is guaranteed to fit (kNoTime = never)
-    NodeCount extra = 0;      // nodes usable past the shadow without delaying it
+    // When the head is guaranteed to fit (kNoTime = never).
+    Time time = kNoTime;
+    // Nodes usable past the shadow without delaying it.
+    NodeCount extra = 0;
   };
   Shadow compute_shadow(const RuntimeJob& head, Time now) const;
 
@@ -251,6 +258,12 @@ class Scheduler {
   void remove_from_queue(JobId id);
   /// Moves a finished live job's node to the archive; its address stays.
   void archive(std::unordered_map<JobId, RuntimeJob>::iterator it);
+  /// The archive section's bytes, built on the first call.
+  std::span<const std::uint8_t> encoded_archive() const;
+  /// Encodes every archived job afresh, in archive_ids_ order, with the
+  /// offset where each starts.
+  void encode_archive(std::vector<std::uint8_t>& bytes,
+                      std::vector<std::uint32_t>& offsets) const;
   void erase_running_end(const RuntimeJob& job);
 
   // Any state change that can alter priority order, eligibility, or the
@@ -267,6 +280,17 @@ class Scheduler {
   /// archived_'s ids in ascending order: snapshot() and for_each_job() walk
   /// it instead of sorting the whole history on every call.
   std::vector<JobId> archive_ids_;
+  /// The archive section's bytes: each archived job's put(RuntimeJob)
+  /// encoding in archive_ids_ order, and the offset where each starts.  A
+  /// finished job never changes, so it is encoded once: the first
+  /// snapshot() builds these, archive() then splices each newly finished
+  /// job in at its id's place, and restore() drops them.  A scheduler that
+  /// never snapshots holds none.  Mutable because the const snapshot()
+  /// builds them; one thread owns a scheduler.
+  mutable std::vector<std::uint8_t> archive_bytes_;
+  mutable std::vector<std::uint32_t> archive_offsets_;
+  mutable bool archive_encoded_ = false;
+  WireWriter job_bytes_;  ///< archive()'s encoding of the job it splices
 
   // -- maintained indices over the live table --------------------------
   std::vector<RuntimeJob*> queued_;

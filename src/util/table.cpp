@@ -24,7 +24,8 @@ void Table::add_separator() { rows_.push_back(Row{{}, /*separator=*/true}); }
 
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size());
-  for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
+  for (std::size_t c = 0; c < header_.size(); ++c)
+    widths[c] = header_[c].size();
   for (const Row& r : rows_) {
     if (r.separator) continue;
     for (std::size_t c = 0; c < r.cells.size(); ++c)

@@ -45,9 +45,7 @@ void truncate_to_span(Trace& trace, Duration span) {
   auto& jobs = trace.jobs();
   if (jobs.empty()) return;
   const Time cutoff = jobs.front().submit + span;
-  jobs.erase(std::remove_if(jobs.begin(), jobs.end(),
-                            [&](const JobSpec& j) { return j.submit >= cutoff; }),
-             jobs.end());
+  std::erase_if(jobs, [&](const JobSpec& j) { return j.submit >= cutoff; });
 }
 
 }  // namespace cosched

@@ -109,7 +109,8 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
 TEST(Engine, RunUntilStopsAtBoundaryInclusive) {
   Engine e;
   std::vector<Time> fired;
-  for (Time t : {5, 10, 15}) e.schedule_at(t, 0, [&, t] { fired.push_back(t); });
+  for (Time t : {5, 10, 15})
+    e.schedule_at(t, 0, [&, t] { fired.push_back(t); });
   e.run_until(10);
   EXPECT_EQ(fired, (std::vector<Time>{5, 10}));
   EXPECT_EQ(e.now(), 10);

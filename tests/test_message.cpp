@@ -123,8 +123,9 @@ TEST(Message, GangCallsRoundTrip) {
 TEST(Message, GangRequestsCarryTheFence) {
   // All four gang calls are side-effecting, so the fencing token must ride
   // on (and survive) each request.
-  for (Message m : {make_gang_prepare_req(1, 5, 9), make_gang_commit_req(2, 5, 9),
-                    make_gang_abort_req(3, 5, 9), make_gang_victim_req(4, 5, 9)}) {
+  for (Message m :
+       {make_gang_prepare_req(1, 5, 9), make_gang_commit_req(2, 5, 9),
+        make_gang_abort_req(3, 5, 9), make_gang_victim_req(4, 5, 9)}) {
     m.fence = make_fence_token(3, 21);
     expect_round_trip(m);
   }

@@ -24,6 +24,7 @@
 #include "net/rpc.h"
 #include "proto/durable.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "workload/pairing.h"
 #include "workload/synth.h"
 
@@ -1144,6 +1145,136 @@ TEST(SnapshotIndexes, StaySortedThroughKillsRecoveryAndRestore) {
     EXPECT_NO_THROW(fresh.cluster(i).validate_indices()) << "domain " << i;
   }
   EXPECT_EQ(determinism_fingerprint(fresh), determinism_fingerprint(sim));
+}
+
+/// Scheduler::snapshot() encoded the way it was before the archive kept its
+/// bytes: the live ids sorted, then archived().at(id) over the ascending
+/// archive index.  The running-end index goes by walltime end, which is its
+/// order when no two running jobs share an end.
+std::vector<std::uint8_t> fresh_encoding(const Scheduler& s) {
+  WireWriter w;
+  put(w, s.pool().accounting());
+  std::vector<JobId> live;
+  std::vector<std::pair<Time, JobId>> ends;
+  for (const auto& [id, job] : s.jobs()) {
+    live.push_back(id);
+    if (job.state == JobState::kRunning)
+      ends.emplace_back(job.start + job.spec.walltime, id);
+  }
+  std::sort(live.begin(), live.end());
+  w.put_u64(live.size());
+  for (JobId id : live) put(w, s.jobs().at(id));
+  std::vector<JobId> archived;
+  s.for_each_job([&archived](JobId id, const RuntimeJob& job) {
+    if (job.state == JobState::kFinished) archived.push_back(id);
+  });
+  w.put_u64(archived.size());
+  for (JobId id : archived) put(w, s.archived().at(id));
+  std::sort(ends.begin(), ends.end());
+  w.put_u64(ends.size());
+  for (const auto& [end, id] : ends) w.put_i64(id);
+  return w.take();
+}
+
+TEST(EncodedArchive, EverySnapshotMatchesAFreshEncoding) {
+  // A finished job is encoded once, on a scheduler's first snapshot or when
+  // it finishes after that, and spliced in at its id's place.  Seeded
+  // submits, starts, holds, finishes and kills end jobs out of id order.
+  // Each scheduler takes its first snapshot at its own point (before any
+  // finish, right after the first, or at random), more at random after
+  // that, and restores one of them part way, then ends more jobs.  Every
+  // snapshot must equal the fresh encoding.
+  enum class First { kBeforeAnyFinish, kAfterTheFirstFinish, kAtRandom };
+  int snapshots = 0, out_of_order = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const First first : {First::kBeforeAnyFinish,
+                              First::kAfterTheFirstFinish, First::kAtRandom}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " first snapshot " +
+                   std::to_string(static_cast<int>(first)));
+      Rng rng(seed);
+      Scheduler s(64, make_policy("fcfs"));
+      const RunJobHook hold_fourths = [](RuntimeJob& job) {
+        return job.spec.id % 4 == 0 ? RunDecision::kHold : RunDecision::kStart;
+      };
+      const auto pick = [&rng, &s](JobState state) {
+        std::vector<JobId> ids;
+        for (const auto& [id, job] : s.jobs())
+          if (job.state == state) ids.push_back(id);
+        if (ids.empty()) return kNoJob;
+        std::sort(ids.begin(), ids.end());
+        const auto last = static_cast<std::int64_t>(ids.size()) - 1;
+        return ids[static_cast<std::size_t>(rng.uniform_int(0, last))];
+      };
+      bool snapped = false;
+      std::vector<std::uint8_t> saved;
+      const auto snapshot = [&] {
+        WireWriter w;
+        s.snapshot(w);
+        std::vector<std::uint8_t> bytes = w.take();
+        EXPECT_EQ(bytes, fresh_encoding(s));
+        EXPECT_NO_THROW(s.validate_indices());
+        snapped = true;
+        ++snapshots;
+        if (saved.empty() || rng.uniform() < 0.2) saved = bytes;
+      };
+      if (first == First::kBeforeAnyFinish) snapshot();
+      JobId next_id = 1, last_ended = kNoJob;
+      Time now = 0;
+      for (int step = 0; step < 300; ++step) {
+        if (step == 200) {
+          ASSERT_FALSE(saved.empty());
+          WireReader r(saved);
+          s.restore(r);
+          ASSERT_TRUE(r.exhausted());
+        }
+        now += rng.uniform_int(1, 5);
+        const std::size_t finished = s.finished_count();
+        JobId ended = kNoJob;
+        switch (rng.uniform_int(0, 9)) {
+          case 0:
+          case 1:
+          case 2: {
+            // Walltimes far apart keep every running job's end distinct.
+            JobSpec spec = testutil::job(next_id, now, 1'000'000 * next_id,
+                                         rng.uniform_int(1, 16));
+            ++next_id;
+            s.submit(spec, now);
+            break;
+          }
+          case 3:
+          case 4: s.iterate(now, hold_fourths); break;
+          case 5:
+          case 6:
+          case 7:
+            if ((ended = pick(JobState::kRunning)) != kNoJob)
+              s.finish(ended, now);
+            break;
+          case 8: {
+            const JobState states[] = {JobState::kQueued, JobState::kHolding,
+                                       JobState::kRunning};
+            ended = pick(states[rng.uniform_int(0, 2)]);
+            if (ended != kNoJob) s.kill(ended, now);
+            break;
+          }
+          default:
+            if (const JobId id = pick(JobState::kHolding); id != kNoJob)
+              s.start_holding(id, now);
+        }
+        if (ended != kNoJob) {
+          if (last_ended != kNoJob && ended < last_ended) ++out_of_order;
+          last_ended = ended;
+        }
+        const bool first_finish = finished == 0 && s.finished_count() > 0;
+        if ((!snapped && first == First::kAfterTheFirstFinish &&
+             first_finish) ||
+            ((snapped || first == First::kAtRandom) && rng.uniform() < 0.1))
+          snapshot();
+      }
+      snapshot();
+    }
+  }
+  EXPECT_GT(snapshots, 36 * 2);
+  EXPECT_GT(out_of_order, 36);
 }
 
 TEST(AbortInvariants, ExceptionDuringRunStillReportsInvariants) {

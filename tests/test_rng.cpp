@@ -81,7 +81,8 @@ TEST(Rng, NormalMoments) {
 TEST(Rng, LognormalMedian) {
   Rng rng(17);
   std::vector<double> v;
-  for (int i = 0; i < 50001; ++i) v.push_back(rng.lognormal(std::log(100), 1.0));
+  for (int i = 0; i < 50001; ++i)
+    v.push_back(rng.lognormal(std::log(100), 1.0));
   std::nth_element(v.begin(), v.begin() + 25000, v.end());
   // Median of lognormal = exp(mu).
   EXPECT_NEAR(v[25000], 100.0, 5.0);

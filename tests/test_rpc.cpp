@@ -134,11 +134,11 @@ TEST(WireRpc, BreakerOpensFastFailsProbesAndCloses) {
       [&]() -> std::optional<FramedChannel> {
         auto [c, s] = Socket::pair();
         if (good) {
-          servers.emplace_back(
-              [&service, sp = std::make_shared<Socket>(std::move(s))]() mutable {
-                FramedChannel ch(std::move(*sp));
-                serve_channel(ch, service);
-              });
+          auto sp = std::make_shared<Socket>(std::move(s));
+          servers.emplace_back([&service, sp]() mutable {
+            FramedChannel ch(std::move(*sp));
+            serve_channel(ch, service);
+          });
         }
         // When !good the server end drops here: instant EOF, like a daemon
         // that died between accept and serve.

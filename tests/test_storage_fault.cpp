@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -387,6 +388,95 @@ TEST(CompactionDiff, EveryImageShapeMatchesTheReframingReference) {
               reference_compact(grown, j.last_committed_seq(),
                                 j.snapshot_generation(), state));
     EXPECT_TRUE(salvage_scan(j.sink().contents()).corrupt_regions.empty());
+  }
+
+  // Changes that land between two compactions of one journal.  The second
+  // compact() may start its walk at the snapshot frame the first wrote (at
+  // `snap`, `size` bytes long), and must keep what a walk of the whole
+  // image keeps.
+  std::vector<std::uint8_t> clean_image;
+  for (const auto& f : clean)
+    clean_image.insert(clean_image.end(), f.begin(), f.end());
+  using Change = std::function<void(Journal&, std::size_t snap,
+                                    std::size_t size)>;
+  const auto rewrite = [](auto edit) -> Change {
+    return [edit](Journal& j, std::size_t snap, std::size_t size) {
+      std::vector<std::uint8_t> bytes = j.sink().contents();
+      edit(bytes, snap, size);
+      j.sink().reset(std::move(bytes));
+    };
+  };
+  // at(snap) is the byte to flip, or the length to cut the image to.
+  const auto flip_at = [&rewrite](auto at) {
+    return rewrite([at](std::vector<std::uint8_t>& bytes, std::size_t snap,
+                        std::size_t) { bytes.at(at(snap)) ^= 0x10; });
+  };
+  const auto cut_to = [&rewrite](auto at) {
+    return rewrite([at](std::vector<std::uint8_t>& bytes, std::size_t snap,
+                        std::size_t) { bytes.resize(at(snap)); });
+  };
+  const struct {
+    const char* name;
+    Change change;
+  } between[] = {
+      {"nothing", [](Journal&, std::size_t, std::size_t) {}},
+      {"rot in the remembered snapshot's header",
+       flip_at([](std::size_t snap) { return snap + 5; })},
+      {"rot in the remembered snapshot's body",
+       flip_at([](std::size_t snap) { return snap + 30; })},
+      {"rot in the remembered snapshot's envelope state",
+       rewrite([](std::vector<std::uint8_t>& bytes, std::size_t snap,
+                  std::size_t size) {
+         // The frame stays intact: its CRCs cover the rotten state.
+         const JournalReplay rep = read_journal(
+             std::span<const std::uint8_t>(bytes).subspan(snap, size));
+         ASSERT_EQ(rep.records.size(), 1u);
+         std::vector<std::uint8_t> payload = rep.records[0].payload;
+         payload.back() ^= 0x20;
+         const auto frame = encode_frame(rep.records[0].seq,
+                                         JournalRecordKind::kSnapshot, payload);
+         ASSERT_EQ(frame.size(), size);
+         std::ranges::copy(frame,
+                           bytes.begin() + static_cast<std::ptrdiff_t>(snap));
+       })},
+      {"rot in the dropped generation's snapshot",
+       flip_at([](std::size_t) { return std::size_t{30}; })},
+      {"rot in the dropped generation's tail",
+       flip_at([](std::size_t snap) { return snap - 3; })},
+      {"a cut before the remembered snapshot",
+       cut_to([](std::size_t snap) { return snap - 3; })},
+      {"a cut inside the remembered snapshot",
+       cut_to([](std::size_t snap) { return snap + 20; })},
+      {"the image replaced",
+       rewrite([&clean_image](std::vector<std::uint8_t>& bytes, std::size_t,
+                              std::size_t) { bytes = clean_image; })},
+      {"a reopen()", [](Journal& j, std::size_t, std::size_t) { j.reopen(); }},
+      {"a degrade_to_memory()",
+       [](Journal& j, std::size_t, std::size_t) { j.degrade_to_memory(); }},
+  };
+  for (const auto& shape : between) {
+    SCOPED_TRACE(std::string("between two compactions: ") + shape.name);
+    auto sink = std::make_unique<MemoryJournalSink>();
+    sink->reset(clean_image);
+    Journal j(std::move(sink));
+    j.reopen();
+    const auto state = payload_of({7, 7, 7});
+    j.compact(state);
+    const std::size_t size =
+        encode_frame(j.last_committed_seq(), JournalRecordKind::kSnapshot,
+                     make_snapshot_payload(j.snapshot_generation(), state))
+            .size();
+    const std::size_t snap = j.sink().contents().size() - size;
+    j.append(JournalRecordKind::kFinish, payload_of({1}));
+    j.append(JournalRecordKind::kIterate, payload_of({2, 2}));
+    j.commit();
+    shape.change(j, snap, size);
+    const std::vector<std::uint8_t> image = j.sink().contents();
+    const auto next_state = payload_of({8, 8});
+    j.compact(next_state);
+    EXPECT_EQ(j.sink().contents(),
+              reference_compact(image, j.last_committed_seq(),
+                                j.snapshot_generation(), next_state));
   }
 }
 
@@ -811,6 +901,83 @@ TEST(SnapshotBounds, AnUnfinishedJobInTheArchiveFallsBackAGeneration) {
   Cluster::RecoveryStats stats;
   ASSERT_NO_THROW(stats = fresh.cluster(0).recover_from_journal(journal));
   EXPECT_TRUE(stats.snapshot_fallback);
+}
+
+TEST(SnapshotBounds, ADuplicateJobIdFallsBackAGeneration) {
+  // A snapshot writes the archive from bytes it encoded once per finished
+  // job, so a restored state must hold each job once: never twice in one
+  // table, never both live and finished.
+  Workload w = crash_workload(kHH);
+  CoupledSim live(w.specs, w.traces);
+  live.engine().run_until(30 * kMinute);
+  WireWriter older;
+  live.cluster(0).write_snapshot(older);
+  const std::vector<std::uint8_t> older_frame =
+      v1_frame(1, JournalRecordKind::kSnapshot, older.bytes());
+  live.engine().run_until(35 * kMinute);
+  WireWriter state_writer;
+  live.cluster(0).write_snapshot(state_writer);
+  const std::vector<std::uint8_t> state = state_writer.take();
+
+  // The domain's state ends with the scheduler's: its pool accounting, its
+  // live and archived jobs, then the running-end index, kept here as is.
+  WireWriter sched_writer;
+  live.cluster(0).scheduler().snapshot(sched_writer);
+  const std::vector<std::uint8_t> sched = sched_writer.take();
+  ASSERT_TRUE(std::equal(sched.rbegin(), sched.rend(), state.rbegin()));
+  const std::size_t head = state.size() - sched.size();
+  WireReader r(sched);
+  NodePool::Accounting accounting;
+  std::vector<RuntimeJob> live_jobs, archived;
+  get(r, accounting);
+  get(r, live_jobs);
+  get(r, archived);
+  ASSERT_FALSE(live_jobs.empty());
+  ASSERT_FALSE(archived.empty());
+  const std::span<const std::uint8_t> ends(sched.end() - r.remaining(),
+                                           sched.end());
+  const auto state_with = [&](const std::vector<RuntimeJob>& live_table,
+                              const std::vector<RuntimeJob>& archive) {
+    WireWriter out;
+    out.put_bytes({state.data(), head});
+    put(out, accounting);
+    put(out, live_table);
+    put(out, archive);
+    out.put_bytes(ends);
+    return out.take();
+  };
+  ASSERT_EQ(state_with(live_jobs, archived), state);
+
+  std::vector<RuntimeJob> live_twice = live_jobs;
+  live_twice.push_back(live_jobs.front());
+  std::vector<RuntimeJob> archived_twice = archived;
+  archived_twice.insert(archived_twice.begin() + 1, archived.front());
+  std::vector<RuntimeJob> live_and_finished = live_jobs;
+  live_and_finished.push_back(archived.front());
+  live_and_finished.back().state = JobState::kQueued;
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> state;
+  } shapes[] = {
+      {"twice in the live table", state_with(live_twice, archived)},
+      {"twice in the archive", state_with(live_jobs, archived_twice)},
+      {"queued and archived", state_with(live_and_finished, archived)},
+  };
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    std::vector<std::uint8_t> image = older_frame;
+    const std::vector<std::uint8_t> newer =
+        v1_frame(2, JournalRecordKind::kSnapshot, shape.state);
+    image.insert(image.end(), newer.begin(), newer.end());
+    auto sink = std::make_unique<MemoryJournalSink>();
+    sink->reset(std::move(image));
+    Journal journal(std::move(sink));
+    journal.reopen();
+    CoupledSim fresh(w.specs, w.traces);
+    Cluster::RecoveryStats stats;
+    ASSERT_NO_THROW(stats = fresh.cluster(0).recover_from_journal(journal));
+    EXPECT_TRUE(stats.snapshot_fallback);
+  }
 }
 
 // -- ENOSPC degradation ladder --------------------------------------------
