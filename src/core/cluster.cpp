@@ -62,9 +62,9 @@ void check_replayed(const T& v) {
 template <class... Fields>
 void Cluster::append(JournalRecordKind kind, const Fields&... fields) {
   if (!journaling()) return;
-  WireWriter w;
-  (put(w, fields), ...);
-  journal_->append(kind, w.bytes());
+  record_.clear();
+  (put(record_, fields), ...);
+  journal_->append(kind, record_.bytes());
 }
 
 template <class... Params>
@@ -189,7 +189,7 @@ void Cluster::request_iteration() {
   // Committed immediately: this can be the only record of an entry point
   // (e.g. a transport retry listener), and losing it would silently drop
   // the armed iteration on recovery.
-  if (journaling()) journal_->commit();
+  if (journaling()) journal_barrier();
   iteration_event_ =
       engine_.schedule_at(engine_.now(), EventPriority::kSchedule,
                           [this] { run_iteration_body(); });
@@ -954,24 +954,30 @@ void Cluster::set_journal(Journal* journal, std::uint64_t compact_every) {
   // The journal must be recoverable from its very first byte: start it with
   // a snapshot of the current state.  There is no previous generation to
   // retain on the initial attach.
-  WireWriter snap;
-  write_snapshot(snap);
-  journal_->compact(snap.bytes(), /*retain_previous=*/false);
+  journal_->compact(encode_snapshot(), /*retain_previous=*/false);
+}
+
+std::span<const std::uint8_t> Cluster::encode_snapshot() {
+  snapshot_.clear();
+  write_snapshot(snapshot_);
+  return snapshot_.bytes();
+}
+
+void Cluster::journal_barrier() {
+  // ENOSPC ladder, rung 1: an append was dropped since the last commit.
+  // Compact before the barrier so the hole the dropped record left never
+  // becomes durable.
+  if (journal_->no_space()) emergency_compact();
+  journal_->commit();
 }
 
 void Cluster::journal_commit() {
   if (!journaling()) return;
-  // ENOSPC ladder, rung 1: an append was dropped since the last commit.
-  // Compact before the barrier so the hole the dropped record left never
-  // becomes the durable tip of the log.
-  if (journal_->no_space()) emergency_compact();
-  journal_->commit();
+  journal_barrier();
   if (compact_every_ > 0 &&
       journal_->records_since_compaction() >= compact_every_) {
-    WireWriter snap;
-    write_snapshot(snap);
     try {
-      journal_->compact(snap.bytes());
+      journal_->compact(encode_snapshot());
     } catch (const JournalNoSpace&) {
       // The generation-retaining image no longer fits — fall through to the
       // ladder, which collapses to a single snapshot (and beyond).
@@ -985,19 +991,18 @@ void Cluster::journal_commit() {
 
 void Cluster::emergency_compact() {
   ++durable_.agent.enospc_events;
-  WireWriter snap;
-  write_snapshot(snap);
+  const std::span<const std::uint8_t> snap = encode_snapshot();
   try {
     // Rung 2: collapse the whole log into one snapshot frame, freeing every
     // byte the tail occupied.
-    journal_->compact(snap.bytes(), /*retain_previous=*/false);
+    journal_->compact(snap, /*retain_previous=*/false);
     ++durable_.agent.emergency_compactions;
   } catch (const Error&) {
     // Rung 3: even a single snapshot does not fit (or the old image cannot
     // be read back) — keep journaling in memory so in-process recovery and
     // the exactly-once cache stay alive, and raise the degraded alarm.
     journal_->degrade_to_memory();
-    journal_->compact(snap.bytes(), /*retain_previous=*/false);
+    journal_->compact(snap, /*retain_previous=*/false);
   }
 }
 
@@ -1477,7 +1482,7 @@ Cluster::RecoveryStats Cluster::recover_from_journal(Journal& journal) {
   journal_ = &journal;
   commit(JournalRecordKind::kIncarnation, &Durable::apply_incarnation,
          durable_.agent.incarnation + 1);
-  journal_->commit();
+  journal_barrier();
 
   stats.incarnation = durable_.agent.incarnation;
   stats.replay_seconds =

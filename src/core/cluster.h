@@ -408,6 +408,13 @@ class Cluster final : public CoschedService {
   /// Group-commit point at the end of every journaling entry body; also
   /// triggers compaction once compact_every_ records accumulate.
   void journal_commit();
+  /// Every commit barrier: ENOSPC ladder rung 1 when an append was dropped
+  /// since the last commit, then the journal's commit, so a dropped record
+  /// never leaves a durable hole.  Cluster's only call of Journal::commit().
+  void journal_barrier();
+  /// write_snapshot() into snapshot_, which set_journal, journal_commit
+  /// and emergency_compact share; valid until the next call.
+  std::span<const std::uint8_t> encode_snapshot();
   /// ENOSPC ladder step: fold the whole tail into one snapshot (freeing
   /// quota); if even that does not fit, degrade the journal to memory.
   void emergency_compact();
@@ -704,6 +711,10 @@ class Cluster final : public CoschedService {
   /// the lease grant records it as the renewal source.
   std::int32_t blocking_peer_ = -1;
   Journal* journal_ = nullptr;   ///< not owned
+  /// Reused encoders, so a warm record or snapshot allocates nothing: each
+  /// record's payload, and each compaction's snapshot.
+  WireWriter record_;
+  WireWriter snapshot_;
   std::uint64_t compact_every_ = 0;
   bool replaying_ = false;
   /// True while start_held() promotes a holder, so the kStart record can

@@ -196,8 +196,14 @@ class CoupledSim {
                                 std::uint64_t compact_every = 0);
   bool journaling_enabled() const { return !journals_.empty(); }
   Journal& journal(std::size_t i) { return *journals_.at(i); }
-  /// Domain `i`'s fault injector (nullptr unless enable_faulty_journaling).
-  FaultyJournalSink* faulty_sink(std::size_t i) { return faulty_sinks_.at(i); }
+  /// Domain `i`'s fault injector: nullptr unless enable_faulty_journaling,
+  /// and nullptr once domain `i`'s journal has degraded to memory, since
+  /// Journal::degrade_to_memory destroys the injector with the sink it
+  /// replaces.
+  FaultyJournalSink* faulty_sink(std::size_t i) {
+    FaultyJournalSink* sink = faulty_sinks_.at(i);
+    return sink != nullptr && journal(i).degraded() ? nullptr : sink;
+  }
 
   /// Mutates a journal's raw durable image between crash and recovery (the
   /// corrupt-anywhere harness hook).
@@ -249,7 +255,8 @@ class CoupledSim {
   std::unique_ptr<EventLog> event_log_;
   std::vector<std::unique_ptr<Journal>> journals_;  ///< empty unless enabled
   /// Per-domain fault injectors (nullptr entries unless faulty journaling);
-  /// the sinks are owned by journals_, these are observation pointers.
+  /// the sinks are owned by journals_, these are observation pointers that
+  /// dangle once their journal degrades to memory (faulty_sink() checks).
   std::vector<FaultyJournalSink*> faulty_sinks_;
   /// Per-domain at-rest corruptors armed by schedule_crash_recovery
   /// (consumed by the first crash of that domain).

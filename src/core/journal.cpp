@@ -242,8 +242,10 @@ void walk_frames(std::span<const std::uint8_t> bytes, std::size_t from,
     on_gap(bad, n - bad, bad_reason, bad_status == FrameStatus::kTruncated);
 }
 
-/// Advances the (inverted) CRC register `c` over n bytes, eight at a time
-/// through the slice-by-8 tables.
+/// Advances the (inverted) CRC register `c` over n bytes: eight at a time
+/// through the slice-by-8 tables, then one four-byte step through t[3]..t[0]
+/// when four or more remain, then byte by byte.  A 12-byte frame header
+/// takes one eight- and one four-byte step.
 std::uint32_t crc32_tables(std::uint32_t c, const std::uint8_t* p,
                            std::size_t n) {
   const CrcTables& t = kCrcTables;
@@ -253,6 +255,13 @@ std::uint32_t crc32_tables(std::uint32_t c, const std::uint8_t* p,
     c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
         t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
         t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  if (n >= 4) {
+    const std::uint32_t w = get_le32(p) ^ c;
+    c = t[3][w & 0xffu] ^ t[2][(w >> 8) & 0xffu] ^ t[1][(w >> 16) & 0xffu] ^
+        t[0][w >> 24];
+    p += 4;
+    n -= 4;
   }
   for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c;

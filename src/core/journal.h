@@ -171,31 +171,34 @@ class JournalSink {
   virtual std::vector<std::uint8_t> contents() const = 0;
 };
 
-/// In-memory sink modeling an fsync boundary: appended bytes sit in a
-/// buffer until commit(); contents() returns only the committed prefix.
-/// This is what the kill-anywhere harness "crashes": uncommitted bytes
-/// vanish, exactly like a page cache on power loss.
+/// In-memory sink modeling an fsync boundary: one buffer holds every
+/// appended byte, and a commit mark splits it into the durable prefix and
+/// the uncommitted rest.  commit() moves the mark to the end, so it copies
+/// nothing; contents() returns only the bytes before the mark.  This is
+/// what the kill-anywhere harness "crashes": uncommitted bytes vanish,
+/// exactly like a page cache on power loss.
 class MemoryJournalSink final : public JournalSink {
  public:
   void append(std::span<const std::uint8_t> frame) override {
-    buffered_.insert(buffered_.end(), frame.begin(), frame.end());
+    bytes_.insert(bytes_.end(), frame.begin(), frame.end());
   }
-  void commit() override {
-    durable_.insert(durable_.end(), buffered_.begin(), buffered_.end());
-    buffered_.clear();
-  }
+  void commit() override { committed_ = bytes_.size(); }
+  /// The new image is durable whole; whatever lay past the mark is gone.
   void reset(std::vector<std::uint8_t> contents) override {
-    durable_ = std::move(contents);
-    buffered_.clear();
+    bytes_ = std::move(contents);
+    committed_ = bytes_.size();
   }
-  std::vector<std::uint8_t> contents() const override { return durable_; }
+  std::vector<std::uint8_t> contents() const override {
+    return {bytes_.begin(),
+            bytes_.begin() + static_cast<std::ptrdiff_t>(committed_)};
+  }
 
-  std::size_t durable_bytes() const { return durable_.size(); }
-  std::size_t buffered_bytes() const { return buffered_.size(); }
+  std::size_t durable_bytes() const { return committed_; }
+  std::size_t buffered_bytes() const { return bytes_.size() - committed_; }
 
  private:
-  std::vector<std::uint8_t> durable_;
-  std::vector<std::uint8_t> buffered_;
+  std::vector<std::uint8_t> bytes_;
+  std::size_t committed_ = 0;  ///< the commit mark: bytes_[0, committed_)
 };
 
 /// File-backed sink for the live daemons: append() writes to the file,

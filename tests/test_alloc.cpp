@@ -162,6 +162,34 @@ TEST(Allocations, WarmJournalAppendsAllocateNothing) {
   EXPECT_EQ(allocations, 0u);
 }
 
+TEST(Allocations, WarmJournalOverAMemorySinkWithRoomAllocatesNothing) {
+  // The sink the simulator runs: a commit moves its mark and copies
+  // nothing, so once its one buffer has room, appends and commits allocate
+  // nothing.  An empty image with capacity for every frame below gives it
+  // that room.
+  auto sink = std::make_unique<MemoryJournalSink>();
+  MemoryJournalSink* raw = sink.get();
+  std::vector<std::uint8_t> room;
+  room.reserve(1u << 20);
+  sink->reset(std::move(room));
+  Journal journal(std::move(sink));
+  const std::vector<std::uint8_t> payload(48, 0x5a);
+  journal.append(JournalRecordKind::kSubmit,
+                 std::vector<std::uint8_t>(64, 0x5a));
+  journal.commit();
+
+  const std::uint64_t allocations = allocations_in([&] {
+    for (int i = 0; i < 10000; ++i) {
+      journal.append(JournalRecordKind::kSubmit, payload);
+      journal.commit();
+    }
+  });
+  EXPECT_EQ(journal.last_committed_seq(), 10001u);
+  EXPECT_EQ(raw->buffered_bytes(), 0u);
+  EXPECT_GT(raw->durable_bytes(), 10000u * payload.size());
+  EXPECT_EQ(allocations, 0u);
+}
+
 std::vector<Time> ascending_times(std::size_t n) {
   std::vector<Time> times(n);
   std::iota(times.begin(), times.end(), Time{0});

@@ -77,7 +77,8 @@ TEST(Journal, Crc32MatchesKnownAnswersAndABitwiseReference) {
   };
   // Lengths 0-320 at offsets 0-15 give every alignment, every count of
   // 64-byte fold blocks up to five, every remainder of 16-byte blocks and
-  // every tail of the table kernel's eight- and one-byte loops.
+  // every tail of the table kernel: its eight-byte loop, then its four-byte
+  // step taken or not, then zero to three single bytes.
   for (std::size_t offset = 0; offset < 16; ++offset)
     for (std::size_t length = 0; length <= 320; ++length)
       expect_both(offset, length);

@@ -1018,6 +1018,53 @@ TEST(Enospc, LadderKeepsTheSimulationAliveAndCountsEveryRung) {
   }
 }
 
+TEST(Enospc, NoCommitEverMakesADroppedRecordADurableHole) {
+  // Every commit barrier climbs rung 1 first, the one right after an armed
+  // iteration's record included: a record the sink dropped earlier in the
+  // same event must be folded into an emergency snapshot before anything
+  // appended after it becomes durable.  Each commit's durable image is
+  // salvage-scanned across quotas that hit the ladder at every stage of the
+  // run.
+  for (const SchemeCombo combo : kAllCombos) {
+    SCOPED_TRACE(combo.label);
+    for (std::uint64_t capacity = 128; capacity <= 8192; capacity += 32) {
+      Workload w = crash_workload(combo);
+      CoupledSim sim(w.specs, w.traces);
+      StorageFaultPlan plan;
+      plan.capacity_bytes = capacity;
+      sim.enable_faulty_journaling(plan);
+      int holed_commits = 0;
+      for (std::size_t d = 0; d < sim.size(); ++d)
+        sim.journal(d).set_on_commit([&sim, &holed_commits, d](std::uint64_t) {
+          if (salvage_scan(sim.journal(d).sink().contents()).seq_holes > 0)
+            ++holed_commits;
+        });
+      const SimResult r = sim.run(10 * kDay);
+      EXPECT_TRUE(r.completed) << "capacity " << capacity;
+      EXPECT_EQ(holed_commits, 0) << "capacity " << capacity;
+    }
+  }
+}
+
+TEST(Enospc, DegradedDomainHasNoFaultySink) {
+  // Degrading to memory destroys the injector with the sink it replaces,
+  // so faulty_sink() must stop handing it out.
+  Workload w = crash_workload(kHY);
+  CoupledSim sim(w.specs, w.traces);
+  StorageFaultPlan plan;
+  plan.capacity_bytes = 128;  // not even the attach snapshot fits
+  sim.enable_faulty_journaling(plan);
+  const SimResult r = sim.run(10 * kDay);
+  ASSERT_TRUE(r.completed);
+  ASSERT_TRUE(sim.journal(0).degraded());
+  EXPECT_EQ(sim.faulty_sink(0), nullptr);
+  for (std::size_t d = 0; d < sim.size(); ++d) {
+    if (sim.journal(d).degraded()) continue;
+    ASSERT_NE(sim.faulty_sink(d), nullptr) << "domain " << d;
+    EXPECT_GT(sim.faulty_sink(d)->stats().appends, 0u) << "domain " << d;
+  }
+}
+
 TEST(Enospc, AmpleCapacityNeverTriggersTheLadder) {
   Workload w = crash_workload(kHH);
   CoupledSim sim(w.specs, w.traces);
