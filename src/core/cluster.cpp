@@ -125,11 +125,10 @@ void Cluster::add_peer(PeerClient& peer) {
 
 void Cluster::register_expected(const JobSpec& spec) {
   COSCHED_CHECK(spec.is_paired());
-  const auto it = durable_.agent.group_to_job.find(spec.group);
-  COSCHED_CHECK_MSG(
-      it == durable_.agent.group_to_job.end() || it->second == spec.id,
-      "group " << spec.group << " already has local member " << it->second
-               << " on " << name_);
+  const JobId* member = durable_.agent.group_to_job.find(spec.group);
+  COSCHED_CHECK_MSG(member == nullptr || *member == spec.id,
+                    "group " << spec.group << " already has local member "
+                             << *member << " on " << name_);
   commit(JournalRecordKind::kExpected, &Durable::apply_expected, spec);
   journal_commit();
 }
@@ -212,9 +211,9 @@ void Cluster::run_iteration_body() {
 
 std::optional<JobId> Cluster::get_mate_job(GroupId group, JobId asking) {
   (void)asking;
-  auto it = durable_.agent.group_to_job.find(group);
-  if (it == durable_.agent.group_to_job.end()) return std::nullopt;
-  return it->second;
+  const JobId* member = durable_.agent.group_to_job.find(group);
+  if (member == nullptr) return std::nullopt;
+  return *member;
 }
 
 MateStatus Cluster::get_mate_status(JobId job) {
@@ -222,8 +221,8 @@ MateStatus Cluster::get_mate_status(JobId job) {
     return MateStatus::kStarting;
   const RuntimeJob* j = sched_.find(job);
   if (!j)
-    return durable_.agent.expected.count(job) ? MateStatus::kUnsubmitted
-                                              : MateStatus::kUnknown;
+    return durable_.agent.expected.contains(job) ? MateStatus::kUnsubmitted
+                                                 : MateStatus::kUnknown;
   switch (j->state) {
     case JobState::kQueued: return MateStatus::kQueuing;
     case JobState::kHolding: return MateStatus::kHolding;
@@ -265,7 +264,7 @@ void Cluster::start_held(const RuntimeJob& j) {
   starting_from_hold_ = true;
   durable_.apply_start(id, engine_.now(), j.first_ready, j.allocated,
                        /*from_hold=*/true,
-                       durable_.agent.unsync_pending.count(id) > 0);
+                       durable_.agent.unsync_pending.contains(id));
   starting_from_hold_ = false;
 }
 
@@ -287,8 +286,8 @@ RunDecision Cluster::run_job_hook(RuntimeJob& job, bool try_context) {
   if (deg.unknown == 0 && deg.suspected == 0 && !deg.fault_seen && !deg.unsync)
     return d;
   const JobId id = job.spec.id;
-  const bool had_fault = durable_.agent.fault_seen.count(id) > 0;
-  const bool had_unsync = durable_.agent.unsync_pending.count(id) > 0;
+  const bool had_fault = durable_.agent.fault_seen.contains(id);
+  const bool had_unsync = durable_.agent.unsync_pending.contains(id);
   if (deg.unknown != 0 || deg.suspected != 0 ||
       (deg.fault_seen && !had_fault) || (deg.unsync && !had_unsync))
     commit(JournalRecordKind::kDegraded, &Durable::apply_degraded, id,
@@ -702,7 +701,7 @@ void Cluster::on_job_started(const RuntimeJob& job) {
   // one journals kStart, and a replayed one came from apply_start().  Both
   // then run the Cluster side of the start.
   const JobId id = job.spec.id;
-  const bool was_unsync = durable_.agent.unsync_pending.count(id) > 0;
+  const bool was_unsync = durable_.agent.unsync_pending.contains(id);
   append(JournalRecordKind::kStart, id, engine_.now(), job.first_ready,
          job.allocated, starting_from_hold_, was_unsync);
   durable_.apply_started(id);
@@ -723,9 +722,8 @@ void Cluster::on_job_finished(JobId id) {
   // Dependents gated by a think-time delay become eligible later than this
   // finish-triggered iteration; wake the scheduler when the gap elapses.
   // Armed before the finish's apply drops the dependency links.
-  auto [begin, end] = durable_.agent.dependents.equal_range(id);
-  for (auto it = begin; it != end; ++it) {
-    const Duration delay = it->second.second;
+  for (const auto& [dependent, delay] :
+       durable_.agent.dependents.sorted_values(id)) {
     if (delay > 0)
       engine_.schedule_in(delay, EventPriority::kSchedule,
                           [this] { request_iteration(); });
@@ -790,7 +788,7 @@ void Cluster::hold_release_tick() {
     return;
   }
   for (JobId h : holders)
-    force_release(h, durable_.agent.fault_seen.count(h) > 0);
+    force_release(h, durable_.agent.fault_seen.contains(h));
   request_iteration();
   journal_commit();
 }
@@ -938,7 +936,7 @@ void Cluster::expire_lease(JobId job, bool mate_dead) {
   const RuntimeJob* j = sched_.find(job);
   if (j != nullptr) log_event(JobEventKind::kLeaseExpire, *j);
   if (j != nullptr && j->state == JobState::kHolding) {
-    force_release(job, mate_dead || durable_.agent.fault_seen.count(job) > 0);
+    force_release(job, mate_dead || durable_.agent.fault_seen.contains(job));
     // The requeued job decides afresh next iteration: a confirmed-dead mate
     // then takes the §IV-C unknown path and starts unsynchronized.
     request_iteration();
@@ -1019,8 +1017,8 @@ void Cluster::validate_indices() const {
 }
 
 void Cluster::wipe_for_recovery() {
-  // cosched-lint: ordered(every event is cancelled; order is unobservable)
-  for (auto& [id, ev] : completion_events_) engine_.cancel(ev);
+  completion_events_.for_each_sorted(
+      [this](const auto& entry) { engine_.cancel(entry.second); });
   completion_events_.clear();
   for (std::optional<EventId>* ev :
        {&iteration_event_, &tick_event_, &periodic_event_, &liveness_event_}) {
@@ -1503,7 +1501,8 @@ void Cluster::rearm_after_restore() {
     JobId id;
   };
   std::vector<Completion> completions;
-  for (const auto& [id, job] : sched_.jobs()) {
+  for (JobId id : sched_.jobs().sorted_keys()) {
+    const RuntimeJob& job = sched_.jobs().at(id);
     if (job.state != JobState::kRunning) continue;
     completions.push_back({job.start + job.spec.runtime, job.start, id});
   }
@@ -1596,7 +1595,8 @@ void Cluster::rearm_after_restore() {
   // still queued behind a satisfied-later constraint re-checks at its ready
   // time (this re-derives both the delayed finish-side wakes and the
   // track_dependency() direct wakes).
-  for (const auto& [id, job] : sched_.jobs()) {
+  for (JobId id : sched_.jobs().sorted_keys()) {
+    const RuntimeJob& job = sched_.jobs().at(id);
     if (job.state != JobState::kQueued || !job.spec.has_dependency()) continue;
     const RuntimeJob* dep = sched_.find(job.spec.after);
     if (dep == nullptr || dep->state != JobState::kFinished) continue;

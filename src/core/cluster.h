@@ -22,8 +22,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,6 +33,7 @@
 #include "proto/service.h"
 #include "sched/scheduler.h"
 #include "sim/engine.h"
+#include "util/hashed.h"
 #include "util/job_id_set.h"
 #include "workload/trace.h"
 
@@ -459,18 +458,18 @@ class Cluster final : public CoschedService {
     std::uint64_t enospc_events = 0;
     /// Emergency compactions that successfully recovered journal space.
     std::uint64_t emergency_compactions = 0;
-    std::unordered_map<JobId, JobSpec> expected;  ///< registered, unsubmitted
-    std::unordered_map<GroupId, JobId> group_to_job;
+    HashMap<JobId, JobSpec> expected;  ///< registered, unsubmitted
+    HashMap<GroupId, JobId> group_to_job;
     /// dependency -> (dependent job, think-time delay); drained at finish.
-    std::unordered_multimap<JobId, std::pair<JobId, Duration>> dependents;
+    HashMultiMap<JobId, std::pair<JobId, Duration>> dependents;
     /// Every job that ever became ready (its kReady is logged once).
     JobIdSet ready_logged;
     /// Jobs whose latest decision path hit a transport fault; membership
     /// makes a subsequent forced release fault-attributable.
-    std::unordered_set<JobId> fault_seen;
+    HashSet<JobId> fault_seen;
     /// Jobs whose start decision was taken under a transport fault;
     /// confirmed as unsynchronized starts when the start actually lands.
-    std::unordered_set<JobId> unsync_pending;
+    HashSet<JobId> unsync_pending;
     bool iteration_pending = false;
     bool release_tick_pending = false;
     Time release_tick_at = kNoTime;  ///< absolute time of the armed tick
@@ -723,7 +722,7 @@ class Cluster final : public CoschedService {
   /// Tracked timers a crash cancels and recovery re-arms.  Untracked events
   /// (the trace's submit batch, yield retries, dependency wakes) survive a
   /// crash and carry state guards instead.
-  std::unordered_map<JobId, EventId> completion_events_;
+  HashMap<JobId, EventId> completion_events_;
   std::optional<EventId> iteration_event_;
   std::optional<EventId> tick_event_;
   std::optional<EventId> periodic_event_;

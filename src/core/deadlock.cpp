@@ -12,16 +12,11 @@ std::vector<WaitEdge> build_wait_graph(
   std::vector<WaitEdge> edges;
   for (std::size_t x = 0; x < clusters.size(); ++x) {
     const Cluster* cx = clusters[x];
-    // The job table is unordered; sort the holding candidates so the edge
-    // list (which callers print) is independent of hash-insertion history.
-    std::vector<JobId> holding;
-    for (const auto& [id, job] : cx->scheduler().jobs()) {
-      if (job.state == JobState::kHolding && job.spec.is_paired())
-        holding.push_back(id);
-    }
-    std::sort(holding.begin(), holding.end());
-    for (JobId id : holding) {
+    // Holding jobs in ascending id order, so the edge list (which callers
+    // print) is independent of hash-insertion history.
+    for (JobId id : cx->scheduler().holding_ids()) {
       const RuntimeJob& job = *cx->scheduler().find(id);
+      if (!job.spec.is_paired()) continue;
       // Find the domain holding this group's unready member.
       for (std::size_t y = 0; y < clusters.size(); ++y) {
         if (y == x) continue;

@@ -9,18 +9,17 @@
 //   - a type with a field list (util/fields.h) is its fields in order, and
 //     a pair or tuple its elements; an optional is a presence bool and then
 //     the value;
-//   - a container is its size and then its elements in ascending order: an
-//     unordered one is sorted first, by key and then by value, and a map
-//     whose values carry their own key (durable_key) writes the values
+//   - a container is its size and then its elements in ascending order: a
+//     hash table (util/hashed.h) walks them by key and then by value, and a
+//     map whose values carry their own key (durable_key) writes the values
 //     alone.  A RetryQueue, held in firing order, writes its (time, id)
 //     keys sorted.
 // get() throws ParseError on malformed bytes whatever the type: a truncated
 // value, a count larger than the bytes left, an integer outside its field's
-// range, or a failed check_durable(v), a type's own check of a value it has
-// just read.
+// range, a map or set that repeats a key, or a failed check_durable(v), a
+// type's own check of a value it has just read.
 #pragma once
 
-#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <optional>
@@ -32,6 +31,7 @@
 #include "proto/wire.h"
 #include "util/error.h"
 #include "util/fields.h"
+#include "util/hashed.h"
 #include "util/job_id_set.h"
 
 namespace cosched {
@@ -46,8 +46,15 @@ template <class T>
 concept Optional = std::same_as<T, std::optional<typename T::value_type>>;
 template <class T>
 concept Map = requires { typename T::mapped_type; };
+/// A multimap may hold a key more than once; a map (it has at()) or a set
+/// may not.
 template <class T>
-concept Hashed = requires { typename T::hasher; };
+concept MultiMap =
+    Map<T> && !requires(T& v, const typename T::key_type& k) { v.at(k); };
+template <class T>
+inline constexpr bool kHashTable = false;
+template <class Table>
+inline constexpr bool kHashTable<Hashed<Table>> = true;
 /// A value that names its own map key (JobSpec, HoldLease).
 template <class T>
 concept SelfKeyed = requires(const T& v) { durable_key(v); };
@@ -96,32 +103,20 @@ inline void put(WireWriter& w, const T& v) {
     put(w, v.ascending());
   } else if constexpr (std::same_as<T, RetryQueue>) {
     put(w, v.sorted_keys());
-  } else if constexpr (Hashed<T> && Map<T>) {
-    using V = typename T::mapped_type;
-    std::vector<std::pair<typename T::key_type, const V*>> sorted;
-    sorted.reserve(v.size());
-    for (const auto& [key, value] : v) sorted.emplace_back(key, &value);
-    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-      if constexpr (std::totally_ordered<V>) {
-        if (a.first == b.first) return *a.second < *b.second;
-      }
-      return a.first < b.first;
-    });
-    w.put_u64(sorted.size());
-    for (const auto& [key, value] : sorted) {
-      if constexpr (!SelfKeyed<V>) put(w, key);
-      put(w, *value);
-    }
-  } else if constexpr (Hashed<T>) {
-    std::vector<typename T::value_type> sorted(v.begin(), v.end());
-    std::sort(sorted.begin(), sorted.end());
-    put(w, sorted);
-  } else if constexpr (SelfKeyedMap<T>) {
-    w.put_u64(v.size());
-    for (const auto& [key, value] : v) put(w, value);
   } else {
+    const auto put_element = [&w](const auto& e) {
+      if constexpr (SelfKeyedMap<T>) {
+        put(w, e.second);
+      } else {
+        put(w, e);
+      }
+    };
     w.put_u64(v.size());
-    for (const auto& e : v) put(w, e);
+    if constexpr (kHashTable<T>) {
+      v.for_each_sorted(put_element);
+    } else {
+      for (const auto& e : v) put_element(e);
+    }
   }
 }
 
@@ -164,7 +159,10 @@ inline void get(WireReader& r, T&& out) {
       if constexpr (!SelfKeyed<V>) get(r, key);
       get(r, value);
       if constexpr (SelfKeyed<V>) key = durable_key(value);
-      v.emplace_hint(v.end(), std::move(key), std::move(value));
+      v.emplace(std::move(key), std::move(value));
+    }
+    if constexpr (!MultiMap<U>) {
+      if (v.size() < count) throw ParseError("durable: repeated key");
     }
   } else if constexpr (requires { v.emplace_back(); }) {
     const std::uint64_t n = get_count(r);
@@ -187,6 +185,7 @@ inline void get(WireReader& r, T&& out) {
       get(r, value);
       v.insert(std::move(value));
     }
+    if (v.size() < count) throw ParseError("durable: repeated key");
   }
 }
 

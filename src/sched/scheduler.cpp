@@ -21,7 +21,7 @@ Scheduler::Scheduler(NodeCount capacity, std::unique_ptr<PriorityPolicy> policy,
 
 void Scheduler::submit(const JobSpec& spec, Time now) {
   COSCHED_CHECK_MSG(spec.id != kNoJob, "job must have an id");
-  COSCHED_CHECK_MSG(!jobs_.count(spec.id) && !archived_.count(spec.id),
+  COSCHED_CHECK_MSG(!jobs_.contains(spec.id) && !archived_.contains(spec.id),
                     "duplicate submit of job " << spec.id);
   COSCHED_CHECK_MSG(pool_.charged(spec.nodes) <= pool_.capacity(),
                     "job " << spec.id << " cannot fit the machine");
@@ -37,9 +37,8 @@ bool Scheduler::eligible(const RuntimeJob& job, Time now) const {
   if (!job.spec.has_dependency()) return true;
   // Finished dependencies live in the archive; a dependency still in the
   // live table (or not yet submitted) cannot be satisfied.
-  auto it = archived_.find(job.spec.after);
-  if (it == archived_.end()) return false;
-  return now >= it->second.end + job.spec.after_delay;
+  const RuntimeJob* dep = archived_.find(job.spec.after);
+  return dep != nullptr && now >= dep->end + job.spec.after_delay;
 }
 
 std::vector<JobId> Scheduler::priority_order(Time now) const {
@@ -129,12 +128,17 @@ RunDecision Scheduler::decide(RuntimeJob& job, NodeCount charged, Time now,
   return d;
 }
 
+RuntimeJob& Scheduler::live_job(JobId id) {
+  RuntimeJob* job = jobs_.find(id);
+  COSCHED_CHECK_MSG(job != nullptr, "unknown job " << id);
+  return *job;
+}
+
 RuntimeJob& Scheduler::queued_job(JobId id) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-  COSCHED_CHECK_MSG(it->second.state == JobState::kQueued,
+  RuntimeJob& job = live_job(id);
+  COSCHED_CHECK_MSG(job.state == JobState::kQueued,
                     "job " << id << " is not queued");
-  return it->second;
+  return job;
 }
 
 void Scheduler::start_queued(JobId id, Time now, Time first_ready,
@@ -302,8 +306,8 @@ std::vector<JobId> Scheduler::iterate(Time now, const RunJobHook& hook) {
 }
 
 bool Scheduler::try_start_specific(JobId id, Time now, const RunJobHook& hook) {
-  auto it = jobs_.find(id);
-  return it != jobs_.end() && try_start_specific(it->second, now, hook);
+  RuntimeJob* job = jobs_.find(id);
+  return job != nullptr && try_start_specific(*job, now, hook);
 }
 
 bool Scheduler::try_start_specific(RuntimeJob& job, Time now,
@@ -336,9 +340,7 @@ bool Scheduler::try_start_specific(RuntimeJob& job, Time now,
 }
 
 void Scheduler::start_holding(JobId id, Time now) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-  RuntimeJob& job = it->second;
+  RuntimeJob& job = live_job(id);
   COSCHED_CHECK_MSG(job.state == JobState::kHolding,
                     "job " << id << " is not holding");
   pool_.hold_to_busy(job.allocated, now);
@@ -347,9 +349,7 @@ void Scheduler::start_holding(JobId id, Time now) {
 }
 
 void Scheduler::release_hold(JobId id, Time now) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-  RuntimeJob& job = it->second;
+  RuntimeJob& job = live_job(id);
   COSCHED_CHECK_MSG(job.state == JobState::kHolding,
                     "job " << id << " is not holding");
   pool_.unhold(job.allocated, now);
@@ -364,23 +364,21 @@ void Scheduler::release_hold(JobId id, Time now) {
 }
 
 void Scheduler::finish(JobId id, Time now) {
-  auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-  RuntimeJob& job = it->second;
+  RuntimeJob& job = live_job(id);
   COSCHED_CHECK_MSG(job.state == JobState::kRunning,
                     "job " << id << " is not running");
   pool_.release(job.allocated, now);
   erase_running_end(job);
   job.state = JobState::kFinished;
   job.end = now;
-  archive(it);
+  archive(job);
   touch();  // archived dependencies may unblock queued jobs
 }
 
 void Scheduler::kill(JobId id, Time now) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;  // unknown or already archived
-  RuntimeJob& job = it->second;
+  RuntimeJob* found = jobs_.find(id);
+  if (found == nullptr) return;  // unknown or already archived
+  RuntimeJob& job = *found;
   switch (job.state) {
     case JobState::kQueued:
       remove_from_queue(id);
@@ -398,21 +396,16 @@ void Scheduler::kill(JobId id, Time now) {
   }
   job.state = JobState::kFinished;
   job.end = now;
-  archive(it);
+  archive(job);
   touch();
 }
 
 const RuntimeJob* Scheduler::find(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it != jobs_.end()) return &it->second;
-  auto ar = archived_.find(id);
-  return ar == archived_.end() ? nullptr : &ar->second;
+  const RuntimeJob* job = jobs_.find(id);
+  return job != nullptr ? job : archived_.find(id);
 }
 
-RuntimeJob* Scheduler::find_mut(JobId id) {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second;
-}
+RuntimeJob* Scheduler::find_mut(JobId id) { return jobs_.find(id); }
 
 std::vector<JobId> Scheduler::holding_ids() const {
   std::vector<JobId> ids;
@@ -427,10 +420,9 @@ void Scheduler::enqueue(RuntimeJob& job) {
 }
 
 void Scheduler::remove_from_queue(JobId id) {
-  auto it = queue_pos_.find(id);
-  if (it == queue_pos_.end()) return;
-  const std::size_t pos = it->second;
-  queue_pos_.erase(it);
+  const auto node = queue_pos_.extract(id);
+  if (node.empty()) return;
+  const std::size_t pos = node.mapped();
   RuntimeJob* const last = queued_.back();
   queued_.pop_back();
   if (last->spec.id != id) {
@@ -450,10 +442,9 @@ void check_archive_size(std::size_t size) {
 
 }  // namespace
 
-void Scheduler::archive(std::unordered_map<JobId, RuntimeJob>::iterator it) {
-  const JobId id = it->first;
-  const RuntimeJob& job = it->second;  // the node moves; the job stays put
-  archived_.insert(jobs_.extract(it));
+void Scheduler::archive(const RuntimeJob& job) {
+  const JobId id = job.spec.id;
+  archived_.insert(jobs_.extract(id));  // the node moves; the job stays put
   const auto at =
       std::lower_bound(archive_ids_.begin(), archive_ids_.end(), id);
   const auto i = static_cast<std::size_t>(at - archive_ids_.begin());
@@ -495,15 +486,6 @@ void Scheduler::encode_archive(std::vector<std::uint8_t>& bytes,
   bytes = w.take();
 }
 
-std::vector<JobId> Scheduler::live_ids() const {
-  std::vector<JobId> ids;
-  ids.reserve(jobs_.size());
-  // cosched-lint: ordered(ids are sorted before use)
-  for (const auto& [id, job] : jobs_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 void Scheduler::erase_running_end(const RuntimeJob& job) {
   const Time key = job.start + job.spec.walltime;
   auto [lo, hi] = running_ends_.equal_range(key);
@@ -522,7 +504,7 @@ void Scheduler::snapshot(WireWriter& w) const {
 
   // Both tables go out in ascending id order: the live one encoded now, the
   // archive as the bytes it keeps.
-  const std::vector<JobId> live = live_ids();
+  const std::vector<JobId> live = jobs_.sorted_keys();
   w.put_u64(live.size());
   for (JobId id : live) put(w, jobs_.at(id));
   w.put_u64(archive_ids_.size());
@@ -557,7 +539,7 @@ void Scheduler::restore(WireReader& r) {
     RuntimeJob j;
     get(r, j);
     const JobId id = j.spec.id;
-    if (!jobs_.emplace(id, std::move(j)).second)
+    if (!jobs_.emplace(id, std::move(j)))
       throw ParseError("snapshot: duplicate job id");
   }
   for (std::uint64_t n = r.get_u64(); n > 0; --n) {
@@ -566,50 +548,45 @@ void Scheduler::restore(WireReader& r) {
     if (j.state != JobState::kFinished)
       throw ParseError("snapshot: unfinished job in the archive");
     const JobId id = j.spec.id;
-    if (jobs_.count(id) > 0 || !archived_.emplace(id, std::move(j)).second)
+    if (jobs_.contains(id) || !archived_.emplace(id, std::move(j)))
       throw ParseError("snapshot: duplicate job id");
     insert_ascending(archive_ids_, id);
   }
 
   // Rebuild indices.  Queue order is behaviorally irrelevant (priority_order
-  // is a total order with an id tiebreak), so sorted-by-id is canonical.
-  std::vector<JobId> qids;
+  // is a total order with an id tiebreak), so ascending id is canonical.
   std::size_t running = 0;
-  // cosched-lint: ordered(qids are sorted below; index inserts are keyed)
-  for (auto& [id, j] : jobs_) {
+  for (JobId id : jobs_.sorted_keys()) {
+    RuntimeJob& j = jobs_.at(id);
     switch (j.state) {
-      case JobState::kQueued: qids.push_back(id); break;
+      case JobState::kQueued: enqueue(j); break;
       case JobState::kHolding: holding_.emplace(id, &j); break;
       case JobState::kRunning: ++running; break;
       case JobState::kFinished:
         throw ParseError("snapshot: finished job in the live table");
     }
   }
-  std::sort(qids.begin(), qids.end());
-  for (JobId id : qids) enqueue(jobs_.at(id));
   if (r.get_u64() != running)
     throw ParseError("snapshot: running-end index count differs");
   for (std::size_t i = 0; i < running; ++i) {
-    const auto it = jobs_.find(r.get_i64());
-    if (it == jobs_.end() || it->second.state != JobState::kRunning)
+    RuntimeJob* j = jobs_.find(r.get_i64());
+    if (j == nullptr || j->state != JobState::kRunning)
       throw ParseError("snapshot: end index names a job not running");
     // Decoded times lie in [kNoTime, 2^62) (check_durable), so this fits.
-    running_ends_.emplace(it->second.start + it->second.spec.walltime,
-                          &it->second);
+    running_ends_.emplace(j->start + j->spec.walltime, j);
   }
   touch();
 }
 
 void Scheduler::validate_indices() const {
   std::size_t queued = 0, holding = 0, running = 0;
-  // cosched-lint: ordered(pure assertions; no output or state depends on order)
-  for (const auto& [id, j] : jobs_) {
+  for (JobId id : jobs_.sorted_keys()) {
+    const RuntimeJob& j = jobs_.at(id);
     switch (j.state) {
       case JobState::kQueued: {
         ++queued;
-        auto it = queue_pos_.find(id);
-        COSCHED_CHECK_MSG(it != queue_pos_.end() &&
-                              queued_.at(it->second) == &j,
+        const std::size_t* pos = queue_pos_.find(id);
+        COSCHED_CHECK_MSG(pos != nullptr && queued_.at(*pos) == &j,
                           "queued job " << id << " missing from queue index");
         break;
       }
@@ -638,15 +615,11 @@ void Scheduler::validate_indices() const {
   COSCHED_CHECK_MSG(holding == holding_.size(), "hold index size mismatch");
   COSCHED_CHECK_MSG(running == running_ends_.size(),
                     "running-end index size mismatch");
-  std::vector<JobId> archived_ids;
-  archived_ids.reserve(archived_.size());
-  // cosched-lint: ordered(pure assertions; the ids are sorted before use)
-  for (const auto& [id, j] : archived_) {
-    COSCHED_CHECK_MSG(j.state == JobState::kFinished,
+  const std::vector<JobId> archived_ids = archived_.sorted_keys();
+  for (JobId id : archived_ids)
+    COSCHED_CHECK_MSG(archived_.at(id).state == JobState::kFinished,
                       "archived job " << id << " not finished");
-    archived_ids.push_back(id);
-  }
-  check_ascending_index(archive_ids_, std::move(archived_ids), "archive");
+  check_ascending_index(archive_ids_, archived_ids, "archive");
   if (archive_encoded_) {
     std::vector<std::uint8_t> bytes;
     std::vector<std::uint32_t> offsets;

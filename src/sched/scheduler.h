@@ -28,13 +28,13 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "proto/wire.h"
 #include "sched/node_pool.h"
 #include "sched/policy.h"
 #include "sched/runtime_job.h"
+#include "util/hashed.h"
 #include "util/job_id_set.h"
 #include "util/types.h"
 
@@ -159,13 +159,11 @@ class Scheduler {
   std::size_t finished_count() const { return archived_.size(); }
 
   /// Live (queued/holding/running) jobs.  Finished jobs are in archived().
-  const std::unordered_map<JobId, RuntimeJob>& jobs() const { return jobs_; }
+  const HashMap<JobId, RuntimeJob>& jobs() const { return jobs_; }
 
   /// Finished jobs, moved out of the live table so hot-path scans never
   /// touch them.
-  const std::unordered_map<JobId, RuntimeJob>& archived() const {
-    return archived_;
-  }
+  const HashMap<JobId, RuntimeJob>& archived() const { return archived_; }
 
   /// Applies `fn(id, job)` to every job this scheduler has seen, live then
   /// archived, each table in ascending-id order (for metric extraction).
@@ -174,7 +172,7 @@ class Scheduler {
   /// on insertion history (live run vs. journal replay).
   template <class F>
   void for_each_job(F&& fn) const {
-    for (JobId id : live_ids()) fn(id, jobs_.at(id));
+    for (JobId id : jobs_.sorted_keys()) fn(id, jobs_.at(id));
     for (JobId id : archive_ids_) fn(id, archived_.at(id));
   }
 
@@ -242,10 +240,8 @@ class Scheduler {
   RunDecision decide(RuntimeJob& job, NodeCount charged, Time now,
                      const RunJobHook& hook);
 
-  /// Live job ids in ascending order (sorted per call: the live table is
-  /// small, unlike the archive).
-  std::vector<JobId> live_ids() const;
-
+  /// The live job `id`; throws InvariantError for any other.
+  RuntimeJob& live_job(JobId id);
   /// The queued job `id`; throws InvariantError for any other.
   RuntimeJob& queued_job(JobId id);
   void start_queued(RuntimeJob& job, Time now, Time first_ready,
@@ -257,7 +253,7 @@ class Scheduler {
   void enqueue(RuntimeJob& job);
   void remove_from_queue(JobId id);
   /// Moves a finished live job's node to the archive; its address stays.
-  void archive(std::unordered_map<JobId, RuntimeJob>::iterator it);
+  void archive(const RuntimeJob& job);
   /// The archive section's bytes, built on the first call.
   std::span<const std::uint8_t> encoded_archive() const;
   /// Encodes every archived job afresh, in archive_ids_ order, with the
@@ -275,8 +271,8 @@ class Scheduler {
   SchedulerConfig config_;
   std::function<void(const RuntimeJob&)> on_start_;
 
-  std::unordered_map<JobId, RuntimeJob> jobs_;      ///< live jobs only
-  std::unordered_map<JobId, RuntimeJob> archived_;  ///< finished jobs
+  HashMap<JobId, RuntimeJob> jobs_;      ///< live jobs only
+  HashMap<JobId, RuntimeJob> archived_;  ///< finished jobs
   /// archived_'s ids in ascending order: snapshot() and for_each_job() walk
   /// it instead of sorting the whole history on every call.
   std::vector<JobId> archive_ids_;
@@ -294,7 +290,7 @@ class Scheduler {
 
   // -- maintained indices over the live table --------------------------
   std::vector<RuntimeJob*> queued_;
-  std::unordered_map<JobId, std::size_t> queue_pos_;
+  HashMap<JobId, std::size_t> queue_pos_;
   /// Running jobs keyed by walltime end (start + walltime); the shadow and
   /// profile scans walk this instead of the job table.  Ties preserve start
   /// order (multimap insertion order), keeping scans deterministic.

@@ -14,11 +14,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "util/error.h"
+#include "util/hashed.h"
 #include "util/types.h"
 
 namespace cosched {
@@ -36,11 +36,11 @@ inline bool insert_ascending(std::vector<JobId>& ids, JobId id) {
   return true;
 }
 
-/// Throws InvariantError unless `ids` is `keys` sorted (test/debug hook for
-/// the indexes; `what` names the index in the message).
+/// Throws InvariantError unless the index `ids` equals `keys`, its table's
+/// sorted keys (test/debug hook; `what` names the index in the message).
 inline void check_ascending_index(const std::vector<JobId>& ids,
-                                  std::vector<JobId> keys, const char* what) {
-  std::sort(keys.begin(), keys.end());
+                                  const std::vector<JobId>& keys,
+                                  const char* what) {
   COSCHED_CHECK_MSG(ids == keys, what << " index (" << ids.size()
                                       << " ids) is not its sorted keys ("
                                       << keys.size() << ")");
@@ -53,11 +53,12 @@ class JobIdSet {
 
   /// Inserts `id`; true iff it was not already a member.
   bool insert(JobId id) {
-    if (!members_.insert(id).second) return false;
+    if (!members_.insert(id)) return false;
     insert_ascending(ascending_, id);
     return true;
   }
-  bool contains(JobId id) const { return members_.count(id) > 0; }
+  bool contains(JobId id) const { return members_.contains(id); }
+  std::size_t size() const { return ascending_.size(); }
   void reserve(std::size_t n) {
     members_.reserve(n);
     ascending_.reserve(n);
@@ -71,13 +72,11 @@ class JobIdSet {
   const std::vector<JobId>& ascending() const { return ascending_; }
   /// Throws InvariantError unless ascending() is the sorted members.
   void validate(const char* what) const {
-    // cosched-lint: ordered(the keys are sorted before the comparison)
-    check_ascending_index(ascending_, {members_.begin(), members_.end()},
-                          what);
+    check_ascending_index(ascending_, members_.sorted_keys(), what);
   }
 
  private:
-  std::unordered_set<JobId> members_;
+  HashSet<JobId> members_;
   std::vector<JobId> ascending_;
 };
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "util/error.h"
+#include "util/hashed.h"
 #include "util/rng.h"
 
 namespace cosched {
@@ -163,11 +163,13 @@ double thin_pairs(Trace& a, Trace& b, double target_fraction,
         rng.uniform_int(0, static_cast<std::int64_t>(i - 1)));
     std::swap(groups[i - 1], groups[j]);
   }
-  std::unordered_set<GroupId> drop(groups.begin() + keep_target,
-                                   groups.end());
+  HashSet<GroupId> drop;
+  drop.reserve(groups.size() - keep_target);
+  for (std::size_t i = keep_target; i < groups.size(); ++i)
+    drop.insert(groups[i]);
   for (Trace* t : {&a, &b})
     for (JobSpec& j : t->jobs())
-      if (j.is_paired() && drop.count(j.group)) j.group = kNoGroup;
+      if (j.is_paired() && drop.contains(j.group)) j.group = kNoGroup;
   return 2.0 * static_cast<double>(keep_target) / static_cast<double>(total);
 }
 

@@ -1,9 +1,9 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/error.h"
+#include "util/hashed.h"
 
 namespace cosched {
 
@@ -34,11 +34,11 @@ bool Trace::is_sorted() const {
 }
 
 void Trace::validate(NodeCount capacity) const {
-  std::unordered_set<JobId> seen;
+  HashSet<JobId> seen;
   for (const JobSpec& j : jobs_) {
     if (j.id == kNoJob)
       throw ParseError("trace " + name_ + ": job without id");
-    if (!seen.insert(j.id).second)
+    if (!seen.insert(j.id))
       throw ParseError("trace " + name_ + ": duplicate job id " +
                        std::to_string(j.id));
     if (j.nodes <= 0)

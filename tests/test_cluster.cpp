@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ranges>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -20,6 +21,12 @@ static_assert(std::is_same_v<decltype(std::declval<Cluster&>().scheduler()),
                              const Scheduler&>);
 static_assert(std::is_same_v<decltype(std::declval<Cluster&>().leases()),
                              const std::map<JobId, HoldLease>&>);
+
+// Hash order cannot leak: a hash table has no begin()/end(), so a range-for
+// over the scheduler's job table does not compile (util/hashed.h).
+static_assert(!std::ranges::range<HashMap<JobId, RuntimeJob>>);
+static_assert(
+    !std::ranges::range<decltype(std::declval<Cluster&>().scheduler().jobs())>);
 
 struct Rig {
   Engine engine;

@@ -127,9 +127,11 @@ TEST(Conservative, CompletesAWorkloadEquivalently) {
                       10 + (i % 5) * 20), now);
       }
       std::vector<JobId> done;
-      for (const auto& [id, j] : s.jobs())
+      for (JobId id : s.jobs().sorted_keys()) {
+        const RuntimeJob& j = s.jobs().at(id);
         if (j.state == JobState::kRunning && j.start + j.spec.runtime <= now)
           done.push_back(id);
+      }
       for (JobId id : done) s.finish(id, now);
       s.iterate(now);
     }

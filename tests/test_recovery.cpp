@@ -1120,10 +1120,9 @@ TEST(SnapshotIndexes, StaySortedThroughKillsRecoveryAndRestore) {
   sim.enable_journaling(/*compact_every=*/64);
   for (Time h = 1; h <= 10; ++h)
     sim.engine().schedule_at(h * kHour, EventPriority::kMessage, [&sim] {
-      JobId newest = kNoJob;
-      for (const auto& [id, job] : sim.cluster(0).scheduler().jobs())
-        newest = std::max(newest, id);
-      if (newest != kNoJob) sim.cluster(0).kill_job(newest);
+      const std::vector<JobId> live =
+          sim.cluster(0).scheduler().jobs().sorted_keys();
+      if (!live.empty()) sim.cluster(0).kill_job(live.back());
     });
   sim.schedule_crash_recovery(0, 300);
   sim.engine().run_until(12 * kHour);
@@ -1155,14 +1154,13 @@ TEST(SnapshotIndexes, StaySortedThroughKillsRecoveryAndRestore) {
 std::vector<std::uint8_t> fresh_encoding(const Scheduler& s) {
   WireWriter w;
   put(w, s.pool().accounting());
-  std::vector<JobId> live;
+  const std::vector<JobId> live = s.jobs().sorted_keys();
   std::vector<std::pair<Time, JobId>> ends;
-  for (const auto& [id, job] : s.jobs()) {
-    live.push_back(id);
+  for (JobId id : live) {
+    const RuntimeJob& job = s.jobs().at(id);
     if (job.state == JobState::kRunning)
       ends.emplace_back(job.start + job.spec.walltime, id);
   }
-  std::sort(live.begin(), live.end());
   w.put_u64(live.size());
   for (JobId id : live) put(w, s.jobs().at(id));
   std::vector<JobId> archived;
@@ -1199,10 +1197,9 @@ TEST(EncodedArchive, EverySnapshotMatchesAFreshEncoding) {
       };
       const auto pick = [&rng, &s](JobState state) {
         std::vector<JobId> ids;
-        for (const auto& [id, job] : s.jobs())
-          if (job.state == state) ids.push_back(id);
+        for (JobId id : s.jobs().sorted_keys())
+          if (s.jobs().at(id).state == state) ids.push_back(id);
         if (ids.empty()) return kNoJob;
-        std::sort(ids.begin(), ids.end());
         const auto last = static_cast<std::int64_t>(ids.size()) - 1;
         return ids[static_cast<std::size_t>(rng.uniform_int(0, last))];
       };

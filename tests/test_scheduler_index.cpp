@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,9 +62,8 @@ std::vector<JobId> brute_force_order(const Scheduler& s, Time now) {
 // Holding set recomputed from live job state.
 std::vector<JobId> brute_force_holding(const Scheduler& s) {
   std::vector<JobId> ids;
-  for (const auto& [id, job] : s.jobs())
-    if (job.state == JobState::kHolding) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  for (JobId id : s.jobs().sorted_keys())
+    if (s.jobs().at(id).state == JobState::kHolding) ids.push_back(id);
   return ids;
 }
 
@@ -82,8 +80,8 @@ TEST(SchedulerIndex, FinishedJobsAreArchivedAndExcludedFromLiveScans) {
   EXPECT_EQ(s.running_count(), 0u);
   EXPECT_EQ(s.finished_count(), 1u);
   // The live map no longer holds job 1...
-  EXPECT_EQ(s.jobs().count(1), 0u);
-  EXPECT_EQ(s.archived().count(1), 1u);
+  EXPECT_FALSE(s.jobs().contains(1));
+  EXPECT_TRUE(s.archived().contains(1));
   // ...but lookups and whole-history iteration still see it.
   ASSERT_NE(s.find(1), nullptr);
   EXPECT_EQ(s.find(1)->state, JobState::kFinished);
@@ -172,7 +170,7 @@ TEST(SchedulerIndex, AJobKilledInsideAHookIsSkippedAndKeepsItsAddress) {
   EXPECT_EQ(decided, (std::vector<JobId>{1, 2}));
   EXPECT_EQ(started, (std::vector<JobId>{1, 2}));
   EXPECT_EQ(s.find(3), victim);
-  EXPECT_EQ(s.archived().count(3), 1u);
+  EXPECT_TRUE(s.archived().contains(3));
   EXPECT_EQ(&s.archived().at(3), victim);
   EXPECT_EQ(victim->state, JobState::kFinished);
   EXPECT_EQ(victim->end, 5);
@@ -197,10 +195,12 @@ TEST(SchedulerIndex, ValidateIndicesAfterLifecycleChurn) {
 
     // Finish every running job whose walltime has elapsed.
     std::vector<JobId> done;
-    for (const auto& [id, job] : s.jobs())
+    for (JobId id : s.jobs().sorted_keys()) {
+      const RuntimeJob& job = s.jobs().at(id);
       if (job.state == JobState::kRunning &&
           job.start + job.spec.walltime <= now)
         done.push_back(id);
+    }
     for (JobId id : done) s.finish(id, now);
 
     if (s.holding_count() > 0) {
@@ -220,10 +220,12 @@ TEST(SchedulerIndex, ValidateIndicesAfterLifecycleChurn) {
     while (s.holding_count() > 0) s.start_holding(s.holding_ids().front(), now);
     s.iterate(now);
     std::vector<JobId> done;
-    for (const auto& [id, job] : s.jobs())
+    for (JobId id : s.jobs().sorted_keys()) {
+      const RuntimeJob& job = s.jobs().at(id);
       if (job.state == JobState::kRunning &&
           job.start + job.spec.walltime <= now)
         done.push_back(id);
+    }
     for (JobId id : done) s.finish(id, now);
     now += 100;
   }
@@ -265,37 +267,36 @@ std::vector<std::uint8_t> reference_snapshot(const Scheduler& s) {
   w.put_i64(a.last_update);
   w.put_double(a.busy_ns);
   w.put_double(a.held_ns);
-  const auto write_jobs =
-      [&w](const std::unordered_map<JobId, RuntimeJob>& table) {
-        std::vector<JobId> ids;
-        for (const auto& [id, job] : table) ids.push_back(id);
-        std::sort(ids.begin(), ids.end());
-        w.put_u64(ids.size());
-        for (JobId id : ids) {
-          const RuntimeJob& j = table.at(id);
-          for (const std::int64_t v :
-               {j.spec.id, j.spec.submit, j.spec.runtime, j.spec.walltime,
-                j.spec.nodes, j.spec.group, j.spec.after, j.spec.after_delay,
-                std::int64_t{j.spec.user}})
-            w.put_i64(v);
-          w.put_u8(static_cast<std::uint8_t>(j.state));
-          w.put_i64(j.start);
-          w.put_i64(j.end);
-          w.put_i64(j.first_ready);
-          w.put_i64(j.hold_since);
-          w.put_i64(j.allocated);
-          w.put_i64(j.yield_count);
-          w.put_i64(j.forced_releases);
-          w.put_bool(j.demoted);
-          w.put_double(j.priority_boost);
-        }
-      };
+  const auto write_jobs = [&w](const HashMap<JobId, RuntimeJob>& table) {
+    const std::vector<JobId> ids = table.sorted_keys();
+    w.put_u64(ids.size());
+    for (JobId id : ids) {
+      const RuntimeJob& j = table.at(id);
+      for (const std::int64_t v :
+           {j.spec.id, j.spec.submit, j.spec.runtime, j.spec.walltime,
+            j.spec.nodes, j.spec.group, j.spec.after, j.spec.after_delay,
+            std::int64_t{j.spec.user}})
+        w.put_i64(v);
+      w.put_u8(static_cast<std::uint8_t>(j.state));
+      w.put_i64(j.start);
+      w.put_i64(j.end);
+      w.put_i64(j.first_ready);
+      w.put_i64(j.hold_since);
+      w.put_i64(j.allocated);
+      w.put_i64(j.yield_count);
+      w.put_i64(j.forced_releases);
+      w.put_bool(j.demoted);
+      w.put_double(j.priority_boost);
+    }
+  };
   write_jobs(s.jobs());
   write_jobs(s.archived());
   std::vector<std::pair<Time, JobId>> ends;
-  for (const auto& [id, j] : s.jobs())
+  for (JobId id : s.jobs().sorted_keys()) {
+    const RuntimeJob& j = s.jobs().at(id);
     if (j.state == JobState::kRunning)
       ends.emplace_back(j.start + j.spec.walltime, id);
+  }
   std::sort(ends.begin(), ends.end());
   w.put_u64(ends.size());
   for (const auto& [end, id] : ends) w.put_i64(id);

@@ -871,7 +871,7 @@ TEST(SnapshotBounds, AnUnfinishedJobInTheArchiveFallsBackAGeneration) {
   live.engine().run_until(35 * kMinute);
   const Scheduler& sched = live.cluster(0).scheduler();
   ASSERT_FALSE(sched.archived().empty());
-  RuntimeJob job = sched.archived().begin()->second;
+  RuntimeJob job = sched.archived().at(sched.archived().sorted_keys().front());
   WireWriter state_writer;
   live.cluster(0).write_snapshot(state_writer);
   std::vector<std::uint8_t> state = state_writer.take();
